@@ -66,6 +66,7 @@ def run_dsm(program: Program, nprocs: int,
 
     result = system.run(main)
     arrays = system.snapshot() if snapshot else {}
+    system.release()
     out = DsmOutcome(run=result, arrays=arrays, program=prog,
                      telemetry=telemetry)
     out.profile = profile

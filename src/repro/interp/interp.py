@@ -59,6 +59,8 @@ class Interpreter:
         #: Wall-clock profiler (``None`` when unobserved): counts
         #: interpreted statements for the throughput report.
         self.prof = getattr(runtime, "prof", None)
+        #: (id(Ref), loop var) -> affine access plan, see _ref_plan.
+        self._plans: Dict[tuple, Optional[list]] = {}
 
     # ------------------------------------------------------------------
 
@@ -144,19 +146,35 @@ class Interpreter:
     # Vectorized assignment over one loop variable.
     # ------------------------------------------------------------------
 
+    def _ref_plan(self, ref: Ref, var: str):
+        """Per-subscript ``(coef of var, loop-invariant LinExpr)``, or
+        ``None`` when ``ref`` is not an ascending affine access in
+        ``var`` (scalar fallback).  Resolved once per (ref, var)."""
+        key = (id(ref), var)   # the program keeps its Refs alive
+        try:
+            return self._plans[key]
+        except KeyError:
+            pass
+        plan = []
+        for sub in ref.subs:
+            lin = linearize(sub, {var})
+            coef = lin.coef(var) if lin is not None else -1
+            if coef < 0:
+                plan = None     # not affine / descending accesses
+                break
+            plan.append((coef, lin.without(var)))
+        self._plans[key] = plan
+        return plan
+
     def _ref_section(self, ref: Ref, var: str, lo: int, hi: int,
                      step: int) -> Optional[Section]:
         """Section touched by ``ref`` as ``var`` spans its range."""
-        decl = self.program.array_decl(ref.array)
+        plan = self._ref_plan(ref, var)
+        if plan is None:
+            return None
         dims = []
-        for sub in ref.subs:
-            lin = linearize(sub, {var})
-            if lin is None:
-                return None
-            coef = lin.coef(var)
-            if coef < 0:
-                return None     # descending accesses: scalar fallback
-            base = self._eval_linexpr(lin.without(var))
+        for coef, invariant in plan:
+            base = self._eval_linexpr(invariant)
             if coef == 0:
                 dims.append((base, base, 1))
             else:
@@ -165,8 +183,10 @@ class Interpreter:
         return Section(ref.array, tuple(dims))
 
     def _eval_linexpr(self, lin: LinExpr) -> int:
-        return lin.evaluate(self.env,
-                            atom_eval=lambda a, env: self.eval_scalar(a))
+        return lin.evaluate(self.env, atom_eval=self._eval_atom)
+
+    def _eval_atom(self, atom: Expr, env) -> object:
+        return self.eval_scalar(atom)
 
     def _vector_assign(self, a: Assign, var: str, lo: int, hi: int,
                        step: int) -> bool:

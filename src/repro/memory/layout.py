@@ -58,6 +58,9 @@ class SharedLayout:
         self.page_size = page_size
         self.arrays: Dict[str, ArrayInfo] = {}
         self._next = 0
+        #: Section -> pages memo; add_array only appends, so entries
+        #: never go stale.
+        self._pages_of: Dict[Section, Tuple[int, ...]] = {}
 
     def add_array(self, name: str, shape: Sequence[int],
                   dtype: object = np.float64) -> ArrayInfo:
@@ -153,13 +156,16 @@ class SharedLayout:
                 merged.append((start, stop))
         return merged
 
-    def pages_of(self, section: Section) -> List[int]:
+    def pages_of(self, section: Section) -> Tuple[int, ...]:
         """Sorted page indices touched by ``section``."""
-        pages: Set[int] = set()
-        ps = self.page_size
-        for start, stop in self.byte_ranges(section):
-            pages.update(range(start // ps, (stop - 1) // ps + 1))
-        return sorted(pages)
+        memo = self._pages_of.get(section)
+        if memo is None:
+            pages: Set[int] = set()
+            ps = self.page_size
+            for start, stop in self.byte_ranges(section):
+                pages.update(range(start // ps, (stop - 1) // ps + 1))
+            memo = self._pages_of[section] = tuple(sorted(pages))
+        return memo
 
     def pages_fully_covered(self, section: Section) -> Set[int]:
         """Pages every byte of which lies inside ``section``'s byte ranges."""

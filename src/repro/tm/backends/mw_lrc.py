@@ -386,25 +386,28 @@ class MwLrcBackend(CoherenceBackend):
     # ==================================================================
 
     def snapshot_arrays(self) -> dict:
-        """Take processor 0's image and apply every write notice it
-        knows about, pulling missing diffs straight out of the other
-        nodes.  Programs should end with a barrier so that processor 0
-        knows all intervals."""
+        """Take processor 0's image and replay onto it, page by page and
+        in happens-before order, every interval it knows of, pulling the
+        diffs straight out of their writers.  Programs should end with a
+        barrier so that processor 0 knows all intervals.
+
+        Processor 0's own ``applied`` bookkeeping is deliberately not
+        consulted: a received ``Push`` subsumes a page's notices though
+        it carried only the exchanged section, so bytes of that page
+        the pusher wrote but did not send are stale here and would
+        never be restored by the still-unapplied, twin-relative diffs.
+        """
         from repro.memory.layout import MemoryImage
         node0 = self.node
         system = node0.sys
         image = MemoryImage(system.layout)
         image.buf[:] = node0.image.buf
-        for page in range(system.layout.npages):
-            needed = node0._needed_notices(page)
-            recs = sorted((node0.intervals[k] for k in needed),
+        for page, keys in node0.page_notices.items():
+            recs = sorted((node0.intervals[k] for k in keys),
                           key=lambda r: r.order_key())
             for rec in recs:
-                diff = node0.diff_store.get(
-                    (rec.writer, rec.index, page))
-                if diff is None:
-                    diff = system.nodes[rec.writer]._get_or_make_diff(
-                        page, rec.index)
+                diff = system.nodes[rec.writer]._get_or_make_diff(
+                    page, rec.index)
                 apply_diff(diff, image.page(page))
         return {name: image.view(name).copy()
                 for name in system.layout.arrays}

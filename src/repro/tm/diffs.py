@@ -1,4 +1,4 @@
-"""Twin/diff machinery: run-length encoded page deltas.
+"""Twin/diff machinery: columnar page deltas.
 
 A *twin* is a copy of a page taken at the first write after the page was
 write-protected.  A *diff* records the byte ranges by which the current
@@ -6,6 +6,13 @@ page differs from its twin.  Diffs from concurrent writers of one page
 touch disjoint bytes (the program is race-free), so applying them in any
 happens-before-consistent order merges all modifications — the
 multiple-writer protocol of Carter et al. used by TreadMarks.
+
+A diff is held columnar, not as a list of runs: the changed bytes in one
+contiguous ``payload``, located either by a single ``[lo, hi)`` slice
+(one run, or none) or by an index of byte offsets in the narrowest
+unsigned dtype that can address the page.  Only the run *count* is kept,
+because the wire size is all the protocol needs of the runs:
+``wire_bytes = 12 + 8 * nruns + payload_bytes``.
 
 A special *full-page* diff (``full=True``) carries the entire page.  It is
 produced for intervals whose pages were covered by a ``WRITE_ALL``
@@ -17,8 +24,8 @@ accumulation collapses to one full page).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -28,22 +35,32 @@ DIFF_HEADER_BYTES = 12
 RUN_HEADER_BYTES = 8
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Diff:
-    """Changes of one page for one (writer, interval)."""
+    """Changes of one page for one (writer, interval).
+
+    ``payload`` is a private copy (never a view of the live page):
+    recovery logs and one-sided diff windows hold diffs long after the
+    page has moved on.
+    """
 
     page: int
     writer: int
     interval: int
-    runs: Tuple[Tuple[int, bytes], ...]
+    #: Where ``payload`` goes in the page: one ``slice`` when the changed
+    #: bytes form a single run (or none), else their byte offsets.
+    where: Union[slice, np.ndarray]
+    payload: np.ndarray
+    #: Maximal runs of consecutive changed bytes.
+    nruns: int
     full: bool = False
+    payload_bytes: int = field(init=False)
+    wire_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        payload = sum(len(data) for _, data in self.runs)
-        object.__setattr__(self, "payload_bytes", payload)
-        object.__setattr__(
-            self, "wire_bytes",
-            DIFF_HEADER_BYTES + len(self.runs) * RUN_HEADER_BYTES + payload)
+        self.payload_bytes = len(self.payload)
+        self.wire_bytes = (DIFF_HEADER_BYTES + self.nruns * RUN_HEADER_BYTES
+                           + self.payload_bytes)
 
 
 def diff_payload_bytes(diffs) -> int:
@@ -52,37 +69,30 @@ def diff_payload_bytes(diffs) -> int:
 
 def make_diff(page: int, writer: int, interval: int,
               twin: np.ndarray, current: np.ndarray) -> Diff:
-    """Encode the byte ranges where ``current`` differs from ``twin``."""
+    """Encode the bytes where ``current`` differs from ``twin``."""
     if twin.shape != current.shape:
         raise ValueError("twin/page size mismatch")
-    changed = twin != current
-    runs: List[Tuple[int, bytes]] = []
-    if changed.any():
-        idx = np.flatnonzero(changed)
-        # Split indices into maximal consecutive runs.
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks + 1, [len(idx)]))
-        for s, e in zip(starts, stops):
-            off = int(idx[s])
-            end = int(idx[e - 1]) + 1
-            runs.append((off, current[off:end].tobytes()))
-    return Diff(page=page, writer=writer, interval=interval,
-                runs=tuple(runs))
+    idx = np.flatnonzero(twin != current)
+    n = len(idx)
+    lo = int(idx[0]) if n else 0
+    if n == 0 or int(idx[-1]) - lo + 1 == n:
+        run = slice(lo, lo + n)
+        return Diff(page, writer, interval, run, current[run].copy(),
+                    min(n, 1))
+    nruns = 1 + int(np.count_nonzero(np.diff(idx) > 1))
+    return Diff(page, writer, interval,
+                idx.astype(np.min_scalar_type(len(current) - 1)),
+                current[idx], nruns)
 
 
 def full_page_diff(page: int, writer: int, interval: int,
                    current: np.ndarray) -> Diff:
     """A diff carrying the whole page (``WRITE_ALL`` intervals)."""
-    return Diff(page=page, writer=writer, interval=interval,
-                runs=((0, current.tobytes()),), full=True)
+    return Diff(page, writer, interval, slice(0, len(current)),
+                current.copy(), 1, full=True)
 
 
 def apply_diff(diff: Diff, page_bytes: np.ndarray) -> int:
     """Apply ``diff`` onto ``page_bytes`` in place; returns bytes written."""
-    written = 0
-    for off, data in diff.runs:
-        arr = np.frombuffer(data, dtype=np.uint8)
-        page_bytes[off:off + len(arr)] = arr
-        written += len(arr)
-    return written
+    page_bytes[diff.where] = diff.payload
+    return diff.payload_bytes

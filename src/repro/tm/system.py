@@ -209,3 +209,14 @@ class TmSystem:
                 node.offline = False
                 node.tel = self.telemetry
                 node.prof = self.profile
+
+    def release(self) -> None:
+        """Give back every node's page image, twins and diffs; the
+        system is unusable afterwards.
+
+        A finished system is cyclic garbage (system <-> nodes <->
+        backends <-> network handlers), so its megabytes would wait for
+        the cycle collector and pile up under a caller that runs one
+        system after another."""
+        for node in self.nodes:
+            node.image = node.pages = node.diff_store = None

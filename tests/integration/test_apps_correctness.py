@@ -51,6 +51,20 @@ def test_dsm_matches_reference(appname, level):
     check(res.arrays, app)
 
 
+@pytest.mark.parametrize("data_plane", [None, "onesided"])
+@pytest.mark.parametrize("page_size", [256, 1024, 4096])
+def test_push_snapshot_with_several_columns_per_page(page_size, data_plane):
+    """Push ships only the boundary column and subsumes the page's
+    notices, so the receiver's copy of the page's other columns stays
+    stale; the offline reconciliation must not trust it.  (At 1024 and
+    4096 a page holds 2 and 8 of jacobi's 512-byte columns.)"""
+    app = APPS["jacobi"]
+    res = run_dsm(app.program("tiny", 4), nprocs=4,
+                  opt=applicable_levels(app)["push"], page_size=page_size,
+                  data_plane=data_plane)
+    check(res.arrays, app)
+
+
 @pytest.mark.parametrize("appname", APP_NAMES)
 def test_dsm_two_processors(appname):
     app = APPS[appname]

@@ -118,7 +118,7 @@ def test_pages_fully_covered():
     # Elements 4..19 cover bytes 32..160: page 1 fully, pages 0 and 2 partly.
     full = layout.pages_fully_covered(Section.of("a", (4, 19)))
     assert full == {1}
-    assert layout.pages_of(Section.of("a", (4, 19))) == [0, 1, 2]
+    assert layout.pages_of(Section.of("a", (4, 19))) == (0, 1, 2)
 
 
 def test_memory_image_views_alias_buffer():

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from repro.harness import experiments as ex
 from repro.harness import report
@@ -106,6 +107,41 @@ def _monitor(args):
     from repro.observe import RunMonitor
     return RunMonitor()
 
+
+_SIZING = ("dataset", "nprocs", "page_size")
+_RUN_FIELDS = (*_SIZING, "protocol", "data_plane")
+
+
+def _run_kw(args, fields=_RUN_FIELDS) -> dict:
+    """The RunSpec keywords the shared argument groups put on ``args``
+    (a subcommand without ``--protocol`` simply has none to pass)."""
+    have = vars(args)
+    return {k: have[k] for k in fields if k in have}
+
+
+def _traced_spec(args, **extra):
+    """The traced RunSpec of a one-app, one-mode subcommand."""
+    from repro.harness import RunSpec
+    return RunSpec(app=args.app, mode=args.mode,
+                   opt=args.opt if args.mode == "dsm" else None,
+                   telemetry=True, **_run_kw(args), **extra)
+
+
+def _emit(args, payload: dict, text: str, **dump_kw) -> None:
+    """``--json -`` prints the payload alone; otherwise print ``text``
+    and, given ``--json PATH``, also write the payload there."""
+    import json
+    if args.json == "-":
+        print(json.dumps(payload, indent=2, **dump_kw))
+        return
+    print(text)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(payload, fh, indent=2, **dump_kw)
+            fh.write("\n")
+        print(f"wrote {args.json}")
+
+
 ARTIFACTS = {
     "table1": (lambda args: ex.table1(dataset=args.dataset),
                report.render_table1),
@@ -139,7 +175,7 @@ ARTIFACTS = {
 def trace_main(argv) -> int:
     """``python -m repro trace <app>``: run once with full telemetry."""
     from repro.apps import all_apps
-    from repro.harness import RunSpec, run
+    from repro.harness import run
 
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
@@ -160,13 +196,8 @@ def trace_main(argv) -> int:
                              "host-time attribution table")
     args = parser.parse_args(argv)
 
-    spec = RunSpec(app=args.app, mode=args.mode, dataset=args.dataset,
-                   nprocs=args.nprocs, page_size=args.page_size,
-                   opt=args.opt if args.mode == "dsm" else None,
-                   protocol=args.protocol, data_plane=args.data_plane,
-                   telemetry=True,
-                   profile=args.profile, monitor=_monitor(args))
-    out = run(spec)
+    out = run(_traced_spec(args, profile=args.profile,
+                           monitor=_monitor(args)))
     tel = out.telemetry
     path = args.out or f"trace-{args.app}.json"
     tel.write_chrome_trace(path)
@@ -191,10 +222,7 @@ def trace_main(argv) -> int:
 
 def inspect_main(argv) -> int:
     """``python -m repro inspect <app>``: protocol inspection report."""
-    import json
-
     from repro.apps import all_apps
-    from repro.harness import RunSpec
     from repro.inspect import inspect_run
 
     parser = argparse.ArgumentParser(
@@ -216,26 +244,15 @@ def inspect_main(argv) -> int:
                              "timeline")
     args = parser.parse_args(argv)
 
-    spec = RunSpec(app=args.app, mode=args.mode, dataset=args.dataset,
-                   nprocs=args.nprocs, page_size=args.page_size,
-                   opt=args.opt if args.mode == "dsm" else None,
-                   protocol=args.protocol, data_plane=args.data_plane,
-                   telemetry=True)
-    rep = inspect_run(spec)
-    if args.json == "-":
-        print(json.dumps(rep.as_dict(args.top), indent=2))
-    else:
-        print(rep.render(args.top))
-        if args.page is not None:
-            print(f"\nTimeline of page {args.page}")
-            print("=" * (17 + len(str(args.page))))
-            for tr in rep.timelines.timeline(args.page):
-                print(tr)
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(rep.as_dict(args.top), fh, indent=2)
-                fh.write("\n")
-            print(f"\nwrote {args.json}")
+    rep = inspect_run(_traced_spec(args))
+    lines = [rep.render(args.top)]
+    if args.page is not None:
+        lines += [f"\nTimeline of page {args.page}",
+                  "=" * (17 + len(str(args.page))),
+                  *map(str, rep.timelines.timeline(args.page))]
+    if args.json:
+        lines.append("")    # blank line before "wrote <path>"
+    _emit(args, rep.as_dict(args.top), "\n".join(lines))
     return 0 if not rep.reconcile() else 1
 
 
@@ -290,257 +307,66 @@ def check_main(argv) -> int:
     return 1
 
 
-def chaos_main(argv) -> int:
-    """``python -m repro chaos``: fault-injection robustness sweep."""
-    import json
+def sweep_main(kind: str, argv) -> int:
+    """``python -m repro chaos|recover|elastic``: one robustness sweep,
+    its flags derived from the sweep's policy and the capability table."""
+    import importlib
 
     from repro.apps import all_apps
-    from repro.harness import chaos
+    from repro.capability import legal_cells
 
+    policy = importlib.import_module(f"repro.harness.{kind}").POLICY
+    parents = [_sizing_parent(), _protocol_parent()]
+    if not policy.mined:        # labels name seeded plans
+        parents.append(_seed_parent())
+    if any(c.data_plane == "onesided"
+           and policy.perturbation in c.perturbations
+           for c in legal_cells()):
+        parents.append(_data_plane_parent())
     parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        parents=[_sizing_parent(), _seed_parent(), _protocol_parent(),
-                 _data_plane_parent()],
-        description="Sweep apps x opt levels x fault intensities under "
-                    "deterministic fault injection with the reliable "
-                    "transport enabled.  Every faulted run must produce "
-                    "results bit-identical to the fault-free run; the "
-                    "table reports what the robustness cost (extra "
-                    "messages, retransmits, added simulated time).")
+        prog=f"python -m repro {kind}", parents=parents,
+        description=f"{policy.title}: sweep apps x opt levels x "
+                    f"{policy.flag.lstrip('-')}, running each case "
+                    f"unperturbed and perturbed; the table reports what "
+                    f"the perturbation cost.  {policy.note}")
     parser.add_argument("--apps", nargs="*", default=None,
                         choices=sorted(all_apps()),
                         help="applications to sweep (default: all)")
     parser.add_argument("--opts", nargs="*", default=None,
                         help="DSM optimization levels (default: every "
                              "level applicable to each app)")
-    parser.add_argument("--intensity", nargs="*", default=None,
-                        choices=sorted(chaos.INTENSITIES),
-                        dest="intensities",
-                        help="fault intensities (default: all three)")
+    parser.add_argument(policy.flag, nargs="*", default=None,
+                        choices=policy.labels, dest="labels",
+                        help="cases to run (default: every one "
+                             "applicable to each app)")
+    parser.add_argument("--plan", default=None, metavar="FILE",
+                        help="run this declarative JSON fault plan for "
+                             "each app/opt pair instead of the named "
+                             "cases")
     parser.add_argument("--no-inspect", action="store_true",
                         help="skip the protocol-inspector invariant "
-                             "checks on each faulted run")
-    parser.add_argument("--plan", default=None, metavar="FILE",
-                        help="run this declarative JSON fault plan "
-                             "instead of the named intensities")
+                             "checks on each perturbed run")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="export the sweep results as JSON "
                              "('-' for stdout)")
+    parser.set_defaults(seed=0)     # sweeps that mine take no --seed
     args = parser.parse_args(argv)
 
     plan = None
     if args.plan:
         from repro.faults import plan_from_json
         plan = plan_from_json(args.plan)
-    cases = chaos.sweep(apps=args.apps, opts=args.opts,
-                        intensities=args.intensities, seed=args.seed,
-                        dataset=args.dataset, nprocs=args.nprocs,
-                        page_size=args.page_size,
-                        inspect=not args.no_inspect, plan=plan,
-                        protocol=args.protocol,
-                        data_plane=args.data_plane)
-    from repro.harness.schema import envelope
-    payload = envelope("chaos", seed=args.seed, dataset=args.dataset,
-                       nprocs=args.nprocs, page_size=args.page_size,
-                       protocol=args.protocol,
-                       cases=[c.as_dict() for c in cases])
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(chaos.render_chaos(cases))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-    return 0 if all(c.ok for c in cases) else 1
-
-
-def recover_main(argv) -> int:
-    """``python -m repro recover``: crash-recovery robustness sweep."""
-    import json
-
-    from repro.apps import all_apps
-    from repro.harness import recover
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro recover",
-        parents=[_sizing_parent(), _protocol_parent()],
-        description="Sweep apps x opt levels x mined crash schedules "
-                    "under the crash-recovery subsystem.  Every crashed "
-                    "run must produce results bit-identical to the "
-                    "fault-free run with zero inspector violations and "
-                    "zero sanitizer findings; the table reports what "
-                    "crash tolerance cost (backup log traffic, state "
-                    "transfer, recovery time).")
-    parser.add_argument("--apps", nargs="*", default=None,
-                        choices=sorted(all_apps()),
-                        help="applications to sweep (default: all)")
-    parser.add_argument("--opts", nargs="*", default=None,
-                        help="DSM optimization levels (default: every "
-                             "level applicable to each app)")
-    parser.add_argument("--schedules", nargs="*", default=None,
-                        choices=list(recover.SCHEDULES),
-                        help="crash schedules to mine (default: every "
-                             "schedule applicable to each app)")
-    parser.add_argument("--plan", default=None, metavar="FILE",
-                        help="run this declarative JSON fault plan for "
-                             "each app/opt pair instead of the mined "
-                             "schedules")
-    parser.add_argument("--no-inspect", action="store_true",
-                        help="skip the protocol-inspector invariant "
-                             "checks on each crashed run")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="export the sweep results as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
-
-    if args.protocol not in (None, "mw-lrc"):
-        from repro.errors import ReproError
-        raise ReproError(
-            f"recover sweeps schedule node crashes, and crash recovery "
-            f"supports only protocol='mw-lrc' (backup logging replays "
-            f"its diff protocol), not {args.protocol!r}")
-    if args.plan:
-        from repro.apps import get_app
-        from repro.faults import plan_from_json
-        from repro.harness.modes import applicable_levels
-        plan = plan_from_json(args.plan)
-        names = sorted(args.apps) if args.apps else sorted(all_apps())
-        cases = []
-        for app in names:
-            app_opts = sorted(applicable_levels(get_app(app)))
-            for opt in (args.opts if args.opts is not None
-                        else app_opts):
-                if opt not in app_opts:
-                    continue
-                cases.append(recover.run_case(
-                    app, opt, "plan", dataset=args.dataset,
-                    nprocs=args.nprocs, page_size=args.page_size,
-                    inspect=not args.no_inspect, plan=plan,
-                    protocol=args.protocol))
-    else:
-        cases = recover.sweep(apps=args.apps, opts=args.opts,
-                              schedules=args.schedules,
-                              dataset=args.dataset, nprocs=args.nprocs,
-                              page_size=args.page_size,
-                              inspect=not args.no_inspect,
-                              protocol=args.protocol)
-    from repro.harness.schema import envelope
-    payload = envelope("recover", dataset=args.dataset,
-                       nprocs=args.nprocs, page_size=args.page_size,
-                       protocol=args.protocol,
-                       cases=[c.as_dict() for c in cases])
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(recover.render_recover(cases))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-    return 0 if all(c.ok for c in cases) else 1
-
-
-def elastic_main(argv) -> int:
-    """``python -m repro elastic``: elastic-membership churn sweep."""
-    import json
-
-    from repro.apps import all_apps
-    from repro.harness import elastic
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro elastic",
-        parents=[_sizing_parent(), _protocol_parent(),
-                 _data_plane_parent()],
-        description="Sweep apps x opt levels x mined membership "
-                    "schedules (node join, graceful drain, heartbeat "
-                    "suspicion/eviction) under the elastic-membership "
-                    "subsystem.  Every elastic run must produce "
-                    "results bit-identical to the static-cluster run "
-                    "with zero inspector violations and zero sanitizer "
-                    "findings — including a *survived* detector false "
-                    "positive; the table reports what churn cost "
-                    "(handoff traffic, heartbeats, detection latency, "
-                    "added simulated time).")
-    parser.add_argument("--apps", nargs="*", default=None,
-                        choices=sorted(all_apps()),
-                        help="applications to sweep (default: all)")
-    parser.add_argument("--opts", nargs="*", default=None,
-                        help="DSM optimization levels (default: every "
-                             "level applicable to each app)")
-    parser.add_argument("--schedules", nargs="*", default=None,
-                        choices=list(elastic.SCHEDULES),
-                        help="membership schedules to mine (default: "
-                             "every schedule applicable to each app)")
-    parser.add_argument("--plan", default=None, metavar="FILE",
-                        help="run this declarative JSON fault plan "
-                             "(with a 'membership' block) for each "
-                             "app/opt pair instead of the mined "
-                             "schedules")
-    parser.add_argument("--no-inspect", action="store_true",
-                        help="skip the protocol-inspector invariant "
-                             "checks on each elastic run")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="export the sweep results as JSON "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
-
-    if args.protocol not in (None, "mw-lrc"):
-        from repro.errors import ReproError
-        raise ReproError(
-            f"elastic membership supports only protocol='mw-lrc' (the "
-            f"handoff re-shards its lock/diff protocol), not "
-            f"{args.protocol!r}")
-    if args.plan:
-        from repro.apps import get_app
-        from repro.faults import plan_from_json
-        from repro.harness.modes import applicable_levels
-        plan = plan_from_json(args.plan)
-        names = sorted(args.apps) if args.apps else sorted(all_apps())
-        cases = []
-        for app in names:
-            app_opts = sorted(applicable_levels(get_app(app)))
-            for opt in (args.opts if args.opts is not None
-                        else app_opts):
-                if opt not in app_opts:
-                    continue
-                cases.append(elastic.run_case(
-                    app, opt, "plan", dataset=args.dataset,
-                    nprocs=args.nprocs, page_size=args.page_size,
-                    inspect=not args.no_inspect, plan=plan,
-                    protocol=args.protocol,
-                    data_plane=args.data_plane))
-    else:
-        cases = elastic.sweep(apps=args.apps, opts=args.opts,
-                              schedules=args.schedules,
-                              dataset=args.dataset, nprocs=args.nprocs,
-                              page_size=args.page_size,
-                              inspect=not args.no_inspect,
-                              protocol=args.protocol,
-                              data_plane=args.data_plane)
-    from repro.harness.schema import envelope
-    payload = envelope("elastic", dataset=args.dataset,
-                       nprocs=args.nprocs, page_size=args.page_size,
-                       protocol=args.protocol,
-                       cases=[c.as_dict() for c in cases])
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(elastic.render_elastic(cases))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
+    cases = policy.sweep(args.apps, args.opts, args.labels,
+                         seed=args.seed, inspect=not args.no_inspect,
+                         plan=plan, **_run_kw(args))
+    _emit(args, policy.payload(cases, seed=args.seed,
+                               **_run_kw(args, (*_SIZING, "protocol"))),
+          policy.render(cases))
     return 0 if all(c.ok for c in cases) else 1
 
 
 def sanitize_main(argv) -> int:
     """``python -m repro sanitize``: race + hint-soundness checking."""
-    import json
-
     from repro.apps import all_apps
     from repro.sanitizer import matrix
     from repro.sanitizer.replay import sanitize_jsonl, sanitize_run
@@ -580,61 +406,35 @@ def sanitize_main(argv) -> int:
 
     from repro.harness.schema import envelope
 
-    def emit(payload, text) -> None:
-        if args.json == "-":
-            print(json.dumps(payload, indent=2))
-            return
-        print(text)
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
+    sizing = _run_kw(args, _SIZING)
 
-    def wrap(**results) -> dict:
-        return envelope("sanitize", dataset=args.dataset,
-                        nprocs=args.nprocs, page_size=args.page_size,
-                        **results)
+    def emit(text, **results) -> None:
+        _emit(args, envelope("sanitize", **sizing, **results), text)
 
     apps = [args.app] if args.app else None
     if args.corpus:
-        corpus = matrix.build_corpus(apps=apps, dataset=args.dataset,
-                                     nprocs=args.nprocs,
-                                     page_size=args.page_size)
-        matrix.run_corpus(corpus, dataset=args.dataset,
-                          nprocs=args.nprocs,
-                          page_size=args.page_size)
-        emit(wrap(corpus=[e.__dict__ for e in corpus]),
-             matrix.render_corpus(corpus))
+        corpus = matrix.build_corpus(apps=apps, **sizing)
+        matrix.run_corpus(corpus, **sizing)
+        emit(matrix.render_corpus(corpus),
+             corpus=[e.__dict__ for e in corpus])
         return 0 if all(e.detected for e in corpus) else 1
     if args.all or not args.app:
-        cases = matrix.clean_matrix(apps=apps, dataset=args.dataset,
-                                    nprocs=args.nprocs,
-                                    page_size=args.page_size,
-                                    protocol=args.protocol,
-                                    data_plane=args.data_plane)
-        emit(wrap(cases=[c.report.as_dict() for c in cases]),
-             matrix.render_matrix(cases))
+        cases = matrix.clean_matrix(apps=apps, **_run_kw(args))
+        emit(matrix.render_matrix(cases),
+             cases=[c.report.as_dict() for c in cases])
         return 0 if all(c.ok for c in cases) else 1
     if args.replay:
         rep = sanitize_jsonl(args.replay, args.app, opt=args.opt,
-                             dataset=args.dataset, nprocs=args.nprocs,
-                             page_size=args.page_size)
+                             **sizing)
     else:
         _, rep = sanitize_run(args.app, opt=args.opt,
-                              dataset=args.dataset, nprocs=args.nprocs,
-                              page_size=args.page_size,
-                              online=not args.offline,
-                              protocol=args.protocol,
-                              data_plane=args.data_plane)
-    emit(wrap(report=rep.as_dict()), rep.render())
+                              online=not args.offline, **_run_kw(args))
+    emit(rep.render(), report=rep.as_dict())
     return 0 if rep.ok else 1
 
 
 def bench_main(argv) -> int:
     """``python -m repro bench``: machine-readable benchmark summary."""
-    import json
-
     from repro.apps import all_apps
     from repro.harness import bench
 
@@ -674,30 +474,18 @@ def bench_main(argv) -> int:
 
     if args.protocols is not None:
         payload = bench.bench_protocols(
-            apps=args.apps, dataset=args.dataset, nprocs=args.nprocs,
-            page_size=args.page_size,
-            protocols=args.protocols or None,
-            data_planes=args.data_planes)
+            apps=args.apps, protocols=args.protocols or None,
+            data_planes=args.data_planes, **_run_kw(args))
         render = bench.render_bench_protocols
     else:
-        payload = bench.bench(apps=args.apps, dataset=args.dataset,
-                              nprocs=args.nprocs,
-                              page_size=args.page_size)
+        payload = bench.bench(apps=args.apps, **_run_kw(args))
         render = bench.render_bench
-    if args.json == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(render(payload))
-    if args.json:
-        bench.write_bench(payload, args.json)
-        print(f"wrote {args.json}")
+    _emit(args, payload, render(payload), sort_keys=True)
     return 0
 
 
 def perf_main(argv) -> int:
     """``python -m repro perf``: wall-clock engine benchmark + gate."""
-    import json
-
     from repro.apps import all_apps
     from repro.observe import history
     from repro.observe.perf import perf_suite, render_perf
@@ -743,18 +531,10 @@ def perf_main(argv) -> int:
                         help="perf history JSONL path")
     args = parser.parse_args(argv)
 
-    payload = perf_suite(apps=args.apps, dataset=args.dataset,
-                         nprocs=args.nprocs, page_size=args.page_size,
-                         repeats=args.repeats,
+    payload = perf_suite(apps=args.apps, repeats=args.repeats,
                          measure_telemetry=not args.no_telemetry_overhead,
-                         progress=args.progress)
-    if args.json == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_perf(payload))
-        if args.json:
-            history.write_baseline(payload, args.json)
-            print(f"wrote {args.json}")
+                         progress=args.progress, **_run_kw(args))
+    _emit(args, payload, render_perf(payload), sort_keys=True)
     if args.record:
         history.append_history(payload, args.history)
         print(f"recorded in {args.history}")
@@ -775,7 +555,7 @@ def perf_main(argv) -> int:
 def report_main(argv) -> int:
     """``python -m repro report``: self-contained HTML run report."""
     from repro.apps import all_apps
-    from repro.harness import RunSpec, run
+    from repro.harness import run
     from repro.inspect import InspectReport
     from repro.observe.htmlreport import write_html
 
@@ -796,14 +576,8 @@ def report_main(argv) -> int:
     args = parser.parse_args(argv)
 
     profiled = args.mode != "seq"
-    spec = RunSpec(app=args.app, mode=args.mode, dataset=args.dataset,
-                   nprocs=args.nprocs, page_size=args.page_size,
-                   opt=args.opt if args.mode == "dsm" else None,
-                   protocol=args.protocol, data_plane=args.data_plane,
-                   telemetry=True,
-                   profile=profiled,
-                   monitor=_monitor(args) if profiled else None)
-    out = run(spec)
+    out = run(_traced_spec(args, profile=profiled,
+                           monitor=_monitor(args) if profiled else None))
     title = (f"{args.app} [{args.mode}] dataset={args.dataset} "
              f"nprocs={args.nprocs}")
     rep = InspectReport.build(out, title=title)
@@ -819,10 +593,11 @@ def report_main(argv) -> int:
 
 
 SUBCOMMANDS = {"trace": trace_main, "inspect": inspect_main,
-               "check": check_main, "chaos": chaos_main,
-               "recover": recover_main, "elastic": elastic_main,
-               "sanitize": sanitize_main, "bench": bench_main,
-               "perf": perf_main, "report": report_main}
+               "check": check_main, "sanitize": sanitize_main,
+               "bench": bench_main, "perf": perf_main,
+               "report": report_main,
+               **{kind: partial(sweep_main, kind)
+                  for kind in ("chaos", "recover", "elastic")}}
 
 
 def main(argv=None) -> int:

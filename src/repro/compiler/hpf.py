@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import HpfError, InterpError
-from repro.harness.outcome import XhpfOutcome as XhpfResult
+from repro.harness.outcome import XhpfOutcome
 from repro.interp.interp import Interpreter
 from repro.interp.runtime import BaseRuntime, LocalAccessor, _alloc
 from repro.lang.nodes import Barrier, Program, eval_int
@@ -271,7 +271,7 @@ class XhpfRuntime(BaseRuntime):
 def lower_xhpf(program: Program, nprocs: int,
                config: Optional[MachineConfig] = None,
                telemetry=None, faults=None, transport=None,
-               profile=None, monitor=None) -> XhpfResult:
+               profile=None, monitor=None) -> XhpfOutcome:
     """Compile and run the XHPF version of ``program``."""
     plan = compile_xhpf(program)
     system = MpSystem(nprocs=nprocs, config=config, telemetry=telemetry,
@@ -291,7 +291,7 @@ def lower_xhpf(program: Program, nprocs: int,
     # (processor images agree except where only the owner wrote; use the
     # deterministic write log to pick).
     arrays = _merge_replicas(program, runtimes)
-    return XhpfResult(time=result.time, net=result.net, arrays=arrays,
+    return XhpfOutcome(time=result.time, net=result.net, arrays=arrays,
                       telemetry=telemetry)
 
 

@@ -1,8 +1,7 @@
 """Experiment harness: run modes, experiment drivers, report tables."""
 
-from repro.harness.outcome import (DsmOutcome, DsmResult, MpOutcome,
-                                   MpResult, RunOutcome, SeqOutcome,
-                                   SeqResult, XhpfOutcome, XhpfResult)
+from repro.harness.outcome import (DsmOutcome, MpOutcome, RunOutcome,
+                                   SeqOutcome, XhpfOutcome)
 from repro.harness.runner import (run_dsm, run_mp, run_seq, run_xhpf,
                                   layout_for)
 from repro.harness.spec import MODES, RunSpec, run
@@ -14,5 +13,4 @@ __all__ = ["run_dsm", "run_mp", "run_seq", "run_xhpf", "layout_for",
            "VerifyReport", "verify_all", "verify_app",
            "MODES", "RunSpec", "run",
            "RunOutcome", "SeqOutcome", "DsmOutcome", "MpOutcome",
-           "XhpfOutcome", "SeqResult", "DsmResult", "MpResult",
-           "XhpfResult"]
+           "XhpfOutcome"]

@@ -12,7 +12,6 @@ process.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps import all_apps
@@ -162,12 +161,6 @@ def render_bench_protocols(payload: Dict) -> str:
         f"nprocs={payload['nprocs']})",
         headers, rows,
         note="same app results bit-for-bit; only the traffic differs")
-
-
-def write_bench(payload: Dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def render_bench(payload: Dict) -> str:

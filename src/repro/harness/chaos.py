@@ -20,16 +20,11 @@ Used by ``python -m repro chaos`` and the chaos-smoke CI job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.apps import all_apps, get_app
 from repro.errors import ReproError
 from repro.faults import FaultPlan
-from repro.harness import report
-from repro.harness.modes import applicable_levels
-from repro.harness.spec import RunSpec, run
+from repro.harness.sweep import Case, Sweep
 
 #: Named fault intensities: per-message probabilities applied uniformly
 #: to every link.  "heavy" matches the acceptance bar (10% drop + 10%
@@ -42,7 +37,7 @@ INTENSITIES: Dict[str, Dict[str, float]] = {
 
 
 @dataclass
-class ChaosCase:
+class ChaosCase(Case):
     """Outcome of one fault-free/faulted run pair."""
 
     app: str
@@ -63,17 +58,12 @@ class ChaosCase:
     faults_injected: int = 0
 
     @property
-    def ok(self) -> bool:
-        return (self.identical and not self.violations
-                and self.error is None)
+    def label(self) -> str:
+        return self.intensity
 
     @property
     def extra_messages(self) -> int:
         return self.messages - self.base_messages
-
-    @property
-    def added_time(self) -> float:
-        return self.time - self.base_time
 
     def as_dict(self) -> dict:
         return {
@@ -92,124 +82,46 @@ class ChaosCase:
         }
 
 
-def _arrays_identical(base: Dict[str, np.ndarray],
-                      faulted: Dict[str, np.ndarray]) -> bool:
-    if set(base) != set(faulted):
-        return False
-    return all(np.array_equal(base[name], faulted[name])
-               for name in base)
-
-
-def run_case(app: str, opt: Optional[str], intensity: str,
-             seed: int = 0, dataset: str = "tiny", nprocs: int = 4,
-             page_size: int = 1024, inspect: bool = True,
-             plan: Optional[FaultPlan] = None,
-             protocol: Optional[str] = None,
-             data_plane: Optional[str] = None) -> ChaosCase:
-    """Run one app/opt pair fault-free and faulted; compare bit-by-bit.
-
-    Pass ``plan`` to run an explicit declarative :class:`FaultPlan`
-    (e.g. loaded with :func:`repro.faults.plan_from_json`) instead of
-    the seeded uniform plan named by ``intensity``; the intensity then
-    only labels the case.
-    """
-    if plan is None and intensity not in INTENSITIES:
-        raise ReproError(
-            f"unknown intensity {intensity!r}; expected one of "
-            f"{sorted(INTENSITIES)}")
-    case = ChaosCase(app=app, opt=opt, intensity=intensity, seed=seed)
-    spec = RunSpec(app=app, mode="dsm", dataset=dataset, nprocs=nprocs,
-                   opt=opt, page_size=page_size, protocol=protocol,
-                   data_plane=data_plane)
-    base = run(spec)
-    case.base_time = base.time
-    case.base_messages = base.net.messages
-
+def _start(app, opt, intensity, seed, plan):
+    """The seeded uniform plan named by ``intensity`` (which only
+    labels the case when an explicit ``plan`` is given)."""
     if plan is None:
+        if intensity not in INTENSITIES:
+            raise ReproError(
+                f"unknown intensity {intensity!r}; expected one of "
+                f"{sorted(INTENSITIES)}")
         plan = FaultPlan.uniform(seed=seed, **INTENSITIES[intensity])
-    try:
-        out = run(spec, faults=plan, telemetry=True)
-    except Exception as exc:
-        case.error = f"{type(exc).__name__}: {exc}"
-        return case
-    case.time = out.time
+    return ChaosCase(app=app, opt=opt, intensity=intensity,
+                     seed=seed), plan
+
+
+def _costs(case: ChaosCase, base, out) -> None:
+    case.base_messages = base.net.messages
     case.messages = out.net.messages
     case.retransmits = out.net.retransmits
     case.acks = out.net.acks
     case.dup_frames_discarded = out.net.dup_frames_discarded
     case.faults_injected = out.net.faults_injected
-    case.identical = _arrays_identical(base.arrays, out.arrays)
-    if inspect:
-        from repro.inspect import InspectReport
-        rep = InspectReport.build(
-            out, title=f"{app}/dsm/{opt}/{intensity}")
-        case.violations = rep.reconcile()
-    return case
 
 
-def sweep(apps: Optional[Sequence[str]] = None,
-          opts: Optional[Sequence[str]] = None,
-          intensities: Optional[Sequence[str]] = None,
-          seed: int = 0, dataset: str = "tiny", nprocs: int = 4,
-          page_size: int = 1024, inspect: bool = True,
-          plan: Optional[FaultPlan] = None,
-          protocol: Optional[str] = None,
-          data_plane: Optional[str] = None) -> List[ChaosCase]:
-    """The chaos matrix: apps x applicable opt levels x intensities.
+POLICY = Sweep(
+    kind="chaos", perturbation="faults",
+    labels=tuple(INTENSITIES), flag="--intensity",
+    start=_start, costs=_costs,
+    title="Chaos sweep: faulted vs fault-free (bit-identical required)",
+    headers=("app", "opt", "intensity", "status", "faults", "retx",
+             "acks", "+msgs", "+time"),
+    row=lambda c: [c.app, c.opt or "-", c.intensity, c.status,
+                   c.faults_injected, c.retransmits, c.acks,
+                   c.extra_messages, f"{c.added_time:+.0f}us"],
+    note="status 'ok' = results bit-identical, zero inspector "
+         "violations; +msgs counts retransmits and acks.",
+    survived="cases survived")
 
-    With an explicit ``plan``, each app/opt pair runs that one plan
-    (labelled "plan") instead of the named intensities.
-    """
-    names = sorted(apps) if apps else sorted(all_apps())
-    if plan is not None:
-        levels: Sequence[str] = ("plan",)
-    else:
-        levels = sorted(intensities) if intensities \
-            else ("light", "moderate", "heavy")
-    cases: List[ChaosCase] = []
-    for app in names:
-        app_opts = sorted(applicable_levels(get_app(app)))
-        for opt in (opts if opts is not None else app_opts):
-            if opt not in app_opts:
-                continue        # e.g. 'push' asked for an app without it
-            for intensity in levels:
-                cases.append(run_case(
-                    app, opt, intensity, seed=seed, dataset=dataset,
-                    nprocs=nprocs, page_size=page_size,
-                    inspect=inspect, plan=plan, protocol=protocol,
-                    data_plane=data_plane))
-    return cases
+run_case = POLICY.run_case
+render_chaos = POLICY.render
 
 
-def render_chaos(cases: Sequence[ChaosCase]) -> str:
-    """Human-readable sweep table plus a one-line verdict."""
-    rows = []
-    for c in cases:
-        if c.error is not None:
-            status = "ERROR"
-        elif not c.identical:
-            status = "DIVERGED"
-        elif c.violations:
-            status = "INVARIANT"
-        else:
-            status = "ok"
-        rows.append([c.app, c.opt or "-", c.intensity, status,
-                     c.faults_injected, c.retransmits, c.acks,
-                     c.extra_messages, f"{c.added_time:+.0f}us"])
-    table = report.render_table(
-        "Chaos sweep: faulted vs fault-free (bit-identical required)",
-        ["app", "opt", "intensity", "status", "faults", "retx",
-         "acks", "+msgs", "+time"],
-        rows,
-        note="status 'ok' = results bit-identical, zero inspector "
-             "violations; +msgs counts retransmits and acks.")
-    bad = [c for c in cases if not c.ok]
-    verdict = (f"CHAOS OK: {len(cases)} cases survived bit-identically"
-               if not bad else
-               f"CHAOS FAIL: {len(bad)} of {len(cases)} cases diverged")
-    lines = [table, verdict]
-    for c in bad:
-        detail = c.error or ("result diverged" if not c.identical
-                             else "; ".join(c.violations))
-        lines.append(f"  ! {c.app}/{c.opt}/{c.intensity}: {detail}")
-    return "\n".join(lines)
+def sweep(apps=None, opts=None, intensities=None, **kw) -> List[ChaosCase]:
+    """The chaos matrix: apps x applicable opt levels x intensities."""
+    return POLICY.sweep(apps, opts, intensities, **kw)

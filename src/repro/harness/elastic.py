@@ -48,16 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.apps import all_apps, get_app
 from repro.errors import ReproError
 from repro.faults import FaultPlan
-from repro.harness import report
-from repro.harness.modes import applicable_levels
-from repro.harness.recover import _arrays_identical
-from repro.harness.spec import RunSpec, run
+from repro.harness.sweep import Case, Sweep
 from repro.membership import (HeartbeatConfig, MembershipPlan, NodeDrain,
                               NodeJoin, NodeSilence)
-from repro.telemetry import Telemetry
 
 #: Mined schedule names, in the order the sweep runs them.
 SCHEDULES = ("join-early", "drain-mid", "drain-master",
@@ -78,7 +73,7 @@ class ElasticSchedule:
 
 
 @dataclass
-class ElasticCase:
+class ElasticCase(Case):
     """Outcome of one static/elastic run pair."""
 
     app: str
@@ -103,17 +98,17 @@ class ElasticCase:
     admissions: int = 0
 
     @property
-    def ok(self) -> bool:
-        return (self.identical and self.realized
-                and self.expected <= self.observed
+    def as_planned(self) -> bool:
+        """The event fired, every expected detector verdict was
+        observed, and no eviction happened that was not planned."""
+        return (self.realized and self.expected <= self.observed
                 and ("evicted" in self.expected
-                     or "evicted" not in self.observed)
-                and not self.violations and not self.findings
-                and self.error is None)
+                     or "evicted" not in self.observed))
 
     @property
-    def added_time(self) -> float:
-        return self.time - self.base_time
+    def unrealized(self) -> str:
+        return (f"expected {sorted(self.expected)} but observed "
+                f"{sorted(self.observed)}")
 
     def as_dict(self) -> dict:
         return {
@@ -184,63 +179,20 @@ def mine_schedules(base, nprocs: int,
     return out
 
 
-def run_case(app: str, opt: Optional[str], schedule,
-             base=None, dataset: str = "tiny", nprocs: int = 4,
-             page_size: int = 1024, inspect: bool = True,
-             plan: Optional[FaultPlan] = None,
-             protocol: Optional[str] = None,
-             data_plane: Optional[str] = None) -> ElasticCase:
-    """Run one app/opt pair statically and elastically; compare bits.
+def _start(app, opt, label, seed, plan):
+    if plan is None:        # label is a mined ElasticSchedule
+        return ElasticCase(app=app, opt=opt, schedule=label.name,
+                           expected=label.expect), label.fault_plan()
+    if plan.membership is None:
+        raise ReproError(
+            "elastic run_case needs a fault plan with a "
+            "'membership' block")
+    return ElasticCase(app=app, opt=opt, schedule=label), plan
 
-    ``schedule`` is an :class:`ElasticSchedule` (or a name to mine from
-    the fault-free run).  Pass ``plan`` to run an explicit declarative
-    :class:`FaultPlan` (with a ``membership`` block) instead;
-    ``schedule`` then only labels the case.
-    """
-    from repro.sanitizer import Sanitizer
-    from repro.sanitizer.replay import _resolve
 
-    spec = RunSpec(app=app, mode="dsm", dataset=dataset, nprocs=nprocs,
-                   opt=opt, page_size=page_size, protocol=protocol,
-                   data_plane=data_plane)
-    if base is None:
-        base = run(spec, telemetry=True)
-    expected = frozenset()
-    if isinstance(schedule, str) and plan is None:
-        mined = mine_schedules(base, nprocs, names=(schedule,))
-        if not mined:
-            raise ReproError(
-                f"schedule {schedule!r} does not apply to {app} "
-                f"(no such wait in the fault-free trace)")
-        schedule = mined[0]
-    if plan is not None:
-        name = schedule if isinstance(schedule, str) else schedule.name
-        if getattr(plan, "membership", None) is None:
-            raise ReproError(
-                "elastic run_case needs a fault plan with a "
-                "'membership' block")
-    else:
-        name = schedule.name
-        expected = schedule.expect
-        plan = schedule.fault_plan()
-    case = ElasticCase(app=app, opt=opt, schedule=name,
-                       expected=expected)
-    case.base_time = base.time
-
-    _, opt_cfg, _, layout = _resolve(app, opt, dataset, nprocs,
-                                     page_size)
-    tel = Telemetry(access_events=True)
-    san = Sanitizer(layout, nprocs, opt=opt_cfg)
-    san.attach(tel.bus)
-    try:
-        out = run(spec, faults=plan, telemetry=tel)
-    except Exception as exc:
-        case.error = f"{type(exc).__name__}: {exc}"
-        return case
-    case.time = out.time
-    case.identical = _arrays_identical(base.arrays, out.arrays)
+def _costs(case: ElasticCase, base, out) -> None:
     observed = set()
-    for ev in tel.bus.events:
+    for ev in out.telemetry.bus.events:
         a = ev.args or {}
         if ev.kind == "mem.join":
             case.realized = True
@@ -266,90 +218,30 @@ def run_case(app: str, opt: Optional[str], schedule,
             case.admissions += 1
     case.observed = frozenset(observed)
     case.beats = out.net.by_kind.get("hb.beat", 0)
-    rep = san.finish()
-    case.findings = [f"[{f.category}:{f.kind}] {f.detail}"
-                     for f in rep.findings]
-    case.findings += rep.reconcile(out)
-    if inspect:
-        from repro.inspect import InspectReport
-        irep = InspectReport.build(
-            out, title=f"{app}/dsm/{opt}/{case.schedule}")
-        case.violations = irep.reconcile()
-    return case
 
 
-def sweep(apps: Optional[Sequence[str]] = None,
-          opts: Optional[Sequence[str]] = None,
-          schedules: Optional[Sequence[str]] = None,
-          dataset: str = "tiny", nprocs: int = 4,
-          page_size: int = 1024, inspect: bool = True,
-          protocol: Optional[str] = None,
-          data_plane: Optional[str] = None) -> List[ElasticCase]:
+POLICY = Sweep(
+    kind="elastic", perturbation="membership",
+    labels=SCHEDULES, flag="--schedules", mine=mine_schedules,
+    start=_start, costs=_costs,
+    title="Elastic sweep: membership churn vs static cluster "
+          "(bit-identical required)",
+    headers=("app", "opt", "schedule", "status", "handoff", "handoff B",
+             "beats", "detect", "+time"),
+    row=lambda c: [c.app, c.opt or "-", c.schedule, c.status,
+                   c.handoff_messages, c.handoff_bytes, c.beats,
+                   f"{c.detect_us:.0f}us" if c.detect_us else "-",
+                   f"{c.added_time:+.0f}us"],
+    note="status 'ok' = results bit-identical, the scheduled "
+         "join/drain/suspicion realized (and any eviction was "
+         "survived), zero inspector violations, zero sanitizer "
+         "findings.",
+    survived="membership changes absorbed")
+
+run_case = POLICY.run_case
+render_elastic = POLICY.render
+
+
+def sweep(apps=None, opts=None, schedules=None, **kw) -> List[ElasticCase]:
     """The elastic matrix: apps x applicable opt levels x schedules."""
-    names = sorted(apps) if apps else sorted(all_apps())
-    cases: List[ElasticCase] = []
-    for app in names:
-        app_opts = sorted(applicable_levels(get_app(app)))
-        for opt in (opts if opts is not None else app_opts):
-            if opt not in app_opts:
-                continue
-            spec = RunSpec(app=app, mode="dsm", dataset=dataset,
-                           nprocs=nprocs, opt=opt, page_size=page_size,
-                           protocol=protocol, data_plane=data_plane)
-            base = run(spec, telemetry=True)
-            for sched in mine_schedules(base, nprocs, names=schedules):
-                cases.append(run_case(
-                    app, opt, sched, base=base, dataset=dataset,
-                    nprocs=nprocs, page_size=page_size,
-                    inspect=inspect, protocol=protocol,
-                    data_plane=data_plane))
-    return cases
-
-
-def render_elastic(cases: Sequence[ElasticCase]) -> str:
-    """Human-readable sweep table plus a one-line verdict."""
-    rows = []
-    for c in cases:
-        if c.error is not None:
-            status = "ERROR"
-        elif not c.identical:
-            status = "DIVERGED"
-        elif not c.realized or not c.expected <= c.observed:
-            status = "UNREALIZED"
-        elif c.violations or c.findings:
-            status = "INVARIANT"
-        else:
-            status = "ok"
-        rows.append([c.app, c.opt or "-", c.schedule, status,
-                     c.handoff_messages, c.handoff_bytes, c.beats,
-                     f"{c.detect_us:.0f}us" if c.detect_us else "-",
-                     f"{c.added_time:+.0f}us"])
-    table = report.render_table(
-        "Elastic sweep: membership churn vs static cluster "
-        "(bit-identical required)",
-        ["app", "opt", "schedule", "status", "handoff", "handoff B",
-         "beats", "detect", "+time"],
-        rows,
-        note="status 'ok' = results bit-identical, the scheduled "
-             "join/drain/suspicion realized (and any eviction was "
-             "survived), zero inspector violations, zero sanitizer "
-             "findings.")
-    bad = [c for c in cases if not c.ok]
-    verdict = (f"ELASTIC OK: {len(cases)} membership changes absorbed "
-               f"bit-identically"
-               if not bad else
-               f"ELASTIC FAIL: {len(bad)} of {len(cases)} cases "
-               f"diverged")
-    lines = [table, verdict]
-    for c in bad:
-        if c.error:
-            detail = c.error
-        elif not c.identical:
-            detail = "result diverged"
-        elif not c.realized or not c.expected <= c.observed:
-            detail = (f"expected {sorted(c.expected)} but observed "
-                      f"{sorted(c.observed)}")
-        else:
-            detail = "; ".join(c.violations + c.findings)
-        lines.append(f"  ! {c.app}/{c.opt}/{c.schedule}: {detail}")
-    return "\n".join(lines)
+    return POLICY.sweep(apps, opts, schedules, **kw)

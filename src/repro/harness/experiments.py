@@ -38,7 +38,7 @@ class AppRuns:
     dataset: str
     nprocs: int
     seq_time: float
-    dsm: Dict[str, object] = field(default_factory=dict)   # level -> DsmResult
+    dsm: Dict[str, object] = field(default_factory=dict)   # level -> DsmOutcome
     dsm_sync: Dict[str, object] = field(default_factory=dict)
     pvme: object = None
     xhpf: object = None            # None when XHPF refuses the program

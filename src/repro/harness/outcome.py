@@ -1,8 +1,6 @@
 """Uniform run outcomes for every execution mode.
 
-Historically each mode returned its own shape (``SeqResult``,
-``DsmResult``, ``MpResult``, ``XhpfResult``) with inconsistent field
-names.  All four now share the :class:`RunOutcome` protocol:
+All four modes share the :class:`RunOutcome` protocol:
 
 ``.mode``
     Which system produced this outcome ("seq", "dsm", "mp", "xhpf").
@@ -18,9 +16,6 @@ names.  All four now share the :class:`RunOutcome` protocol:
     traced, else ``None``.
 ``.messages`` / ``.data_bytes``
     Network totals (0 for sequential runs).
-
-The legacy names remain as aliases (``SeqResult is SeqOutcome`` etc.),
-so existing code and tests keep working unchanged.
 """
 
 from __future__ import annotations
@@ -137,13 +132,6 @@ class XhpfOutcome(RunOutcome):
     mode = "xhpf"
 
 
-#: Legacy aliases — the pre-redesign result-type names.
-SeqResult = SeqOutcome
-DsmResult = DsmOutcome
-MpResult = MpOutcome
-XhpfResult = XhpfOutcome
-
 __all__ = [
     "RunOutcome", "SeqOutcome", "DsmOutcome", "MpOutcome", "XhpfOutcome",
-    "SeqResult", "DsmResult", "MpResult", "XhpfResult",
 ]

@@ -42,15 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.apps import all_apps, get_app
-from repro.errors import ReproError
 from repro.faults import FaultPlan, NodeCrash
-from repro.harness import report
-from repro.harness.modes import applicable_levels
-from repro.harness.spec import RunSpec, run
-from repro.telemetry import Telemetry
+from repro.harness.sweep import Case, Sweep
 
 #: Mined schedule names, in the order the sweep runs them.
 SCHEDULES = ("early", "mid", "manager", "barrier", "lock")
@@ -69,7 +62,7 @@ class Schedule:
 
 
 @dataclass
-class RecoverCase:
+class RecoverCase(Case):
     """Outcome of one fault-free/crashed run pair."""
 
     app: str
@@ -92,14 +85,7 @@ class RecoverCase:
     records: int = 0             # interval records restored
     diffs: int = 0               # diffs restocked from the backup log
 
-    @property
-    def ok(self) -> bool:
-        return (self.identical and not self.violations
-                and not self.findings and self.error is None)
-
-    @property
-    def added_time(self) -> float:
-        return self.time - self.base_time
+    unrealized = "the scheduled crash never fired"
 
     def as_dict(self) -> dict:
         return {
@@ -159,63 +145,18 @@ def mine_schedules(base, nprocs: int,
     return out
 
 
-def _arrays_identical(base: Dict[str, np.ndarray],
-                      faulted: Dict[str, np.ndarray]) -> bool:
-    if set(base) != set(faulted):
-        return False
-    return all(np.array_equal(base[name], faulted[name])
-               for name in base)
+def _start(app, opt, label, seed, plan):
+    if plan is None:        # label is a mined Schedule
+        return RecoverCase(app=app, opt=opt, schedule=label.name,
+                           pid=label.pid, t=label.t), label.plan()
+    crash = plan.crashes[0] if plan.crashes else None
+    return RecoverCase(app=app, opt=opt, schedule=label,
+                       pid=crash.pid if crash else -1,
+                       t=crash.t if crash else 0.0), plan
 
 
-def run_case(app: str, opt: Optional[str], schedule,
-             base=None, dataset: str = "tiny", nprocs: int = 4,
-             page_size: int = 1024, inspect: bool = True,
-             plan: Optional[FaultPlan] = None,
-             protocol: Optional[str] = None) -> RecoverCase:
-    """Run one app/opt pair fault-free and crashed; compare bit-by-bit.
-
-    ``schedule`` is a :class:`Schedule` (or a name to mine from the
-    fault-free run).  Pass ``plan`` to run an explicit declarative
-    :class:`FaultPlan` instead; ``schedule`` then only labels the case.
-    """
-    from repro.sanitizer import Sanitizer
-    from repro.sanitizer.replay import _resolve
-
-    spec = RunSpec(app=app, mode="dsm", dataset=dataset, nprocs=nprocs,
-                   opt=opt, page_size=page_size, protocol=protocol)
-    if base is None:
-        base = run(spec, telemetry=True)
-    if isinstance(schedule, str) and plan is None:
-        mined = mine_schedules(base, nprocs, names=(schedule,))
-        if not mined:
-            raise ReproError(
-                f"schedule {schedule!r} does not apply to {app} "
-                f"(no such wait in the fault-free trace)")
-        schedule = mined[0]
-    if plan is not None:
-        name = schedule if isinstance(schedule, str) else schedule.name
-        crash = plan.crashes[0] if getattr(plan, "crashes", ()) else None
-        case = RecoverCase(app=app, opt=opt, schedule=name,
-                           pid=crash.pid if crash else -1,
-                           t=crash.t if crash else 0.0)
-    else:
-        plan = schedule.plan()
-        case = RecoverCase(app=app, opt=opt, schedule=schedule.name,
-                           pid=schedule.pid, t=schedule.t)
-    case.base_time = base.time
-
-    _, opt_cfg, _, layout = _resolve(app, opt, dataset, nprocs, page_size)
-    tel = Telemetry(access_events=True)
-    san = Sanitizer(layout, nprocs, opt=opt_cfg)
-    san.attach(tel.bus)
-    try:
-        out = run(spec, faults=plan, telemetry=tel)
-    except Exception as exc:
-        case.error = f"{type(exc).__name__}: {exc}"
-        return case
-    case.time = out.time
-    case.identical = _arrays_identical(base.arrays, out.arrays)
-    for ev in tel.bus.events:
+def _costs(case: RecoverCase, base, out) -> None:
+    for ev in out.telemetry.bus.events:
         if ev.kind == "rec.crash":
             case.realized = True
         elif ev.kind == "rec.recover":
@@ -226,77 +167,27 @@ def run_case(app: str, opt: Optional[str], schedule,
             case.recovery_us = a.get("dur_us", 0.0)
             case.records = a.get("records", 0)
             case.diffs = a.get("diffs", 0)
-    rep = san.finish()
-    case.findings = [f"[{f.category}:{f.kind}] {f.detail}"
-                     for f in rep.findings]
-    case.findings += rep.reconcile(out)
-    if inspect:
-        from repro.inspect import InspectReport
-        irep = InspectReport.build(
-            out, title=f"{app}/dsm/{opt}/{case.schedule}")
-        case.violations = irep.reconcile()
-    return case
 
 
-def sweep(apps: Optional[Sequence[str]] = None,
-          opts: Optional[Sequence[str]] = None,
-          schedules: Optional[Sequence[str]] = None,
-          dataset: str = "tiny", nprocs: int = 4,
-          page_size: int = 1024, inspect: bool = True,
-          protocol: Optional[str] = None) -> List[RecoverCase]:
+POLICY = Sweep(
+    kind="recover", perturbation="crashes",
+    labels=SCHEDULES, flag="--schedules", mine=mine_schedules,
+    start=_start, costs=_costs,
+    title="Recovery sweep: crashed vs fault-free (bit-identical required)",
+    headers=("app", "opt", "schedule", "victim", "status", "log msgs",
+             "log B", "state B", "recovery", "+time"),
+    row=lambda c: [c.app, c.opt or "-", c.schedule, f"P{c.pid}",
+                   c.status, c.log_messages, c.log_bytes, c.state_bytes,
+                   f"{c.recovery_us:.0f}us", f"{c.added_time:+.0f}us"],
+    note="status 'ok' = results bit-identical, zero inspector "
+         "violations, zero sanitizer findings; log counts what the "
+         "victim shipped to its backup before the crash.",
+    survived="crashes recovered")
+
+run_case = POLICY.run_case
+render_recover = POLICY.render
+
+
+def sweep(apps=None, opts=None, schedules=None, **kw) -> List[RecoverCase]:
     """The recovery matrix: apps x applicable opt levels x schedules."""
-    names = sorted(apps) if apps else sorted(all_apps())
-    cases: List[RecoverCase] = []
-    for app in names:
-        app_opts = sorted(applicable_levels(get_app(app)))
-        for opt in (opts if opts is not None else app_opts):
-            if opt not in app_opts:
-                continue
-            spec = RunSpec(app=app, mode="dsm", dataset=dataset,
-                           nprocs=nprocs, opt=opt, page_size=page_size,
-                           protocol=protocol)
-            base = run(spec, telemetry=True)
-            for sched in mine_schedules(base, nprocs, names=schedules):
-                cases.append(run_case(
-                    app, opt, sched, base=base, dataset=dataset,
-                    nprocs=nprocs, page_size=page_size,
-                    inspect=inspect, protocol=protocol))
-    return cases
-
-
-def render_recover(cases: Sequence[RecoverCase]) -> str:
-    """Human-readable sweep table plus a one-line verdict."""
-    rows = []
-    for c in cases:
-        if c.error is not None:
-            status = "ERROR"
-        elif not c.identical:
-            status = "DIVERGED"
-        elif c.violations or c.findings:
-            status = "INVARIANT"
-        else:
-            status = "ok"
-        rows.append([c.app, c.opt or "-", c.schedule, f"P{c.pid}",
-                     status, c.log_messages, c.log_bytes,
-                     c.state_bytes, f"{c.recovery_us:.0f}us",
-                     f"{c.added_time:+.0f}us"])
-    table = report.render_table(
-        "Recovery sweep: crashed vs fault-free (bit-identical required)",
-        ["app", "opt", "schedule", "victim", "status", "log msgs",
-         "log B", "state B", "recovery", "+time"],
-        rows,
-        note="status 'ok' = results bit-identical, zero inspector "
-             "violations, zero sanitizer findings; log counts what the "
-             "victim shipped to its backup before the crash.")
-    bad = [c for c in cases if not c.ok]
-    verdict = (f"RECOVER OK: {len(cases)} crashes recovered "
-               f"bit-identically"
-               if not bad else
-               f"RECOVER FAIL: {len(bad)} of {len(cases)} cases "
-               f"diverged")
-    lines = [table, verdict]
-    for c in bad:
-        detail = c.error or ("result diverged" if not c.identical else
-                             "; ".join(c.violations + c.findings))
-        lines.append(f"  ! {c.app}/{c.opt}/{c.schedule}: {detail}")
-    return "\n".join(lines)
+    return POLICY.sweep(apps, opts, schedules, **kw)

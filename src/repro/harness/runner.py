@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.compiler.transform import OptConfig, transform
-from repro.harness.outcome import (DsmOutcome, DsmResult, MpOutcome,
-                                   MpResult, RunOutcome, SeqOutcome,
-                                   SeqResult, XhpfOutcome, XhpfResult)
+from repro.harness.outcome import (DsmOutcome, MpOutcome, SeqOutcome,
+                                   XhpfOutcome)
 from repro.interp.interp import Interpreter
 from repro.interp.runtime import DsmRuntime, SeqRuntime
 from repro.lang.nodes import Program

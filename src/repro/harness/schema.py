@@ -1,7 +1,8 @@
 """One versioned envelope for every machine-readable payload.
 
-Every ``--json`` output of the CLI (``bench``, ``chaos``, ``recover``,
-``sanitize``, ``perf``) starts with the same two keys::
+Every enveloped ``--json`` output of the CLI — the seven kinds
+``bench``, ``bench-protocols``, ``chaos``, ``recover``, ``elastic``,
+``sanitize`` and ``perf`` — starts with the same two keys::
 
     {"schema": "repro-<kind>/<version>", "generated_by": "repro 1.0.0", ...}
 

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Union
 
 from repro.apps import get_app
 from repro.apps.base import AppSpec
+from repro.capability import MODES, cell_of, perturbations_of, require
 from repro.compiler.transform import OptConfig
 from repro.errors import ReproError
 from repro.faults import FaultPlan
@@ -30,8 +31,6 @@ from repro.lang.nodes import Program
 from repro.machine.config import MachineConfig
 from repro.net import TransportConfig
 from repro.telemetry import Telemetry
-
-MODES = ("seq", "dsm", "xhpf", "mp")
 
 
 @dataclass
@@ -145,73 +144,18 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
         spec = replace(spec, **overrides) if overrides else spec
     else:
         spec = RunSpec(app=spec, **overrides)
-    if spec.mode not in MODES:
-        raise ReproError(
-            f"unknown mode {spec.mode!r}; expected one of {MODES}")
+    require(cell_of(spec.mode, spec.protocol, spec.data_plane,
+                    perturbations_of(spec.faults, spec.transport)))
     tel = spec.resolve_telemetry()
     prof = spec.resolve_profile()
 
-    if spec.protocol is not None:
-        from repro.tm.coherence import get_backend
-        get_backend(spec.protocol)   # unknown names raise ReproError
-        if spec.mode != "dsm" and spec.protocol != "mw-lrc":
-            raise ReproError(
-                f"protocol={spec.protocol!r} selects a DSM coherence "
-                f"backend; mode {spec.mode!r} does not run the DSM")
-
-    if spec.data_plane not in (None, "twosided", "onesided"):
-        raise ReproError(
-            f"unknown data_plane {spec.data_plane!r}; expected "
-            f"'twosided' (default) or 'onesided'")
-    if spec.data_plane == "onesided":
-        if spec.mode != "dsm":
-            raise ReproError(
-                f"data_plane='onesided' lowers the DSM protocol onto "
-                f"one-sided ops; mode {spec.mode!r} does not run the "
-                f"DSM")
-        if spec.faults is not None and getattr(spec.faults,
-                                               "crashes", ()):
-            raise ReproError(
-                "data_plane='onesided' does not support scheduled node "
-                "crashes (backup logging replays the two-sided diff "
-                "protocol); run crash schedules on the default data "
-                "plane")
-
     if spec.mode == "seq":
-        if spec.faults is not None or spec.transport:
-            raise ReproError(
-                "mode 'seq' has no network: faults/transport do not apply")
+        # Not a matrix cell: observation, not perturbation.
         if prof is not None or spec.monitor is not None:
             raise ReproError(
                 "mode 'seq' has no simulation engine: profile/monitor "
                 "do not apply")
         return run_seq(spec.resolve_program(), telemetry=tel)
-    if spec.faults is not None and getattr(spec.faults, "crashes", ()) \
-            and spec.mode != "dsm":
-        raise ReproError(
-            f"node crashes need the DSM recovery subsystem; mode "
-            f"{spec.mode!r} cannot recover a crashed node (use mode "
-            f"'dsm' or drop the crashes from the fault plan)")
-    if spec.faults is not None and getattr(spec.faults, "crashes", ()) \
-            and spec.protocol not in (None, "mw-lrc"):
-        raise ReproError(
-            f"crash recovery supports only protocol='mw-lrc' (backup "
-            f"logging replays its diff protocol), not "
-            f"{spec.protocol!r}; drop the crashes from the fault plan "
-            f"or switch protocols")
-    if spec.faults is not None and \
-            getattr(spec.faults, "membership", None) is not None:
-        if spec.mode != "dsm":
-            raise ReproError(
-                f"membership events need the DSM membership subsystem; "
-                f"mode {spec.mode!r} cannot re-shard a drained node "
-                f"(use mode 'dsm' or drop membership from the fault "
-                f"plan)")
-        if spec.protocol not in (None, "mw-lrc"):
-            raise ReproError(
-                f"elastic membership supports only protocol='mw-lrc' "
-                f"(the handoff re-shards its lock/diff protocol), not "
-                f"{spec.protocol!r}")
     if spec.mode == "dsm":
         return run_dsm(spec.resolve_program(), nprocs=spec.nprocs,
                        opt=spec.resolve_opt(), config=spec.config,

@@ -103,15 +103,13 @@ class _Custody:
 class MembershipManager:
     """Joins, drains and the failure detector for one DSM run."""
 
-    def __init__(self, system, plan: MembershipPlan) -> None:
+    def __init__(self, system, plan: MembershipPlan, crashes) -> None:
         self.sys = system
         self.plan = plan
         self.hb = plan.heartbeat
         n = system.nprocs
         self.n = n
-        crashes = getattr(getattr(system, "recovery", None), "_crash", {})
-        plan.validate_for(n, tuple(crashes.values())
-                          if hasattr(crashes, "values") else ())
+        plan.validate_for(n, crashes)
         self._join = {j.pid: j for j in plan.joins}
         self._drain = {d.pid: d for d in plan.drains}
         self._silence = {s.pid: s for s in plan.silences}

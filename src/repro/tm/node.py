@@ -116,10 +116,10 @@ class TmNode:
         self.stats = TmStats()
         #: Optional :class:`repro.telemetry.Telemetry`; ``None`` keeps
         #: every emit site down to a single attribute test.
-        self.tel = getattr(system, "telemetry", None)
+        self.tel = system.telemetry
         #: Optional :class:`repro.observe.WallProfiler`; same ``None``
         #: discipline — one attribute test per potential scope.
-        self.prof = getattr(system, "profile", None)
+        self.prof = system.profile
         #: Post-run reconciliation mode: suppress cost charging and stats.
         self.offline = False
         self._atomic_depth = 0
@@ -127,10 +127,10 @@ class TmNode:
         #: Optional :class:`repro.recovery.RecoveryManager`; set when
         #: the fault plan schedules NodeCrash faults.  ``None`` keeps
         #: every hook down to a single attribute test.
-        self.rm = getattr(system, "recovery", None)
+        self.rm = system.recovery
         #: Optional :class:`repro.membership.MembershipManager`; set
         #: when the fault plan schedules membership events.
-        self.mm = getattr(system, "membership", None)
+        self.mm = system.membership
         #: A nested protocol operation is running (crashes must not
         #: realize inside it).
         self._op_active = False
@@ -173,8 +173,7 @@ class TmNode:
         #: Ablation switch: create diffs eagerly at interval end instead
         #: of lazily at first demand (TreadMarks' lazy diff creation is
         #: one of its signature optimizations; this quantifies it).
-        self.eager_diffing: bool = getattr(system, "eager_diffing",
-                                           False)
+        self.eager_diffing: bool = system.eager_diffing
 
         # --- compiler-driven machinery ----------------------------------
         self._wsync_queue: List[_WsyncEntry] = []
@@ -187,7 +186,7 @@ class TmNode:
         #: down to a single attribute test.  Built before the backend:
         #: ``attach`` may install a guard on the image window.
         self.osl = None
-        if getattr(system, "data_plane", None) == "onesided":
+        if system.data_plane == "onesided":
             from repro.tm.onesided import NodeOneSided
             self.osl = NodeOneSided(self)
 

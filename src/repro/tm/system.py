@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
-from repro.errors import ReproError
+from repro.capability import cell_of, perturbations_of, require
 from repro.machine.config import MachineConfig
 from repro.memory.layout import SharedLayout
 from repro.net.network import Network
@@ -64,6 +64,8 @@ class TmSystem:
                  profile=None, monitor=None) -> None:
         self.nprocs = nprocs
         self.layout = layout
+        cell = require(cell_of("dsm", protocol, data_plane,
+                               perturbations_of(faults, transport)))
         #: Coherence backend class (``protocol=`` selects it by name;
         #: None means the default, the paper's mw-lrc).
         self.backend_cls = get_backend(protocol)
@@ -101,50 +103,27 @@ class TmSystem:
         #: pre-one-sided build); "onesided" builds the RDMA-style plane
         #: and the hot paths (diff fetch, Push, lock grant) lower onto
         #: it with a two-sided handler fallback.
-        if data_plane in (None, "twosided"):
-            self.data_plane = None
-        elif data_plane == "onesided":
-            if faults is not None and getattr(faults, "crashes", ()):
-                raise ReproError(
-                    "data_plane='onesided' does not support scheduled "
-                    "node crashes (backup logging replays the "
-                    "two-sided diff protocol); run crash schedules on "
-                    "the default data plane")
+        self.data_plane = None
+        if cell.data_plane == "onesided":
             from repro.net.onesided import OneSidedPlane
             self.net.onesided = OneSidedPlane(self.net)
             self.data_plane = "onesided"
-        else:
-            raise ReproError(
-                f"unknown data_plane {data_plane!r}; expected "
-                f"'twosided' (default) or 'onesided'")
         #: Optional :class:`repro.recovery.RecoveryManager`; built when
         #: the fault plan schedules node crashes.  Must exist before the
         #: nodes: each :class:`TmNode` captures it at construction.
-        if faults is not None and getattr(faults, "crashes", ()):
-            if self.protocol != "mw-lrc":
-                raise ReproError(
-                    "crash recovery supports only protocol='mw-lrc' "
-                    f"(backup logging replays its diff protocol), not "
-                    f"{self.protocol!r}")
+        self.recovery = None
+        if "crashes" in cell.perturbations:
             from repro.recovery import RecoveryManager
             self.recovery = RecoveryManager(
                 self, faults.crashes, log_limit=recovery_log_limit)
-        else:
-            self.recovery = None
         #: Optional :class:`repro.membership.MembershipManager`; built
         #: when the fault plan schedules membership events.  Must exist
         #: before the nodes (each captures it at construction).
-        if faults is not None and \
-                getattr(faults, "membership", None) is not None:
-            if self.protocol != "mw-lrc":
-                raise ReproError(
-                    "elastic membership supports only protocol="
-                    f"'mw-lrc' (the handoff re-shards its lock/diff "
-                    f"protocol), not {self.protocol!r}")
+        self.membership = None
+        if "membership" in cell.perturbations:
             from repro.membership import MembershipManager
-            self.membership = MembershipManager(self, faults.membership)
-        else:
-            self.membership = None
+            self.membership = MembershipManager(
+                self, faults.membership, faults.crashes)
         self.nodes: List[TmNode] = []
 
     def run(self, main: Callable[[TmNode], object]) -> RunResult:

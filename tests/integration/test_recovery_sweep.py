@@ -65,16 +65,23 @@ def test_recover_cli_end_to_end(capsys, tmp_path):
     assert data["cases"][0]["realized"]
 
 
-def test_recover_cli_with_declarative_plan(capsys, tmp_path):
+@pytest.mark.parametrize("t,rc,verdict", [
+    (5000.0, 0, "RECOVER OK"),
+    # A crash scheduled after the run ends never fires: nothing was
+    # recovered, so the case must not be reported as recovered.
+    (9e8, 1, "UNREALIZED"),
+], ids=["fires", "never-fires"])
+def test_recover_cli_with_declarative_plan(capsys, tmp_path, t, rc,
+                                           verdict):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(
-        {"crashes": [{"pid": 2, "t": 5000.0, "reboot_us": 2000.0}]}))
+        {"crashes": [{"pid": 2, "t": t, "reboot_us": 2000.0}]}))
     from repro.__main__ import main
-    rc = main(["recover", "--apps", "jacobi", "--opts", "aggr",
-               "--plan", str(plan_path)])
-    assert rc == 0
+    assert main(["recover", "--apps", "jacobi", "--opts", "aggr",
+                 "--plan", str(plan_path)]) == rc
     out = capsys.readouterr().out
-    assert "RECOVER OK" in out
+    assert verdict in out
+    assert ("RECOVER FAIL" in out) == bool(rc)
 
 
 def test_chaos_cli_with_declarative_plan(capsys, tmp_path):

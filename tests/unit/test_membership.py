@@ -172,12 +172,12 @@ def test_runspec_rejects_membership_outside_dsm():
 
 
 def test_recover_cli_rejects_other_protocols():
-    from repro.__main__ import recover_main
+    from repro.__main__ import main
     with pytest.raises(ReproError, match="mw-lrc"):
-        recover_main(["--apps", "jacobi", "--protocol", "hlrc"])
+        main(["recover", "--apps", "jacobi", "--protocol", "hlrc"])
 
 
 def test_elastic_cli_rejects_other_protocols():
-    from repro.__main__ import elastic_main
+    from repro.__main__ import main
     with pytest.raises(ReproError, match="mw-lrc"):
-        elastic_main(["--apps", "jacobi", "--protocol", "adaptive"])
+        main(["elastic", "--apps", "jacobi", "--protocol", "adaptive"])

@@ -6,9 +6,7 @@ import pytest
 import repro
 from repro.apps import get_app
 from repro.errors import ReproError
-from repro.harness import (DsmOutcome, DsmResult, MpOutcome, MpResult,
-                           RunOutcome, RunSpec, SeqOutcome, SeqResult,
-                           XhpfOutcome, XhpfResult, run, run_dsm, run_mp,
+from repro.harness import (RunOutcome, RunSpec, run, run_dsm, run_mp,
                            run_seq, run_xhpf)
 from repro.harness.modes import OPT_LEVELS
 
@@ -102,14 +100,6 @@ class TestRunSpecApi:
 
 
 class TestOutcomeProtocol:
-    def test_legacy_aliases_are_the_same_types(self):
-        assert SeqResult is SeqOutcome
-        assert DsmResult is DsmOutcome
-        assert MpResult is MpOutcome
-        assert XhpfResult is XhpfOutcome
-        from repro.compiler.hpf import XhpfResult as HpfAlias
-        assert HpfAlias is XhpfOutcome
-
     def test_all_modes_share_protocol(self):
         outs = [run("jacobi", mode=m, dataset="tiny", nprocs=2,
                     page_size=1024)

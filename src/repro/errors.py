@@ -36,11 +36,6 @@ class WindowError(ProtocolError):
     window key and the offending range."""
 
 
-class RecoveryError(ReproError):
-    """Crash recovery could not restore a consistent state (e.g. the
-    surviving logs were garbage-collected past the needed interval)."""
-
-
 class MembershipError(ReproError):
     """A membership plan is malformed or a handoff reached a state the
     elastic-membership layer cannot re-shard (e.g. overlapping absence

@@ -14,8 +14,8 @@ controlled way.  A plan describes *what can go wrong on the fabric*:
 * scheduled **node crashes** — a fail-stop crash of the whole node:
   the NIC goes dark for the reboot window *and* the processor's DSM
   runtime state (page copies, twins, diffs, interval log, lock tokens,
-  barrier arrival) is wiped and must be rebuilt by
-  :mod:`repro.recovery`.
+  barrier arrival) is wiped and must come back through
+  :mod:`repro.absence`.
 
 Plans are *data*, not behavior: the same plan object can be printed,
 serialized into a chaos report, and replayed.  All randomness is drawn
@@ -114,7 +114,7 @@ class NodeOutage:
     traffic across the window — but the processor's DSM runtime state
     (page copies, twins, diffs, interval log, lock tokens, barrier
     arrival) survives untouched.  For a true fail-stop crash that wipes
-    that state and exercises :mod:`repro.recovery`, use
+    that state and exercises :mod:`repro.absence`, use
     :class:`NodeCrash` instead.
     """
 
@@ -141,16 +141,16 @@ class NodeCrash:
     interval log, held and queued lock tokens, barrier arrival state).
     The NIC is also dark for the reboot window ``[t, t + reboot_us)``.
     After reboot the node re-enters the computation with every shared
-    page invalid and rebuilds its protocol state from the survivors via
-    :mod:`repro.recovery`; runs with crashes therefore require
-    ``mode="dsm"`` and at least two processors.
+    page invalid and gets its protocol state back from its steward and
+    the survivors via :mod:`repro.absence`; runs with crashes therefore
+    require ``mode="dsm"`` and at least two processors.
 
     The crash is *realized* at the victim's next synchronization
     operation (lock acquire/release, barrier or push entry) at or after
     ``t``, so ``t`` is a lower bound on the wipe time.  Sync entries
     are the points where every previously validated region has fully
     run its kernels, which keeps the cut interval's overwrite
-    (WRITE_ALL) claims sound; see ``RecoveryManager.crashpoint``.
+    (WRITE_ALL) claims sound; see ``AbsenceManager.gate``.
     """
 
     pid: int

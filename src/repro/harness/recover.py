@@ -3,9 +3,9 @@
 For every case (app x opt level x crash schedule) this harness runs the
 application twice — once fault-free, once with a scheduled
 :class:`~repro.faults.NodeCrash` — and asserts the results are
-*bit-identical*: checkpointing, interval re-replication and manager
-failover (``repro.recovery``) must reconstruct exactly the state the
-crash wiped.  Each faulted run is traced, fed through the protocol
+*bit-identical*: the crash policy of ``repro.absence`` (custody
+streamed to a steward while the crash is pending, a re-entry round
+after the reboot) must bring back exactly the state the crash wiped.  Each faulted run is traced, fed through the protocol
 inspector (whose invariants must still reconcile exactly) and through
 the DSM sanitizer (which must report zero races and zero hint
 violations).
@@ -18,8 +18,8 @@ than hard-coded, so each case exercises a distinct protocol situation:
     fault-free run time — plain mid-computation crashes.
 ``manager``
     Processor 0 — the barrier master and the static manager of the
-    lowest locks — crashes at 35%: exercises barrier-box and routing
-    reconstruction (manager failover).
+    lowest locks — crashes at 35%: its barrier box and routing tails
+    must come back out of custody.
 ``barrier``
     While some processor sits in its longest barrier wait, a *different*
     processor (one it is waiting for) crashes: the victim's own arrival
@@ -27,12 +27,12 @@ than hard-coded, so each case exercises a distinct protocol situation:
 ``lock``
     A processor crashes between a lock acquire and the matching release
     (only mined when the app uses locks): the crash realizes at the
-    release with the token held, exercising token placement and queued-
-    request reconstruction.
+    release with the token held, exercising the restored token and
+    request queue.
 
 What a crash *may* change is cost, and the sweep reports exactly that:
-log messages/bytes shipped to the backup pre-crash, state bytes
-transferred during recovery, and the recovery duration.
+custody frames/bytes streamed to the steward pre-crash, bytes of the
+re-entry round, and its duration.
 
 Used by ``python -m repro recover`` and the recovery-smoke CI job.
 """
@@ -83,7 +83,7 @@ class RecoverCase(Case):
     state_bytes: int = 0
     recovery_us: float = 0.0
     records: int = 0             # interval records restored
-    diffs: int = 0               # diffs restocked from the backup log
+    diffs: int = 0               # diffs restocked out of custody
 
     unrealized = "the scheduled crash never fired"
 
@@ -181,7 +181,7 @@ POLICY = Sweep(
                    f"{c.recovery_us:.0f}us", f"{c.added_time:+.0f}us"],
     note="status 'ok' = results bit-identical, zero inspector "
          "violations, zero sanitizer findings; log counts what the "
-         "victim shipped to its backup before the crash.",
+         "victim streamed to its steward before the crash.",
     survived="crashes recovered")
 
 run_case = POLICY.run_case

@@ -42,7 +42,7 @@ event               precondition                                   state change
 ``rec.crash``       —                                              every page of the pid invalid
 ==================  =============================================  =======================================
 
-A ``rec.crash`` event (fail-stop node crash, ``repro.recovery``) wipes
+A ``rec.crash`` event (fail-stop node crash, ``repro.absence``) wipes
 the victim's reconstructed states: every page becomes invalid with no
 twin, and — because recovery replays every missed write notice before
 the victim touches shared data again — the pages count as

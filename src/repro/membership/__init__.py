@@ -1,17 +1,15 @@
-"""Elastic cluster membership: join, drain, evict, re-admit.
+"""Elastic cluster membership plans: join, drain, silence, heartbeats.
 
-See :mod:`repro.membership.plan` for the declarative plan types and
-:mod:`repro.membership.manager` for the runtime (handoff protocol,
-custody services, heartbeat failure detector).
+See :mod:`repro.membership.plan` for the declarative plan types; the
+runtime that realizes them (handoff protocol, custody services,
+heartbeat failure detector) is :mod:`repro.absence`.
 """
 
-from repro.membership.manager import MembershipManager
 from repro.membership.plan import (HeartbeatConfig, MembershipPlan,
                                    NodeDrain, NodeJoin, NodeSilence)
 
 __all__ = [
     "HeartbeatConfig",
-    "MembershipManager",
     "MembershipPlan",
     "NodeDrain",
     "NodeJoin",

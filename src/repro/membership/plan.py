@@ -216,9 +216,9 @@ class MembershipPlan:
                     raise MembershipError(
                         f"crash window of P{c.pid} overlaps "
                         f"{ev.describe()}; windows must be disjoint")
-        from repro.recovery import elect_backup
+        from repro.absence import elect_steward
         for ev in self.drains:
-            steward = elect_backup(ev.pid, nprocs)
+            steward = elect_steward(ev.pid, nprocs)
             if steward in crash_pids:
                 raise MembershipError(
                     f"steward P{steward} for {ev.describe()} is a crash "

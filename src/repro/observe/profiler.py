@@ -48,7 +48,7 @@ _FRAGMENTS = (
     ("Network", "net"),
     ("_deliver", "net"),
     ("Injector", "faults"),
-    ("Recovery", "recovery"),
+    ("Absence", "absence"),
 )
 
 

@@ -71,8 +71,8 @@ class MwLrcBackend(CoherenceBackend):
             for (w, i) in needed:
                 if (w, i, p) not in node.diff_store:
                     if w == node.pid:
-                        # Post-crash replay can need my own diffs (the
-                        # rebuild restocks them from the backup log);
+                        # Post-crash replay can need my own diffs
+                        # (re-entry restocks them out of custody);
                         # WRITE_ALL intervals reconstruct from the
                         # image, like the serving path.
                         node.diff_store[(w, i, p)] = \
@@ -81,83 +81,66 @@ class MwLrcBackend(CoherenceBackend):
                     missing.setdefault(w, []).append((p, i))
         return needed_by_page, missing
 
-    def _send_diff_requests(self, missing) -> List[tuple]:
-        if self.node.osl is not None:
-            return self._post_diff_reads(missing)
-        return self._send_diff_requests_two(missing)
+    def _serving_groups(self, missing) -> List[tuple]:
+        """Who serves writer w's interval i: ``(serving pid, writer,
+        entries)`` groups in request order.  Normally the writer
+        itself; while it is drained away, its steward serves the
+        intervals it left in custody."""
+        absence = self.node.absence
+        if absence is None:
+            return [(w, w, missing[w]) for w in sorted(missing)]
+        return [(q, w, entries) for w in sorted(missing)
+                for q, entries in absence.servers_of(
+                    self.node.pid, w, missing[w])]
 
-    def _post_diff_reads(self, missing) -> List[tuple]:
-        """One-sided lowering: one batched read per writer pulls every
-        missing diff out of its registered windows (eager diffing
+    def _send_diff_requests(self, missing) -> List[tuple]:
+        groups = self._serving_groups(missing)
+        if self.node.osl is not None:
+            return self._post_diff_reads(groups)
+        return self._send_diff_requests_two(groups)
+
+    def _post_diff_reads(self, groups) -> List[tuple]:
+        """One-sided lowering: one batched read per serving node pulls
+        every missing diff out of its registered windows (eager diffing
         guarantees they exist); WRITE_ALL intervals, which never encode
         a diff, read the whole page from the writer's image window.
-        A drained writer's at-or-below-watermark diffs read from its
-        steward's custody (``cdiff``) windows instead."""
+        Custody diffs read from the steward's ``cdiff`` windows."""
         node = self.node
         plane = node.osl.plane
         psz = node.layout.page_size
         expected: List[tuple] = []
-        for w in sorted(missing):
-            entries = missing[w]
-            away = None if node.mm is None \
-                else node.mm.absent_writer(node.pid, w)
-            if away is not None:
-                steward, watermark = away
-                old = [(p, i) for (p, i) in entries if i <= watermark]
-                entries = [(p, i) for (p, i) in entries
-                           if i > watermark]
-                if old:
-                    batch = [rdma.read(("cdiff", w, i, p))
-                             for (p, i) in old]
-                    plan = [("diff", w, i, p) for (p, i) in old]
-                    bid = plane.post_begin(node.pid, steward, batch)
-                    expected.append(("rdma", steward, bid, plan))
-                if not entries:
-                    continue
+        for serve, w, entries in groups:
             batch, plan = [], []
             for (p, i) in entries:
                 rec = node.intervals.get((w, i))
-                if rec is not None and p in rec.overwrite_pages:
+                if serve != w:
+                    batch.append(rdma.read(("cdiff", w, i, p)))
+                    plan.append(("diff", w, i, p))
+                elif rec is not None and p in rec.overwrite_pages:
                     batch.append(rdma.read(("image",), p * psz, psz))
                     plan.append(("page", w, i, p))
                 else:
                     batch.append(rdma.read(("diff", i, p)))
                     plan.append(("diff", w, i, p))
-            bid = plane.post_begin(node.pid, w, batch)
-            expected.append(("rdma", w, bid, plan))
+            bid = plane.post_begin(node.pid, serve, batch)
+            expected.append(("rdma", serve, bid, plan))
         return expected
 
-    def _send_diff_requests_two(self, missing) -> List[Tuple[int, int]]:
+    def _send_diff_requests_two(self, groups) -> List[Tuple[int, int]]:
         node = self.node
         expected: List[Tuple[int, int]] = []
-        for w in sorted(missing):
-            entries = missing[w]
-            away = None if node.mm is None \
-                else node.mm.absent_writer(node.pid, w)
-            if away is not None:
-                # The writer drained away: its steward serves the diffs
-                # of every interval at or below the drain watermark out
-                # of custody.  (Anything newer arrived via a stale
-                # third-party view — the writer is actually back, so a
-                # direct request delivers once its NIC returns.)
-                steward, watermark = away
-                old = [(p, i) for (p, i) in entries if i <= watermark]
-                new = [(p, i) for (p, i) in entries if i > watermark]
-                if old:
-                    node._req_seq += 1
-                    tag = node._req_seq
-                    node.ep.send(steward, "mem.diff_req",
-                                 payload=(w, tuple(old), tag),
-                                 size=8 + 12 * len(old), tag=tag)
-                    expected.append((steward, tag))
-                entries = new
-                if not entries:
-                    continue
+        for serve, w, entries in groups:
             node._req_seq += 1
             tag = node._req_seq
-            node.ep.send(w, "diff_req", payload=(tuple(entries), tag),
-                         size=4 + 12 * len(entries), tag=tag)
-            expected.append((w, tag))
+            if serve != w:
+                node.ep.send(serve, "custody.diff_req",
+                             payload=(w, tuple(entries), tag),
+                             size=8 + 12 * len(entries), tag=tag)
+            else:
+                node.ep.send(w, "diff_req",
+                             payload=(tuple(entries), tag),
+                             size=4 + 12 * len(entries), tag=tag)
+            expected.append((serve, tag))
         return expected
 
     def _recv_diff_responses(self, expected: List[tuple]) -> None:
@@ -191,7 +174,8 @@ class MwLrcBackend(CoherenceBackend):
                                    tag=tag)
                 node._store_diffs(msg.payload)
         if fallback:
-            for serve, tag in self._send_diff_requests_two(fallback):
+            for serve, tag in self._send_diff_requests_two(
+                    self._serving_groups(fallback)):
                 msg = node.ep.recv(kind="diff_resp", src=serve,
                                    tag=tag)
                 node._store_diffs(msg.payload)

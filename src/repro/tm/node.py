@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ProtocolError, RecoveryError
+from repro.errors import ProtocolError
 from repro.memory.section import Section
 from repro.net.message import Message
 from repro.rt.access import AccessType
@@ -124,21 +124,13 @@ class TmNode:
         self.offline = False
         self._atomic_depth = 0
         self._deferred_cost = 0.0
-        #: Optional :class:`repro.recovery.RecoveryManager`; set when
-        #: the fault plan schedules NodeCrash faults.  ``None`` keeps
-        #: every hook down to a single attribute test.
-        self.rm = system.recovery
-        #: Optional :class:`repro.membership.MembershipManager`; set
-        #: when the fault plan schedules membership events.
-        self.mm = system.membership
-        #: A nested protocol operation is running (crashes must not
+        #: Optional :class:`repro.absence.AbsenceManager`; set when the
+        #: fault plan schedules node crashes or membership events.
+        #: ``None`` keeps every hook down to a single attribute test.
+        self.absence = system.absence
+        #: A nested protocol operation is running (an absence must not
         #: realize inside it).
         self._op_active = False
-        #: The (lid, rvc, sreq) request this node is blocked on, and the
-        #: (vc, sreq) barrier arrival it is blocked in — survivor-side
-        #: evidence for a crashed peer's state reconstruction.
-        self._awaiting_lock: Optional[tuple] = None
-        self._barrier_wait: Optional[tuple] = None
 
         # --- LRC state -------------------------------------------------
         self.vc: List[int] = [0] * self.nprocs
@@ -282,23 +274,27 @@ class TmNode:
 
     def _manager_of(self, lid: int) -> int:
         """Acting manager of ``lid``: the static home, or its steward
-        while the home is drained away (elastic membership)."""
-        if self.mm is not None:
-            return self.mm.acting_manager(self.pid, lid)
+        while the home is drained away."""
+        if self.absence is not None:
+            return self.absence.manager_of(self.pid, lid)
         return lid % self.nprocs
 
     def _current_master(self) -> int:
         """Acting barrier master (the seat moves when it drains)."""
-        if self.mm is not None:
-            return self.mm.seat_of(self.pid)
+        if self.absence is not None:
+            return self.absence.seat_of(self.pid)
         return self.master_pid
 
     def _syncpoint(self) -> None:
-        """Scheduled crash / membership transitions realize here."""
-        if self.rm is not None:
-            self.rm.crashpoint(self)
-        if self.mm is not None:
-            self.mm.syncpoint(self)
+        """Scheduled crashes, drains and joins realize here."""
+        if self.absence is not None:
+            self.absence.gate(self)
+
+    def _roles_changed(self) -> None:
+        """My lock/barrier role state changed: a crash-pending node
+        streams it to its steward."""
+        if self.absence is not None:
+            self.absence.mirror(self)
 
     # ==================================================================
     # Interval management.
@@ -338,8 +334,8 @@ class TmNode:
             self._record_interval(rec)
             self.dirty.clear()
             if self.eager_diffing or self.osl is not None \
-                    or (self.rm is not None
-                        and self.rm.eager_pid(self.pid)):
+                    or (self.absence is not None
+                        and self.absence.streams(self.pid)):
                 # One-sided mode diffs eagerly by necessity: the NIC
                 # serves diff windows without running this CPU, so the
                 # diff must exist before any notice for it circulates.
@@ -352,8 +348,8 @@ class TmNode:
                            npages=len(rec.pages), pages=rec.pages,
                            overwrite=tuple(sorted(rec.overwrite_pages)),
                            **({"crash": True} if crash else {}))
-        if self.rm is not None:
-            self.rm.log_interval(self, rec)
+        if self.absence is not None:
+            self.absence.log_interval(self, rec)
         # Release-time lowering (e.g. hlrc's synchronous diff flush to
         # the page homes).  Outside the atomic section: it may block.
         self.coherence.on_interval_end(rec)
@@ -499,10 +495,6 @@ class TmNode:
                                interval=interval)
             return full_page_diff(page, self.pid, interval,
                                   self.image.page(page))
-        if self.rm is not None:
-            why = self.rm.explain_missing_diff(self.pid, interval)
-            if why is not None:
-                raise RecoveryError(why)
         raise ProtocolError(
             f"P{self.pid} asked for unavailable diff page={page} "
             f"interval={interval}")
@@ -804,7 +796,7 @@ class TmNode:
                            "tm.lock_acquires", lid=lid)
         self._drain_async_plans()
         sreq, wsync = self._take_wsync_request()
-        if self.osl is not None and self.mm is None:
+        if self.osl is not None and self.absence is None:
             # CAS-spinlock fast path (no manager handler, no queues).
             # Piggy-backed diff donation has no granter process to run
             # on, so w_sync entries complete from locally-held diffs
@@ -832,11 +824,8 @@ class TmNode:
             self.ep.send(manager, "lock_req",
                          payload=(lid, self.pid, rvc, sreq),
                          size=size)
-        if self.rm is not None:
-            self._awaiting_lock = (lid, rvc, sreq)
         t0 = self.sys.engine.now
         msg = self.ep.recv(kind="lock_grant", tag=lid)
-        self._awaiting_lock = None
         self.stats.t_lock_wait += self.sys.engine.now - t0
         if self.tel is not None:
             self.tel.span(self.pid, "wait.lock", t0,
@@ -846,6 +835,7 @@ class TmNode:
         self.apply_notices(recs, granter_vc)
         self.lock_token[lid] = True
         self.lock_held.add(lid)
+        self._roles_changed()
         self._complete_wsync(wsync)
 
     def lock_release(self, lid: int) -> None:
@@ -856,13 +846,14 @@ class TmNode:
             self.tel.event(self.pid, "tm.lock_release", lid=lid)
         self.end_interval()
         self.lock_held.discard(lid)
-        if self.osl is not None and self.mm is None:
+        if self.osl is not None and self.absence is None:
             self.osl.lock_release(lid)
             return
         pending = self.lock_pending.get(lid)
         if pending:
             requester, rvc, sreq = pending.pop(0)
             self._grant_lock(lid, requester, rvc, sreq)
+            self._roles_changed()
 
     def _h_lock_req(self, msg: Message) -> None:
         lid, requester, rvc, sreq = msg.payload
@@ -874,8 +865,8 @@ class TmNode:
                             sreq: Optional[SyncFetchRequest]) -> None:
         size = (8 + VC_ENTRY_BYTES * self.nprocs
                 + (sreq.wire_bytes() if sreq else 0))
-        if self.mm is not None:
-            owner = self.mm.acting_manager(self.pid, lid)
+        if self.absence is not None:
+            owner = self._manager_of(lid)
             if owner != self.pid and lid % self.nprocs != self.pid:
                 # Stale-view request: the requester still thought we
                 # were stewarding this lock's (now returned) home.
@@ -885,28 +876,28 @@ class TmNode:
                 return
         tail = self.lock_tail.get(lid, lid % self.nprocs)
         self.lock_tail[lid] = requester
-        if self.rm is not None:
-            self.rm.note_route(self, lid, requester, rvc, sreq, tail)
-        target = tail if self.mm is None \
-            else self.mm.route_pid(self.pid, tail)
+        target = tail if self.absence is None \
+            else self.absence.route(self.pid, tail)
         if target == self.pid:
             self._give_or_queue(lid, requester, rvc, sreq)
         else:
             self.ep.send(target, "lock_fwd",
                          payload=(lid, requester, rvc, sreq), size=size)
+        self._roles_changed()
 
     def _h_lock_fwd(self, msg: Message) -> None:
         lid, requester, rvc, sreq = msg.payload
         self._charge(self.cfg.lock_service)
         self._give_or_queue(lid, requester, rvc, sreq)
+        self._roles_changed()
 
     def _give_or_queue(self, lid: int, requester: int,
                        rvc: Tuple[int, ...],
                        sreq: Optional[SyncFetchRequest]) -> None:
-        if self.mm is not None and not self._has_token(lid):
+        if self.absence is not None and not self._has_token(lid):
             # The token may be parked in a drained node's custody we
             # steward; a successful claim moves it to this node.
-            self.mm.claim_token(self, lid)
+            self.absence.claim_token(self, lid)
         if self._has_token(lid) and lid not in self.lock_held:
             self._grant_lock(lid, requester, rvc, sreq)
         else:
@@ -964,22 +955,18 @@ class TmNode:
             self._barrier_finish()
         else:
             recs = self._intervals_after(self.master_seen_vc)
-            avc = self._vc_tuple()
             size = (VC_ENTRY_BYTES * self.nprocs + interval_wire_bytes(recs)
                     + (sreq.wire_bytes() if sreq else 0)
                     + self.coherence.barrier_extra_bytes(extra))
             self.ep.send(self._current_master(), "barrier_arrive",
-                         payload=(self.pid, avc, tuple(recs), sreq,
-                                  extra),
+                         payload=(self.pid, self._vc_tuple(),
+                                  tuple(recs), sreq, extra),
                          size=size)
-            if self.rm is not None:
-                self._barrier_wait = (avc, sreq)
             t0 = self.sys.engine.now
-            if self.mm is None:
+            if self.absence is None:
                 msg = self.ep.recv(kind="barrier_depart")
             else:
                 msg = self._await_depart_or_seat()
-            self._barrier_wait = None
             self.stats.t_barrier_wait += self.sys.engine.now - t0
             if self.tel is not None:
                 self.tel.span(self.pid, "wait.barrier", t0,
@@ -1027,7 +1014,7 @@ class TmNode:
     def _h_barrier_arrive(self, msg: Message) -> None:
         pid, vc, recs, sreq, extra = msg.payload
         self._charge(self.cfg.barrier_arrival_service)
-        if self.mm is not None:
+        if self.absence is not None:
             seat = self._current_master()
             if seat != self.pid:
                 # The seat moved while this arrival was in flight (the
@@ -1036,12 +1023,14 @@ class TmNode:
                              size=msg.size)
                 return
         self._barrier_box[pid] = (vc, recs, sreq, extra)
+        self._roles_changed()
         if len(self._barrier_box) == self.nprocs:
             self.proc.wake()
 
     def _barrier_finish(self) -> None:
         """Master, process context: merge notices, send departures."""
         box, self._barrier_box = self._barrier_box, {}
+        self._roles_changed()
         for q in sorted(box):
             if q == self.pid:
                 continue
@@ -1249,10 +1238,8 @@ class TmNode:
         if self.osl is not None:
             self.osl.on_gc_discard()
         self.coherence.on_gc_discard()
-        if self.rm is not None:
-            self.rm.on_gc_discard(self.pid)
-        if self.mm is not None:
-            self.mm.on_gc_discard(self.pid)
+        if self.absence is not None:
+            self.absence.on_gc_discard(self.pid)
 
     @staticmethod
     def _intersect_lists(writes: Sequence[Section],

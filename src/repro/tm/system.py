@@ -58,7 +58,6 @@ class TmSystem:
                  gc_threshold: Optional[int] = None,
                  eager_diffing: bool = False,
                  telemetry=None, faults=None, transport=None,
-                 recovery_log_limit: Optional[int] = None,
                  protocol: Optional[str] = None,
                  data_plane: Optional[str] = None,
                  profile=None, monitor=None) -> None:
@@ -108,22 +107,14 @@ class TmSystem:
             from repro.net.onesided import OneSidedPlane
             self.net.onesided = OneSidedPlane(self.net)
             self.data_plane = "onesided"
-        #: Optional :class:`repro.recovery.RecoveryManager`; built when
-        #: the fault plan schedules node crashes.  Must exist before the
-        #: nodes: each :class:`TmNode` captures it at construction.
-        self.recovery = None
-        if "crashes" in cell.perturbations:
-            from repro.recovery import RecoveryManager
-            self.recovery = RecoveryManager(
-                self, faults.crashes, log_limit=recovery_log_limit)
-        #: Optional :class:`repro.membership.MembershipManager`; built
-        #: when the fault plan schedules membership events.  Must exist
-        #: before the nodes (each captures it at construction).
-        self.membership = None
-        if "membership" in cell.perturbations:
-            from repro.membership import MembershipManager
-            self.membership = MembershipManager(
-                self, faults.membership, faults.crashes)
+        #: Optional :class:`repro.absence.AbsenceManager`; built when
+        #: the fault plan schedules node crashes or membership events.
+        #: Must exist before the nodes: each :class:`TmNode` captures
+        #: it at construction.
+        self.absence = None
+        if cell.perturbations & {"crashes", "membership"}:
+            from repro.absence import AbsenceManager
+            self.absence = AbsenceManager(self, faults)
         self.nodes: List[TmNode] = []
 
     def run(self, main: Callable[[TmNode], object]) -> RunResult:
@@ -136,8 +127,8 @@ class TmSystem:
         """
 
         def wrapped(node):
-            if self.membership is not None:
-                self.membership.startup(node)
+            if self.absence is not None:
+                self.absence.startup(node)
             result = main(node)
             node.barrier()
             return result
@@ -151,12 +142,10 @@ class TmSystem:
         for proc in procs:
             node = TmNode(self, proc, self.net.endpoint(proc.pid))
             self.nodes.append(node)
-            if self.recovery is not None:
-                self.recovery.attach(node)
-            if self.membership is not None:
-                self.membership.attach(node)
-        if self.membership is not None:
-            self.membership.start()
+            if self.absence is not None:
+                self.absence.attach(node)
+        if self.absence is not None:
+            self.absence.start()
         self.engine.run()
         per_proc = [replace(n.stats) for n in self.nodes]
         if self.telemetry is not None:

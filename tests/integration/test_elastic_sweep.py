@@ -51,6 +51,29 @@ def test_eviction_is_survived_too():
     assert case.evictions >= 1
 
 
+def test_join_handoff_accounting_matches_the_wire():
+    """Requests, replies and announcements are all counted, in messages
+    and in bytes: the churn cost equals what NetStats saw on the wire
+    (a join retransmits none of its frames)."""
+    from repro.harness.spec import RunSpec, run
+    spec = RunSpec(app="is", mode="dsm", dataset="tiny", nprocs=4,
+                   opt="base", page_size=1024)
+    base = run(spec, telemetry=True)
+    plan = elastic.mine_schedules(
+        base, 4, names=("join-early",))[0].fault_plan()
+    out = run(spec, faults=plan, telemetry=True)
+    cost = [ev.args for ev in out.telemetry.bus.events
+            if ev.kind == "mem.join"][-1]
+    net = out.net
+    kinds = sorted(k for k in net.by_kind if k.startswith("mem."))
+    assert kinds == ["mem.ask", "mem.join", "mem.state"]
+    frames = sum(net.by_kind[k] for k in kinds)
+    assert cost["handoff_messages"] == frames == 9
+    assert cost["handoff_bytes"] == (
+        sum(net.bytes_by_kind[k] for k in kinds)
+        - net.header_bytes * frames)
+
+
 def test_schedule_mining_produces_all_families():
     from repro.harness.spec import RunSpec, run
     base = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",

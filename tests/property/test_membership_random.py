@@ -83,6 +83,26 @@ def test_random_membership_mix_converges_to_static(m):
         assert np.array_equal(base.arrays[name], out.arrays[name]), name
 
 
+def test_drain_then_crash_on_the_lock_app():
+    """The mix above, pinned, on ``is``: P0 — barrier seat and a lock
+    home — drains and returns, then P2 crashes.  P2's re-entry must see
+    the moved seat and the lock state it really had, not the static
+    assignment: with a crash manager that knew nothing of membership
+    this plan validated, each event alone ended bit-identical, and
+    together they deadlocked."""
+    spec = RunSpec(app="is", mode="dsm", dataset="tiny", nprocs=4,
+                   page_size=1024, opt="base")
+    base = run(spec)
+    T = base.time
+    plan = FaultPlan(
+        crashes=(NodeCrash(pid=2, t=0.4 * T + 3000, reboot_us=2000.0),),
+        membership=MembershipPlan(
+            drains=(NodeDrain(0, 0.2 * T, 3000.0),)))
+    out = run(spec, faults=plan)
+    for name in base.arrays:
+        assert np.array_equal(base.arrays[name], out.arrays[name]), name
+
+
 @given(mix)
 @settings(max_examples=6, deadline=None)
 def test_same_schedule_is_byte_identical(m):

@@ -15,7 +15,12 @@ Three families:
 * **Crash transparency.**  For random single-crash schedules (any
   victim, any fraction of the fault-free run time), the recovered run
   must produce results bit-identical to the fault-free run.
+
+The DSM families draw their program too: jacobi (barriers only, at a
+hinted opt level) or ``is/base`` (the app with lock traffic).
 """
+
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings
@@ -80,19 +85,27 @@ def test_delivery_exactly_once_in_order_across_crash(window):
 
 schedule = st.tuples(st.integers(0, 3), st.floats(0.05, 0.95),
                      st.floats(500.0, 30000.0))
+#: A barrier-only app at a hinted level, and the lock app.
+determinism_input = st.sampled_from([("jacobi", "aggr"), ("is", "base")])
+transparency_input = st.sampled_from([("jacobi", "aggr+cons"),
+                                      ("is", "base")])
+
+@lru_cache(maxsize=None)
+def _base(app, opt):
+    """The spec and its fault-free outcome, run once per input."""
+    spec = RunSpec(app=app, mode="dsm", dataset="tiny", nprocs=4,
+                   opt=opt)
+    return spec, run(spec)
 
 
-@given(schedule)
-@settings(max_examples=8, deadline=None)
-def test_same_schedule_is_byte_identical(sched):
+@given(determinism_input, schedule)
+@settings(max_examples=12, deadline=None)
+def test_same_schedule_is_byte_identical(which, sched):
     pid, frac, reboot = sched
-    base = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",
-                       nprocs=4, opt="aggr"))
+    spec, base = _base(*which)
     plan = FaultPlan(crashes=(
         NodeCrash(pid=pid, t=base.time * frac, reboot_us=reboot),))
-    spec = RunSpec(app="jacobi", mode="dsm", dataset="tiny", nprocs=4,
-                   opt="aggr", faults=plan)
-    a, b = run(spec), run(spec)
+    a, b = run(spec, faults=plan), run(spec, faults=plan)
     assert a.time == b.time
     assert a.net.messages == b.net.messages
     assert a.net.retransmits == b.net.retransmits
@@ -100,15 +113,13 @@ def test_same_schedule_is_byte_identical(sched):
         assert np.array_equal(a.arrays[name], b.arrays[name])
 
 
-@given(schedule)
-@settings(max_examples=8, deadline=None)
-def test_random_single_crash_converges_to_fault_free(sched):
+@given(transparency_input, schedule)
+@settings(max_examples=12, deadline=None)
+def test_random_single_crash_converges_to_fault_free(which, sched):
     pid, frac, reboot = sched
-    base = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",
-                       nprocs=4, opt="aggr+cons"))
+    spec, base = _base(*which)
     plan = FaultPlan(crashes=(
         NodeCrash(pid=pid, t=base.time * frac, reboot_us=reboot),))
-    out = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",
-                      nprocs=4, opt="aggr+cons", faults=plan))
+    out = run(spec, faults=plan)
     for name in base.arrays:
         assert np.array_equal(base.arrays[name], out.arrays[name]), name

@@ -32,7 +32,11 @@ class TestClassify:
         assert _classify("ReliableTransport._on_timer") == "net"
         assert _classify("Network._deliver") == "net"
         assert _classify("Injector._fire") == "faults"
-        assert _classify("RecoveryManager._probe") == "recovery"
+        # The absence manager and its detector's beat timers share one
+        # bucket (both class names carry the fragment).
+        assert _classify("AbsenceManager._reenter") == "absence"
+        assert _classify(
+            "AbsenceDetector.start.<locals>.<lambda>") == "absence"
 
     def test_lambda_inside_subsystem_classifies_to_it(self):
         assert _classify("Transport.send.<locals>.<lambda>") == "net"

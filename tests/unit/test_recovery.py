@@ -1,24 +1,24 @@
-"""Unit tests for the crash-recovery subsystem (repro.recovery)."""
+"""Unit tests for the crash policy of the absence manager
+(repro.absence): plan validation and hand-rolled crash scenarios."""
 
 import numpy as np
 import pytest
 
-from repro.errors import FaultPlanError, ReproError
+from repro.absence import elect_steward
+from repro.errors import FaultPlanError
 from repro.faults import (FaultPlan, NodeCrash, NodeOutage,
                           plan_from_dict)
 from repro.memory import SharedLayout
-from repro.recovery import RecoveryManager, elect_backup
 from repro.tm.system import TmSystem
 
 
 def run(nprocs, main, crashes, page_size=256,
-        arrays=(("x", (64,)),), log_limit=None, telemetry=None):
+        arrays=(("x", (64,)),), telemetry=None):
     layout = SharedLayout(page_size=page_size)
     for name, shape in arrays:
         layout.add_array(name, shape)
     system = TmSystem(nprocs=nprocs, layout=layout,
                       faults=FaultPlan(crashes=tuple(crashes)),
-                      recovery_log_limit=log_limit,
                       telemetry=telemetry)
     return system.run(main), system
 
@@ -75,9 +75,9 @@ def test_recovery_needs_two_processors():
 def test_elect_backup_is_deterministic_and_distinct():
     for n in (2, 4, 8):
         for victim in range(n):
-            b = elect_backup(victim, n)
+            b = elect_steward(victim, n)
             assert 0 <= b < n and b != victim
-    assert elect_backup(3, 4) == 0
+    assert elect_steward(3, 4) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,9 @@ def test_crash_at_barrier_recovers_bit_identically():
     res, system = run(4, main, [NodeCrash(pid=2, t=1500.0,
                                           reboot_us=2000.0)])
     assert res.returns == base.returns
-    assert system.recovery is not None
-    assert system.recovery.summary()["log_messages"] > 0
+    cost = system.absence.summary()
+    assert cost["log_messages"] > 0 and cost["state_bytes"] > 0
+    assert cost["crashes"] == 1 and list(cost["realized"]) == [2]
 
 
 def test_crash_while_holding_lock_reparks_token():
@@ -125,7 +126,7 @@ def test_crash_while_holding_lock_reparks_token():
     res, system = run(4, main, [NodeCrash(pid=2, t=900.0,
                                           reboot_us=1500.0)])
     assert res.returns == base.returns == [16.0] * 4
-    assert system.recovery._status[2] == "done"
+    assert system.absence.summary()["crashes"] == 1
 
 
 def test_manager_crash_failover():
@@ -155,32 +156,10 @@ def test_crash_scheduled_after_exit_never_realizes():
 
     res, system = run(4, main, [NodeCrash(pid=1, t=10_000_000.0)])
     assert res.returns == [4.0] * 4
-    assert system.recovery._status[1] == "pending"
-    assert system.recovery.realized == {}
-
-
-def test_log_watermark_trims_and_explains():
-    def main(node):
-        x = node.array("x")
-        for it in range(6):
-            lo = node.pid * 16
-            x[lo:lo + 16] = x[lo:lo + 16] + 1.0
-            node.barrier()
-        return float(x[:].sum())
-
-    # A one-interval log cannot cover a victim with several closed
-    # intervals; the rebuild must either survive on survivor diffs or
-    # fail with the watermark diagnostic — never a bare ProtocolError.
-    try:
-        res, system = run(4, main,
-                          [NodeCrash(pid=3, t=2500.0, reboot_us=500.0)],
-                          log_limit=1)
-    except ReproError as exc:
-        assert "log_limit" in str(exc)
-    else:
-        log = system.recovery._logs[3]
-        assert len(log.records) <= 1
-        assert res.returns == _baseline(4, main).returns
+    cost = system.absence.summary()
+    assert cost["crashes"] == 0 and cost["realized"] == {}
+    assert any("absence P1: crash pending" in ln
+               for ln in system.absence.debug_lines())
 
 
 def test_debug_lines_show_status():
@@ -191,12 +170,14 @@ def test_debug_lines_show_status():
 
     _, system = run(4, main, [NodeCrash(pid=1, t=200.0,
                                         reboot_us=300.0)])
-    lines = system.recovery.debug_lines()
-    assert any("recovery P1" in ln and "done" in ln for ln in lines)
+    lines = system.absence.debug_lines()
+    assert any("absence P1: crash member" in ln for ln in lines)
+    # The steward's copy of the streamed custody record shows too.
+    assert any("custody of P1 at P2" in ln for ln in lines)
 
 
 def test_applied_watermarks_restored_from_log():
-    """The backup log's applied set stops stale own-diff replay."""
+    """The custody record's applied set stops stale own-diff replay."""
     seen = {}
 
     def main(node):
@@ -214,7 +195,10 @@ def test_applied_watermarks_restored_from_log():
     res, system = run(4, main, [NodeCrash(pid=1, t=1200.0,
                                           reboot_us=800.0)])
     assert res.returns == base.returns
-    # The victim's rebuild restored applied watermarks: its own records
-    # are all marked, so none of its own diffs replayed over new bytes.
-    log = system.recovery._logs[1]
-    assert log.applied or log.records == {}
+    # Re-entry restored the applied watermarks: the victim's own
+    # records are all marked, so none of its own diffs replayed over
+    # new bytes.
+    victim = system.nodes[1]
+    own = [r for r in victim.intervals.values() if r.writer == 1]
+    assert own and all((1, r.index, p) in victim.applied
+                       for r in own for p in r.pages)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import HpfError, InterpError
+from repro.errors import HpfError
 from repro.harness.outcome import XhpfOutcome
 from repro.interp.interp import Interpreter
 from repro.interp.runtime import BaseRuntime, LocalAccessor, _alloc
@@ -104,7 +104,7 @@ class XhpfRuntime(BaseRuntime):
         #: interpreter picks it up for its statements/sec counter.
         self.prof = comm.ep.net.profiler
         for d in program.shared_arrays():
-            self._shared_cache[d.name] = LocalAccessor(_alloc(d))
+            self._accessors[d.name] = LocalAccessor(_alloc(d))
         #: Deterministically mirrored write log: per writer, entries of
         #: (array, section, version); identical on every processor.
         self._written: List[Dict[Tuple, int]] = [
@@ -125,9 +125,6 @@ class XhpfRuntime(BaseRuntime):
 
     def bind_interp(self, interp: Interpreter) -> None:
         self._interp = interp
-
-    def _make_shared(self, name: str):
-        raise InterpError(f"unknown array {name!r}")
 
     def charge(self, us: float) -> None:
         self.comm.compute(us)

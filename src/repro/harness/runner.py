@@ -14,6 +14,7 @@ from repro.compiler.transform import OptConfig, transform
 from repro.harness.outcome import (DsmOutcome, MpOutcome, SeqOutcome,
                                    XhpfOutcome)
 from repro.interp.interp import Interpreter
+from repro.interp.lower import lower
 from repro.interp.runtime import DsmRuntime, SeqRuntime
 from repro.lang.nodes import Program
 from repro.machine.config import MachineConfig
@@ -51,6 +52,7 @@ def run_dsm(program: Program, nprocs: int,
             profile=None, monitor=None) -> DsmOutcome:
     """Run on the (optionally compiler-optimized) TreadMarks DSM."""
     prog = transform(program, opt) if opt is not None else program
+    lower(prog)     # once, before the run's byte images are allocated
     layout = layout_for(prog, page_size=page_size)
     system = TmSystem(nprocs=nprocs, layout=layout, config=config,
                       gc_threshold=gc_threshold,

@@ -10,28 +10,26 @@ from repro.errors import InterpError
 from repro.lang.nodes import Program
 from repro.memory.section import Section
 from repro.rt.access import AccessType
+from repro.tm.sharedarray import SectionAccess
 
 
-class LocalAccessor:
-    """Plain numpy backing for private arrays (and all arrays in SeqRuntime)."""
+class LocalAccessor(SectionAccess):
+    """Plain numpy backing for private arrays (and all arrays in
+    SeqRuntime): sections are accessed without any detection."""
 
     def __init__(self, arr: np.ndarray) -> None:
-        self.arr = arr
+        self._view = arr
+        self._index: Dict[tuple, tuple] = {}    # dims -> numpy index
 
-    def _idx(self, section: Section):
-        return tuple(slice(lo, hi + 1, step) for lo, hi, step in section.dims)
-
-    def read(self, section: Section) -> np.ndarray:
-        return self.arr[self._idx(section)]
-
-    def write(self, section: Section, values) -> None:
-        self.arr[self._idx(section)] = values
-
-    def write_view(self, section: Section) -> np.ndarray:
-        return self.arr[self._idx(section)]
+    def _check(self, dims, read: bool, write: bool):
+        idx = self._index.get(dims)
+        if idx is None:
+            idx = self._index[dims] = tuple(
+                slice(lo, hi + 1, step) for lo, hi, step in dims)
+        return idx
 
     def whole(self) -> np.ndarray:
-        return self.arr
+        return self._view
 
 
 def _alloc(decl) -> np.ndarray:
@@ -39,31 +37,27 @@ def _alloc(decl) -> np.ndarray:
 
 
 class BaseRuntime:
-    """Common plumbing: private arrays, accessor lookup."""
+    """Common plumbing: private arrays, accessor lookup, and the
+    uniprocessor meaning of synchronisation and hints (nothing to do)
+    for the parallel runtimes to override."""
 
     def __init__(self, program: Program, pid: int, nprocs: int) -> None:
         self.program = program
         self.pid = pid
         self.nprocs = nprocs
-        self._privates: Dict[str, LocalAccessor] = {
+        self._accessors: Dict[str, SectionAccess] = {
             d.name: LocalAccessor(_alloc(d))
             for d in program.private_arrays()}
-        self._shared_cache: Dict[str, object] = {}
 
     def accessor(self, name: str):
-        acc = self._privates.get(name)
-        if acc is not None:
-            return acc
-        acc = self._shared_cache.get(name)
+        acc = self._accessors.get(name)
         if acc is None:
-            acc = self._make_shared(name)
-            self._shared_cache[name] = acc
+            acc = self._accessors[name] = self._make_shared(name)
         return acc
 
     def _make_shared(self, name: str):
-        raise NotImplementedError
+        raise InterpError(f"unknown array {name!r}")
 
-    # Overridden per runtime:
     def charge(self, us: float) -> None:
         raise NotImplementedError
 
@@ -71,20 +65,20 @@ class BaseRuntime:
         raise NotImplementedError
 
     def acquire(self, lid: int) -> None:
-        raise NotImplementedError
+        pass
 
     def release(self, lid: int) -> None:
-        raise NotImplementedError
+        pass
 
     def validate(self, sections: Sequence[Section], access: AccessType,
                  w_sync: bool, asynchronous: bool,
                  merge_page_limit: Optional[int] = None) -> None:
-        raise NotImplementedError
+        pass
 
     def push(self, reads: List[List[Section]],
              writes: List[List[Section]],
              asynchronous: bool = False) -> None:
-        raise NotImplementedError
+        pass
 
     def phase_marker(self, label: str) -> None:
         """Record a labelled program phase boundary (telemetry only)."""
@@ -100,14 +94,11 @@ class SeqRuntime(BaseRuntime):
     def __init__(self, program: Program, telemetry=None) -> None:
         super().__init__(program, pid=0, nprocs=1)
         for d in program.shared_arrays():
-            self._shared_cache[d.name] = LocalAccessor(_alloc(d))
+            self._accessors[d.name] = LocalAccessor(_alloc(d))
         self.time = 0.0
         self.tel = telemetry
         if telemetry is not None:
             telemetry.bind(lambda: self.time, 1)
-
-    def _make_shared(self, name: str):
-        raise InterpError(f"unknown array {name!r}")
 
     def charge(self, us: float) -> None:
         if us > 0 and self.tel is not None:
@@ -121,19 +112,6 @@ class SeqRuntime(BaseRuntime):
     def phase_marker(self, label: str) -> None:
         if self.tel is not None:
             self.tel.marker(0, label)
-
-    def acquire(self, lid: int) -> None:
-        pass
-
-    def release(self, lid: int) -> None:
-        pass
-
-    def validate(self, sections, access, w_sync, asynchronous,
-                 merge_page_limit=None) -> None:
-        pass
-
-    def push(self, reads, writes, asynchronous: bool = False) -> None:
-        pass
 
 
 class DsmRuntime(BaseRuntime):

@@ -223,6 +223,10 @@ class Program:
     body: List[Stmt]
     #: Parameter values (problem sizes etc.), bound into every env.
     params: Dict[str, int] = field(default_factory=dict)
+    #: The executable form, built by :func:`repro.interp.lower.lower` on
+    #: first use; not carried over to a transformed copy.
+    lowered: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def shared_arrays(self) -> List[ArrayDecl]:
         return [a for a in self.arrays if a.shared]

@@ -9,8 +9,10 @@ when the column length is a multiple of the page size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+from math import prod
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -27,16 +29,21 @@ class ArrayInfo:
     shape: Tuple[int, ...]
     dtype: np.dtype
     base: int           # byte offset of element (0, 0, ...) in the block
+    #: The array's part of the access plan: section dims -> (sorted page
+    #: indices, numpy index, shape).  Filled by ``SharedLayout.resolve``,
+    #: shared by every processor of a run; a hit builds no ``Section``.
+    plan: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
+                                     repr=False)
 
     @property
     def itemsize(self) -> int:
         return self.dtype.itemsize
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
-        return int(np.prod(self.shape)) * self.itemsize
+        return prod(self.shape) * self.itemsize
 
-    @property
+    @cached_property
     def elem_strides(self) -> Tuple[int, ...]:
         """Element strides for Fortran order: stride[0] == 1."""
         strides = []
@@ -58,9 +65,6 @@ class SharedLayout:
         self.page_size = page_size
         self.arrays: Dict[str, ArrayInfo] = {}
         self._next = 0
-        #: Section -> pages memo; add_array only appends, so entries
-        #: never go stale.
-        self._pages_of: Dict[Section, Tuple[int, ...]] = {}
 
     def add_array(self, name: str, shape: Sequence[int],
                   dtype: object = np.float64) -> ArrayInfo:
@@ -156,16 +160,33 @@ class SharedLayout:
                 merged.append((start, stop))
         return merged
 
-    def pages_of(self, section: Section) -> Tuple[int, ...]:
-        """Sorted page indices touched by ``section``."""
-        memo = self._pages_of.get(section)
-        if memo is None:
+    def resolve(self, section: Section) -> tuple:
+        """``(pages, index, shape)`` of ``section``: the sorted pages it
+        touches and the numpy index and shape of its view.  Worked out
+        once per layout, then looked up (add_array only appends, so an
+        entry never goes stale)."""
+        plan = self.info(section.array).plan
+        access = plan.get(section.dims)
+        if access is None:
             pages: Set[int] = set()
             ps = self.page_size
             for start, stop in self.byte_ranges(section):
                 pages.update(range(start // ps, (stop - 1) // ps + 1))
-            memo = self._pages_of[section] = tuple(sorted(pages))
-        return memo
+            access = plan[section.dims] = (
+                tuple(sorted(pages)),
+                tuple(slice(lo, hi + 1, st) for lo, hi, st in section.dims),
+                tuple(max(0, (hi - lo) // st + 1)
+                      for lo, hi, st in section.dims))
+        return access
+
+    def pages_of(self, section: Section) -> Tuple[int, ...]:
+        """Sorted page indices touched by ``section``."""
+        return self.resolve(section)[0]
+
+    def forget_plan(self) -> None:
+        """Drop every resolved access (a released system keeps none)."""
+        for info in self.arrays.values():
+            info.plan.clear()
 
     def pages_fully_covered(self, section: Section) -> Set[int]:
         """Pages every byte of which lies inside ``section``'s byte ranges."""
@@ -187,19 +208,22 @@ class MemoryImage:
     def __init__(self, layout: SharedLayout) -> None:
         self.layout = layout
         self.buf = np.zeros(layout.total_bytes, dtype=np.uint8)
+        # Plain slice/view/reshape: np.ndarray(buffer=flat.data) would
+        # hold a memoryview export of ``buf`` for as long as it lives.
+        self._views: Dict[str, np.ndarray] = {
+            a.name: self.buf[a.base:a.base + a.nbytes].view(a.dtype)
+                        .reshape(a.shape, order="F")
+            for a in layout.arrays.values()}
 
     def view(self, name: str) -> np.ndarray:
-        """Typed Fortran-order view of a whole array."""
-        info = self.layout.info(name)
-        flat = self.buf[info.base:info.base + info.nbytes]
-        return np.ndarray(info.shape, dtype=info.dtype, buffer=flat.data,
-                          order="F")
+        """Typed Fortran-order view of a whole array (built once)."""
+        self.layout.info(name)          # LayoutError for an unknown name
+        return self._views[name]
 
     def section_view(self, section: Section) -> np.ndarray:
         """Numpy (possibly strided) view of ``section``."""
-        arr = self.view(section.array)
-        idx = tuple(slice(lo, hi + 1, step) for lo, hi, step in section.dims)
-        return arr[idx]
+        index = self.layout.resolve(section)[1]
+        return self._views[section.array][index]
 
     def page(self, index: int) -> np.ndarray:
         ps = self.layout.page_size

@@ -134,7 +134,7 @@ class Sanitizer:
         opt_name = None
         if self.opt is not None:
             opt_name = getattr(self.opt, "name", str(self.opt))
-        return SanitizeReport(
+        report = SanitizeReport(
             nprocs=self.nprocs,
             opt=opt_name,
             hint_checking=self.hints.enabled,
@@ -147,6 +147,12 @@ class Sanitizer:
                          "pushes": tr.pushes},
             problems=problems,
         )
+        # The pass is over.  The per-byte state is megabytes, and this
+        # object is reachable from the bus it subscribed to, which dies
+        # with the (cyclic) system: give it back now, not whenever the
+        # cycle collector next runs.
+        self.shadow = self.hints = None
+        return report
 
 
 # Re-exported run/replay drivers (import placed last: replay imports

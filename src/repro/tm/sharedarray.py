@@ -1,51 +1,73 @@
 """Application-facing shared arrays with software access detection.
 
-``SharedArray`` is the load/store interface of the DSM.  Every read or
-write passes a page-granularity state check (:meth:`TmNode.ensure_read` /
-:meth:`TmNode.ensure_write`), which triggers the same protocol actions a
-hardware page fault triggers in real TreadMarks.  Accesses accept numpy
-style keys (ints and slices) or explicit :class:`Section` objects, and the
-data itself lives in the processor's private byte image, so numpy
-vectorized operations work at full speed between faults.
+``SharedArray`` is the load/store interface of the DSM.  Every access
+passes a page-granularity state check (:meth:`TmNode.ensure_read` /
+:meth:`TmNode.ensure_write`), which triggers the protocol actions a
+hardware page fault triggers in real TreadMarks.  A section is named by
+a numpy-style key, a :class:`Section` or its dims; the data lives in the
+processor's byte image, so numpy runs at full speed between faults.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from repro.errors import LayoutError
 from repro.memory.section import Section
+from repro.telemetry.events import pack_dims
 
 Key = Union[int, slice, Tuple[Union[int, slice], ...]]
 
 
-class SharedArray:
+class SectionAccess:
+    """Section-wise access to one whole-array view, ``_view``.
+
+    A section is named by a :class:`Section`, or (``*_at``, the lowered
+    interpreter) by its dims alone.  ``_check(dims, read, write)`` is a
+    subclass's one access path: it returns the section's numpy index,
+    after whatever access detection the subclass performs."""
+
+    def read_at(self, dims) -> np.ndarray:
+        return self._view[self._check(dims, True, False)]
+
+    def write_at(self, dims, values) -> None:
+        self._view[self._check(dims, False, True)] = values
+
+    def read(self, section: Section) -> np.ndarray:
+        """Readable view of ``section`` (faults invalid pages in)."""
+        return self._view[self._check(section.dims, True, False)]
+
+    def write(self, section: Section, values) -> None:
+        """Store ``values`` into ``section`` (write-faults as needed)."""
+        self._view[self._check(section.dims, False, True)] = values
+
+    def write_view(self, section: Section) -> np.ndarray:
+        """Writable view of ``section`` (no read fault; stale bytes may
+        remain outside what the caller overwrites)."""
+        return self._view[self._check(section.dims, False, True)]
+
+    def rmw(self, section: Section, fn) -> None:
+        """Read-modify-write ``section`` via ``fn(view)`` in place."""
+        fn(self._view[self._check(section.dims, True, True)])
+
+
+class SharedArray(SectionAccess):
     """One shared array as seen by one processor."""
 
     def __init__(self, node, name: str) -> None:
         self.node = node
         self.name = name
         self.info = node.layout.info(name)
+        self.shape: Tuple[int, ...] = self.info.shape
+        self.dtype: np.dtype = self.info.dtype
+        self._plan = self.info.plan     # shared by the run's processors
+        self._view = node.image.view(name)
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.info.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.info.dtype
-
-    # ------------------------------------------------------------------
-
-    def _key_to_section(self, key: Key):
-        """Translate a numpy-style key into a section.
-
-        Returns ``(section, int_axes)``: ``int_axes`` lists the axes that
-        were indexed with an integer (numpy drops those dimensions).
-        """
+    def _key_dims(self, key: Key) -> tuple:
+        """Dims of the section a numpy-style key (ints, slices) names."""
         if not isinstance(key, tuple):
             key = (key,)
         if len(key) != len(self.shape):
@@ -53,37 +75,47 @@ class SharedArray:
                 f"{self.name}: key {key!r} has wrong rank for "
                 f"shape {self.shape}")
         dims = []
-        int_axes = []
-        for axis, (k, extent) in enumerate(zip(key, self.shape)):
+        for k, extent in zip(key, self.shape):
             if isinstance(k, (int, np.integer)):
-                i = int(k)
-                if i < 0:
-                    i += extent
+                i = int(k) + (extent if k < 0 else 0)
                 dims.append((i, i, 1))
-                int_axes.append(axis)
             elif isinstance(k, slice):
                 lo, hi, step = k.indices(extent)
                 dims.append((lo, hi - 1, step))  # inclusive upper bound
             else:
                 raise LayoutError(f"unsupported key component {k!r}")
-        return Section(self.name, tuple(dims)), int_axes
+        return tuple(dims)
 
-    def section(self, *dims: Sequence[int]) -> Section:
-        """Build a section of this array from ``(lo, hi[, step])`` dims."""
-        return Section.of(self.name, *dims)
+    def _check(self, dims, read: bool, write: bool):
+        """The one access path: numpy index of the section ``dims`` of
+        this array, once its pages have passed the state check(s).
 
-    # ------------------------------------------------------------------
-
-    def _record(self, kind: str, section: Section, pages) -> None:
-        """Emit an ``rt.read``/``rt.write`` access event (sanitizer feed).
-
-        Emitted *before* the page-state check so the access appears in
-        program order, ahead of any faults it triggers."""
-        tel = self.node.tel
+        The ``rt.read``/``rt.write`` access events (sanitizer feed) are
+        emitted *before* the check, so an access appears in program
+        order, ahead of any faults it triggers."""
+        access = self._plan.get(dims)
+        if access is None:
+            access = self.node.layout.resolve(Section(self.name, dims))
+        pages = access[0]
+        node = self.node
+        tel = node.tel
         if tel is not None and tel.access_events and tel.bus.enabled:
-            from repro.telemetry.events import pack_dims
-            tel.access(self.node.pid, kind, self.name,
-                       pack_dims(section.dims), pages)
+            packed = pack_dims(dims)
+            if read:
+                tel.access(node.pid, "rt.read", self.name, packed, pages)
+            if write:
+                tel.access(node.pid, "rt.write", self.name, packed, pages)
+        if node.prof is None:
+            if read:
+                node.ensure_read(pages)
+            if write:
+                node.ensure_write(pages)
+        else:
+            if read:
+                self._ensure_profiled(node.ensure_read, pages)
+            if write:
+                self._ensure_profiled(node.ensure_write, pages)
+        return access[1]
 
     def _ensure_profiled(self, ensure, pages) -> None:
         """One page-state check under the wall-clock observatory.
@@ -101,72 +133,14 @@ class SharedArray:
         dt = perf_counter() - t0
         node.prof.access_leaf(dt if node.stats.segv == segv0 else None)
 
-    def read(self, section: Section) -> np.ndarray:
-        """Readable view of ``section`` (faults invalid pages in)."""
-        node = self.node
-        pages = node.layout.pages_of(section)
-        self._record("rt.read", section, pages)
-        if node.prof is None:
-            node.ensure_read(pages)
-        else:
-            self._ensure_profiled(node.ensure_read, pages)
-        return node.image.section_view(section)
-
-    def write(self, section: Section, values) -> None:
-        """Store ``values`` into ``section`` (write-faults as needed)."""
-        node = self.node
-        pages = node.layout.pages_of(section)
-        self._record("rt.write", section, pages)
-        if node.prof is None:
-            node.ensure_write(pages)
-        else:
-            self._ensure_profiled(node.ensure_write, pages)
-        node.image.section_view(section)[...] = values
-
-    def write_view(self, section: Section) -> np.ndarray:
-        """Writable view of ``section`` (no read fault; stale bytes may
-        remain outside what the caller overwrites)."""
-        node = self.node
-        pages = node.layout.pages_of(section)
-        self._record("rt.write", section, pages)
-        if node.prof is None:
-            node.ensure_write(pages)
-        else:
-            self._ensure_profiled(node.ensure_write, pages)
-        return node.image.section_view(section)
-
-    def rmw(self, section: Section, fn) -> None:
-        """Read-modify-write ``section`` via ``fn(view)`` in place."""
-        node = self.node
-        pages = node.layout.pages_of(section)
-        self._record("rt.read", section, pages)
-        self._record("rt.write", section, pages)
-        if node.prof is None:
-            node.ensure_read(pages)
-            node.ensure_write(pages)
-        else:
-            self._ensure_profiled(node.ensure_read, pages)
-            self._ensure_profiled(node.ensure_write, pages)
-        view = node.image.section_view(section)
-        fn(view)
-
-    # ------------------------------------------------------------------
-
     def __getitem__(self, key: Key):
-        section, int_axes = self._key_to_section(key)
-        view = self.read(section)
-        if len(int_axes) == len(self.shape):
-            return view.reshape(()).item()
-        if int_axes:
-            view = np.squeeze(view, axis=tuple(int_axes))
-        return view
+        self._check(self._key_dims(key), True, False)
+        out = self._view[key]
+        return out.item() if isinstance(out, np.generic) else out
 
     def __setitem__(self, key: Key, values) -> None:
-        section, int_axes = self._key_to_section(key)
-        if int_axes and np.ndim(values) > 0:
-            values = np.expand_dims(np.asarray(values),
-                                    axis=tuple(int_axes))
-        self.write(section, values)
+        self._check(self._key_dims(key), False, True)
+        self._view[key] = values
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SharedArray {self.name} shape={self.shape} "

@@ -179,8 +179,8 @@ class TmSystem:
                 node.prof = self.profile
 
     def release(self) -> None:
-        """Give back every node's page image, twins and diffs; the
-        system is unusable afterwards.
+        """Give back every node's page image, twins and diffs, and the
+        layout's access plan; the system is unusable afterwards.
 
         A finished system is cyclic garbage (system <-> nodes <->
         backends <-> network handlers), so its megabytes would wait for
@@ -188,3 +188,4 @@ class TmSystem:
         system after another."""
         for node in self.nodes:
             node.image = node.pages = node.diff_store = None
+        self.layout.forget_plan()

@@ -152,9 +152,9 @@ def test_unbound_symbol_raises():
         run([B.assign(x(0), B.sym("nope"))], [ArrayDecl("x", (4,))])
 
 
-def test_negative_coefficient_falls_back_to_scalar():
-    """Descending access b(9-i) is unsupported by the vector path but
-    must still compute correctly via the scalar fallback."""
+def test_descending_read_is_gathered():
+    """A descending *read* b(9-i) is not a section; the loop still runs
+    as whole-section operations, with that operand gathered."""
     i = B.sym("i")
     x, y = B.array_ref("x"), B.array_ref("y")
     body = [
@@ -163,6 +163,43 @@ def test_negative_coefficient_falls_back_to_scalar():
     ]
     rt = run(body, [ArrayDecl("x", (10,)), ArrayDecl("y", (10,))])
     np.testing.assert_allclose(arr(rt, "y"), np.arange(9, -1, -1))
+    assert "_gather(" in rt.program.lowered.source
+    assert "for env['i']" not in rt.program.lowered.source
+
+
+@pytest.mark.parametrize("store", ["descending", "indirect"])
+def test_descending_or_indirect_store_runs_point_by_point(store):
+    """Only a *store* that is not an ascending affine section makes the
+    loop fall back to point-by-point evaluation."""
+    i = B.sym("i")
+    x, y, idx = B.array_ref("x"), B.array_ref("y"), B.array_ref("idx")
+    lhs = y(9 - i) if store == "descending" else y(idx(i))
+    body = [
+        B.loop(i, 0, 9, [B.assign(x(i), i * 1.0),
+                         B.assign(idx(i), 9 - i)]),
+        B.loop(i, 0, 9, [B.assign(lhs, x(i), cost=0.25)]),
+    ]
+    rt = run(body, [ArrayDecl("x", (10,)), ArrayDecl("y", (10,)),
+                    ArrayDecl("idx", (10,))])
+    np.testing.assert_allclose(arr(rt, "y"), np.arange(9, -1, -1))
+    assert rt.program.lowered.source.count("for env['i']") == 1
+
+
+def test_partly_vectorisable_body_runs_once():
+    """Vectorisability is decided for the whole body before anything
+    executes: a body whose second statement must run point by point used
+    to execute (and charge) its first statement twice."""
+    i = B.sym("i")
+    x, y, z = B.array_ref("x"), B.array_ref("y"), B.array_ref("z")
+    body = [
+        B.loop(i, 0, 9, [B.assign(x(i), i * 1.0, cost=0.0)]),
+        B.loop(i, 0, 9, [B.assign(z(i), z(i) + 1.0, cost=0.5),
+                         B.assign(y(9 - i), x(i), cost=0.25)]),
+    ]
+    rt = run(body, [ArrayDecl(n, (10,)) for n in "xyz"])
+    np.testing.assert_array_equal(arr(rt, "z"), np.ones(10))
+    np.testing.assert_array_equal(arr(rt, "y"), arr(rt, "x")[::-1])
+    assert rt.time == 10 * 0.5 + 10 * 0.25
 
 
 def test_run_seq_returns_shared_arrays_only():

@@ -564,11 +564,7 @@ class AbsenceManager:
         """
         n = node.nprocs
         node.vc = [0] * n
-        node.intervals.clear()
-        node._by_writer = [[] for _ in range(n)]
-        node.page_notices.clear()
-        node.applied.clear()
-        node.diff_store.clear()
+        node._discard_history()
         node.dirty.clear()
         node.lock_token.clear()
         node.lock_pending.clear()

@@ -144,17 +144,6 @@ class Endpoint:
         A message arriving exactly at the deadline wins over the timeout.
         """
 
-        def matches(msg: Message) -> bool:
-            if match is not None:
-                return match(msg)
-            if kind is not None and msg.kind != kind:
-                return False
-            if src is not None and msg.src != src:
-                return False
-            if tag is not None and msg.tag != tag:
-                return False
-            return True
-
         engine = self.net.engine
         deadline = None
         if timeout is not None:
@@ -162,15 +151,20 @@ class Endpoint:
                 raise SimulationError(f"negative recv timeout: {timeout}")
             deadline = engine.now + timeout
             engine.call_at(deadline, self.proc.wake)
-        what = (f"recv(kind={kind!r}, src={src}, tag={tag!r})"
-                if match is None else "recv(<custom match>)")
+        what = None     # built only when about to wait or time out
         while True:
             for i, msg in enumerate(self.mailbox):
-                if matches(msg):
+                if (match(msg) if match is not None else
+                        (kind is None or msg.kind == kind)
+                        and (src is None or msg.src == src)
+                        and (tag is None or msg.tag == tag)):
                     del self.mailbox[i]
                     self.proc.waiting_on = None
                     self.proc.advance(self.net.config.recv_overhead)
                     return msg
+            if what is None:
+                what = (f"recv(kind={kind!r}, src={src}, tag={tag!r})"
+                        if match is None else "recv(<custom match>)")
             if deadline is not None and engine.now >= deadline:
                 self.proc.waiting_on = None
                 raise ReceiveTimeout(

@@ -1,17 +1,22 @@
 """Wall-clock engine profiler: perf-counter scopes, throughput counters.
 
 A :class:`WallProfiler` is bound to one simulation engine for one run
-(``RunSpec(profile=True)`` or an explicit instance).  It accounts two
+(``RunSpec(profile=True)`` or an explicit instance).  It accounts three
 kinds of host time:
 
 * **Action time** — the engine's dispatch loop times every event it
-  pops and classifies it by the scheduling subsystem (process slices,
-  message deliveries, transport timers, ...).  Classification happens
-  only while profiling and is cached per callable qualname.
+  pops and classifies it by the scheduling subsystem (message
+  deliveries, transport timers, process wake-ups, ...).  Classification
+  happens only while profiling and is cached per callable qualname.
+* **Process slices** — a process thread reports when it resumes
+  simulated code and when it next blocks; that interval is ``compute``.
+  The hand-off between threads lies outside both, so it falls to
+  ``engine`` with the rest of the loop's own cost.
 * **Leaf scopes** — short, *guaranteed non-blocking* operations timed
   at their call site (shared-array page checks, diff encode/apply,
   interrupt-handler servicing).  Leaf time is subtracted from the
-  enclosing action so every host second is attributed exactly once.
+  enclosing action or slice so every host second is attributed exactly
+  once.
 
 Leaf scopes must never wrap a call that can block in the engine (a
 blocked process hands the host thread to other processes, which would
@@ -31,17 +36,10 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Optional
 
-#: Dispatch-loop buckets by qualname fragment, checked in order.  The
-#: process wake-ups ("compute") are exact names; the rest are
-#: substring matches so lambdas defined inside a subsystem classify to
-#: that subsystem.
-_EXACT = {
-    "Process._switch_in": "compute",
-    "Process._advance_wake": "compute",
-    "Process._wait_wake": "compute",
-    "Process.wake": "engine",
-}
-
+#: Dispatch-loop buckets by qualname fragment, checked in order:
+#: substring matches, so lambdas defined inside a subsystem classify to
+#: that subsystem.  Everything else (the process wake-ups among it: they
+#: only name the process to resume) is the engine's own cost.
 _FRAGMENTS = (
     ("ReliableTransport", "net"),
     ("Transport", "net"),
@@ -53,9 +51,6 @@ _FRAGMENTS = (
 
 
 def _classify(qualname: str) -> str:
-    bucket = _EXACT.get(qualname)
-    if bucket is not None:
-        return bucket
     for fragment, name in _FRAGMENTS:
         if fragment in qualname:
             return name
@@ -67,7 +62,7 @@ class WallProfiler:
 
     __slots__ = ("wall", "leaf_s", "run_s", "n_events", "n_accesses",
                  "n_access_timed", "n_stmts", "n_messages", "_cache",
-                 "engine")
+                 "_slice", "engine")
 
     def __init__(self) -> None:
         #: Exclusive wall seconds per attribution bucket.
@@ -88,6 +83,8 @@ class WallProfiler:
         #: Messages delivered while profiled.
         self.n_messages = 0
         self._cache: Dict[str, str] = {}
+        #: Host clock minus ``leaf_s`` when the running slice began.
+        self._slice = 0.0
         self.engine = None
 
     # ------------------------------------------------------------------
@@ -104,6 +101,14 @@ class WallProfiler:
     # Hot-path accounting (dispatch loop and leaf scopes).
     # ------------------------------------------------------------------
 
+    def timed(self, action) -> None:
+        """Dispatch-loop hook: call one action, counted, and timed
+        exclusive of the leaf scopes inside it."""
+        start = perf_counter() - self.leaf_s
+        action()
+        self.account(action, perf_counter() - self.leaf_s - start)
+        self.n_events += 1
+
     def account(self, action, dt: float) -> None:
         """Attribute one dispatched action's exclusive wall time."""
         qn = getattr(action, "__qualname__", None) \
@@ -112,6 +117,16 @@ class WallProfiler:
         if bucket is None:
             bucket = self._cache[qn] = _classify(qn)
         self.wall[bucket] = self.wall.get(bucket, 0.0) + dt
+
+    def resume(self) -> None:
+        """A process thread starts running simulated code."""
+        self._slice = perf_counter() - self.leaf_s
+
+    def block(self) -> None:
+        """... and stops: the slice, exclusive of its leaf scopes, is
+        ``compute``."""
+        self.wall["compute"] = self.wall.get("compute", 0.0) \
+            + perf_counter() - self.leaf_s - self._slice
 
     def leaf(self, bucket: str, dt: float) -> None:
         """Record one non-blocking leaf scope."""

@@ -34,8 +34,9 @@ Backend-owned kinds: ``diff_req``/``diff_resp``/``diff_donate``
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -100,6 +101,30 @@ class _WsyncEntry:
     fallback: bool = False
 
 
+_INDEX = attrgetter("index")
+
+
+class _Atomic:
+    """``with node._atomic():`` — a plain enter/exit pair (entered
+    tens of thousands of times per run; a generator costs more)."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: "TmNode") -> None:
+        self.node = node
+
+    def __enter__(self) -> None:
+        self.node._atomic_depth += 1
+
+    def __exit__(self, *exc) -> None:
+        node = self.node
+        node._atomic_depth -= 1
+        if node._atomic_depth == 0 and node._deferred_cost:
+            cost, node._deferred_cost = node._deferred_cost, 0.0
+            if not node.offline:
+                node.ep.charge(cost)
+
+
 class TmNode:
     """One processor's DSM engine (protocol + augmented interface)."""
 
@@ -124,6 +149,7 @@ class TmNode:
         self.offline = False
         self._atomic_depth = 0
         self._deferred_cost = 0.0
+        self._mask = _Atomic(self)
         #: Optional :class:`repro.absence.AbsenceManager`; set when the
         #: fault plan schedules node crashes or membership events.
         #: ``None`` keeps every hook down to a single attribute test.
@@ -139,7 +165,14 @@ class TmNode:
         self._by_writer: List[List[IntervalRecord]] = [
             [] for _ in range(self.nprocs)]
         self.page_notices: Dict[int, List[Key]] = {}
+        #: Grows only, between history resets (``_discard_history``):
+        #: the notice index below relies on it.
         self.applied: Set[DiffKey] = set()
+        #: Notice index, so a fault does not rescan ``page_notices``:
+        #: per page, the notices not yet seen applied (in arrival order)
+        #: and the latest interval that overwrote the whole page.
+        self._pending: Dict[int, List[Key]] = {}
+        self._dominator: Dict[int, IntervalRecord] = {}
         self.diff_store: Dict[DiffKey, Diff] = {}
         self.dirty: Set[int] = set()
 
@@ -214,18 +247,9 @@ class TmNode:
             return
         self.ep.charge(cost)
 
-    @contextmanager
-    def _atomic(self):
+    def _atomic(self) -> "_Atomic":
         """Mask 'interrupts': defer all cost charging until exit."""
-        self._atomic_depth += 1
-        try:
-            yield
-        finally:
-            self._atomic_depth -= 1
-            if self._atomic_depth == 0 and self._deferred_cost:
-                cost, self._deferred_cost = self._deferred_cost, 0.0
-                if not self.offline:
-                    self.ep.charge(cost)
+        return self._mask
 
     def _charge_protect(self, page: int) -> None:
         if self.offline:
@@ -362,10 +386,30 @@ class TmNode:
         lst = self._by_writer[rec.writer]
         lst.append(rec)
         if len(lst) > 1 and lst[-2].index > rec.index:
-            lst.sort(key=lambda r: r.index)
+            lst.sort(key=_INDEX)
+        key = rec.key
+        applied = self.applied
         for p in rec.pages:
-            self.page_notices.setdefault(p, []).append(rec.key)
+            self.page_notices.setdefault(p, []).append(key)
+            if (rec.writer, rec.index, p) not in applied:
+                self._pending.setdefault(p, []).append(key)
+        if rec.overwrite_pages:
+            order = rec.order_key()
+            for p in rec.overwrite_pages:
+                dom = self._dominator.get(p)
+                if dom is None or order > dom.order_key():
+                    self._dominator[p] = rec
         return True
+
+    def _discard_history(self) -> None:
+        """Forget every interval, notice and diff (GC, or a crash)."""
+        self.intervals.clear()
+        self._by_writer = [[] for _ in range(self.nprocs)]
+        self.page_notices.clear()
+        self.applied.clear()
+        self.diff_store.clear()
+        self._pending.clear()
+        self._dominator.clear()
 
     def apply_notices(self, recs: Iterable[IntervalRecord],
                       sender_vc: Optional[Sequence[int]] = None) -> None:
@@ -402,14 +446,12 @@ class TmNode:
             self._merge_vc(sender_vc)
 
     def _intervals_after(self, vc: Sequence[int]) -> List[IntervalRecord]:
-        from bisect import bisect_right
         out: List[IntervalRecord] = []
         for w in range(self.nprocs):
             lst = self._by_writer[w]
             if not lst or lst[-1].index <= vc[w]:
                 continue
-            keys = [r.index for r in lst]
-            out.extend(lst[bisect_right(keys, vc[w]):])
+            out.extend(lst[bisect_right(lst, vc[w], key=_INDEX):])
         return out
 
     # ==================================================================
@@ -418,24 +460,24 @@ class TmNode:
 
     def _needed_notices(self, page: int) -> List[Key]:
         """Unapplied notices for ``page`` after overwrite dominance."""
-        notices = self.page_notices.get(page, [])
-        unapplied = [k for k in notices
-                     if (k[0], k[1], page) not in self.applied]
-        if not unapplied:
+        pending = self._pending.get(page)
+        if not pending:
             return []
-        doms = [k for k in notices
-                if page in self.intervals[k].overwrite_pages]
-        if doms:
-            om = max(doms, key=lambda k: self.intervals[k].order_key())
-            om_rec = self.intervals[om]
+        applied = self.applied
+        unapplied = [k for k in pending
+                     if (k[0], k[1], page) not in applied]
+        om_rec = self._dominator.get(page)
+        if unapplied and om_rec is not None:
+            om = om_rec.key
             kept = []
             for k in unapplied:
                 if k != om and self.intervals[k].happens_before(om_rec):
                     # Subsumed: the dominating interval rewrote the page.
-                    self.applied.add((k[0], k[1], page))
+                    applied.add((k[0], k[1], page))
                 else:
                     kept.append(k)
             unapplied = kept
+        pending[:] = unapplied
         return unapplied
 
     def _flush_undiffed(self, page: int) -> None:
@@ -1228,11 +1270,7 @@ class TmNode:
             self.tel.event(self.pid, "tm.gc_discard",
                            nintervals=len(self.intervals),
                            ndiffs=len(self.diff_store))
-        self.intervals.clear()
-        self._by_writer = [[] for _ in range(self.nprocs)]
-        self.page_notices.clear()
-        self.applied.clear()
-        self.diff_store.clear()
+        self._discard_history()
         for meta in self.pages:
             meta.valid = True
         if self.osl is not None:

@@ -23,9 +23,11 @@ from repro.observe.profiler import _classify
 
 class TestClassify:
     def test_exact_process_names(self):
-        assert _classify("Process._switch_in") == "compute"
-        assert _classify("Process._advance_wake") == "compute"
-        assert _classify("Process._wait_wake") == "compute"
+        # A wake action only names the process to resume: dispatch cost.
+        # "compute" is what the process thread reports (resume -> block).
+        assert _classify("Process._switch_in") == "engine"
+        assert _classify("Process._advance_wake") == "engine"
+        assert _classify("Process._wait_wake") == "engine"
         assert _classify("Process.wake") == "engine"
 
     def test_subsystem_fragments(self):
@@ -56,6 +58,16 @@ class TestWallProfiler:
         prof.account(fn, 0.25)
         assert prof.wall == {"net": 0.5}
         assert prof._cache == {"Network._deliver": "net"}
+
+    def test_slice_is_compute_exclusive_of_its_leaves(self):
+        prof = WallProfiler()
+        prof.resume()
+        prof.leaf("tm.diff", 10.0)      # far longer than the slice
+        prof.block()
+        assert prof.wall["compute"] == pytest.approx(-10.0, abs=0.1)
+        prof.resume()
+        prof.block()
+        assert prof.wall["compute"] == pytest.approx(-10.0, abs=0.1)
 
     def test_leaf_time_counts_toward_leaf_total(self):
         prof = WallProfiler()

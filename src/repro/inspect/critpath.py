@@ -24,8 +24,9 @@ exactly to the end-to-end simulated time.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 _EPS = 1e-9
@@ -122,12 +123,17 @@ class _Walker:
     """Backward walk state over one telemetry capture."""
 
     def __init__(self, tel) -> None:
-        # Per-pid span tracks sorted by start time.
-        self.tracks: Dict[int, List] = {}
+        # Per-pid tracks sorted by start time: spans, their starts, and the
+        # running maximum of their ends (what a span up to i can cover).
+        self.tracks: Dict[int, Tuple[List, List[float], List[float]]] = {}
         for s in tel.spans.spans:
-            self.tracks.setdefault(s.pid, []).append(s)
-        for track in self.tracks.values():
+            self.tracks.setdefault(s.pid, ([], [], []))[0].append(s)
+        for track, starts, reach in self.tracks.values():
             track.sort(key=lambda s: (s.t0, s.t1))
+            starts.extend(s.t0 for s in track)
+            reach.extend(accumulate((s.t1 for s in track), max))
+        # What can close a gap: time 0, a span's end, a message's send.
+        self._ends = sorted([0.0] + [s.t1 for s in tel.spans.spans])
         # Incoming messages per (dst, kind): parallel (ts, src) arrays
         # sorted by send time.
         self.inbound: Dict[Tuple[int, str], Tuple[List[float], List[int]]] \
@@ -152,6 +158,8 @@ class _Walker:
             ts_list, src_list = self.inbound.setdefault(key, ([], []))
             ts_list.append(ev.ts)
             src_list.append(src)
+        self._sends = sorted([0.0] + [ts for ts_list, _ in
+                                      self.inbound.values() for ts in ts_list])
         self._last_activity = self._find_end(tel)
 
     def _find_end(self, tel) -> Tuple[float, int]:
@@ -176,9 +184,7 @@ class _Walker:
         pid, t = end_pid, end_ts
         # Each step consumes time, so the chain is at most every span
         # split once by every message, plus slack.
-        max_steps = 4 * (sum(len(v) for v in self.tracks.values())
-                         + sum(len(ts) for ts, _ in self.inbound.values())
-                         + 16)
+        max_steps = 4 * (len(self._ends) + len(self._sends) + 16)
         for _ in range(max_steps):
             if t <= _EPS:
                 break
@@ -219,29 +225,25 @@ class _Walker:
     def _covering(self, pid: int, t: float):
         """Innermost span on ``pid`` covering the instant just before
         ``t`` (latest start wins, splitting outer spans around it)."""
-        best = None
-        for s in self.tracks.get(pid, ()):
-            if s.t0 >= t - _EPS:
-                break
-            if s.t1 >= t - _EPS:
-                if best is None or s.t0 > best.t0:
-                    best = s
-        return best
+        track, starts, reach = self.tracks.get(pid, ((), (), ()))
+        x = t - _EPS
+        i = bisect_left(starts, x) - 1          # last span starting < x
+        while i >= 0 and reach[i] >= x and track[i].t1 < x:
+            i -= 1
+        if i < 0 or reach[i] < x:
+            return None
+        # Equal starts sort by end: the earliest of them still covering.
+        while i > 0 and starts[i - 1] == starts[i] and track[i - 1].t1 >= x:
+            i -= 1
+        return track[i]
 
     def _last_end_before(self, pid: int, t: float) -> float:
         """Close a no-span gap at the nearest earlier activity on any
         track (span end or message send), so 'other' segments stay
         tight."""
-        prev = 0.0
-        for track in self.tracks.values():
-            for s in track:
-                if s.t1 < t - _EPS and s.t1 > prev:
-                    prev = s.t1
-        for ts_list, _ in self.inbound.values():
-            i = bisect_right(ts_list, t - _EPS) - 1
-            if i >= 0 and ts_list[i] > prev:
-                prev = ts_list[i]
-        return prev
+        x = t - _EPS        # > 0: the last end before x, or send up to x
+        return max(self._ends[bisect_left(self._ends, x) - 1],
+                   self._sends[bisect_right(self._sends, x) - 1])
 
     def _releasing_msg(self, pid: int, wait: str, t: float) \
             -> Optional[Tuple[float, int, str]]:

@@ -30,8 +30,9 @@ class ArrayInfo:
     dtype: np.dtype
     base: int           # byte offset of element (0, 0, ...) in the block
     #: The array's part of the access plan: section dims -> (sorted page
-    #: indices, numpy index, shape).  Filled by ``SharedLayout.resolve``,
-    #: shared by every processor of a run; a hit builds no ``Section``.
+    #: indices, numpy index, shape, dims as plain ints).  Filled by
+    #: ``SharedLayout.resolve``, shared by every processor of a run; a
+    #: hit builds no ``Section``.
     plan: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
                                      repr=False)
 
@@ -108,19 +109,18 @@ class SharedLayout:
             off += v * stride
         return info.base + off * info.itemsize
 
-    def byte_ranges(self, section: Section) -> List[Tuple[int, int]]:
-        """Contiguous ``[start, stop)`` byte ranges covering ``section``.
-
-        This is the "sections are translated into a set of contiguous
-        address ranges" step of the paper's Section 3.3.  Ranges are sorted
-        and adjacent/overlapping ranges merged.
-        """
+    def _runs(self, section: Section):
+        """``(start, nbytes, offsets)`` of ``section``'s contiguous byte
+        runs, or None if it is empty: the first run, the length of each,
+        and, per dimension the runs step through, the byte offsets it
+        adds (a run starts at ``start`` plus one offset from each; a
+        later dimension's offsets dominate an earlier one's)."""
         info = self.info(section.array)
         if section.ndim != len(info.shape):
             raise LayoutError(
                 f"section {section} has wrong rank for {section.array!r}")
         if section.empty:
-            return []
+            return None
         for (lo, hi, _), extent in zip(section.dims, info.shape):
             if lo < 0 or hi >= extent:
                 raise LayoutError(f"section {section} exceeds bounds "
@@ -140,43 +140,76 @@ class SharedLayout:
                     break  # partial coverage: cannot extend further
                 continue
             break
-        outer_dims = section.dims[d:]
-        outer_strides = strides[d:]
-        item = info.itemsize
-        ranges: List[Tuple[int, int]] = []
-        outer_iters = [range(lo, hi + 1, step) for lo, hi, step in outer_dims]
-        for combo in product(*reversed(outer_iters)):
-            off = run_base
-            for v, stride in zip(reversed(combo), outer_strides):
-                off += v * stride
-            start = info.base + off * item
-            ranges.append((start, start + run * item))
-        ranges.sort()
-        merged: List[Tuple[int, int]] = []
-        for start, stop in ranges:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+        offsets = []
+        for (lo, hi, step), stride in zip(section.dims[d:], strides[d:]):
+            if lo + step > hi:
+                run_base += lo * stride
             else:
-                merged.append((start, stop))
+                offsets.append(range(lo * stride * info.itemsize,
+                                     (hi + 1) * stride * info.itemsize,
+                                     step * stride * info.itemsize))
+        return (info.base + run_base * info.itemsize, run * info.itemsize,
+                offsets)
+
+    def byte_ranges(self, section: Section) -> List[Tuple[int, int]]:
+        """Contiguous ``[start, stop)`` byte ranges covering ``section``.
+
+        This is the "sections are translated into a set of contiguous
+        address ranges" step of the paper's Section 3.3.  Ranges are sorted
+        and adjacent/overlapping ranges merged.
+        """
+        runs = self._runs(section)
+        if runs is None:
+            return []
+        base, nbytes, offsets = runs
+        merged: List[Tuple[int, int]] = []
+        # The last dimension varies slowest, so starts only ascend.
+        for combo in product(*reversed(offsets)):
+            start = base + sum(combo)
+            if merged and start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], start + nbytes)
+            else:
+                merged.append((start, start + nbytes))
         return merged
 
+    def _pages(self, section: Section) -> Tuple[int, ...]:
+        """Sorted pages ``section`` touches, from its runs directly (no
+        ranges are materialised; one run is one ``range``)."""
+        runs = self._runs(section)
+        if runs is None:
+            return ()
+        start, nbytes, offsets = runs
+        ps = self.page_size
+        if not offsets:
+            return tuple(range(start // ps, (start + nbytes - 1) // ps + 1))
+        starts = np.array([start])
+        for offs in offsets:
+            starts = np.add.outer(np.array(offs), starts).ravel()
+        first, last = starts // ps, (starts + (nbytes - 1)) // ps
+        # Every page from each run's first to its last, each page once;
+        # the runs ascend, so they come out sorted.
+        fill = np.arange(int((last - first).max()) + 1)
+        pages = np.minimum(first[:, None] + fill, last[:, None])
+        return tuple(dict.fromkeys(pages.ravel().tolist()))
+
     def resolve(self, section: Section) -> tuple:
-        """``(pages, index, shape)`` of ``section``: the sorted pages it
-        touches and the numpy index and shape of its view.  Worked out
+        """``(pages, index, shape, dims)`` of ``section``: the sorted
+        pages it touches, the numpy index and shape of its view, and its
+        dims as plain ints (what an access event carries).  Worked out
         once per layout, then looked up (add_array only appends, so an
         entry never goes stale)."""
         plan = self.info(section.array).plan
         access = plan.get(section.dims)
         if access is None:
-            pages: Set[int] = set()
-            ps = self.page_size
-            for start, stop in self.byte_ranges(section):
-                pages.update(range(start // ps, (stop - 1) // ps + 1))
+            dims = section.dims
+            if any(type(v) is not int for dim in dims for v in dim):
+                dims = tuple((int(lo), int(hi), int(st))
+                             for lo, hi, st in dims)
             access = plan[section.dims] = (
-                tuple(sorted(pages)),
-                tuple(slice(lo, hi + 1, st) for lo, hi, st in section.dims),
-                tuple(max(0, (hi - lo) // st + 1)
-                      for lo, hi, st in section.dims))
+                self._pages(section),
+                tuple(slice(lo, hi + 1, st) for lo, hi, st in dims),
+                tuple(max(0, (hi - lo) // st + 1) for lo, hi, st in dims),
+                dims)
         return access
 
     def pages_of(self, section: Section) -> Tuple[int, ...]:

@@ -8,7 +8,7 @@ into silent stale reads:
 * data races: conflicting accesses not ordered by the LRC happens-
   before relation (lock chains, barriers, push deliveries), found with
   per-processor vector clocks (:mod:`repro.sanitizer.clocks`) against
-  per-byte shadow state (:mod:`repro.sanitizer.shadow`);
+  per-element shadow state (:mod:`repro.sanitizer.shadow`);
 * unsound compiler hints: accesses escaping the Validate/Push sections
   that claimed to summarize them (:mod:`repro.sanitizer.hints`).
 
@@ -35,8 +35,9 @@ from repro.memory.section import Section
 from repro.sanitizer.clocks import SyncTracker
 from repro.sanitizer.hints import SYNC_KINDS, HintChecker
 from repro.sanitizer.report import (Finding, SanitizeReport,
-                                    describe_event, locate)
+                                    describe_event, name_element)
 from repro.sanitizer.shadow import ShadowMemory
+from repro.telemetry.events import pack_dims
 
 __all__ = ["Sanitizer", "SanitizeReport", "Finding", "SyncTracker",
            "ShadowMemory", "HintChecker", "sanitize_run",
@@ -92,35 +93,38 @@ class Sanitizer:
     def _on_access(self, ev, idx: int) -> None:
         self._accesses += 1
         pid = ev.pid
-        sec = Section(ev.args["array"],
-                      tuple(tuple(d) for d in ev.args["dims"]))
-        ranges = self.layout.byte_ranges(sec)
+        array, dims = ev.args["array"], ev.args["dims"]
+        if dims.__class__ is not tuple:         # lists: a JSONL replay
+            dims = pack_dims(dims)
+        # One numpy index for both checkers, from the data path's access
+        # plan: worked out once per distinct section.
+        index = (self.layout.info(array).plan.get(dims)
+                 or self.layout.resolve(Section(array, dims)))[1]
         is_write = ev.kind == "rt.write"
         conflicts = self.shadow.access(
-            pid, is_write, ranges, self.tracker.clock(pid), idx)
-        for prior_idx, prior_pid, off, ckind in conflicts:
-            prior = self._events[prior_idx]
-            key = (prior_pid, pid, sec.array, ckind)
+            pid, is_write, array, index, self.tracker.clock(pid), idx)
+        for prior_idx, prior_pid, elem, ckind in conflicts:
+            key = (prior_pid, pid, array, ckind)
             found = self._race_keys.get(key)
             if found is not None:
                 found.count += 1
                 continue
             names = {"ww": "write/write", "rw": "read/write",
                      "wr": "write/read"}
+            where = name_element(array, elem)
             found = Finding(
-                category="race", kind="race", pid=pid, array=sec.array,
-                where=locate(self.layout, off),
-                detail=(f"{names[ckind]} race on "
-                        f"{locate(self.layout, off)} between "
+                category="race", kind="race", pid=pid, array=array,
+                where=where,
+                detail=(f"{names[ckind]} race on {where} between "
                         f"P{prior_pid} and P{pid}: no lock chain, "
                         f"barrier, or push orders them"),
                 site=describe_event(ev),
-                other=describe_event(prior),
+                other=describe_event(self._events[prior_idx]),
                 sync=(f"P{pid} {self.tracker.context(pid)}; "
                       f"P{prior_pid} {self.tracker.context(prior_pid)}"))
             self._race_keys[key] = found
             self._races.append(found)
-        self.hints.on_access(ev)
+        self.hints.on_access(ev, array, index)
 
     # ------------------------------------------------------------------
 
@@ -147,7 +151,7 @@ class Sanitizer:
                          "pushes": tr.pushes},
             problems=problems,
         )
-        # The pass is over.  The per-byte state is megabytes, and this
+        # The pass is over.  The shadow state is megabytes, and this
         # object is reachable from the bus it subscribed to, which dies
         # with the (cyclic) system: give it back now, not whenever the
         # cycle collector next runs.

@@ -43,13 +43,13 @@ fetch.  Coverage from an access type follows
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.memory.section import Section
 from repro.rt.access import AccessType
-from repro.sanitizer.report import Finding, describe_event, locate
+from repro.sanitizer.report import Finding, describe_event, name_element
+from repro.sanitizer.shadow import per_array, trues
 from repro.telemetry.events import unpack_sections
 
 #: Events that end a processor's current coverage region.
@@ -58,19 +58,19 @@ SYNC_KINDS = ("tm.lock_acquire", "tm.lock_release", "tm.barrier",
 
 
 class HintChecker:
-    """Replays validates/pushes/accesses into coverage obligations."""
+    """Replays validates/pushes/accesses into coverage obligations, kept
+    per processor and element (shaped and indexed as the shadow is)."""
 
     def __init__(self, layout, nprocs: int, enabled: bool = True) -> None:
         self.layout = layout
-        self.nprocs = nprocs
         self.enabled = enabled
-        total = layout.total_bytes
-        self._cov_read = np.zeros((nprocs, total), dtype=bool)
-        self._cov_write = np.zeros((nprocs, total), dtype=bool)
-        #: Bytes written by each pid in its current interval (R2/R3).
-        self._wlog = np.zeros((nprocs, total), dtype=bool)
-        self._oblig_read: List[Set[str]] = [set() for _ in range(nprocs)]
-        self._oblig_write: List[Set[str]] = [set() for _ in range(nprocs)]
+        #: For reads (False) and writes (True): the covered elements,
+        #: and per pid the arrays with any (what a region's end clears).
+        self._cov = {write: (per_array(layout, bool, nprocs=nprocs),
+                             [set() for _ in range(nprocs)])
+                     for write in (False, True)}
+        #: Elements written by each pid in its current interval (R2/R3).
+        self._wlog = per_array(layout, bool, nprocs=nprocs)
         self._pending: List[List[Tuple[list, AccessType]]] = [
             [] for _ in range(nprocs)]
         self.findings: List[Finding] = []
@@ -87,10 +87,10 @@ class HintChecker:
         pid = ev.pid
         if ev.kind == "tm.push":
             self._check_push_writes(ev)
-        self._cov_read[pid] = False
-        self._cov_write[pid] = False
-        self._oblig_read[pid].clear()
-        self._oblig_write[pid].clear()
+        for cov, oblig in self._cov.values():
+            for name in oblig[pid]:
+                cov[name][..., pid] = False
+            oblig[pid].clear()
         pending, self._pending[pid] = self._pending[pid], []
         for sections, access in pending:
             self._apply(pid, sections, access)
@@ -98,11 +98,8 @@ class HintChecker:
             # The push's declared read sections are exactly what the
             # following region may read (exchange target or locally
             # owned); they seed the post-push coverage.
-            reads = unpack_sections((ev.args or {}).get("reads", ()))
-            for sec in reads:
-                for start, stop in self._ranges(sec):
-                    self._cov_read[pid, start:stop] = True
-                self._oblig_read[pid].add(sec.array)
+            self._cover(False, pid,
+                        unpack_sections((ev.args or {}).get("reads", ())))
 
     def on_validate(self, ev) -> None:
         if not self.enabled:
@@ -117,121 +114,118 @@ class HintChecker:
             self._apply(ev.pid, sections, access)
 
     def _apply(self, pid: int, sections, access: AccessType) -> None:
+        if access.covers_read:
+            self._cover(False, pid, sections)
+        if access.covers_write:
+            self._cover(True, pid, sections)
+
+    def _cover(self, write: bool, pid: int, sections) -> None:
+        cov, oblig = self._cov[write]
         for sec in sections:
-            ranges = self._ranges(sec)
-            if access.covers_read:
-                for start, stop in ranges:
-                    self._cov_read[pid, start:stop] = True
-                self._oblig_read[pid].add(sec.array)
-            if access.covers_write:
-                for start, stop in ranges:
-                    self._cov_write[pid, start:stop] = True
-                self._oblig_write[pid].add(sec.array)
+            cov[sec.array][self.layout.resolve(sec)[1] + (pid,)] = True
+            oblig[pid].add(sec.array)
 
     # ------------------------------------------------------------------
     # Access checking (R1) and the write log.
     # ------------------------------------------------------------------
 
-    def on_access(self, ev) -> None:
-        pid = ev.pid
-        sec = Section(ev.args["array"],
-                      tuple(tuple(d) for d in ev.args["dims"]))
-        ranges = self._ranges(sec)
-        write = ev.kind == "rt.write"
-        if write:
-            for start, stop in ranges:
-                self._wlog[pid, start:stop] = True
+    def on_access(self, ev, array: str, index: tuple) -> None:
+        """``ev`` accessed the section of ``array`` with numpy ``index``."""
         if not self.enabled:
             return
+        pid = ev.pid
+        at = index + (pid,)
+        write = ev.kind == "rt.write"
         if write:
-            obliged = sec.array in self._oblig_write[pid]
-            cov = self._cov_write
-        else:
-            obliged = sec.array in self._oblig_read[pid]
-            cov = self._cov_read
-        if not obliged:
+            self._wlog[array][at] = True
+        cov, oblig = self._cov[write]
+        if array not in oblig[pid]:
             return
-        for start, stop in ranges:
-            miss = ~cov[pid, start:stop]
-            if miss.any():
-                off = start + int(np.flatnonzero(miss)[0])
-                kind = "uncovered-write" if write else "uncovered-read"
-                self._add(
-                    key=(kind, pid, sec.array),
-                    finding=Finding(
-                        category="hint", kind=kind, pid=pid,
-                        array=sec.array,
-                        where=locate(self.layout, off),
-                        detail=(f"P{pid} {'write' if write else 'read'} "
-                                f"of {locate(self.layout, off)} escapes "
-                                f"the region's validated sections"),
-                        site=describe_event(ev)))
-                return
+        covered = cov[array][at]
+        if covered.all():
+            return
+        where = name_element(array, trues(~covered, index)[0])
+        kind = "uncovered-write" if write else "uncovered-read"
+        self._add((kind, pid, array), ev, kind, array, where,
+                  f"P{pid} {'write' if write else 'read'} of {where} "
+                  f"escapes the region's validated sections")
 
     # ------------------------------------------------------------------
     # Interval retirement (R2) and push claims (R3).
     # ------------------------------------------------------------------
 
     def on_interval(self, ev) -> None:
-        pid = ev.pid
+        if not self.enabled:
+            return
         # A crash-closed interval (``crash=True``) retires whatever the
         # victim had written so far; a partially-written overwrite page
         # there is the crash's fault, not a bad hint.
-        if self.enabled and not (ev.args or {}).get("crash"):
-            ps = self.layout.page_size
+        if not (ev.args or {}).get("crash"):
             for page in (ev.args or {}).get("overwrite", ()):
-                page_log = self._wlog[pid, page * ps:(page + 1) * ps]
-                miss = ~page_log
-                if miss.any() and page_log.any():
-                    off = page * ps + int(np.flatnonzero(miss)[0])
-                    self._add(
-                        key=("partial-overwrite", pid, page),
-                        finding=Finding(
-                            category="hint", kind="partial-overwrite",
-                            pid=pid, array=locate(self.layout, off),
-                            where=locate(self.layout, off),
-                            detail=(f"P{pid} interval {ev.args['index']}"
-                                    f" retired partially-written "
-                                    f"overwrite page {page}: "
-                                    f"{locate(self.layout, off)} and "
-                                    f"{int(miss.sum())} bytes total "
-                                    f"were never written, yet the "
-                                    f"WRITE_ALL hint propagates the "
-                                    f"whole page as fresh"),
-                            site=describe_event(ev)))
-        self._wlog[pid] = False
+                self._check_overwrite(ev, page)
+        for log in self._wlog.values():
+            log[..., ev.pid] = False
+
+    def _check_overwrite(self, ev, page: int) -> None:
+        """R2 on one page: a run of one array's elements (in address
+        order) and, after the array's last, padding nobody writes."""
+        pid = ev.pid
+        lo = page * self.layout.page_size
+        hi = lo + self.layout.page_size
+        info = [a for a in self.layout.arrays.values() if a.base <= lo][-1]
+        item = info.itemsize
+        first = (lo - info.base) // item
+        last = min(-(-(hi - info.base) // item), info.nbytes // item)
+        log = self._wlog[info.name][..., pid]
+        log = log.reshape(-1, order="F")[first:last]
+        padded = hi > info.base + info.nbytes
+        if not log.any() or (log.all() and not padded):
+            return
+        # Each element's bytes on this page (one may straddle its edge).
+        starts = info.base + item * np.arange(first, last)
+        on_page = np.minimum(starts + item, hi) - np.maximum(starts, lo)
+        missing = self.layout.page_size - int(on_page[log].sum())
+        unwritten = np.flatnonzero(~log)
+        where = f"byte {info.base + info.nbytes}" if not len(unwritten) \
+            else name_element(info.name, np.unravel_index(
+                first + unwritten[0], info.shape, order="F"))
+        self._add(("partial-overwrite", pid, page), ev, "partial-overwrite",
+                  where, where,
+                  f"P{pid} interval {ev.args['index']} retired "
+                  f"partially-written overwrite page {page}: {where} and "
+                  f"{missing} bytes total were never written, yet the "
+                  f"WRITE_ALL hint propagates the whole page as fresh")
 
     def _check_push_writes(self, ev) -> None:
         pid = ev.pid
-        writes = unpack_sections((ev.args or {}).get("writes", ()))
-        claimed = np.zeros(self.layout.total_bytes, dtype=bool)
-        for sec in writes:
-            for start, stop in self._ranges(sec):
-                claimed[start:stop] = True
-        stray = self._wlog[pid] & ~claimed
-        if stray.any():
-            off = int(np.flatnonzero(stray)[0])
-            self._add(
-                key=("unpushed-write", pid, locate(self.layout, off)),
-                finding=Finding(
-                    category="hint", kind="unpushed-write", pid=pid,
-                    array=locate(self.layout, off).split("[")[0],
-                    where=locate(self.layout, off),
-                    detail=(f"P{pid} wrote {locate(self.layout, off)} "
-                            f"({int(stray.sum())} bytes) before a Push "
-                            f"whose write sections do not declare it; "
-                            f"receivers will never see the update"),
-                    site=describe_event(ev)))
+        claimed = [(sec.array, self.layout.resolve(sec)[1]) for sec in
+                   unpack_sections((ev.args or {}).get("writes", ()))]
+        where, nbytes = None, 0
+        for name, log in self._wlog.items():    # in address order
+            stray = log[..., pid].copy()
+            for array, index in claimed:
+                if array == name:
+                    stray[index] = False
+            if stray.any():
+                where = where or name_element(name, trues(stray)[0])
+                nbytes += int(stray.sum()) * self.layout.arrays[name].itemsize
+        if where is not None:
+            self._add(("unpushed-write", pid, where), ev, "unpushed-write",
+                      where.split("[")[0], where,
+                      f"P{pid} wrote {where} ({nbytes} bytes) before a "
+                      f"Push whose write sections do not declare it; "
+                      f"receivers will never see the update")
 
     # ------------------------------------------------------------------
 
-    def _ranges(self, sec: Section):
-        return self.layout.byte_ranges(sec)
-
-    def _add(self, key: tuple, finding: Finding) -> None:
+    def _add(self, key: tuple, ev, kind: str, array: str, where: str,
+             detail: str) -> None:
+        """A finding at ``ev``, folded into the one ``key`` has if any."""
         prior = self._seen.get(key)
         if prior is not None:
             prior.count += 1
             return
-        self._seen[key] = finding
+        self._seen[key] = finding = Finding(
+            category="hint", kind=kind, pid=ev.pid, array=array,
+            where=where, detail=detail, site=describe_event(ev))
         self.findings.append(finding)

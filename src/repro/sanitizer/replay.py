@@ -90,10 +90,8 @@ def load_events(path) -> List[Event]:
             rec = json.loads(line)
             if rec.get("rec") != "event":
                 continue
-            events.append(Event(ts=rec["ts"], pid=rec["pid"],
-                                kind=rec["kind"],
-                                epoch=rec.get("epoch", 0),
-                                args=rec.get("args")))
+            events.append(Event(rec["ts"], rec["pid"], rec["kind"],
+                                rec.get("epoch", 0), rec.get("args")))
     return events
 
 

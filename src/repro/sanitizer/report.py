@@ -24,20 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
 
-
-def locate(layout, offset: int) -> str:
-    """Map a shared-block byte offset to ``array[index]`` for humans."""
-    for info in layout.arrays.values():
-        if info.base <= offset < info.base + info.nbytes:
-            elem = (offset - info.base) // info.itemsize
-            idx = []
-            for extent in info.shape:          # Fortran order
-                idx.append(elem % extent)
-                elem //= extent
-            return f"{info.name}[{', '.join(map(str, idx))}]"
-    return f"byte {offset}"
+def name_element(array: str, index) -> str:
+    """``array[i, j]``: how findings name an element."""
+    return f"{array}[{', '.join(str(int(i)) for i in index)}]"
 
 
 def describe_event(ev) -> str:

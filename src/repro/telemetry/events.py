@@ -27,8 +27,7 @@ potential event.  A bus that exists but is disabled drops events at the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 
 def pack_dims(dims) -> tuple:
@@ -47,9 +46,10 @@ def unpack_sections(packed):
     return [Section(array, pack_dims(dims)) for array, dims in packed]
 
 
-@dataclass(frozen=True)
-class Event:
-    """One timestamped occurrence on one simulated processor."""
+class Event(NamedTuple):
+    """One timestamped occurrence on one simulated processor.  (A
+    tuple, not a dataclass: the bus builds one per event, and a frozen
+    dataclass costs three times as much to construct.)"""
 
     ts: float                       # simulated microseconds
     pid: int                        # reporting processor
@@ -93,7 +93,7 @@ class EventBus:
              args: Optional[dict] = None) -> None:
         if not self.enabled:
             return
-        ev = Event(ts=ts, pid=pid, kind=kind, epoch=epoch, args=args)
+        ev = Event(ts, pid, kind, epoch, args)
         self.events.append(ev)
         if self._subscribers:
             for fn in self._subscribers:

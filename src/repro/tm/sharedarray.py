@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import LayoutError
 from repro.memory.section import Section
-from repro.telemetry.events import pack_dims
 
 Key = Union[int, slice, Tuple[Union[int, slice], ...]]
 
@@ -100,11 +99,11 @@ class SharedArray(SectionAccess):
         node = self.node
         tel = node.tel
         if tel is not None and tel.access_events and tel.bus.enabled:
-            packed = pack_dims(dims)
             if read:
-                tel.access(node.pid, "rt.read", self.name, packed, pages)
+                tel.access(node.pid, "rt.read", self.name, access[3], pages)
             if write:
-                tel.access(node.pid, "rt.write", self.name, packed, pages)
+                tel.access(node.pid, "rt.write", self.name, access[3],
+                           pages)
         if node.prof is None:
             if read:
                 node.ensure_read(pages)

@@ -71,10 +71,10 @@ def test_lowered_program_holds_no_processor_state(no_gc):
 
 def test_finished_sanitizer_gives_back_its_shadow(no_gc):
     """The sanitizer hangs off the event bus of a (cyclic) system; its
-    per-byte state must not wait for the collector with it."""
+    shadow state must not wait for the collector with it."""
     prog = get_app("jacobi").program("tiny", 4)
     san = Sanitizer(layout_for(prog, page_size=1024), 4)
-    refs = [weakref.ref(san.shadow), weakref.ref(san.shadow.r_clock),
+    refs = [weakref.ref(san.shadow), weakref.ref(san.shadow.r_clock["b"]),
             weakref.ref(san.hints)]
     assert san.finish().findings == []
     assert all(dead(refs))

@@ -111,45 +111,78 @@ class TestShadowMemory:
     def test_ww_conflict_detected(self):
         layout = layout_1d()
         sh = ShadowMemory(layout, 2)
-        r = layout.byte_ranges(Section("a", ((0, 3, 1),)))
-        assert sh.access(0, True, r, [1, 0], 0) == []
-        conflicts = sh.access(1, True, r, [0, 1], 1)
+        r = layout.resolve(Section("a", ((0, 3, 1),)))[1]
+        assert sh.access(0, True, "a", r, [1, 0], 0) == []
+        conflicts = sh.access(1, True, "a", r, [0, 1], 1)
         assert conflicts and conflicts[0][3] == "ww"
 
     def test_ordered_writes_no_conflict(self):
         layout = layout_1d()
         sh = ShadowMemory(layout, 2)
-        r = layout.byte_ranges(Section("a", ((0, 3, 1),)))
-        sh.access(0, True, r, [1, 0], 0)
+        r = layout.resolve(Section("a", ((0, 3, 1),)))[1]
+        sh.access(0, True, "a", r, [1, 0], 0)
         # P1's clock dominates P0's component: ordered, no race.
-        assert sh.access(1, True, r, [1, 1], 1) == []
+        assert sh.access(1, True, "a", r, [1, 1], 1) == []
 
     def test_read_write_conflict_both_ways(self):
         layout = layout_1d()
         sh = ShadowMemory(layout, 2)
-        r = layout.byte_ranges(Section("a", ((0, 0, 1),)))
-        sh.access(0, True, r, [1, 0], 0)
-        rw = sh.access(1, False, r, [0, 1], 1)
+        r = layout.resolve(Section("a", ((0, 0, 1),)))[1]
+        sh.access(0, True, "a", r, [1, 0], 0)
+        rw = sh.access(1, False, "a", r, [0, 1], 1)
         assert rw and rw[0][3] == "wr"
         sh2 = ShadowMemory(layout, 2)
-        sh2.access(0, False, r, [1, 0], 0)
-        wr = sh2.access(1, True, r, [0, 1], 1)
+        sh2.access(0, False, "a", r, [1, 0], 0)
+        wr = sh2.access(1, True, "a", r, [0, 1], 1)
         assert wr and wr[0][3] == "rw"
 
     def test_concurrent_reads_fine(self):
         layout = layout_1d()
         sh = ShadowMemory(layout, 2)
-        r = layout.byte_ranges(Section("a", ((0, 7, 1),)))
-        assert sh.access(0, False, r, [1, 0], 0) == []
-        assert sh.access(1, False, r, [0, 1], 1) == []
+        r = layout.resolve(Section("a", ((0, 7, 1),)))[1]
+        assert sh.access(0, False, "a", r, [1, 0], 0) == []
+        assert sh.access(1, False, "a", r, [0, 1], 1) == []
 
     def test_one_sample_per_prior_event(self):
         layout = layout_1d()
         sh = ShadowMemory(layout, 2)
-        r = layout.byte_ranges(Section("a", ((0, 7, 1),)))
-        sh.access(0, True, r, [1, 0], 0)
-        conflicts = sh.access(1, True, r, [0, 1], 1)
-        assert len(conflicts) == 1  # 64 bytes, one prior event
+        r = layout.resolve(Section("a", ((0, 7, 1),)))[1]
+        sh.access(0, True, "a", r, [1, 0], 0)
+        conflicts = sh.access(1, True, "a", r, [0, 1], 1)
+        assert len(conflicts) == 1  # 8 elements, one prior event
+
+
+def race_of_unordered_writes(*p0_sections, p1_section):
+    """P0 writes ``p0_sections`` of an 8x8 array, then P1 writes
+    ``p1_section`` with no sync between them: the one race finding."""
+    layout = SharedLayout(page_size=64)
+    layout.add_array("a", (8, 8))
+    san = Sanitizer(layout, 2)
+    for sec in p0_sections:
+        san.feed(access_ev(0, "rt.write", sec, layout))
+    san.feed(access_ev(1, "rt.write", p1_section, layout))
+    [race] = san.finish().findings
+    return race
+
+
+def test_strided_section_is_one_conflict_per_prior_access():
+    # Rows 1,3,5 of columns 0,3,6: nine separate byte ranges, which
+    # used to count the one prior access nine times.
+    sec = Section("a", ((1, 5, 2), (0, 6, 3)))
+    race = race_of_unordered_writes(sec, p1_section=sec)
+    assert race.kind == "race" and race.count == 1
+    assert race.where == "a[1, 0]"
+
+
+def test_conflict_is_sampled_at_its_lowest_address():
+    # With a[0, 0] rewritten by a later access, the first access still
+    # conflicts on an L-shaped rest of its block; in (Fortran) address
+    # order that starts at a[1, 0], not a[0, 1].
+    block = Section("a", ((0, 2, 1), (0, 2, 1)))
+    race = race_of_unordered_writes(
+        block, Section("a", ((0, 0, 1), (0, 0, 1))), p1_section=block)
+    assert race.where == "a[1, 0]"
+    assert race.count == 2          # two prior accesses, one sample each
 
 
 # ----------------------------------------------------------------------

@@ -27,9 +27,8 @@ from repro.harness import (RunOutcome, RunSpec, run, run_dsm, run_mp,
 from repro.machine import MachineConfig
 from repro.memory import Section, SharedLayout
 from repro.rt import AccessType
-from repro.telemetry import (EventBus, MetricsRegistry, SpanLog,
-                             Telemetry, chrome_trace, events_jsonl,
-                             write_chrome_trace, write_jsonl)
+from repro.telemetry import (EventBus, SpanLog, Telemetry, chrome_trace,
+                             events_jsonl, write_chrome_trace, write_jsonl)
 from repro.tm import TmSystem
 
 __version__ = "1.0.0"
@@ -39,6 +38,6 @@ __all__ = [
     "TmSystem", "analyze_program", "transform", "__version__",
     "RunOutcome", "RunSpec", "run",
     "run_dsm", "run_mp", "run_seq", "run_xhpf",
-    "Telemetry", "EventBus", "MetricsRegistry", "SpanLog",
+    "Telemetry", "EventBus", "SpanLog",
     "chrome_trace", "events_jsonl", "write_chrome_trace", "write_jsonl",
 ]

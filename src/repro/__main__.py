@@ -14,7 +14,6 @@ Usage::
     python -m repro sanitize jacobi --opt push
     python -m repro sanitize --all
     python -m repro bench --json BENCH_pr4.json
-    python -m repro perf --check --baseline benchmarks/perf/BENCH_pr7.json
     python -m repro report jacobi --html report.html
 """
 
@@ -24,6 +23,7 @@ import argparse
 import sys
 from functools import partial
 
+from repro.errors import ReproError
 from repro.harness import experiments as ex
 from repro.harness import report
 
@@ -47,15 +47,22 @@ def _sizing_parent(dataset: str = "tiny", nprocs: int = 4,
     return p
 
 
-def _mode_parent(opt: str = "aggr") -> argparse.ArgumentParser:
-    """``--mode/--opt``, for commands that run one app in one mode."""
+def _mode_parent() -> argparse.ArgumentParser:
+    """``--mode``, for commands that run one app in one mode."""
     from repro.harness import MODES
 
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--mode", default="dsm", choices=sorted(MODES))
-    p.add_argument("--opt", default=opt,
-                   help="DSM optimization level (base, aggr, "
-                        "aggr+cons, merge, push)")
+    return p
+
+
+def _opt_parent(opt: str = "aggr") -> argparse.ArgumentParser:
+    """``--opt``, for commands that run one app at one DSM opt level."""
+    from repro.harness.modes import OPT_LEVELS
+
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--opt", default=opt, choices=sorted(OPT_LEVELS),
+                   help="DSM optimization level")
     return p
 
 
@@ -179,8 +186,9 @@ def trace_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
-        parents=[_sizing_parent(), _mode_parent(), _protocol_parent(),
-                 _data_plane_parent(), _progress_parent()],
+        parents=[_sizing_parent(), _mode_parent(), _opt_parent(),
+                 _protocol_parent(), _data_plane_parent(),
+                 _progress_parent()],
         description="Run one application with telemetry enabled and "
                     "export a Chrome-trace timeline "
                     "(chrome://tracing or https://ui.perfetto.dev).")
@@ -227,8 +235,8 @@ def inspect_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro inspect",
-        parents=[_sizing_parent(), _mode_parent(), _protocol_parent(),
-                 _data_plane_parent()],
+        parents=[_sizing_parent(), _mode_parent(), _opt_parent(),
+                 _protocol_parent(), _data_plane_parent()],
         description="Run one application with telemetry and print the "
                     "protocol inspection report: hot pages, "
                     "lock/barrier contention, critical path.")
@@ -308,8 +316,9 @@ def check_main(argv) -> int:
 
 
 def sweep_main(kind: str, argv) -> int:
-    """``python -m repro chaos|recover|elastic``: one robustness sweep,
-    its flags derived from the sweep's policy and the capability table."""
+    """``python -m repro chaos|recover|elastic``: one robustness sweep.
+
+    Its flags derive from the sweep's policy and the capability table."""
     import importlib
 
     from repro.apps import all_apps
@@ -373,8 +382,8 @@ def sanitize_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sanitize",
-        parents=[_sizing_parent(), _protocol_parent(),
-                 _data_plane_parent()],
+        parents=[_sizing_parent(), _opt_parent("aggr+cons"),
+                 _protocol_parent(), _data_plane_parent()],
         description="Run applications under the DSM sanitizer: "
                     "vector-clock race detection plus compiler-hint "
                     "soundness checking over the telemetry event "
@@ -382,9 +391,6 @@ def sanitize_main(argv) -> int:
     parser.add_argument("app", nargs="?", choices=sorted(all_apps()),
                         help="application to sanitize (omit with "
                              "--all / --corpus to cover every app)")
-    parser.add_argument("--opt", default="aggr+cons",
-                        help="DSM optimization level (base, aggr, "
-                             "aggr+cons, merge, push)")
     parser.add_argument("--all", action="store_true",
                         help="sanitize every app at every applicable "
                              "opt level (the clean matrix)")
@@ -484,74 +490,6 @@ def bench_main(argv) -> int:
     return 0
 
 
-def perf_main(argv) -> int:
-    """``python -m repro perf``: wall-clock engine benchmark + gate."""
-    from repro.apps import all_apps
-    from repro.observe import history
-    from repro.observe.perf import perf_suite, render_perf
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro perf",
-        parents=[_sizing_parent(), _progress_parent()],
-        description="Benchmark the simulation engine itself: wall-clock "
-                    "events/sec, accesses/sec and per-subsystem time "
-                    "attribution per app.  Deterministic counters are "
-                    "gated exactly against the committed baseline; "
-                    "wall-clock rates get a noise-tolerance band "
-                    "(docs/observability.md#wall-clock-observatory).")
-    parser.add_argument("--apps", nargs="*", default=None,
-                        choices=sorted(all_apps()),
-                        help="applications to benchmark (default: all)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="profiled runs per app; fastest wins")
-    parser.add_argument("--no-telemetry-overhead", action="store_true",
-                        help="skip the extra traced run measuring the "
-                             "telemetry stack's own wall-time cost")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the JSON payload here "
-                             "('-' for stdout)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="perf baseline to gate against (default: "
-                             "benchmarks/perf/BENCH_pr7.json when "
-                             "--check/--update-baseline is given)")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the baseline; exit "
-                             "non-zero on regression")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run")
-    parser.add_argument("--tolerance", type=float,
-                        default=history.DEFAULT_TOLERANCE,
-                        help="allowed fractional wall-clock-rate drop "
-                             "before --check fails (deterministic "
-                             "counters always compare exactly)")
-    parser.add_argument("--record", action="store_true",
-                        help="append this run to the perf history")
-    parser.add_argument("--history", default="benchmarks/perf/"
-                        "history.jsonl", metavar="PATH",
-                        help="perf history JSONL path")
-    args = parser.parse_args(argv)
-
-    payload = perf_suite(apps=args.apps, repeats=args.repeats,
-                         measure_telemetry=not args.no_telemetry_overhead,
-                         progress=args.progress, **_run_kw(args))
-    _emit(args, payload, render_perf(payload), sort_keys=True)
-    if args.record:
-        history.append_history(payload, args.history)
-        print(f"recorded in {args.history}")
-    baseline_path = args.baseline or "benchmarks/perf/BENCH_pr7.json"
-    if args.update_baseline:
-        history.write_baseline(payload, baseline_path)
-        print(f"updated {baseline_path}")
-        return 0
-    if args.check:
-        result = history.compare(payload,
-                                 history.load_baseline(baseline_path),
-                                 tolerance=args.tolerance)
-        print(result.render())
-        return 0 if result.ok else 1
-    return 0
-
-
 def report_main(argv) -> int:
     """``python -m repro report``: self-contained HTML run report."""
     from repro.apps import all_apps
@@ -561,8 +499,9 @@ def report_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
-        parents=[_sizing_parent(), _mode_parent(), _protocol_parent(),
-                 _data_plane_parent(), _progress_parent()],
+        parents=[_sizing_parent(), _mode_parent(), _opt_parent(),
+                 _protocol_parent(), _data_plane_parent(),
+                 _progress_parent()],
         description="Run one application traced AND wall-clock "
                     "profiled, then write a single self-contained HTML "
                     "file: summary tiles, critical-path tiling, "
@@ -594,29 +533,41 @@ def report_main(argv) -> int:
 
 SUBCOMMANDS = {"trace": trace_main, "inspect": inspect_main,
                "check": check_main, "sanitize": sanitize_main,
-               "bench": bench_main, "perf": perf_main,
-               "report": report_main,
+               "bench": bench_main, "report": report_main,
                **{kind: partial(sweep_main, kind)
                   for kind in ("chaos", "recover", "elastic")}}
 
 
+def _subcommand_summary() -> str:
+    """``name (what it does)`` per subcommand, read off the first
+    docstring line (``python -m repro <name> ...``: <what>.) of each
+    ``SUBCOMMANDS`` entry, so the help text cannot outlive a command."""
+    firsts = dict.fromkeys(getattr(fn, "func", fn).__doc__.splitlines()[0]
+                           for fn in SUBCOMMANDS.values())
+    clauses = []
+    for line in firsts:
+        command, what = line.split("``: ")
+        clauses.append(f"{command.split()[3]} ({what.rstrip('.')})")
+    return ", ".join(clauses)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        return _main(argv)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _main(argv) -> int:
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's evaluation artifacts.  "
-                    "Subcommands: trace (Chrome-trace capture), inspect "
-                    "(protocol inspection report), check (baseline "
-                    "regression gate), chaos (fault-injection "
-                    "robustness sweep), recover (crash-recovery "
-                    "sweep), elastic (membership-churn sweep), "
-                    "sanitize (race + hint-soundness "
-                    "checking), bench (machine-readable benchmark "
-                    "summary), perf (wall-clock engine benchmark + "
-                    "regression gate), report (self-contained HTML "
-                    "run report); see 'python -m repro <sub> -h'.")
+                    f"Subcommands: {_subcommand_summary()}; see "
+                    "'python -m repro <sub> -h'.")
     parser.add_argument("artifacts", nargs="+",
                         choices=sorted(ARTIFACTS) + ["all"],
                         help="which tables/figures to regenerate")

@@ -86,18 +86,14 @@ def bench_protocols(apps: Optional[Sequence[str]] = None,
         [n for n in APP_ORDER if n in specs]
     protos = list(protocols) if protocols else sorted(registered())
     planes = list(data_planes) if data_planes else ["twosided"]
-    # Without an explicit data_planes request the payload keeps its
-    # historical single-plane shape (no plane keys anywhere), so
-    # committed artifacts from earlier runs stay byte-identical.
-    extra = {"data_planes": planes} if data_planes else {}
     payload: Dict = envelope(
         "bench-protocols",
         dataset=dataset,
         nprocs=nprocs,
         page_size=page_size,
         protocols=protos,
+        data_planes=planes,
         apps={},
-        **extra,
     )
     for name in names:
         rows: List[Dict] = []
@@ -117,9 +113,8 @@ def bench_protocols(apps: Optional[Sequence[str]] = None,
                         "time_us": round(float(out.time), 3),
                         "messages": int(out.messages),
                         "data_bytes": int(out.data_bytes),
+                        "data_plane": plane,
                     }
-                    if data_planes:
-                        row["data_plane"] = plane
                     net = getattr(out, "net", None)
                     if net is not None and net.onesided_ops:
                         row["onesided_ops"] = int(net.onesided_ops)
@@ -141,14 +136,14 @@ def bench_protocols(apps: Optional[Sequence[str]] = None,
 def render_bench_protocols(payload: Dict) -> str:
     from repro.harness.report import render_table
 
-    planes = payload.get("data_planes", ["twosided"])
+    planes = payload["data_planes"]
     rows = []
     for name, app in payload["apps"].items():
         for r in app["runs"]:
             row = [name, r["opt"], r["protocol"], r["time_us"],
                    r["messages"], r["data_bytes"]]
             if len(planes) > 1:
-                row.insert(3, r.get("data_plane", "twosided"))
+                row.insert(3, r["data_plane"])
                 dm = r.get("delta_messages")
                 row.append("-" if dm is None else f"{dm:+d}")
             rows.append(row)

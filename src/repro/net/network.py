@@ -197,8 +197,8 @@ class Network:
         self.config = config
         self.nprocs = nprocs
         self.stats = NetStats(header_bytes=config.header_bytes)
-        #: Optional :class:`repro.telemetry.Telemetry` mirroring the
-        #: ``NetStats`` accounting as live metrics + timeline events.
+        #: Optional :class:`repro.telemetry.Telemetry`: every message
+        #: ``NetStats`` counts also becomes a ``net.msg`` timeline event.
         self.telemetry = telemetry
         #: Optional :class:`repro.observe.WallProfiler`, captured from
         #: the engine (systems bind it before building the network).

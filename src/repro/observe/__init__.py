@@ -10,12 +10,13 @@ It is layered beside — never inside — the simulated-time telemetry:
   wall-time attribution.
 * :class:`~repro.observe.monitor.RunMonitor` — a live heartbeat for
   long runs (``--progress``): simulated-time rate, throughput, ETA.
-* :mod:`repro.observe.perf` — the ``python -m repro perf`` harness:
-  runs the engine benchmark, records history, gates regressions.
-* :mod:`repro.observe.history` — the JSONL perf-history store under
-  ``benchmarks/perf/`` and the baseline comparison policy.
 * :mod:`repro.observe.htmlreport` — the self-contained HTML run report
   (``python -m repro report --html``).
+
+The host-time *harness* is the ledger (``benchmarks/ledger/``): its
+traced pass runs under a :class:`WallProfiler`, and its ``wall_s``,
+``sim.events``, ``host_s.*`` and ``telemetry.overhead_pct`` rows are
+the only recorded host-time numbers.
 
 The observatory is provably side-effect-free with respect to simulated
 results: it only ever reads ``time.perf_counter`` and increments its

@@ -5,13 +5,12 @@ the host clock every ``2**mask_bits`` events; when at least
 ``interval_s`` host seconds have passed since the last beat it emits
 one progress line — simulated time, events dispatched, events/sec, the
 simulated-us-per-wall-second rate, and (when the caller supplied an
-expectation, e.g. from a perf baseline) an ETA.
+expectation, e.g. an earlier run's simulated time) an ETA.
 
 The monitor only *reads* engine state, so a monitored run stays
 bit-identical to an unmonitored one.  Output goes to ``stream``
 (default stderr, ``\\r``-overwritten); pass ``callback`` instead to
-consume beats programmatically (used by the tests and the perf
-harness).
+consume beats programmatically (used by the tests).
 """
 
 from __future__ import annotations

@@ -24,16 +24,16 @@ from repro.telemetry.events import Event
 
 def _resolve(app, opt, dataset: str, nprocs: int, page_size: int):
     """(app_spec, opt_cfg, transformed program, layout) for one run."""
-    from repro.apps import all_apps
     from repro.compiler.transform import transform
-    from repro.harness.modes import OPT_LEVELS
     from repro.harness.runner import layout_for
+    from repro.harness.spec import RunSpec
 
-    app_spec = all_apps()[app] if isinstance(app, str) else app
-    opt_cfg = OPT_LEVELS[opt] if isinstance(opt, str) else opt
-    program = app_spec.program(dataset, nprocs)
+    spec = RunSpec(app=app, dataset=dataset, nprocs=nprocs, opt=opt)
+    opt_cfg = spec.resolve_opt()
+    program = spec.resolve_program()
     prog = transform(program, opt_cfg) if opt_cfg is not None else program
-    return app_spec, opt_cfg, prog, layout_for(prog, page_size=page_size)
+    return (spec.resolve_app(), opt_cfg, prog,
+            layout_for(prog, page_size=page_size))
 
 
 def sanitize_run(app, opt="aggr+cons", dataset: str = "tiny",

@@ -1,4 +1,4 @@
-"""Unified telemetry: structured events, metrics and phase profiling.
+"""Unified telemetry: structured events and phase profiling.
 
 The paper's whole argument is quantitative — message counts, diff and
 twin counts, fault counts, barrier wait times (Table 2, Figures 5-7).
@@ -6,8 +6,6 @@ This package gives every run a single observability surface:
 
 * :class:`EventBus` — a structured protocol-event log with near-zero
   overhead when disabled;
-* :class:`MetricsRegistry` — per-node and cluster-wide counters that
-  subsume the legacy ``TmStats``/``NetStats`` totals;
 * :class:`SpanLog` — span-based phase profiling (compute vs. protect
   vs. diff vs. wait), per barrier epoch;
 * exporters — JSONL event log and Chrome-trace timeline with one track
@@ -22,13 +20,10 @@ from repro.telemetry.events import Event, EventBus
 from repro.telemetry.export import (chrome_trace, events_jsonl,
                                     telemetry_from_jsonl,
                                     write_chrome_trace, write_jsonl)
-from repro.telemetry.metrics import (MetricsRegistry, TM_COUNTER_FIELDS,
-                                     TM_TIME_FIELDS)
 from repro.telemetry.spans import Span, SpanLog
 
 __all__ = [
-    "Telemetry", "Event", "EventBus", "MetricsRegistry", "Span",
-    "SpanLog", "TM_COUNTER_FIELDS", "TM_TIME_FIELDS",
+    "Telemetry", "Event", "EventBus", "Span", "SpanLog",
     "chrome_trace", "events_jsonl", "telemetry_from_jsonl",
     "write_chrome_trace", "write_jsonl",
 ]

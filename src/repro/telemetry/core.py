@@ -1,4 +1,4 @@
-"""The Telemetry facade: one object owning bus, metrics and spans.
+"""The Telemetry facade: one object owning the event bus and spans.
 
 A :class:`Telemetry` instance is created per run (or passed pre-built
 through :class:`repro.harness.RunSpec`) and bound to the run's clock.
@@ -13,7 +13,7 @@ Usage::
     out = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",
                       nprocs=4, telemetry=True))
     out.telemetry.counts()                    # events per kind
-    out.telemetry.metrics.totals("tm.")      # cluster-wide counters
+    out.telemetry.summary()["metrics_total"] # out.stats/out.net, flat
     out.telemetry.phase_profile()            # per-phase time breakdown
     out.telemetry.write_chrome_trace("trace.json")
 """
@@ -23,18 +23,18 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.telemetry.events import EventBus
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanLog
 
 
 class Telemetry:
-    """Event bus + metrics registry + span log for one run."""
+    """Event bus + span log for one run."""
 
     def __init__(self, events: bool = True, spans: bool = True,
                  access_events: bool = False) -> None:
         self.bus = EventBus(enabled=events)
-        self.metrics = MetricsRegistry()
         self.spans = SpanLog(enabled=spans)
+        #: The run's own counters under flat names; see :meth:`finalize`.
+        self.metrics_total: Dict[str, float] = {}
         #: Record every shared-memory access (``rt.read``/``rt.write``).
         #: Off by default: the access stream is orders of magnitude
         #: denser than protocol events and only the sanitizer wants it.
@@ -79,17 +79,6 @@ class Telemetry:
             self.bus.emit(self._clock(), pid, kind,
                           self._epoch.get(pid, 0), args or None)
 
-    def count(self, pid: int, name: str, n: float = 1) -> None:
-        """Bump a live per-node counter."""
-        self.metrics.inc(pid, name, n)
-
-    def proto(self, pid: int, kind: str, counter: Optional[str] = None,
-              **args) -> None:
-        """A protocol occurrence: point event plus live counter."""
-        if counter is not None:
-            self.metrics.inc(pid, counter)
-        self.event(pid, kind, **args)
-
     def span(self, pid: int, name: str, t0: float, t1: float) -> None:
         """Record a completed interval on ``pid``'s track."""
         self.spans.record(pid, name, t0, t1, self._epoch.get(pid, 0))
@@ -118,7 +107,7 @@ class Telemetry:
     def barrier(self, pid: int) -> None:
         """Enter a barrier: advance the epoch and record the event."""
         self._epoch[pid] = self._epoch.get(pid, 0) + 1
-        self.proto(pid, "tm.barrier", "tm.barriers")
+        self.event(pid, "tm.barrier")
 
     def marker(self, pid: int, label: str) -> None:
         """Application phase marker (e.g. a named barrier site)."""
@@ -127,21 +116,24 @@ class Telemetry:
     def message(self, src: int, dst: int, kind: str, nbytes: int) -> None:
         """One message sent (``nbytes`` includes the header, matching
         :class:`repro.net.stats.NetStats` accounting)."""
-        m = self.metrics
-        m.inc(src, "net.messages")
-        m.inc(src, "net.bytes", nbytes)
-        m.inc(src, f"net.msgs.{kind}")
-        m.inc(src, f"net.bytes.{kind}", nbytes)
         self.event(src, "net.msg", to=dst, msg=kind, bytes=nbytes)
 
     # ------------------------------------------------------------------
     # End-of-run finalization.
     # ------------------------------------------------------------------
 
-    def finalize_tm(self, per_proc) -> None:
-        """Ingest each node's simulated-time breakdown as gauges."""
-        self.metrics.ingest_tm_times(per_proc)
-        self.nprocs = max(self.nprocs, len(per_proc))
+    def finalize(self, net, tm=None) -> None:
+        """Render the finished run's counters -- its
+        :class:`~repro.net.stats.NetStats` and, on the DSM, its
+        cluster-wide :class:`~repro.tm.stats.TmStats` -- under the flat
+        names of ``summary()["metrics_total"]``."""
+        total = {"net.messages": net.messages, "net.bytes": net.bytes}
+        for kind, n in net.by_kind.items():
+            total[f"net.msgs.{kind}"] = n
+            total[f"net.bytes.{kind}"] = net.bytes_by_kind[kind]
+        if tm is not None:
+            total.update((f"tm.{k}", v) for k, v in tm.as_dict().items())
+        self.metrics_total = dict(sorted(total.items()))
 
     # ------------------------------------------------------------------
     # Analysis conveniences.
@@ -155,7 +147,6 @@ class Telemetry:
         pids = set(range(self.nprocs))
         pids.update(ev.pid for ev in self.bus.events)
         pids.update(s.pid for s in self.spans.spans)
-        pids.update(self.metrics.pids())
         return sorted(pids)
 
     def phase_profile(self, pid: Optional[int] = None,
@@ -172,7 +163,7 @@ class Telemetry:
             "events": len(self.bus),
             "spans": len(self.spans),
             "event_counts": self.counts(),
-            "metrics_total": self.metrics.totals(),
+            "metrics_total": self.metrics_total,
             "phase_us": self.phase_profile(),
         }
 

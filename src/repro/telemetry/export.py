@@ -45,10 +45,10 @@ def telemetry_from_jsonl(path) -> "object":
 
     Events repopulate the bus and spans repopulate the span log, so the
     offline analyzers (:mod:`repro.inspect`) run on the reloaded object
-    exactly as they would on the live one.  Live metrics counters are
-    not serialized, so the reconstructed registry is empty; args dicts
-    come back with JSON lists where the emitters used tuples (consumers
-    accept both, see :func:`unpack_sections` in
+    exactly as they would on the live one.  The end-of-run counters
+    (``metrics_total``) are not serialized; args dicts come back with
+    JSON lists where the emitters used tuples (consumers accept both,
+    see :func:`unpack_sections` in
     :mod:`repro.telemetry.events`).
     """
     from repro.errors import ReproError
@@ -119,7 +119,7 @@ def chrome_trace(telemetry) -> dict:
         "otherData": {
             "generator": "repro.telemetry",
             "event_counts": telemetry.counts(),
-            "metrics_total": telemetry.metrics.totals(),
+            "metrics_total": telemetry.metrics_total,
         },
     }
 

@@ -90,9 +90,8 @@ class AdaptiveBackend(HlrcBackend):
             plan.append((p, cur, new))
             node.stats.home_migrations += 1
             if node.tel is not None:
-                node.tel.proto(node.pid, "tm.home_migrate",
-                               "tm.home_migrations", page=p, frm=cur,
-                               to=new)
+                node.tel.event(node.pid, "tm.home_migrate", page=p,
+                               frm=cur, to=new)
         return tuple(plan) if plan else None
 
     def barrier_plan_bytes(self, plan) -> int:

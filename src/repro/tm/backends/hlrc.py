@@ -132,8 +132,7 @@ class HlrcBackend(CoherenceBackend):
             for d in diffs:
                 node.stats.home_flushes += 1
                 if node.tel is not None:
-                    node.tel.proto(node.pid, "tm.home_flush",
-                                   "tm.home_flushes", page=d.page,
+                    node.tel.event(node.pid, "tm.home_flush", page=d.page,
                                    home=h, interval=rec.index)
             node.ep.send(h, "home_flush", payload=(tuple(diffs), tag),
                          size=8 + diff_payload_bytes(diffs), tag=tag)
@@ -172,8 +171,7 @@ class HlrcBackend(CoherenceBackend):
                 node.stats.home_applies += 1
                 node.stats.diff_bytes_applied += written
                 if node.tel is not None:
-                    node.tel.proto(node.pid, "tm.home_apply",
-                                   "tm.home_applies", page=d.page,
+                    node.tel.event(node.pid, "tm.home_apply", page=d.page,
                                    writer=d.writer, interval=d.interval,
                                    bytes=written)
                     node.tel.cpu(node.pid, "cpu.diff", cost)
@@ -314,9 +312,8 @@ class HlrcBackend(CoherenceBackend):
         meta.valid = True
         node.stats.page_fetches += 1
         if node.tel is not None:
-            node.tel.proto(node.pid, "tm.page_fetch", "tm.page_fetches",
-                           page=page, home=home, bytes=len(arr),
-                           revalidate=revalidate)
+            node.tel.event(node.pid, "tm.page_fetch", page=page, home=home,
+                           bytes=len(arr), revalidate=revalidate)
             node.tel.cpu(node.pid, "cpu.diff", cost)
 
     def _h_page_req(self, msg: Message) -> None:
@@ -345,8 +342,7 @@ class HlrcBackend(CoherenceBackend):
                 node._charge(node.cfg.twin_cost)    # page copy-out
                 node.stats.pages_served += 1
                 if node.tel is not None:
-                    node.tel.proto(node.pid, "tm.page_serve",
-                                   "tm.pages_served", page=p,
+                    node.tel.event(node.pid, "tm.page_serve", page=p,
                                    to=msg.src)
                 payload.append((p, node.image.page(p).tobytes()))
                 size += PAGE_ID_BYTES + node.layout.page_size

@@ -258,7 +258,6 @@ class TmNode:
         cost = self.cfg.protect_cost(page)
         self.stats.t_protect += cost
         if self.tel is not None:
-            self.tel.count(self.pid, "tm.protect_ops")
             self.tel.cpu(self.pid, "cpu.protect", cost)
         self._charge(cost)
 
@@ -282,7 +281,6 @@ class TmNode:
                     + self.cfg.prot_per_page * (j - i))
             self.stats.t_protect += cost
             if self.tel is not None:
-                self.tel.count(self.pid, "tm.protect_ops")
                 self.tel.cpu(self.pid, "cpu.protect", cost)
             self._charge(cost)
             i = j + 1
@@ -434,10 +432,8 @@ class TmNode:
                     invalidate.append(p)
                     self.stats.invalidations += 1
                     if self.tel is not None:
-                        self.tel.proto(self.pid, "tm.invalidate",
-                                       "tm.invalidations", page=p,
-                                       writer=rec.writer,
-                                       interval=rec.index)
+                        self.tel.event(self.pid, "tm.invalidate", page=p,
+                                       writer=rec.writer, interval=rec.index)
                     meta.valid = False
                     meta.write_enabled = False
             self._charge_protect_run(invalidate)
@@ -510,8 +506,7 @@ class TmNode:
         self.stats.t_diff += cost
         self.stats.diffs_created += 1
         if self.tel is not None:
-            self.tel.proto(self.pid, "tm.diff_create",
-                           "tm.diffs_created", page=page,
+            self.tel.event(self.pid, "tm.diff_create", page=page,
                            interval=interval)
             self.tel.cpu(self.pid, "cpu.diff", cost)
         self._charge(cost)
@@ -532,8 +527,7 @@ class TmNode:
             self._charge(self.cfg.twin_cost)
             self.stats.full_pages_served += 1
             if self.tel is not None:
-                self.tel.proto(self.pid, "tm.full_page",
-                               "tm.full_pages_served", page=page,
+                self.tel.event(self.pid, "tm.full_page", page=page,
                                interval=interval)
             return full_page_diff(page, self.pid, interval,
                                   self.image.page(page))
@@ -575,12 +569,9 @@ class TmNode:
             self.stats.diffs_applied += 1
             self.stats.diff_bytes_applied += written
             if self.tel is not None:
-                self.tel.proto(self.pid, "tm.diff_apply",
-                               "tm.diffs_applied", page=page,
+                self.tel.event(self.pid, "tm.diff_apply", page=page,
                                writer=rec.writer, interval=rec.index,
                                bytes=written)
-                self.tel.count(self.pid, "tm.diff_bytes_applied",
-                               written)
                 self.tel.cpu(self.pid, "cpu.diff", cost)
             self.applied.add(dkey)
         meta.valid = True
@@ -602,8 +593,7 @@ class TmNode:
                 continue
             self.stats.read_faults += 1
             if self.tel is not None:
-                self.tel.proto(self.pid, "tm.read_fault",
-                               "tm.read_faults", page=p)
+                self.tel.event(self.pid, "tm.read_fault", page=p)
             self._charge(self.cfg.protect_cost(p))
             if not self._complete_async_covering(p):
                 self.coherence.fetch_pages([p])
@@ -616,8 +606,7 @@ class TmNode:
                 continue
             self.stats.write_faults += 1
             if self.tel is not None:
-                self.tel.proto(self.pid, "tm.write_fault",
-                               "tm.write_faults", page=p)
+                self.tel.event(self.pid, "tm.write_fault", page=p)
             self._charge(self.cfg.protect_cost(p))
             if self._complete_async_covering(p) and meta.write_enabled:
                 continue
@@ -637,8 +626,7 @@ class TmNode:
                         for p in self.layout.pages_of(s)})
         if self.tel is not None:
             from repro.telemetry.events import pack_sections
-            self.tel.proto(self.pid, "tm.validate", "tm.validates",
-                           npages=len(pages),
+            self.tel.event(self.pid, "tm.validate", npages=len(pages),
                            access=access_type.value, w_sync=False,
                            asynchronous=asynchronous,
                            sections=pack_sections(sections))
@@ -677,7 +665,7 @@ class TmNode:
         self.stats.validates += 1
         if self.tel is not None:
             from repro.telemetry.events import pack_sections
-            self.tel.proto(self.pid, "tm.validate", "tm.validates",
+            self.tel.event(self.pid, "tm.validate",
                            nsections=len(sections),
                            access=access_type.value, w_sync=True,
                            asynchronous=asynchronous,
@@ -792,8 +780,7 @@ class TmNode:
                 self._charge(self.cfg.twin_cost)
                 self.stats.twins_created += 1
                 if self.tel is not None:
-                    self.tel.proto(self.pid, "tm.twin",
-                                   "tm.twins_created", page=page)
+                    self.tel.event(self.pid, "tm.twin", page=page)
                     self.tel.cpu(self.pid, "cpu.twin",
                                  self.cfg.twin_cost)
         if not batched:
@@ -834,8 +821,7 @@ class TmNode:
         self._syncpoint()
         self.stats.lock_acquires += 1
         if self.tel is not None:
-            self.tel.proto(self.pid, "tm.lock_acquire",
-                           "tm.lock_acquires", lid=lid)
+            self.tel.event(self.pid, "tm.lock_acquire", lid=lid)
         self._drain_async_plans()
         sreq, wsync = self._take_wsync_request()
         if self.osl is not None and self.absence is None:
@@ -850,8 +836,6 @@ class TmNode:
             # Re-acquiring the lock we released last: purely local.
             self._charge(self.cfg.local_lock_cost)
             self.stats.lock_local_acquires += 1
-            if self.tel is not None:
-                self.tel.count(self.pid, "tm.lock_local_acquires")
             self.lock_held.add(lid)
             self._complete_wsync(wsync)
             return
@@ -1141,8 +1125,7 @@ class TmNode:
             # Emitted before end_interval() on purpose: the sanitizer
             # checks this interval's write log against the declared
             # write sections before tm.interval retires the log.
-            self.tel.proto(self.pid, "tm.push", "tm.pushes",
-                           asynchronous=asynchronous,
+            self.tel.event(self.pid, "tm.push", asynchronous=asynchronous,
                            round=self._push_round + 1,
                            reads=pack_sections(read_sections[self.pid]),
                            writes=pack_sections(write_sections[self.pid]))

@@ -1,0 +1,83 @@
+"""The CLI surface: typed errors, shared flags, and docs that name it."""
+
+import json
+import pathlib
+import re
+
+import pytest
+
+import repro.__main__ as cli
+from repro.errors import ReproError
+from repro.harness.bench import bench_protocols
+from repro.sanitizer.replay import sanitize_run
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "jacobi", "--mode", "seq", "--profile"],
+    ["trace", "jacobi", "--mode", "mp", "--protocol", "hlrc"],
+    ["recover", "--apps", "jacobi", "--plan", "/nonexistent.json"],
+])
+def test_typed_errors_leave_as_one_line_and_exit_2(argv, capsys,
+                                                   monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)     # trace would write its default --out
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unknown_opt_level_is_a_typed_error_everywhere(capsys):
+    with pytest.raises(ReproError, match="unknown opt level 'bogus'"):
+        sanitize_run("jacobi", opt="bogus")
+    for sub in ("sanitize", "trace", "inspect", "report"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([sub, "jacobi", "--opt", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_bench_protocols_reproduces_the_committed_comparison():
+    committed = json.loads((ROOT / "BENCH_pr9.json").read_text())
+    want = committed["apps"]["jacobi"]
+    both = bench_protocols(apps=["jacobi"],
+                           data_planes=["twosided", "onesided"])
+    assert both["apps"]["jacobi"] == want
+    assert both["data_planes"] == committed["data_planes"]
+    # Without data_planes: the two-sided rows alone, same shape.
+    default = bench_protocols(apps=["jacobi"])
+    assert default["data_planes"] == ["twosided"]
+    assert default["apps"]["jacobi"]["runs"] == [
+        r for r in want["runs"] if r["data_plane"] == "twosided"]
+
+
+FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def _flags(argv, capsys) -> set:
+    with pytest.raises(SystemExit):
+        cli.main([*argv, "-h"])
+    return set(FLAG.findall(capsys.readouterr().out))
+
+
+def test_every_documented_command_line_exists(capsys):
+    """``python -m repro <word> [--flags]`` anywhere in the README, the
+    docs, CI or the entry point's own usage block names a subcommand or
+    artifact that exists, with flags its parser has."""
+    artifacts = set(cli.ARTIFACTS) | {"all"}
+    texts = {p.name: p.read_text() for p in
+             [ROOT / "README.md", ROOT / ".github/workflows/smoke.yml",
+              *sorted((ROOT / "docs").glob("*.md"))]}
+    texts["repro.__main__ docstring"] = cli.__doc__
+    flags = {}
+    for where, text in texts.items():
+        for word, rest in re.findall(
+                r"python -m repro\s+([A-Za-z][\w-]*)([^\n`#|]*)", text):
+            line = f"{where}: python -m repro {word}{rest}"
+            assert word in cli.SUBCOMMANDS or word in artifacts, line
+            if word not in flags:
+                flags[word] = _flags(
+                    [word] if word in cli.SUBCOMMANDS else [], capsys)
+            assert set(FLAG.findall(rest)) <= flags[word], line
+    assert set(cli.SUBCOMMANDS) <= set(flags), "an undocumented subcommand"

@@ -1,19 +1,13 @@
 """Unit tests for the wall-clock observatory (``repro.observe``)."""
 
 import io
-import json
 
 import pytest
 
 from repro.errors import ReproError
 from repro.harness import RunSpec, run
-from repro.harness.schema import (GENERATED_BY, check_schema, envelope,
-                                  parse_schema, schema_id)
+from repro.harness.schema import GENERATED_BY, envelope, schema_id
 from repro.observe import RunMonitor, WallProfiler
-from repro.observe.history import (DEFAULT_TOLERANCE, append_history,
-                                   compare, load_baseline, load_history,
-                                   write_baseline)
-from repro.observe.perf import render_perf
 from repro.observe.profiler import _classify
 
 
@@ -167,127 +161,14 @@ class TestRunMonitor:
 
 class TestSchemaEnvelope:
     def test_envelope_shape(self):
-        p = envelope("perf", dataset="tiny", apps={})
-        assert p["schema"] == "repro-perf/1"
+        p = envelope("bench", dataset="tiny", apps={})
+        assert p["schema"] == "repro-bench/1"
         assert p["generated_by"] == GENERATED_BY
         assert p["dataset"] == "tiny"
 
     def test_schema_id_versions(self):
         assert schema_id("bench") == "repro-bench/1"
         assert schema_id("chaos", 3) == "repro-chaos/3"
-
-    def test_parse_roundtrip(self):
-        kind, version = parse_schema(envelope("sanitize"))
-        assert (kind, version) == ("sanitize", 1)
-
-    def test_check_rejects_wrong_kind(self):
-        with pytest.raises(ReproError):
-            check_schema(envelope("bench"), "perf")
-
-    def test_check_rejects_missing_schema(self):
-        with pytest.raises(ReproError):
-            check_schema({"apps": {}}, "perf")
-
-
-# ----------------------------------------------------------------------
-# Perf history store and the regression gate.
-# ----------------------------------------------------------------------
-
-def perf_payload(**app_fields):
-    entry = {"sim_time_us": 1000.0, "events": 500, "accesses": 200,
-             "messages": 64, "stmts": 300, "wall_s": 0.05,
-             "events_per_sec": 10000.0, "accesses_per_sec": 4000.0}
-    entry.update(app_fields)
-    return envelope("perf", dataset="tiny", nprocs=4, page_size=1024,
-                    repeats=3, apps={"jacobi": entry})
-
-
-class TestPerfGate:
-    def test_identical_payloads_pass(self):
-        base = perf_payload()
-        res = compare(perf_payload(), base)
-        assert res.ok
-        assert res.checked == 1
-        assert "OK" in res.render()
-
-    def test_deterministic_drift_fails_exactly(self):
-        res = compare(perf_payload(events=501), perf_payload())
-        assert not res.ok
-        assert any("events" in r and "exact" in r
-                   for r in res.regressions)
-
-    def test_rate_within_band_passes(self):
-        # 50% drop is inside the default 60% band.
-        res = compare(perf_payload(events_per_sec=5000.0),
-                      perf_payload())
-        assert res.ok
-
-    def test_rate_below_band_fails(self):
-        res = compare(perf_payload(events_per_sec=3999.0),
-                      perf_payload())
-        assert not res.ok
-        assert "events_per_sec" in res.regressions[0]
-        assert "REGRESSED" in res.render()
-
-    def test_improvement_is_informational(self):
-        res = compare(perf_payload(events_per_sec=50000.0),
-                      perf_payload())
-        assert res.ok
-        assert res.improvements
-
-    def test_config_mismatch_not_comparable(self):
-        cur = perf_payload()
-        cur["nprocs"] = 8
-        res = compare(cur, perf_payload())
-        assert not res.ok
-        assert "not comparable" in res.regressions[0]
-        assert res.checked == 0
-
-    def test_missing_app_fails(self):
-        cur = perf_payload()
-        cur["apps"] = {}
-        res = compare(cur, perf_payload())
-        assert not res.ok
-
-    def test_tolerance_must_be_a_fraction(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ReproError):
-                compare(perf_payload(), perf_payload(), tolerance=bad)
-        assert 0.0 < DEFAULT_TOLERANCE < 1.0
-
-    def test_baseline_write_load_roundtrip(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        write_baseline(perf_payload(), str(path))
-        assert load_baseline(str(path)) == perf_payload()
-        # Committed baselines must be byte-stable.
-        first = path.read_bytes()
-        write_baseline(perf_payload(), str(path))
-        assert path.read_bytes() == first
-
-    def test_baseline_rejects_foreign_payload(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps(envelope("bench", apps={})))
-        with pytest.raises(ReproError):
-            load_baseline(str(path))
-
-    def test_history_append_and_load(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        append_history(perf_payload(), path)
-        append_history(perf_payload(events=9), path)
-        hist = load_history(path)
-        assert len(hist) == 2
-        assert hist[1]["apps"]["jacobi"]["events"] == 9
-
-
-class TestRenderPerf:
-    def test_table_includes_apps_and_rates(self):
-        payload = perf_payload(attribution_pct={"compute": 80.0,
-                                                "engine": 20.0},
-                               telemetry_overhead_pct=3.0)
-        text = render_perf(payload)
-        assert "jacobi" in text
-        assert "10,000" in text
-        assert "compute" in text
 
 
 # ----------------------------------------------------------------------

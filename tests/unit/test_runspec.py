@@ -127,8 +127,8 @@ class TestOutcomeProtocol:
     def test_top_level_exports(self):
         for name in ("RunSpec", "run", "RunOutcome", "run_seq",
                      "run_dsm", "run_mp", "run_xhpf", "Telemetry",
-                     "EventBus", "MetricsRegistry", "SpanLog",
-                     "chrome_trace", "write_chrome_trace"):
+                     "EventBus", "SpanLog", "chrome_trace",
+                     "write_chrome_trace"):
             assert hasattr(repro, name), name
 
     def test_run_xhpf_signature_dropped_page_size(self):

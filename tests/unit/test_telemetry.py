@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.apps import get_app
-from repro.harness import run_dsm, run_mp, run_seq, run_xhpf
-from repro.telemetry import (Event, EventBus, MetricsRegistry, SpanLog,
-                             Telemetry, TM_COUNTER_FIELDS, chrome_trace,
-                             events_jsonl)
+from repro.harness import (RunSpec, run, run_dsm, run_mp, run_seq,
+                           run_xhpf)
+from repro.telemetry import (Event, EventBus, SpanLog, Telemetry,
+                             chrome_trace, events_jsonl)
 from repro.telemetry.export import TRACE_PID
 from repro.tm.stats import TmStats
 
@@ -74,30 +74,72 @@ class TestEventBus:
 
 
 # ----------------------------------------------------------------------
-# Metrics aggregation equivalence with legacy stats.
+# metrics_total is the run's own TmStats/NetStats, rendered flat.
 # ----------------------------------------------------------------------
 
+def flat(net, stats=None):
+    """The documented rendering, written out independently."""
+    want = {"net.messages": net.messages, "net.bytes": net.bytes}
+    want.update((f"net.msgs.{k}", n) for k, n in net.by_kind.items())
+    want.update((f"net.bytes.{k}", n)
+                for k, n in net.bytes_by_kind.items())
+    if stats is not None:
+        want.update((f"tm.{k}", v) for k, v in stats.as_dict().items())
+    return want
+
+
+#: ``metrics_total`` of ``python -m repro trace jacobi --mode <mode>``
+#: as the live per-site mirror (deleted) produced it: every key it
+#: had keeps its value.
+MIRRORED = {
+    "dsm": {
+        "net.bytes": 24481, "net.bytes.barrier_arrive": 1824,
+        "net.bytes.barrier_depart": 3168, "net.bytes.diff_req": 1152,
+        "net.bytes.diff_resp": 18337, "net.messages": 96,
+        "net.msgs.barrier_arrive": 24, "net.msgs.barrier_depart": 24,
+        "net.msgs.diff_req": 24, "net.msgs.diff_resp": 24,
+        "tm.barriers": 32, "tm.diff_bytes_applied": 7857,
+        "tm.diffs_applied": 24, "tm.diffs_created": 102,
+        "tm.invalidations": 114, "tm.protect_ops": 90,
+        "tm.read_faults": 12, "tm.t_barrier_wait": 14594.308000000008,
+        "tm.t_compute": 2084.0240000000003, "tm.t_diff": 4214.154,
+        "tm.t_fetch_wait": 4988.04628571429, "tm.t_lock_wait": 0.0,
+        "tm.t_protect": 2194.7050000000004, "tm.t_twin": 3840.0,
+        "tm.twins_created": 128, "tm.validates": 28,
+        "tm.write_faults": 32},
+    "mp": {"net.bytes": 13056, "net.bytes.mp": 13056,
+           "net.messages": 24, "net.msgs.mp": 24},
+    "xhpf": {"net.bytes": 13632, "net.bytes.mp": 13632,
+             "net.messages": 24, "net.msgs.mp": 24},
+}
+
+
 class TestMetricsEquivalence:
+    @pytest.mark.parametrize("mode", sorted(MIRRORED))
+    def test_metrics_total_is_the_runs_own_counters(self, mode):
+        out = run(RunSpec(app="jacobi", mode=mode, dataset="tiny",
+                          nprocs=4, page_size=1024, telemetry=True,
+                          opt="aggr" if mode == "dsm" else None))
+        total = out.telemetry.summary()["metrics_total"]
+        assert total == flat(out.net, out.stats)
+        assert list(total) == sorted(total)
+        assert MIRRORED[mode].items() <= total.items()
+        other = out.telemetry.chrome_trace()["otherData"]
+        assert other["metrics_total"] == total
+
     @pytest.mark.parametrize("opt_name", ["base", "aggr", "merge", "push"])
     def test_tm_counters_match_legacy_totals(self, opt_name):
         out, tel = traced_jacobi(opt_name)
         legacy = TmStats.total(out.run.per_proc)
-        for name in TM_COUNTER_FIELDS:
-            assert tel.metrics.total("tm." + name) == \
-                getattr(legacy, name), name
-
-    def test_per_node_counters_match_per_proc_stats(self):
-        out, tel = traced_jacobi()
-        for pid, stats in enumerate(out.run.per_proc):
-            node = tel.metrics.node(pid)
-            for name in TM_COUNTER_FIELDS:
-                assert node.get("tm." + name, 0) == \
-                    getattr(stats, name), (pid, name)
+        total = tel.metrics_total
+        for name, value in legacy.as_dict().items():
+            assert total["tm." + name] == value, name
 
     def test_net_counters_match_netstats(self):
         out, tel = traced_jacobi()
-        assert tel.metrics.total("net.messages") == out.run.net.messages
-        assert tel.metrics.total("net.bytes") == out.run.net.bytes
+        total = tel.metrics_total
+        assert total["net.messages"] == out.run.net.messages
+        assert total["net.bytes"] == out.run.net.bytes
 
     def test_event_counts_match_counters(self):
         out, tel = traced_jacobi()
@@ -110,18 +152,16 @@ class TestMetricsEquivalence:
     def test_time_gauges_ingested(self):
         out, tel = traced_jacobi()
         legacy = TmStats.total(out.run.per_proc)
-        assert tel.metrics.total("tm.t_compute") == \
+        assert tel.metrics_total["tm.t_compute"] == \
             pytest.approx(legacy.t_compute)
 
-    def test_registry_basics(self):
-        m = MetricsRegistry()
-        m.inc(0, "x", 2)
-        m.inc(1, "x", 3)
-        m.inc(0, "y")
-        assert m.total("x") == 5
-        assert m.totals() == {"x": 5, "y": 1}
-        assert m.totals(prefix="x") == {"x": 5}
-        assert m.pids() == [0, 1]
+    def test_seq_run_has_no_counters_to_render(self):
+        # No TmStats, no NetStats: the barrier count stays where the
+        # run itself keeps it, in the event log.
+        tel = Telemetry()
+        run_seq(get_app("jacobi").program("tiny", 1), telemetry=tel)
+        assert tel.metrics_total == {}
+        assert tel.counts()["tm.barrier"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -231,15 +271,16 @@ class TestOtherModes:
         tel = Telemetry()
         out = run_mp(app, dict(app.dataset("tiny").params), nprocs=4,
                      telemetry=tel)
-        assert tel.metrics.total("net.messages") == out.run.net.messages
-        assert tel.metrics.total("net.bytes") == out.run.net.bytes
+        total = tel.metrics_total
+        assert total["net.messages"] == out.run.net.messages
+        assert total["net.bytes"] == out.run.net.bytes
 
     def test_xhpf_telemetry(self):
         app = get_app("jacobi")
         tel = Telemetry()
         out = run_xhpf(app.program("tiny", 4), nprocs=4, telemetry=tel)
         assert out.telemetry is tel
-        assert tel.metrics.total("net.messages") == out.net.messages
+        assert tel.metrics_total["net.messages"] == out.net.messages
         assert tel.phase_profile().get("compute", 0) > 0
 
     def test_untraced_runs_share_no_state(self):
@@ -250,6 +291,6 @@ class TestOtherModes:
                        page_size=1024, telemetry=tel1)
         out2 = run_dsm(app.program("tiny", 2), nprocs=2,
                        page_size=1024, telemetry=tel2)
-        assert tel1.metrics.total("tm.read_faults") == \
-            tel2.metrics.total("tm.read_faults") == \
+        assert tel1.metrics_total["tm.read_faults"] == \
+            tel2.metrics_total["tm.read_faults"] == \
             out1.stats.read_faults == out2.stats.read_faults

@@ -52,6 +52,7 @@ from repro.errors import FaultPlanError, MembershipError
 from repro.faults.plan import NodeOutage
 from repro.tm.diffs import diff_payload_bytes
 from repro.tm.meta import interval_wire_bytes, VC_ENTRY_BYTES
+from repro.tm.roles import Roles
 
 #: Wire size of one (writer, interval, page) applied-watermark entry.
 APPLIED_ENTRY_BYTES = 12
@@ -100,20 +101,6 @@ DRAIN = Policy("drain", "mem", quiesce=True, ships="handoff", wipes=False,
                asks="steward", hello="last")
 JOIN = Policy("join", "mem", quiesce=False, ships=None, wipes=False,
               asks="peer", hello="first")
-
-
-class Roles(NamedTuple):
-    """A versioned snapshot of one node's lock/barrier role state."""
-
-    version: int
-    #: Explicit lock tokens, lid -> held here?
-    tokens: Dict[int, bool]
-    #: Manager-side routing tails of the locks it manages.
-    tails: Dict[int, int]
-    #: Lock requests queued at it, lid -> ((requester, rvc, sreq), ...).
-    pending: Dict[int, tuple]
-    #: Barrier arrival box (empty unless it holds the seat).
-    box: Dict[int, tuple]
 
 
 class Frame(NamedTuple):
@@ -221,10 +208,8 @@ class AbsenceManager:
         #: pid -> peers whose re-entry reply is still outstanding.
         self._asking: Dict[int, List[int]] = {}
         #: Streaming senders' own bookkeeping: applied triples already
-        #: shipped (so each frame carries a delta), and the snapshot
-        #: version counter.
+        #: shipped (so each frame carries a delta).
         self._applied_sent: Dict[int, Set[tuple]] = {}
-        self._version: Dict[int, int] = {}
         #: Cost meters, by policy wire prefix: [messages, bytes] shipped
         #: before going dark, and spent on the re-entry round.
         self.shipped = {"rec": [0, 0], "mem": [0, 0]}
@@ -318,11 +303,6 @@ class AbsenceManager:
                         ("mem.join", self._h_join),
                         ("custody.diff_req", self._h_custody_diff)):
             ep.on(kind, lambda msg, h=h, node=node: h(node, msg))
-        # The barrier seat can move, so every node must be able to
-        # receive (and relay) arrivals, not just the static master.
-        if node.pid != node.master_pid:
-            ep.on("barrier_arrive", node._h_barrier_arrive,
-                  interrupt=False)
         if self.detector is not None:
             self.detector.attach(node)
         pol = self._policy(node.pid)
@@ -386,18 +366,6 @@ class AbsenceManager:
         return pol is not None and pol.ships == "stream" \
             and self._status[pid] == "pending"
 
-    def _roles(self, node) -> Roles:
-        """Snapshot ``node``'s role state.  Only the tails of the locks
-        it manages travel: they are what a stand-in routes by."""
-        pid = node.pid
-        v = self._version[pid] = self._version.get(pid, 0) + 1
-        return Roles(
-            v, dict(node.lock_token),
-            {lid: t for lid, t in node.lock_tail.items()
-             if lid % self.n == pid},
-            {lid: tuple(q) for lid, q in node.lock_pending.items() if q},
-            dict(node._barrier_box))
-
     def _ship(self, node, frame: Frame) -> int:
         """Send one custody frame to the steward; returns its size.
 
@@ -454,7 +422,7 @@ class AbsenceManager:
         steward's copy is exact at whatever instant the crash strikes.
         """
         if self.streams(node.pid):
-            self._ship(node, Frame(node.pid, roles=self._roles(node)))
+            self._ship(node, Frame(node.pid, roles=node.roles.snapshot()))
 
     # ------------------------------------------------------------------
     # The gate and the departure (the absent node's process context).
@@ -483,17 +451,16 @@ class AbsenceManager:
             return
         if node._atomic_depth > 0 or node._op_active:
             return
-        if pol.quiesce and (node.lock_held
-                            or any(node.lock_pending.values())):
+        if pol.quiesce and not node.roles.quiescent:
             return
         self._depart(node, pol, ev)
 
     def _depart(self, node, pol: Policy, ev) -> None:
         pid, engine = node.pid, self.sys.engine
-        # Outstanding asynchronous fetches/pushes complete first: their
+        # Outstanding asynchronous fetches complete first: their
         # responses are addressed to pre-departure request tags and
         # carry data the program has already been promised.
-        node._drain_async_plans()
+        node.coherence.drain_async()
         # Close the open interval.  A cut-short one carries crash=True
         # on its tm.interval event so the sanitizer's partial-overwrite
         # rule knows; a streaming node logs it from end_interval.
@@ -539,7 +506,7 @@ class AbsenceManager:
             victim, tuple(node.intervals.values()),
             tuple(d for k, d in node.diff_store.items()
                   if k[0] == victim),
-            roles=self._roles(node),
+            roles=node.roles.snapshot(),
             goodbye=(node._vc_tuple(), watermark)))
         self._announce(node, self.shipped["mem"], "mem.leave",
                        (victim, steward, watermark), 12)
@@ -566,11 +533,8 @@ class AbsenceManager:
         node.vc = [0] * n
         node._discard_history()
         node.dirty.clear()
-        node.lock_token.clear()
-        node.lock_pending.clear()
-        node.lock_tail.clear()
+        node.roles.clear()
         node.master_seen_vc = [0] * n
-        node._barrier_box.clear()
         for meta in node.pages:
             meta.valid = False
             meta.write_enabled = False
@@ -605,6 +569,7 @@ class AbsenceManager:
         self._asking[pid] = list(peers)
         for q in peers:
             self._send(node, q, meter, pol.wire + ".ask", pid, 8, tag)
+        locks = 0       # lock tokens that came back out of custody
         for q in peers:
             msg = node.ep.recv(kind=pol.wire + ".state", src=q, tag=tag)
             vc, recs, back = msg.payload
@@ -614,6 +579,7 @@ class AbsenceManager:
             node.apply_notices(recs, vc)
             if back is not None:
                 self._install(node, back)
+                locks = len(back.roles.tokens)
             self._asking[pid].remove(q)
         del self._asking[pid]
         self._status[pid] = "member"
@@ -629,7 +595,7 @@ class AbsenceManager:
                 node.tel.event(
                     pid, "rec.recover", records=len(node.intervals),
                     diffs=len(node.diff_store),
-                    locks=len(node.lock_token), dur_us=engine.now - t0,
+                    locks=locks, dur_us=engine.now - t0,
                     **{k: cost[k] for k in ("log_messages", "log_bytes",
                                             "state_bytes")})
             else:
@@ -656,15 +622,7 @@ class AbsenceManager:
         # diffs wrote, and marking them applied is what stops an
         # *older* diff from replaying on top of *newer* own bytes.
         node.applied.update(back.applied)
-        node.lock_token.update(back.roles.tokens)
-        node.lock_tail.update(back.roles.tails)
-        for lid, queue in back.roles.pending.items():
-            mine = node.lock_pending.setdefault(lid, [])
-            mine.extend(e for e in queue if e not in mine)
-        for q, entry in back.roles.box.items():
-            node._barrier_box.setdefault(q, entry)
-        if len(node._barrier_box) == node.nprocs:
-            node.proc.wake()
+        node.roles.merge(back.roles)
 
     # ------------------------------------------------------------------
     # The peers' side: custody handler, announcements, the reply.
@@ -707,14 +665,10 @@ class AbsenceManager:
         # invalidates through the normal event stream, so the inspector
         # sees ordinary tm.invalidate traffic, not magic.
         node.apply_notices(f.records, vc)
-        node.lock_tail.update(cust.roles.tails)
         self._note_leave(node.pid, f.victim, node.pid, watermark)
-        # If it held the barrier seat, the arrivals it had collected
-        # come with it.
-        for pid, entry in cust.roles.box.items():
-            node._barrier_box.setdefault(pid, entry)
-        if len(node._barrier_box) == node.nprocs:
-            node.proc.wake()
+        # Its routing tails come with it and, if it held the barrier
+        # seat, the arrivals it had collected.
+        node.roles.adopt(cust.roles)
 
     def _h_leave(self, node, msg) -> None:
         node._charge(node.cfg.request_service)
@@ -747,9 +701,7 @@ class AbsenceManager:
                           if lid not in cust.claimed)
             # While standing in, this node routed the victim's locks
             # with its own tail map.
-            tails = {**cust.roles.tails,
-                     **{lid: t for lid, t in node.lock_tail.items()
-                        if lid % self.n == asker}}
+            tails = {**cust.roles.tails, **node.roles.tails_of(asker)}
             back = Frame(asker, roles=Roles(cust.roles.version, tokens,
                                             tails, {}, {}))
             size += 16 * (len(tokens) + len(tails))
@@ -773,13 +725,14 @@ class AbsenceManager:
     # ------------------------------------------------------------------
 
     def claim_token(self, node, lid: int) -> bool:
-        """Give ``node`` a token parked in a custody it stands in for.
+        """Claim for ``node`` a token parked in a custody it stands in
+        for; on ``True`` the caller holds it.
 
         One-shot per lock: after the claim the token lives with the
         cluster (normal tail routing takes over) and the hand-back
         returns ``False`` for it.  The default rule mirrors
-        ``TmNode._has_token``: an untouched lock's token sits with its
-        static manager.
+        ``NodeRoles._has_token``: an untouched lock's token sits with
+        its static manager.
         """
         for victim, cust in self._custody.items():
             if not cust.acting or lid in cust.claimed \
@@ -787,7 +740,6 @@ class AbsenceManager:
                 continue
             if cust.roles.tokens.get(lid, lid % self.n == victim):
                 cust.claimed.add(lid)
-                node.lock_token[lid] = True
                 self.tokens_claimed += 1
                 return True
         return False

@@ -138,11 +138,10 @@ class XhpfRuntime(BaseRuntime):
 
     release = acquire
 
-    def validate(self, sections, access, w_sync, asynchronous,
-                 merge_page_limit=None) -> None:
+    def validate(self, sections, access, w_sync, asynchronous) -> None:
         raise HpfError("XHPF code cannot contain Validate")
 
-    def push(self, reads, writes, asynchronous: bool = False) -> None:
+    def push(self, reads, writes) -> None:
         raise HpfError("XHPF code cannot contain Push")
 
     # ------------------------------------------------------------------

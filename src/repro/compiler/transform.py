@@ -41,14 +41,6 @@ class OptConfig:
     sync_data_merge: bool = False
     push: bool = False
     asynchronous: bool = True
-    #: Defer Push receives to the first fault (Section 3.2.3's designed
-    #: asynchronous Push; the paper's implementation was synchronous
-    #: only, so the Figure 6 levels leave this off).
-    async_push: bool = False
-    #: Fall back from Validate_w_sync to a plain post-sync Validate when
-    #: the request covers more pages than this (the Section 3.3
-    #: trade-off made adaptive); None applies w_sync unconditionally.
-    merge_page_limit: Optional[int] = None
     name: str = "opt"
 
 
@@ -134,8 +126,7 @@ class _Transformer:
             for v in after:
                 if v.access.fetches and isinstance(s, (Barrier, Acquire)):
                     merged.append(dc_replace(
-                        v, w_sync=True, asynchronous=False,
-                        merge_page_limit=self.opt.merge_page_limit))
+                        v, w_sync=True, asynchronous=False))
                 else:
                     rest.append(v)
             before, after = merged, rest
@@ -264,8 +255,7 @@ class _Transformer:
         reads = [rsd_to_spec(r)
                  for summ in region.summary_list()
                  for r in summ.read_parts]
-        push = PushStmt(reads=reads, writes=writes, label=s.label,
-                        asynchronous=self.opt.async_push)
+        push = PushStmt(reads=reads, writes=writes, label=s.label)
         # The region's own writes still benefit from WRITE_ALL validates.
         return [push] + self._validates_for(region, at_sync=True,
                                             writes_only=True)

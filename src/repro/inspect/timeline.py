@@ -36,7 +36,6 @@ event               precondition                                   state change
 ``tm.interval``     —                                              write_enabled=False for ``pages``
 ``tm.protect_down`` —                                              write_enabled=False for ``pages``
 ``tm.overwrite``    —                                              valid=True, write_enabled=True, twin=False
-``tm.push_expect``  —                                              valid=False for ``pages``
 ``tm.push_recv``    —                                              valid=True for ``pages``
 ``tm.gc_discard``   —                                              every page of the pid valid=True
 ``rec.crash``       —                                              every page of the pid invalid
@@ -62,9 +61,8 @@ class PageState:
     valid: bool = True
     write_enabled: bool = False
     twin: bool = False
-    #: Has this (pid, page) ever received a write-notice invalidation
-    #: (or an async-push expectation)?  Diffs are only ever applied to
-    #: pages that were invalidated first.
+    #: Has this (pid, page) ever received a write-notice invalidation?
+    #: Diffs are only ever applied to pages that were invalidated first.
     invalidated_ever: bool = False
 
     def label(self) -> str:
@@ -145,7 +143,7 @@ _PAGE_KINDS = frozenset((
     "tm.read_fault", "tm.write_fault", "tm.invalidate", "tm.twin",
     "tm.diff_create", "tm.diff_apply", "tm.full_page", "tm.page_valid",
     "tm.write_enable", "tm.interval", "tm.protect_down", "tm.overwrite",
-    "tm.push_expect", "tm.push_recv", "tm.gc_discard", "rec.crash",
+    "tm.push_recv", "tm.gc_discard", "rec.crash",
     "tm.home_flush", "tm.home_apply", "tm.page_fetch", "tm.page_serve",
     "tm.home_migrate",
 ))
@@ -234,7 +232,7 @@ class PageTimelines:
                     st.invalidated_ever = True
             return
         if kind in ("tm.interval", "tm.protect_down", "tm.overwrite",
-                    "tm.push_expect", "tm.push_recv"):
+                    "tm.push_recv"):
             for page in args.get("pages", ()):
                 st = self._state(ev.pid, page)
                 if kind == "tm.overwrite":
@@ -242,9 +240,6 @@ class PageTimelines:
                     st.write_enabled = True
                     st.twin = False
                     self._counter(page).writers.add(ev.pid)
-                elif kind == "tm.push_expect":
-                    st.valid = False
-                    st.invalidated_ever = True
                 elif kind == "tm.push_recv":
                     st.valid = True
                 else:   # interval close / explicit downgrade

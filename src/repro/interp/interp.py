@@ -79,12 +79,10 @@ class Interpreter:
     def _validate(self, v: ValidateStmt) -> None:
         sections = self._sections(v.specs, self.env)
         if sections:
-            self.rt.validate(sections, v.access, v.w_sync, v.asynchronous,
-                             merge_page_limit=v.merge_page_limit)
+            self.rt.validate(sections, v.access, v.w_sync, v.asynchronous)
 
     def _push(self, s: PushStmt) -> None:
         envs = [self.program.bindings_for(q, self.env)
                 for q in range(self.rt.nprocs)]
         self.rt.push([self._sections(s.reads, env) for env in envs],
-                     [self._sections(s.writes, env) for env in envs],
-                     asynchronous=s.asynchronous)
+                     [self._sections(s.writes, env) for env in envs])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -71,13 +71,11 @@ class BaseRuntime:
         pass
 
     def validate(self, sections: Sequence[Section], access: AccessType,
-                 w_sync: bool, asynchronous: bool,
-                 merge_page_limit: Optional[int] = None) -> None:
+                 w_sync: bool, asynchronous: bool) -> None:
         pass
 
     def push(self, reads: List[List[Section]],
-             writes: List[List[Section]],
-             asynchronous: bool = False) -> None:
+             writes: List[List[Section]]) -> None:
         pass
 
     def phase_marker(self, label: str) -> None:
@@ -153,14 +151,12 @@ class DsmRuntime(BaseRuntime):
     def release(self, lid: int) -> None:
         self.node.lock_release(lid)
 
-    def validate(self, sections, access, w_sync, asynchronous,
-                 merge_page_limit=None) -> None:
+    def validate(self, sections, access, w_sync, asynchronous) -> None:
         if w_sync:
             self.node.validate_w_sync(sections, access,
-                                      asynchronous=asynchronous,
-                                      page_limit=merge_page_limit)
+                                      asynchronous=asynchronous)
         else:
             self.node.validate(sections, access, asynchronous=asynchronous)
 
-    def push(self, reads, writes, asynchronous: bool = False) -> None:
-        self.node.push(reads, writes, asynchronous=asynchronous)
+    def push(self, reads, writes) -> None:
+        self.node.push(reads, writes)

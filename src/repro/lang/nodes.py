@@ -186,9 +186,6 @@ class ValidateStmt(Stmt):
     w_sync: bool = False
     asynchronous: bool = False
     owner: Optional[Expr] = None
-    #: Adaptive sync+data merge (Section 3.3): fall back to a plain
-    #: post-sync Validate when the request covers more pages than this.
-    merge_page_limit: Optional[int] = None
 
 
 @dataclass
@@ -196,14 +193,12 @@ class PushStmt(Stmt):
     """Compiler-inserted barrier replacement.
 
     ``reads[...]``/``writes[...]`` are evaluated per processor at run
-    time (the paper's "in terms of processor identifiers").  With
-    ``asynchronous`` the receives complete at the first fault.
+    time (the paper's "in terms of processor identifiers").
     """
 
     reads: List[SectionSpec]
     writes: List[SectionSpec]
     label: Optional[str] = None
-    asynchronous: bool = False
 
 
 @dataclass

@@ -46,7 +46,7 @@ _TL_GROUPS = (
     ("diff", ("diff_create", "diff_apply", "full_page", "twin",
               "home_flush", "home_apply")),
     ("transfer", ("page_fetch", "page_serve", "page_valid",
-                  "write_enable", "push_expect", "push_recv",
+                  "write_enable", "push_recv",
                   "home_migrate", "overwrite", "interval")),
 )
 

@@ -14,7 +14,7 @@ primary entry points, implemented as methods on
   point-to-point exchanges of exactly the written-then-read intersections.
 
 This package holds the shared vocabulary (:class:`AccessType`) and the
-plan records used by asynchronous fetching.
+Figure 3 facade over those methods (:class:`AugmentedRuntime`).
 """
 
 from repro.rt.access import AccessType

@@ -59,8 +59,7 @@ class AugmentedRuntime:
                                   asynchronous=asynchronous)
 
     def Push(self, r_sections: Sequence[Sections],
-             w_sections: Sequence[Sections],
-             asynchronous: bool = False) -> None:
+             w_sections: Sequence[Sections]) -> None:
         """Replace a barrier: exchange written-then-read intersections.
 
         ``r_sections[i]`` / ``w_sections[i]`` are processor i's read and
@@ -68,7 +67,7 @@ class AugmentedRuntime:
         """
         reads = [_as_list(s) for s in r_sections]
         writes = [_as_list(s) for s in w_sections]
-        self.node.push(reads, writes, asynchronous=asynchronous)
+        self.node.push(reads, writes)
 
     # -- Figure 4 lower-level primitives ---------------------------------
 

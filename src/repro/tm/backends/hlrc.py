@@ -412,10 +412,6 @@ class HlrcBackend(CoherenceBackend):
     def complete_wsync(self, entries, req, await_donations) -> None:
         node = self.node
         for e in entries:
-            if e.fallback:
-                node.validate(e.sections, e.access_type,
-                              asynchronous=e.asynchronous)
-                continue
             pages = sorted({p for s in e.sections
                             for p in node.layout.pages_of(s)})
             if e.access_type.fetches:

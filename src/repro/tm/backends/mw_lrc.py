@@ -23,7 +23,8 @@ from repro.memory.section import Section
 from repro.net.message import Message
 from repro.net import onesided as rdma
 from repro.rt.access import AccessType
-from repro.tm.coherence import CoherenceBackend, register
+from repro.tm.coherence import (CoherenceBackend, SyncFetchRequest,
+                                register)
 from repro.tm.diffs import (Diff, apply_diff, diff_payload_bytes,
                             full_page_diff)
 
@@ -264,11 +265,10 @@ class MwLrcBackend(CoherenceBackend):
     # ==================================================================
 
     def take_wsync_request(self, entries):
-        from repro.tm.node import SyncFetchRequest
         node = self.node
         pages = sorted({p for e in entries for s in e.sections
                         for p in node.layout.pages_of(s)
-                        if e.access_type.fetches and not e.fallback})
+                        if e.access_type.fetches})
         return SyncFetchRequest(
             node.pid, {p: node._page_marks(p) for p in pages})
 
@@ -291,11 +291,6 @@ class MwLrcBackend(CoherenceBackend):
                 node.proc.wait()
             node.proc.waiting_on = None
         for e in entries:
-            if e.fallback:
-                # Adaptive fallback: a full post-sync Validate.
-                node.validate(e.sections, e.access_type,
-                              asynchronous=e.asynchronous)
-                continue
             pages = sorted({p for s in e.sections
                             for p in node.layout.pages_of(s)})
             if e.access_type.fetches:

@@ -35,9 +35,41 @@ Select a backend with ``TmSystem(..., protocol="hlrc")`` or
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import ReproError
+from repro.memory.section import Section
+from repro.rt.access import AccessType
+from repro.tm.meta import PAGE_ID_BYTES, VC_ENTRY_BYTES
+
+
+@dataclass
+class SyncFetchRequest:
+    """A Validate_w_sync fetch piggy-backed on a synchronization op.
+
+    ``page_marks`` carries, for every requested page, the per-writer
+    watermark of diffs the requester has already applied — the paper's
+    "current vector timestamps for the pages in the sections requested".
+    Responders donate their diffs above the watermark.
+    """
+
+    requester: int
+    page_marks: Dict[int, Tuple[int, ...]]
+
+    def wire_bytes(self) -> int:
+        nwriters = len(next(iter(self.page_marks.values()), ()))
+        return 4 + len(self.page_marks) * (PAGE_ID_BYTES
+                                           + VC_ENTRY_BYTES * nwriters)
+
+
+@dataclass
+class _WsyncEntry:
+    """One queued ``Validate_w_sync`` call, completed after the next
+    synchronization operation."""
+
+    sections: List[Section]
+    access_type: AccessType
 
 
 class CoherenceBackend:
@@ -89,7 +121,13 @@ class CoherenceBackend:
         return False
 
     def drain_async(self) -> None:
-        """Complete every outstanding asynchronous Validate plan."""
+        """Complete every outstanding asynchronous Validate plan.
+
+        Called on entry to every synchronization operation: a plan
+        computed before an acquire references the pre-acquire notice
+        state, so letting it complete after new write notices arrive
+        would mark stale pages valid.
+        """
 
     # --- twin policy --------------------------------------------------
 

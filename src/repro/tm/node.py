@@ -3,15 +3,20 @@
 One :class:`TmNode` exists per simulated processor.  It owns the
 processor's private image of the shared address space, the page table, the
 lazy-release-consistency bookkeeping (vector clock, intervals, write
-notices, diffs) and the synchronization client/manager logic.  It also
-implements the paper's augmented run-time interface: :meth:`validate`,
-:meth:`validate_w_sync` and :meth:`push`.
+notices, diffs) and the half of every synchronization operation that is
+about consistency (interval close, notices, ``Validate_w_sync``, GC).
+It also implements the paper's augmented run-time interface:
+:meth:`validate`, :meth:`validate_w_sync` and :meth:`push`.
 
 The *data movement* half of the protocol — where a faulting processor
 gets page contents, what a release does with an interval's
 modifications, whether a page is twinned — lives in a pluggable
 :class:`~repro.tm.coherence.CoherenceBackend` (``node.coherence``); see
 :mod:`repro.tm.backends` for the registered protocols.
+
+The lock protocol and the barrier master — the role state a node keeps
+for its peers, which :mod:`repro.absence` takes custody of — live in
+:class:`~repro.tm.roles.NodeRoles` (``node.roles``).
 
 Protocol message kinds
 ----------------------
@@ -35,70 +40,23 @@ Backend-owned kinds: ``diff_req``/``diff_resp``/``diff_donate``
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.memory.section import Section
-from repro.net.message import Message
 from repro.rt.access import AccessType
-from repro.tm.diffs import (Diff, apply_diff, diff_payload_bytes,
-                            full_page_diff, make_diff)
+from repro.tm.coherence import SyncFetchRequest, _WsyncEntry
+from repro.tm.diffs import Diff, apply_diff, full_page_diff, make_diff
 from repro.tm.meta import (IntervalRecord, PageMeta, interval_wire_bytes,
-                           PAGE_ID_BYTES, VC_ENTRY_BYTES)
+                           VC_ENTRY_BYTES)
+from repro.tm.roles import NodeRoles
 from repro.tm.stats import TmStats
 from repro.memory.layout import MemoryImage
 
 Key = Tuple[int, int]          # (writer, interval index)
 DiffKey = Tuple[int, int, int]  # (writer, interval index, page)
-
-
-@dataclass
-class SyncFetchRequest:
-    """A Validate_w_sync fetch piggy-backed on a synchronization op.
-
-    ``page_marks`` carries, for every requested page, the per-writer
-    watermark of diffs the requester has already applied — the paper's
-    "current vector timestamps for the pages in the sections requested".
-    Responders donate their diffs above the watermark.
-    """
-
-    requester: int
-    page_marks: Dict[int, Tuple[int, ...]]
-
-    @property
-    def pages(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.page_marks))
-
-    def wire_bytes(self) -> int:
-        nwriters = len(next(iter(self.page_marks.values()), ()))
-        return 4 + len(self.page_marks) * (PAGE_ID_BYTES
-                                           + VC_ENTRY_BYTES * nwriters)
-
-
-@dataclass
-class AsyncPushPlan:
-    """An asynchronous Push whose receives complete at the first fault
-    (Section 3.2.3: "the asynchronous versions of Validate_w_sync and
-    Push work similarly" — the paper designed but did not implement
-    this; we provide it as the designed extension)."""
-
-    round_tag: int
-    senders: List[int]
-    pages: Set[int]
-
-
-@dataclass
-class _WsyncEntry:
-    sections: List[Section]
-    access_type: AccessType
-    asynchronous: bool = False
-    #: Adaptive fallback: too many pages to merge; run a plain Validate
-    #: *after* the synchronization instead (paper Section 4.2's "it is
-    #: sometimes better to insert a Validate after f").
-    fallback: bool = False
 
 
 _INDEX = attrgetter("index")
@@ -176,17 +134,8 @@ class TmNode:
         self.diff_store: Dict[DiffKey, Diff] = {}
         self.dirty: Set[int] = set()
 
-        # --- locks -----------------------------------------------------
-        self.lock_token: Dict[int, bool] = {}
-        self.lock_held: Set[int] = set()
-        self.lock_pending: Dict[int, List[Tuple[int, Tuple[int, ...],
-                                                Optional[SyncFetchRequest]]]] = {}
-        self.lock_tail: Dict[int, int] = {}   # manager-side chain tail
-
-        # --- barrier ---------------------------------------------------
-        self.master_pid = 0
+        # --- barrier (client side) --------------------------------------
         self.master_seen_vc: List[int] = [0] * self.nprocs
-        self._barrier_box: Dict[int, tuple] = {}
 
         # --- garbage collection ------------------------------------------
         #: Run a GC round when the master sees this many interval records
@@ -202,7 +151,6 @@ class TmNode:
 
         # --- compiler-driven machinery ----------------------------------
         self._wsync_queue: List[_WsyncEntry] = []
-        self._async_push_plans: List[AsyncPushPlan] = []
         self._req_seq = 0
         self._push_round = 0
 
@@ -218,11 +166,8 @@ class TmNode:
         #: The data-movement policy (mw-lrc / hlrc / adaptive).
         self.coherence = system.backend_cls(self)
 
-        endpoint.on("lock_req", self._h_lock_req)
-        endpoint.on("lock_fwd", self._h_lock_fwd)
-        if self.pid == self.master_pid:
-            endpoint.on("barrier_arrive", self._h_barrier_arrive,
-                        interrupt=False)
+        #: The lock protocol and the barrier master, with their state.
+        self.roles = NodeRoles(self)
         self.coherence.attach()
 
     # ==================================================================
@@ -291,32 +236,10 @@ class TmNode:
     def _merge_vc(self, other: Sequence[int]) -> None:
         self.vc = [max(a, b) for a, b in zip(self.vc, other)]
 
-    def _has_token(self, lid: int) -> bool:
-        return self.lock_token.get(lid, lid % self.nprocs == self.pid)
-
-    def _manager_of(self, lid: int) -> int:
-        """Acting manager of ``lid``: the static home, or its steward
-        while the home is drained away."""
-        if self.absence is not None:
-            return self.absence.manager_of(self.pid, lid)
-        return lid % self.nprocs
-
-    def _current_master(self) -> int:
-        """Acting barrier master (the seat moves when it drains)."""
-        if self.absence is not None:
-            return self.absence.seat_of(self.pid)
-        return self.master_pid
-
     def _syncpoint(self) -> None:
         """Scheduled crashes, drains and joins realize here."""
         if self.absence is not None:
             self.absence.gate(self)
-
-    def _roles_changed(self) -> None:
-        """My lock/barrier role state changed: a crash-pending node
-        streams it to its steward."""
-        if self.absence is not None:
-            self.absence.mirror(self)
 
     # ==================================================================
     # Interval management.
@@ -595,7 +518,7 @@ class TmNode:
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.read_fault", page=p)
             self._charge(self.cfg.protect_cost(p))
-            if not self._complete_async_covering(p):
+            if not self.coherence.complete_async_covering(p):
                 self.coherence.fetch_pages([p])
 
     def ensure_write(self, pages: Iterable[int]) -> None:
@@ -608,7 +531,8 @@ class TmNode:
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.write_fault", page=p)
             self._charge(self.cfg.protect_cost(p))
-            if self._complete_async_covering(p) and meta.write_enabled:
+            if self.coherence.complete_async_covering(p) \
+                    and meta.write_enabled:
                 continue
             if not meta.valid:
                 self.coherence.fetch_pages([p])
@@ -644,24 +568,8 @@ class TmNode:
 
     def validate_w_sync(self, sections: Sequence[Section],
                         access_type: AccessType,
-                        asynchronous: bool = False,
-                        page_limit: Optional[int] = None) -> None:
-        """Defer the fetch: piggy-back it on the next synchronization.
-
-        ``page_limit`` makes the Section 3.3 trade-off adaptive: when the
-        request covers more pages than the limit, the savings in messages
-        no longer compensate for the responders' page-list scans, so fall
-        back to a plain (post-sync) Validate.
-        """
-        if page_limit is not None:
-            npages = len({p for s in sections
-                          for p in self.layout.pages_of(s)})
-            if npages > page_limit:
-                # Too large to merge: defer to a plain post-sync Validate.
-                self._wsync_queue.append(
-                    _WsyncEntry(list(sections), access_type,
-                                asynchronous=True, fallback=True))
-                return
+                        asynchronous: bool = False) -> None:
+        """Defer the fetch: piggy-back it on the next synchronization."""
         self.stats.validates += 1
         if self.tel is not None:
             from repro.telemetry.events import pack_sections
@@ -671,7 +579,7 @@ class TmNode:
                            asynchronous=asynchronous,
                            sections=pack_sections(sections))
         self._wsync_queue.append(
-            _WsyncEntry(list(sections), access_type, asynchronous))
+            _WsyncEntry(list(sections), access_type))
 
     def _page_marks(self, page: int) -> Tuple[int, ...]:
         """Per-writer watermark of diffs applied to ``page``."""
@@ -791,30 +699,9 @@ class TmNode:
         if self.tel is not None:
             self.tel.event(self.pid, "tm.write_enable", page=page)
 
-    def _drain_async_plans(self) -> None:
-        """Complete outstanding asynchronous operations.
-
-        Called on entry to every synchronization operation: an
-        asynchronous plan computed before an acquire references the
-        pre-acquire notice state, so letting it complete after new write
-        notices arrive would mark stale pages valid.
-        """
-        while self._async_push_plans:
-            plan = self._async_push_plans[0]
-            self._complete_async_covering(next(iter(plan.pages)))
-        self.coherence.drain_async()
-
-    def _complete_async_covering(self, page: int) -> bool:
-        """Finish the asynchronous Validate/Push covering ``page``."""
-        for i, plan in enumerate(self._async_push_plans):
-            if page in plan.pages:
-                del self._async_push_plans[i]
-                self._receive_push(plan.senders, plan.round_tag)
-                return True
-        return self.coherence.complete_async_covering(page)
-
     # ==================================================================
-    # Locks (distributed queue with manager forwarding).
+    # Locks and barriers: the consistency half of each operation (the
+    # lock protocol and the barrier master are repro.tm.roles).
     # ==================================================================
 
     def lock_acquire(self, lid: int) -> None:
@@ -822,7 +709,7 @@ class TmNode:
         self.stats.lock_acquires += 1
         if self.tel is not None:
             self.tel.event(self.pid, "tm.lock_acquire", lid=lid)
-        self._drain_async_plans()
+        self.coherence.drain_async()
         sreq, wsync = self._take_wsync_request()
         if self.osl is not None and self.absence is None:
             # CAS-spinlock fast path (no manager handler, no queues).
@@ -830,161 +717,43 @@ class TmNode:
             # on, so w_sync entries complete from locally-held diffs
             # and the rest fault in — the paper's lock-grant rule.
             self.osl.lock_acquire(lid)
-            self._complete_wsync(wsync)
-            return
-        if self._has_token(lid) and lid not in self.lock_held:
-            # Re-acquiring the lock we released last: purely local.
-            self._charge(self.cfg.local_lock_cost)
-            self.stats.lock_local_acquires += 1
-            self.lock_held.add(lid)
-            self._complete_wsync(wsync)
-            return
-        manager = self._manager_of(lid)
-        rvc = self._vc_tuple()
-        size = (8 + VC_ENTRY_BYTES * self.nprocs
-                + (sreq.wire_bytes() if sreq else 0))
-        if manager == self.pid:
-            self._charge(self.cfg.lock_service)
-            self._route_lock_request(lid, self.pid, rvc, sreq)
         else:
-            self.ep.send(manager, "lock_req",
-                         payload=(lid, self.pid, rvc, sreq),
-                         size=size)
-        t0 = self.sys.engine.now
-        msg = self.ep.recv(kind="lock_grant", tag=lid)
-        self.stats.t_lock_wait += self.sys.engine.now - t0
-        if self.tel is not None:
-            self.tel.span(self.pid, "wait.lock", t0,
-                          self.sys.engine.now)
-        granter_vc, recs, donated = msg.payload
-        self._store_diffs(donated)
-        self.apply_notices(recs, granter_vc)
-        self.lock_token[lid] = True
-        self.lock_held.add(lid)
-        self._roles_changed()
+            self.roles.acquire(lid, sreq)
         self._complete_wsync(wsync)
 
     def lock_release(self, lid: int) -> None:
         self._syncpoint()
-        if lid not in self.lock_held:
+        if lid not in self.roles.held:
             raise ProtocolError(f"P{self.pid} releasing unheld lock {lid}")
         if self.tel is not None:
             self.tel.event(self.pid, "tm.lock_release", lid=lid)
         self.end_interval()
-        self.lock_held.discard(lid)
         if self.osl is not None and self.absence is None:
             self.osl.lock_release(lid)
-            return
-        pending = self.lock_pending.get(lid)
-        if pending:
-            requester, rvc, sreq = pending.pop(0)
-            self._grant_lock(lid, requester, rvc, sreq)
-            self._roles_changed()
-
-    def _h_lock_req(self, msg: Message) -> None:
-        lid, requester, rvc, sreq = msg.payload
-        self._charge(self.cfg.lock_service)
-        self._route_lock_request(lid, requester, rvc, sreq)
-
-    def _route_lock_request(self, lid: int, requester: int,
-                            rvc: Tuple[int, ...],
-                            sreq: Optional[SyncFetchRequest]) -> None:
-        size = (8 + VC_ENTRY_BYTES * self.nprocs
-                + (sreq.wire_bytes() if sreq else 0))
-        if self.absence is not None:
-            owner = self._manager_of(lid)
-            if owner != self.pid and lid % self.nprocs != self.pid:
-                # Stale-view request: the requester still thought we
-                # were stewarding this lock's (now returned) home.
-                self.ep.send(owner, "lock_req",
-                             payload=(lid, requester, rvc, sreq),
-                             size=size)
-                return
-        tail = self.lock_tail.get(lid, lid % self.nprocs)
-        self.lock_tail[lid] = requester
-        target = tail if self.absence is None \
-            else self.absence.route(self.pid, tail)
-        if target == self.pid:
-            self._give_or_queue(lid, requester, rvc, sreq)
         else:
-            self.ep.send(target, "lock_fwd",
-                         payload=(lid, requester, rvc, sreq), size=size)
-        self._roles_changed()
-
-    def _h_lock_fwd(self, msg: Message) -> None:
-        lid, requester, rvc, sreq = msg.payload
-        self._charge(self.cfg.lock_service)
-        self._give_or_queue(lid, requester, rvc, sreq)
-        self._roles_changed()
-
-    def _give_or_queue(self, lid: int, requester: int,
-                       rvc: Tuple[int, ...],
-                       sreq: Optional[SyncFetchRequest]) -> None:
-        if self.absence is not None and not self._has_token(lid):
-            # The token may be parked in a drained node's custody we
-            # steward; a successful claim moves it to this node.
-            self.absence.claim_token(self, lid)
-        if self._has_token(lid) and lid not in self.lock_held:
-            self._grant_lock(lid, requester, rvc, sreq)
-        else:
-            self.lock_pending.setdefault(lid, []).append(
-                (requester, rvc, sreq))
-
-    def _grant_lock(self, lid: int, requester: int, rvc: Tuple[int, ...],
-                    sreq: Optional[SyncFetchRequest]) -> None:
-        if self.tel is not None:
-            self.tel.event(self.pid, "tm.lock_grant", lid=lid,
-                           to=requester)
-        recs = self._intervals_after(rvc)
-        donated: List[Diff] = []
-        if sreq is not None:
-            donated = self.coherence.collect_donation(sreq)
-        size = (VC_ENTRY_BYTES * self.nprocs + interval_wire_bytes(recs)
-                + diff_payload_bytes(donated))
-        self.ep.send(requester, "lock_grant",
-                     payload=(self._vc_tuple(), tuple(recs), tuple(donated)),
-                     size=size, tag=lid)
-        self.lock_token[lid] = False
-
-    # ==================================================================
-    # Barrier (centralized master, notices merged and redistributed).
-    # ==================================================================
+            self.roles.release(lid)
 
     def barrier(self) -> None:
         self._syncpoint()
         self.stats.barriers += 1
         if self.tel is not None:
             self.tel.barrier(self.pid)   # advances the barrier epoch
-        self._drain_async_plans()
+        self.coherence.drain_async()
         sreq, wsync = self._take_wsync_request()
         self.end_interval()
         if self.nprocs == 1:
             self._complete_wsync(wsync)
             return
         extra = self.coherence.barrier_extra()
-        if self.pid == self._current_master():
-            self._barrier_box[self.pid] = (self._vc_tuple(), (), sreq,
-                                           extra)
-            t0 = self.sys.engine.now
-            while len(self._barrier_box) < self.nprocs:
-                absent = sorted(set(range(self.nprocs))
-                                - set(self._barrier_box))
-                self.proc.waiting_on = (
-                    f"barrier arrivals from "
-                    f"{['P%d' % p for p in absent]}")
-                self.proc.wait()
-            self.proc.waiting_on = None
-            self.stats.t_barrier_wait += self.sys.engine.now - t0
-            if self.tel is not None:
-                self.tel.span(self.pid, "wait.barrier", t0,
-                              self.sys.engine.now)
-            self._barrier_finish()
+        roles = self.roles
+        if self.pid == roles.current_master():
+            roles.barrier_as_master(sreq, extra)
         else:
             recs = self._intervals_after(self.master_seen_vc)
             size = (VC_ENTRY_BYTES * self.nprocs + interval_wire_bytes(recs)
                     + (sreq.wire_bytes() if sreq else 0)
                     + self.coherence.barrier_extra_bytes(extra))
-            self.ep.send(self._current_master(), "barrier_arrive",
+            self.ep.send(roles.current_master(), "barrier_arrive",
                          payload=(self.pid, self._vc_tuple(),
                                   tuple(recs), sreq, extra),
                          size=size)
@@ -992,7 +761,7 @@ class TmNode:
             if self.absence is None:
                 msg = self.ep.recv(kind="barrier_depart")
             else:
-                msg = self._await_depart_or_seat()
+                msg = roles.await_depart_or_seat()
             self.stats.t_barrier_wait += self.sys.engine.now - t0
             if self.tel is not None:
                 self.tel.span(self.pid, "wait.barrier", t0,
@@ -1001,7 +770,7 @@ class TmNode:
                 # The seat moved to this node while it waited as a
                 # client; its own (relayed) arrival is already in the
                 # box — complete the episode as the new master.
-                self._barrier_finish()
+                roles.barrier_finish()
             else:
                 master_vc, recs, sreqs, gc_now, plan = msg.payload
                 self.apply_notices(recs, master_vc)
@@ -1011,112 +780,24 @@ class TmNode:
                     self.coherence.apply_barrier_plan(plan)
                 if gc_now:
                     self._gc_validate()
-                    self.ep.send(self._current_master(), "gc_done",
+                    self.ep.send(roles.current_master(), "gc_done",
                                  size=0)
                     self.ep.recv(kind="gc_discard")
                     self._gc_discard()
         self._complete_wsync(wsync, sreq, await_donations=True)
-
-    def _await_depart_or_seat(self) -> Optional[Message]:
-        """Client-side barrier wait under elastic membership.
-
-        Normally returns the ``barrier_depart`` message.  Returns
-        ``None`` when the barrier seat migrated to this node while it
-        was blocked (the previous seat drained away mid-episode) and
-        every arrival — including this node's own, relayed back by the
-        departing seat — has reached its box.
-        """
-        while True:
-            msg = self.ep.try_recv(kind="barrier_depart")
-            if msg is not None:
-                return msg
-            if (self._current_master() == self.pid
-                    and len(self._barrier_box) == self.nprocs):
-                return None
-            self.proc.waiting_on = "barrier departure (or seat handoff)"
-            self.proc.wait()
-            self.proc.waiting_on = None
-
-    def _h_barrier_arrive(self, msg: Message) -> None:
-        pid, vc, recs, sreq, extra = msg.payload
-        self._charge(self.cfg.barrier_arrival_service)
-        if self.absence is not None:
-            seat = self._current_master()
-            if seat != self.pid:
-                # The seat moved while this arrival was in flight (the
-                # sender's view was stale): relay it to the new master.
-                self.ep.send(seat, "barrier_arrive", payload=msg.payload,
-                             size=msg.size)
-                return
-        self._barrier_box[pid] = (vc, recs, sreq, extra)
-        self._roles_changed()
-        if len(self._barrier_box) == self.nprocs:
-            self.proc.wake()
-
-    def _barrier_finish(self) -> None:
-        """Master, process context: merge notices, send departures."""
-        box, self._barrier_box = self._barrier_box, {}
-        self._roles_changed()
-        for q in sorted(box):
-            if q == self.pid:
-                continue
-            qvc, recs, _, _ = box[q]
-            self.apply_notices(recs, qvc)
-        if self.osl is not None:
-            # The merged clock is the lock-release coverage floor: any
-            # processor running past this barrier dominates it, so a
-            # release meta based on it always passes the coverage check
-            # (clients record it at depart; the master records it here).
-            self.master_seen_vc = list(self.vc)
-        sreqs = tuple(entry[2] for _, entry in sorted(box.items())
-                      if entry[2] is not None)
-        plan = self.coherence.barrier_plan(
-            {q: entry[3] for q, entry in box.items()})
-        gc_now = (self.gc_threshold is not None
-                  and len(self.intervals) >= self.gc_threshold)
-        for q in sorted(box):
-            if q == self.pid:
-                continue
-            qvc = box[q][0]
-            recs = self._intervals_after(qvc)
-            size = (VC_ENTRY_BYTES * self.nprocs
-                    + interval_wire_bytes(recs)
-                    + sum(r.wire_bytes() for r in sreqs)
-                    + self.coherence.barrier_plan_bytes(plan))
-            self.ep.send(q, "barrier_depart",
-                         payload=(self._vc_tuple(), tuple(recs), sreqs,
-                                  gc_now, plan),
-                         size=size)
-        self.coherence.donate_for_requests(sreqs)
-        if plan is not None:
-            self.coherence.apply_barrier_plan(plan)
-        if gc_now:
-            # Two-phase collection: nobody discards until everyone has
-            # validated (a discarded diff could otherwise still be
-            # requested mid-collection).
-            self._gc_validate()
-            for q in range(self.nprocs):
-                if q != self.pid:
-                    self.ep.recv(kind="gc_done", src=q)
-            for q in range(self.nprocs):
-                if q != self.pid:
-                    self.ep.send(q, "gc_discard", size=0)
-            self._gc_discard()
 
     # ==================================================================
     # Push (paper Section 3.1.2).
     # ==================================================================
 
     def push(self, read_sections: Sequence[Sequence[Section]],
-             write_sections: Sequence[Sequence[Section]],
-             asynchronous: bool = False) -> None:
+             write_sections: Sequence[Sequence[Section]]) -> None:
         """Replace a barrier by point-to-point data exchange.
 
         ``read_sections[q]`` / ``write_sections[q]`` give, for every
         processor q, the sections q reads after / wrote before the
         eliminated barrier.  Consistency is guaranteed only for the
-        exchanged intersections.  With ``asynchronous`` the receives are
-        deferred to the first page fault on an expected page.
+        exchanged intersections.
         """
         self._syncpoint()
         self.stats.pushes += 1
@@ -1125,7 +806,7 @@ class TmNode:
             # Emitted before end_interval() on purpose: the sanitizer
             # checks this interval's write log against the declared
             # write sections before tm.interval retires the log.
-            self.tel.event(self.pid, "tm.push", asynchronous=asynchronous,
+            self.tel.event(self.pid, "tm.push",
                            round=self._push_round + 1,
                            reads=pack_sections(read_sections[self.pid]),
                            writes=pack_sections(write_sections[self.pid]))
@@ -1154,29 +835,6 @@ class TmNode:
                 self.ep.send(q, "push_data",
                              payload=(index, tuple(payload)),
                              size=size, tag=round_tag)
-        if asynchronous:
-            senders = []
-            pages: Set[int] = set()
-            for q in range(self.nprocs):
-                if q == self.pid:
-                    continue
-                parts = self._intersect_lists(write_sections[q], mine_r)
-                if parts:
-                    senders.append(q)
-                    for sec in parts:
-                        # Expected pages must count as unreadable until
-                        # the data lands (extra protection, as the paper
-                        # notes for asynchronous operation).
-                        for p in self.layout.pages_of(sec):
-                            pages.add(p)
-                            self.pages[p].valid = False
-            if senders:
-                if pages and self.tel is not None:
-                    self.tel.event(self.pid, "tm.push_expect",
-                                   pages=tuple(sorted(pages)))
-                self._async_push_plans.append(
-                    AsyncPushPlan(round_tag, senders, pages))
-            return
         senders = [q for q in range(self.nprocs)
                    if q != self.pid
                    and self._intersect_lists(write_sections[q], mine_r)]
@@ -1234,9 +892,9 @@ class TmNode:
         if self.tel is not None:
             self.tel.event(self.pid, "tm.gc_validate",
                            round=self.gc_rounds)
-        # Outstanding asynchronous Validates/Pushes must complete first:
+        # Outstanding asynchronous Validates must complete first:
         # their plans reference records that phase 2 will discard.
-        self._drain_async_plans()
+        self.coherence.drain_async()
         stale = [p for p in range(self.layout.npages)
                  if not self.pages[p].valid and self._needed_notices(p)]
         if stale:

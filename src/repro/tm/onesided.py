@@ -234,7 +234,7 @@ class NodeOneSided:
             node.tel.span(node.pid, "wait.lock", t0,
                           node.sys.engine.now)
         self._consume_meta(lid, meta)
-        node.lock_held.add(lid)
+        node.roles.held.add(lid)
 
     def _consume_meta(self, lid: int, meta) -> None:
         node = self.node
@@ -274,6 +274,7 @@ class NodeOneSided:
 
     def lock_release(self, lid: int) -> None:
         node = self.node
+        node.roles.held.discard(lid)
         manager = lid % node.nprocs
         key = ("lock", lid)
         base_vc = tuple(node.master_seen_vc)

@@ -1,10 +1,5 @@
-"""Tests of the designed-but-unimplemented paper features we provide.
-
-* Asynchronous Push (Section 3.2.3 designs it; the paper's
-  implementation "currently supports only the synchronous version").
-* Adaptive sync+data merge (Section 3.3 describes the trade-off; we
-  make the choice at run time from the request's page count).
-* Garbage collection under full application workloads.
+"""Barrier-time garbage collection (the one extension beyond the paper's
+implementation this repository keeps) under full application workloads.
 """
 
 import numpy as np
@@ -20,77 +15,6 @@ def check(res, app, dataset="tiny"):
     for name in app.check_arrays:
         np.testing.assert_allclose(res.arrays[name], ref[name],
                                    rtol=1e-9, atol=1e-12)
-
-
-class TestAsyncPush:
-    @pytest.mark.parametrize("appname", ["jacobi", "fft3d"])
-    def test_correctness(self, appname):
-        app = get_app(appname)
-        opt = OptConfig(push=True, async_push=True, name="async-push")
-        res = run_dsm(app.program("tiny", 4), nprocs=4, opt=opt,
-                      page_size=256)
-        check(res, app)
-
-    def test_same_message_count_as_sync_push(self):
-        app = get_app("jacobi")
-        sync = run_dsm(app.program("tiny", 4), nprocs=4,
-                       opt=OptConfig(push=True, name="p"),
-                       page_size=256, snapshot=False)
-        asy = run_dsm(app.program("tiny", 4), nprocs=4,
-                      opt=OptConfig(push=True, async_push=True, name="ap"),
-                      page_size=256, snapshot=False)
-        assert asy.run.net.by_kind["push_data"] == \
-            sync.run.net.by_kind["push_data"]
-
-    def test_extra_faults_for_deferred_receives(self):
-        """Async operation pays extra protection/fault work (the paper's
-        Section 3.2.3 observation), completing plans at first touch."""
-        app = get_app("jacobi")
-        sync = run_dsm(app.program("tiny", 4), nprocs=4,
-                       opt=OptConfig(push=True, name="p"),
-                       page_size=256, snapshot=False)
-        asy = run_dsm(app.program("tiny", 4), nprocs=4,
-                      opt=OptConfig(push=True, async_push=True, name="ap"),
-                      page_size=256, snapshot=False)
-        assert asy.run.stats.segv >= sync.run.stats.segv
-
-
-class TestAdaptiveMerge:
-    def test_correctness_small_limit(self):
-        app = get_app("is")
-        opt = OptConfig(sync_data_merge=True, merge_page_limit=1,
-                        name="merge-adaptive")
-        res = run_dsm(app.program("tiny", 4), nprocs=4, opt=opt,
-                      page_size=256)
-        check(res, app)
-
-    def test_limit_disables_large_merges(self):
-        """With limit 0, every w_sync falls back to a plain Validate."""
-        app = get_app("is")
-        merged = run_dsm(app.program("tiny", 4), nprocs=4,
-                         opt=OptConfig(sync_data_merge=True, name="m"),
-                         page_size=256, snapshot=False)
-        limited = run_dsm(app.program("tiny", 4), nprocs=4,
-                          opt=OptConfig(sync_data_merge=True,
-                                        merge_page_limit=0, name="m0"),
-                          page_size=256, snapshot=False)
-        # No donations when every merge falls back.
-        assert limited.run.net.by_kind.get("diff_donate", 0) == 0
-        assert merged.run.net.by_kind.get("diff_donate", 0) > 0
-
-    def test_generous_limit_equals_unconditional_merge(self):
-        """A limit larger than any request leaves merging unchanged."""
-        app = get_app("is")
-        merged = run_dsm(app.program("tiny", 4), nprocs=4,
-                         opt=OptConfig(sync_data_merge=True, name="m"),
-                         page_size=256, snapshot=False)
-        adaptive = run_dsm(app.program("tiny", 4), nprocs=4,
-                           opt=OptConfig(sync_data_merge=True,
-                                         merge_page_limit=10 ** 6,
-                                         name="ma"),
-                           page_size=256, snapshot=False)
-        assert adaptive.time == merged.time
-        assert adaptive.run.messages == merged.run.messages
 
 
 class TestGcUnderApps:

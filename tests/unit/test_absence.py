@@ -6,13 +6,13 @@ plan types live (test_recovery.py, test_membership.py)."""
 
 import pytest
 
-from repro.absence.manager import (CRASH, DEFERRABLE, DRAIN, JOIN,
-                                   Frame, Roles)
+from repro.absence.manager import CRASH, DEFERRABLE, DRAIN, JOIN, Frame
 from repro.faults import FaultPlan, NodeCrash
 from repro.memory import SharedLayout
 from repro.membership import MembershipPlan, NodeDrain, NodeJoin
 from repro.net.message import Message
 from repro.tm.meta import IntervalRecord
+from repro.tm.roles import Roles
 from repro.tm.system import TmSystem
 
 NEVER = 1e12
@@ -38,6 +38,11 @@ def _idle(system):
     for node in system.nodes:
         node.offline = True     # handlers called by hand charge nothing
     return system.absence
+
+
+def _live(node):
+    """The node's role state, comparable across snapshots."""
+    return node.roles.snapshot()._replace(version=0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +100,11 @@ def test_gate_lets_a_drain_leave_only_between_critical_sections():
             mgr.gate(node)
             seen["held"] = dict(mgr.realized)
             node.lock_release(1)
-            node.lock_pending[1] = [(0, (0, 0, 0), None)]
+            node.roles.merge(Roles(0, {}, {}, {1: ((0, (0, 0, 0), None),)},
+                                   {}))
             mgr.gate(node)
             seen["queued"] = dict(mgr.realized)
-            node.lock_pending[1] = []
+            node.roles.clear()
             mgr.gate(node)
             seen["quiet"] = dict(mgr.realized)
 
@@ -185,7 +191,7 @@ def test_only_nodes_whose_state_goes_into_custody_defer():
     for pid, wrapped in ((0, True), (1, False), (2, False), (3, True)):
         node = system.nodes[pid]        # drain, none, join, crash
         handler = node.ep.handlers["lock_req"][0]
-        assert (handler != node._h_lock_req) == wrapped
+        assert (handler != node.roles._h_lock_req) == wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +208,8 @@ def _steward_state(mgr, node, victim):
     vw = mgr.view[node.pid]
     return (sorted(cust.records), sorted(cust.diffs), sorted(cust.applied),
             cust.roles, set(cust.claimed), cust.acting,
-            dict(node.lock_tail), dict(node.lock_token),
-            dict(node._barrier_box), sorted(node.intervals),
+            node.roles.tails_of(victim), _live(node),
+            sorted(node.intervals),
             list(node.vc), set(vw.absent), dict(vw.steward),
             dict(vw.watermark), vw.seat)
 
@@ -222,14 +228,14 @@ def test_custody_install_is_idempotent_under_redelivery():
     mgr._h_custody(steward, _frame_msg(goodbye))
     first = _steward_state(mgr, steward, 0)
     assert mgr._custody[0].acting and mgr.view[1].seat == 1
-    assert steward.lock_tail == {0: 2, 3: 0}
-    assert steward._barrier_box == {2: arrival}
+    assert steward.roles.tails_of(0) == {0: 2, 3: 0}
+    assert _live(steward).box == {2: arrival}
     mgr._h_custody(steward, _frame_msg(goodbye))
     assert _steward_state(mgr, steward, 0) == first
     # ... also after the steward has acted on it: a claimed token and a
     # newer routing tail survive the duplicate.
     assert mgr.claim_token(steward, 0)
-    steward.lock_tail[0] = 1
+    steward.roles.adopt(Roles(0, {}, {0: 1}, {}, {}))
     acted = _steward_state(mgr, steward, 0)
     mgr._h_custody(steward, _frame_msg(goodbye))
     assert _steward_state(mgr, steward, 0) == acted
@@ -268,14 +274,11 @@ def test_hand_back_install_is_idempotent():
 
     def state():
         return (sorted(victim.intervals), sorted(victim.applied),
-                dict(victim.lock_token), dict(victim.lock_tail),
-                {k: list(v) for k, v in victim.lock_pending.items()},
-                dict(victim._barrier_box), list(victim.vc))
+                _live(victim), list(victim.vc))
 
     mgr._install(victim, back)
     first = state()
-    assert victim.lock_pending == {0: [queued]}
-    assert victim._barrier_box == {1: arrival}
+    assert _live(victim) == back.roles._replace(version=0)
     mgr._install(victim, back)
     assert state() == first
 
@@ -297,11 +300,9 @@ def test_streamed_custody_mirrors_the_live_role_state():
         system = _system(4, _crash_plan(pid))
         system.run(main)
         node, cust = system.nodes[pid], system.absence._custody[pid]
-        assert cust.roles.tokens == node.lock_token
-        assert cust.roles.tails == {
-            lid: t for lid, t in node.lock_tail.items() if lid % 4 == pid}
+        assert cust.roles._replace(version=0) == _live(node)
         assert cust.roles.pending == {} and cust.roles.box == {}
-        assert not any(node.lock_pending.values())
+        assert node.roles.quiescent
         assert sorted(cust.records) == sorted(
             r.index for r in node.intervals.values() if r.writer == pid)
         assert system.absence.summary()["log_messages"] > len(cust.records)
@@ -338,7 +339,7 @@ def test_gc_drops_custody_history_but_not_roles():
     assert any(n.gc_rounds for n in collected.nodes)
     cust = collected.absence._custody[2]
     assert len(cust.records) < kept
-    assert cust.roles.tokens == collected.nodes[2].lock_token
+    assert cust.roles.tokens == _live(collected.nodes[2]).tokens
     # And a crash between GC rounds still comes back bit-identical.
     crashed = system(_crash_plan(2, t=2500.0, reboot_us=800.0),
                      gc_threshold=8)

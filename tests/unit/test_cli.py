@@ -1,5 +1,6 @@
 """The CLI surface: typed errors, shared flags, and docs that name it."""
 
+import ast
 import json
 import pathlib
 import re
@@ -81,3 +82,54 @@ def test_every_documented_command_line_exists(capsys):
                     [word] if word in cli.SUBCOMMANDS else [], capsys)
             assert set(FLAG.findall(rest)) <= flags[word], line
     assert set(cli.SUBCOMMANDS) <= set(flags), "an undocumented subcommand"
+
+
+def _emitted_kinds():
+    """Every kind or span name handed to ``tel.event/span/cpu/access``
+    under ``src/repro`` (and to ``Telemetry``'s own ``self.event``), as
+    ``(literals, prefixes)``: an f-string such as ``f"fault.{kind}"``
+    counts as its literal head."""
+    literals, prefixes = {}, {}
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        own = path.name == "core.py" and path.parent.name == "telemetry"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("event", "span", "cpu",
+                                           "access")):
+                continue
+            receiver = ast.unparse(node.func.value)
+            if not (receiver.endswith("tel") or own and receiver == "self"):
+                continue
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            kind = node.args[1]
+            if isinstance(kind, ast.Constant):
+                literals[kind.value] = where
+            else:
+                assert isinstance(kind, ast.JoinedStr) and isinstance(
+                    kind.values[0], ast.Constant), \
+                    f"{where}: event kind is not a literal"
+                prefixes[kind.values[0].value] = where
+    return literals, prefixes
+
+
+def test_the_event_taxonomy_matches_what_the_source_emits():
+    """docs/observability.md's event and span tables name exactly the
+    kinds the source emits."""
+    doc = (ROOT / "docs/observability.md").read_text()
+    section = doc.split("## Event taxonomy")[1].split("\n## ")[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`([\w.]+)`",
+                                         line.split("|")[1]))
+    literals, prefixes = _emitted_kinds()
+    for prefix, where in prefixes.items():
+        assert any(k.startswith(prefix) for k in documented), \
+            f"{where}: no documented kind starts with {prefix!r}"
+    undocumented = {k: w for k, w in literals.items()
+                    if k not in documented}
+    assert not undocumented, f"emitted but undocumented: {undocumented}"
+    never = {k for k in documented if k not in literals
+             and not any(k.startswith(p) for p in prefixes)}
+    assert not never, f"documented but never emitted: {sorted(never)}"

@@ -13,13 +13,15 @@ Usage::
     python -m repro elastic --apps jacobi --schedules drain-master
     python -m repro sanitize jacobi --opt push
     python -m repro sanitize --all
-    python -m repro bench --json BENCH_pr4.json
+    python -m repro bench --json bench.json
     python -m repro report jacobi --html report.html
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 from functools import partial
 
@@ -34,15 +36,16 @@ from repro.harness import report
 # place (argparse merges parents into each subcommand's parser).
 # ----------------------------------------------------------------------
 
-def _sizing_parent(dataset: str = "tiny", nprocs: int = 4,
-                   page_size: int = 1024) -> argparse.ArgumentParser:
+def _sizing_parent() -> argparse.ArgumentParser:
     """``--dataset/--nprocs/--page-size``, shared by every run command."""
+    from repro.harness.modes import SIZING
+
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--dataset", default=dataset,
+    p.add_argument("--dataset", default=SIZING["dataset"],
                    help="data set name (tiny, bench, ...)")
-    p.add_argument("--nprocs", type=int, default=nprocs,
+    p.add_argument("--nprocs", type=int, default=SIZING["nprocs"],
                    help="number of simulated processors")
-    p.add_argument("--page-size", type=int, default=page_size,
+    p.add_argument("--page-size", type=int, default=SIZING["page_size"],
                    help="DSM page size in bytes")
     return p
 
@@ -271,11 +274,13 @@ def check_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro check",
         parents=[_protocol_parent()],
-        description="Re-run the protocol baseline matrix and compare "
-                    "counts against benchmarks/baselines/protocol.json. "
-                    "Counts must match exactly; simulated time within "
-                    "a relative tolerance.  --protocol restricts the "
-                    "run (and any update) to one backend's entries.")
+        description="Re-run every unperturbed cell of the run matrix "
+                    "(app x mode x opt level x backend x data plane) "
+                    "and compare against benchmarks/baselines/"
+                    "protocol.json.  Counts must match exactly; "
+                    "simulated time within a relative tolerance.  "
+                    "--protocol restricts the run (and any update) to "
+                    "one backend's entries.")
     parser.add_argument("--update-baselines", action="store_true",
                         help="rewrite the baseline file from this run "
                              "(after an intentional protocol change); "
@@ -303,7 +308,7 @@ def check_main(argv) -> int:
         return 0
     for key in sorted(result.measured):
         entry = result.measured[key]
-        print(f"  {key:<18} t={entry['time_us']:.1f}us "
+        print(f"  {key:<32} t={entry['time_us']:.1f}us "
               f"messages={entry['messages']} "
               f"bytes={entry['data_bytes']}")
     if result.ok:
@@ -358,7 +363,9 @@ def sweep_main(kind: str, argv) -> int:
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="export the sweep results as JSON "
                              "('-' for stdout)")
-    parser.set_defaults(seed=0)     # sweeps that mine take no --seed
+    # Sweeps that mine take no --seed; one whose perturbation has no
+    # one-sided cell takes no --data-plane.
+    parser.set_defaults(seed=0, data_plane=None)
     args = parser.parse_args(argv)
 
     plan = None
@@ -368,8 +375,7 @@ def sweep_main(kind: str, argv) -> int:
     cases = policy.sweep(args.apps, args.opts, args.labels,
                          seed=args.seed, inspect=not args.no_inspect,
                          plan=plan, **_run_kw(args))
-    _emit(args, policy.payload(cases, seed=args.seed,
-                               **_run_kw(args, (*_SIZING, "protocol"))),
+    _emit(args, policy.payload(cases, seed=args.seed, **_run_kw(args)),
           policy.render(cases))
     return 0 if all(c.ok for c in cases) else 1
 
@@ -452,9 +458,10 @@ def bench_main(argv) -> int:
         description="Run the full mode matrix (seq, every applicable "
                     "DSM opt level, message passing, XHPF) and report "
                     "simulated time, speedup and message counts per "
-                    "app x mode, machine-readable.  With --protocols, "
-                    "instead compare the DSM coherence backends side "
-                    "by side (app x opt x protocol).")
+                    "app x mode.  With --protocols, instead compare "
+                    "the DSM coherence backends side by side (app x "
+                    "opt x protocol).  --json holds each cell's record "
+                    "under its baseline key, as 'check' gates it.")
     parser.add_argument("--apps", nargs="*", default=None,
                         choices=sorted(all_apps()),
                         help="applications to bench (default: all, in "
@@ -469,22 +476,24 @@ def bench_main(argv) -> int:
                         dest="data_planes",
                         choices=("twosided", "onesided"),
                         metavar="PLANE",
-                        help="with --protocols: also sweep the data "
-                             "plane dimension (twosided, onesided); "
-                             "onesided rows carry message/latency "
-                             "deltas vs the matching two-sided cell")
+                        help="the data plane(s) of the DSM rows "
+                             "(twosided, onesided; default twosided); "
+                             "with --protocols and both, onesided rows "
+                             "carry their message delta vs the matching "
+                             "two-sided cell")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the JSON payload here "
                              "('-' for stdout)")
     args = parser.parse_args(argv)
 
+    cells = dict(apps=args.apps, data_planes=args.data_planes,
+                 **_run_kw(args))
     if args.protocols is not None:
         payload = bench.bench_protocols(
-            apps=args.apps, protocols=args.protocols or None,
-            data_planes=args.data_planes, **_run_kw(args))
+            protocols=args.protocols or None, **cells)
         render = bench.render_bench_protocols
     else:
-        payload = bench.bench(apps=args.apps, **_run_kw(args))
+        payload = bench.bench(**cells)
         render = bench.render_bench
     _emit(args, payload, render(payload), sort_keys=True)
     return 0
@@ -554,10 +563,18 @@ def _subcommand_summary() -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _main(argv)
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``... | head``): leave quietly with
+        # the conventional SIGPIPE status, stdout pointed at devnull so
+        # the interpreter's exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 def _main(argv) -> int:

@@ -288,7 +288,7 @@ def lower_xhpf(program: Program, nprocs: int,
     # deterministic write log to pick).
     arrays = _merge_replicas(program, runtimes)
     return XhpfOutcome(time=result.time, net=result.net, arrays=arrays,
-                      telemetry=telemetry)
+                       telemetry=telemetry, profile=profile)
 
 
 def _merge_replicas(program: Program,

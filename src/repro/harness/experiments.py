@@ -6,28 +6,29 @@ memory- and time-prohibitive) with per-dataset compute-cost scaling that
 restores the paper's compute-to-communication balance.  EXPERIMENTS.md
 records how the shapes compare against the paper's numbers.
 
-Results of the underlying runs are cached per (app, dataset, nprocs,
-page size), so regenerating several tables reuses the same runs.
+Every run is a cell of the one run matrix
+(:func:`repro.harness.modes.run_matrix`), goes through
+:func:`repro.harness.spec.run` and is cached under its cell key and
+sizing, so regenerating several tables reuses the same runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.apps import all_apps
 from repro.apps.base import AppSpec
 from repro.errors import HpfError
 from repro.harness.modes import OPT_LEVELS, applicable_levels, \
-    sync_fetch_variant
-from repro.harness.runner import run_dsm, run_mp, run_seq, run_xhpf
+    run_matrix, sync_fetch_variant
+from repro.harness.outcome import RunOutcome
+from repro.harness.runner import run_seq
+from repro.harness.spec import RunSpec, run
 
 DEFAULT_NPROCS = 8
 DEFAULT_DATASET = "bench"
 DEFAULT_PAGE = 1024
-
-#: The paper's application order.
-APP_ORDER = ["jacobi", "fft3d", "is", "shallow", "gauss", "mgs"]
 
 
 @dataclass
@@ -37,11 +38,15 @@ class AppRuns:
     app: AppSpec
     dataset: str
     nprocs: int
-    seq_time: float
+    seq: object = None
     dsm: Dict[str, object] = field(default_factory=dict)   # level -> DsmOutcome
     dsm_sync: Dict[str, object] = field(default_factory=dict)
     pvme: object = None
     xhpf: object = None            # None when XHPF refuses the program
+
+    @property
+    def seq_time(self) -> float:
+        return self.seq.time
 
     def speedup(self, time_us: float) -> float:
         return self.seq_time / time_us
@@ -60,51 +65,50 @@ class AppRuns:
         return self.dsm[self.best_level()]
 
 
-_CACHE: Dict[tuple, AppRuns] = {}
+_CACHE: Dict[tuple, RunOutcome] = {}
 
 
 def clear_cache() -> None:
     _CACHE.clear()
 
 
+def cached_run(spec: RunSpec) -> RunOutcome:
+    """Run ``spec`` (or fetch it from the cache) for its numbers alone:
+    no final-state snapshot."""
+    key = (spec.key, spec.dataset, spec.nprocs, spec.page_size)
+    if key not in _CACHE:
+        _CACHE[key] = run(spec, snapshot=False)
+    return _CACHE[key]
+
+
 def app_runs(app: AppSpec, dataset: str = DEFAULT_DATASET,
              nprocs: int = DEFAULT_NPROCS,
              page_size: int = DEFAULT_PAGE,
              include_sync_fetch: bool = False) -> AppRuns:
-    """Run (or fetch from cache) the full mode matrix for one app."""
-    key = (app.name, dataset, nprocs, page_size)
-    runs = _CACHE.get(key)
-    if runs is None:
-        params = dict(app.datasets[dataset].params)
-        seq = run_seq(app.program(dataset, 1))
-        runs = AppRuns(app=app, dataset=dataset, nprocs=nprocs,
-                       seq_time=seq.time)
+    """Run (or fetch from cache) the paper's mode matrix for one app."""
+    sizing = dict(dataset=dataset, nprocs=nprocs, page_size=page_size)
+    runs = AppRuns(app=app, dataset=dataset, nprocs=nprocs)
+    for spec in run_matrix([app], protocols=[None], data_planes=[None],
+                           **sizing):
+        if spec.mode == "dsm":
+            runs.dsm[spec.opt] = cached_run(spec)
+            continue
+        try:
+            out = cached_run(spec)
+        except HpfError:
+            continue
+        setattr(runs, "pvme" if spec.mode == "mp" else spec.mode, out)
+    if include_sync_fetch:
         for level, opt in applicable_levels(app).items():
-            runs.dsm[level] = run_dsm(app.program(dataset, nprocs),
-                                      nprocs=nprocs, opt=opt,
-                                      page_size=page_size, snapshot=False)
-        runs.pvme = run_mp(app, params, nprocs=nprocs)
-        if app.xhpf_ok:
-            try:
-                runs.xhpf = run_xhpf(app.program(dataset, nprocs),
-                                     nprocs=nprocs)
-            except HpfError:
-                runs.xhpf = None
-        _CACHE[key] = runs
-    if include_sync_fetch and not runs.dsm_sync:
-        for level, opt in applicable_levels(runs.app).items():
-            if opt is None:
-                continue
-            sopt = sync_fetch_variant(opt)
-            runs.dsm_sync[level] = run_dsm(
-                runs.app.program(dataset, nprocs), nprocs=nprocs,
-                opt=sopt, page_size=page_size, snapshot=False)
+            if opt is not None:
+                runs.dsm_sync[level] = cached_run(RunSpec(
+                    app=app, opt=sync_fetch_variant(opt), **sizing))
     return runs
 
 
 def apps_in_order() -> List[AppSpec]:
-    apps = all_apps()
-    return [apps[name] for name in APP_ORDER if name in apps]
+    """The six applications, in the paper's order."""
+    return list(all_apps().values())
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +259,6 @@ def sensitivity(appname: str = "jacobi", dataset: str = DEFAULT_DATASET,
     """Sweep the platform's communication cost by ``factors``."""
     from dataclasses import replace as dc_replace
     from repro.machine.config import MachineConfig
-    from repro.harness.modes import applicable_levels
 
     app = all_apps()[appname]
     rows = []
@@ -270,21 +273,13 @@ def sensitivity(appname: str = "jacobi", dataset: str = DEFAULT_DATASET,
             wire_latency=base_cfg.wire_latency * f,
             bandwidth=base_cfg.bandwidth / f,
         )
-        levels = applicable_levels(app)
-        base = run_dsm(app.program(dataset, nprocs), nprocs=nprocs,
-                       opt=None, config=cfg, page_size=page_size,
-                       snapshot=False)
-        best = None
-        for name, opt in levels.items():
-            if opt is None:
-                continue
-            res = run_dsm(app.program(dataset, nprocs), nprocs=nprocs,
-                          opt=opt, config=cfg, page_size=page_size,
-                          snapshot=False)
-            if best is None or res.time < best.time:
-                best = res
-        pvme = run_mp(app, dict(app.datasets[dataset].params),
-                      nprocs=nprocs, config=cfg)
+        spec = RunSpec(app=app, dataset=dataset, nprocs=nprocs,
+                       page_size=page_size, config=cfg, snapshot=False)
+        base = run(spec)
+        best = min((run(spec, opt=opt)
+                    for opt in applicable_levels(app).values()
+                    if opt is not None), key=lambda res: res.time)
+        pvme = run(spec, mode="mp")
         rows.append({
             "comm_cost_x": f,
             "Tmk": seq_time / base.time,

@@ -68,10 +68,8 @@ def run_dsm(program: Program, nprocs: int,
     result = system.run(main)
     arrays = system.snapshot() if snapshot else {}
     system.release()
-    out = DsmOutcome(run=result, arrays=arrays, program=prog,
-                     telemetry=telemetry)
-    out.profile = profile
-    return out
+    return DsmOutcome(run=result, arrays=arrays, program=prog,
+                      telemetry=telemetry, profile=profile)
 
 
 def run_mp(app, params: Dict[str, int], nprocs: int,
@@ -86,9 +84,8 @@ def run_mp(app, params: Dict[str, int], nprocs: int,
     arrays = {}
     if app.assemble_mp is not None:
         arrays = app.assemble_mp(result.returns, dict(params))
-    out = MpOutcome(run=result, arrays=arrays, telemetry=telemetry)
-    out.profile = profile
-    return out
+    return MpOutcome(run=result, arrays=arrays, telemetry=telemetry,
+                     profile=profile)
 
 
 def run_xhpf(program: Program, nprocs: int,
@@ -97,8 +94,6 @@ def run_xhpf(program: Program, nprocs: int,
              profile=None, monitor=None) -> XhpfOutcome:
     """Run the XHPF-like compiler-generated message-passing version."""
     from repro.compiler.hpf import lower_xhpf
-    out = lower_xhpf(program, nprocs, config=config, telemetry=telemetry,
-                     faults=faults, transport=transport,
-                     profile=profile, monitor=monitor)
-    out.profile = profile
-    return out
+    return lower_xhpf(program, nprocs, config=config, telemetry=telemetry,
+                      faults=faults, transport=transport,
+                      profile=profile, monitor=monitor)

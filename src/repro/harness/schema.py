@@ -1,16 +1,16 @@
 """One versioned envelope for every machine-readable payload.
 
-Every enveloped ``--json`` output of the CLI — the six kinds
-``bench``, ``bench-protocols``, ``chaos``, ``recover``, ``elastic``
-and ``sanitize`` — starts with the same two keys::
+Every enveloped ``--json`` output of the CLI — the five kinds
+``bench``, ``chaos``, ``recover``, ``elastic`` and ``sanitize`` —
+starts with the same two keys::
 
     {"schema": "repro-<kind>/<version>", "generated_by": "repro 1.0.0", ...}
 
 ``schema`` names the payload shape and its version — consumers must
 check it before interpreting the rest — and ``generated_by`` records
 the producing package version.  Both are deterministic (no hostnames,
-no timestamps), so committed payloads such as the ``BENCH_*.json``
-baselines can be compared byte-for-byte in CI.
+no timestamps), so two payloads of the same tree can be compared
+byte-for-byte.
 """
 
 from __future__ import annotations

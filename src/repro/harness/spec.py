@@ -21,7 +21,8 @@ from typing import Dict, Optional, Union
 
 from repro.apps import get_app
 from repro.apps.base import AppSpec
-from repro.capability import MODES, cell_of, perturbations_of, require
+from repro.capability import (MODES, PLANES, Cell, cell_of,
+                              perturbations_of, require)
 from repro.compiler.transform import OptConfig
 from repro.errors import ReproError
 from repro.faults import FaultPlan
@@ -86,6 +87,33 @@ class RunSpec:
     monitor: Optional[object] = None
 
     # ------------------------------------------------------------------
+
+    @property
+    def key(self) -> str:
+        """``app/mode[/opt][+plane][@protocol]``: the name of this
+        run's cell in ``benchmarks/baselines/protocol.json`` and in
+        every ``{key: record}`` payload (default plane and backend
+        unnamed; sizing, observation and perturbation not part of it)."""
+        cell = cell_of(self.mode, self.protocol, self.data_plane)
+        key = f"{getattr(self.app, 'name', self.app)}/{self.mode}"
+        if self.opt:
+            key += f"/{getattr(self.opt, 'name', self.opt)}"
+        if cell.data_plane != Cell.data_plane:
+            key += f"+{cell.data_plane}"
+        if cell.protocol != Cell.protocol:
+            key += f"@{cell.protocol}"
+        return key
+
+    @classmethod
+    def from_key(cls, key: str, **fields) -> "RunSpec":
+        """The spec a :attr:`key` names (``fields`` supply the rest)."""
+        head, _, protocol = key.partition("@")
+        plane = next((p for p in PLANES if head.endswith("+" + p)), None)
+        if plane is not None:
+            head = head[:-len(plane) - 1]
+        app, mode, *opt = head.split("/")
+        return cls(app=app, mode=mode, opt=opt[0] if opt else None,
+                   data_plane=plane, protocol=protocol or None, **fields)
 
     def resolve_app(self) -> Optional[AppSpec]:
         if isinstance(self.app, str):

@@ -21,12 +21,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps import all_apps, get_app
+from repro.apps import all_apps
 from repro.capability import cell_of, require
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.harness import report
-from repro.harness.modes import applicable_levels
+from repro.harness.modes import OPT_LEVELS, SIZING, run_matrix
 from repro.harness.runner import layout_for
 from repro.harness.schema import envelope
 from repro.harness.spec import RunSpec, run
@@ -122,19 +122,17 @@ class Sweep:
     def mined(self) -> bool:
         return self.mine is not None
 
-    def _spec(self, app, opt, **run_kw) -> RunSpec:
-        """The unperturbed spec; raises before any run if the sweep's
-        cell is a hole of the capability table."""
-        require(cell_of("dsm", run_kw["protocol"], run_kw["data_plane"],
+    def _require(self, protocol, data_plane) -> None:
+        """Raise, before any run, if the sweep's cell is a hole of the
+        capability table."""
+        require(cell_of("dsm", protocol, data_plane,
                         (self.perturbation,)))
-        return RunSpec(app=app, mode="dsm", opt=opt, **run_kw)
 
     def run_case(self, app: str, opt: Optional[str], label, *,
-                 seed: int = 0, base=None, dataset: str = "tiny",
-                 nprocs: int = 4, page_size: int = 1024,
-                 inspect: bool = True, plan: Optional[FaultPlan] = None,
+                 seed: int = 0, base=None, inspect: bool = True,
+                 plan: Optional[FaultPlan] = None,
                  protocol: Optional[str] = None,
-                 data_plane: Optional[str] = None):
+                 data_plane: Optional[str] = None, **sizing):
         """Run one app/opt pair unperturbed and perturbed; compare bits.
 
         ``label`` names the case (or, for a mined sweep, may be an
@@ -142,15 +140,16 @@ class Sweep:
         outcome (traced, for a mined sweep).  Pass ``plan`` to run an
         explicit declarative :class:`FaultPlan` (e.g. loaded with
         :func:`repro.faults.plan_from_json`) instead; ``label`` then
-        only labels the case.
+        only labels the case.  ``sizing`` overrides
+        :data:`~repro.harness.modes.SIZING`.
         """
-        spec = self._spec(app, opt, dataset=dataset, nprocs=nprocs,
-                          page_size=page_size, protocol=protocol,
-                          data_plane=data_plane)
+        self._require(protocol, data_plane)
+        spec = RunSpec(app=app, mode="dsm", opt=opt, protocol=protocol,
+                       data_plane=data_plane, **{**SIZING, **sizing})
         if base is None:
             base = run(spec, telemetry=self.mined)
         if plan is None and self.mined and isinstance(label, str):
-            mined = self.mine(base, nprocs, names=(label,))
+            mined = self.mine(base, spec.nprocs, names=(label,))
             if not mined:
                 raise ReproError(
                     f"schedule {label!r} does not apply to {app} "
@@ -162,8 +161,9 @@ class Sweep:
         san = None
         if self.mined:
             from repro.sanitizer import Sanitizer
-            san = Sanitizer(layout_for(base.program, page_size=page_size),
-                            nprocs, opt=spec.resolve_opt())
+            san = Sanitizer(
+                layout_for(base.program, page_size=spec.page_size),
+                spec.nprocs, opt=spec.resolve_opt())
             san.attach(tel.bus)
         try:
             out = run(spec, faults=plan, telemetry=tel)
@@ -187,38 +187,36 @@ class Sweep:
     def sweep(self, apps: Optional[Sequence[str]] = None,
               opts: Optional[Sequence[str]] = None,
               labels: Optional[Sequence[str]] = None, *,
-              seed: int = 0, dataset: str = "tiny", nprocs: int = 4,
-              page_size: int = 1024, inspect: bool = True,
+              seed: int = 0, inspect: bool = True,
               plan: Optional[FaultPlan] = None,
               protocol: Optional[str] = None,
-              data_plane: Optional[str] = None) -> List:
-        """The matrix: apps x applicable opt levels x labels, one shared
-        base run per app/opt pair.
+              data_plane: Optional[str] = None, **sizing) -> List:
+        """The run matrix's DSM cells on one backend and plane (apps and
+        opt levels in name order unless given) x labels, one shared base
+        run per cell.
 
         With an explicit ``plan``, each pair runs that one plan
         (labelled "plan") instead of the named or mined cases.
         """
-        run_kw = dict(dataset=dataset, nprocs=nprocs,
-                      page_size=page_size, protocol=protocol,
-                      data_plane=data_plane)
+        self._require(protocol, data_plane)
         cases = []
-        for app in sorted(apps or all_apps()):
-            app_opts = sorted(applicable_levels(get_app(app)))
-            for opt in (opts if opts is not None else app_opts):
-                if opt not in app_opts:
-                    continue    # e.g. 'push' asked for an app without it
-                base = run(self._spec(app, opt, **run_kw),
-                           telemetry=self.mined)
-                if plan is not None:
-                    todo: Sequence = ("plan",)
-                elif self.mined:
-                    todo = self.mine(base, nprocs, names=labels)
-                else:
-                    todo = sorted(labels) if labels else self.labels
-                for label in todo:
-                    cases.append(self.run_case(
-                        app, opt, label, seed=seed, base=base,
-                        inspect=inspect, plan=plan, **run_kw))
+        for spec in run_matrix(
+                sorted(apps or all_apps()),
+                opts if opts is not None else sorted(OPT_LEVELS),
+                modes=("dsm",), protocols=[protocol],
+                data_planes=[data_plane], **sizing):
+            base = run(spec, telemetry=self.mined)
+            if plan is not None:
+                todo: Sequence = ("plan",)
+            elif self.mined:
+                todo = self.mine(base, spec.nprocs, names=labels)
+            else:
+                todo = sorted(labels) if labels else self.labels
+            for label in todo:
+                cases.append(self.run_case(
+                    spec.app, spec.opt, label, seed=seed, base=base,
+                    inspect=inspect, plan=plan, protocol=protocol,
+                    data_plane=data_plane, **sizing))
         return cases
 
     def render(self, cases: Sequence[Case]) -> str:

@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.apps.base import AppSpec
 from repro.errors import HpfError
-from repro.harness.modes import applicable_levels
-from repro.harness.runner import run_dsm, run_mp, run_seq, run_xhpf
+from repro.harness.modes import run_matrix
+from repro.harness.spec import RunSpec, run
 
 
 @dataclass
@@ -66,32 +66,23 @@ def verify_app(app: AppSpec, dataset: str = "tiny", nprocs: int = 4,
                gc_threshold: Optional[int] = None) -> VerifyReport:
     """Run every mode of one application and compare against numpy."""
     report = VerifyReport(app.name, dataset, nprocs)
-    params = dict(app.datasets[dataset].params)
-    ref = app.reference(params)
-
-    seq = run_seq(app.program(dataset, 1))
-    report.record("seq", _compare(seq.arrays, ref, app.check_arrays))
-
-    for level, opt in applicable_levels(app).items():
-        res = run_dsm(app.program(dataset, nprocs), nprocs=nprocs,
-                      opt=opt, page_size=page_size,
-                      gc_threshold=gc_threshold)
-        report.record(f"dsm:{level}",
-                      _compare(res.arrays, ref, app.check_arrays))
-
-    mp = run_mp(app, params, nprocs=nprocs)
-    report.record("pvme", _compare(mp.arrays, ref, app.check_arrays))
-
-    if app.xhpf_ok:
+    ref = app.reference(dict(app.datasets[dataset].params))
+    sizing = dict(dataset=dataset, nprocs=nprocs, page_size=page_size)
+    for spec in run_matrix([app], modes=("seq", "dsm", "mp", "xhpf"),
+                           protocols=[None], data_planes=[None],
+                           **sizing):
+        label = {"dsm": f"dsm:{spec.opt}", "mp": "pvme"}.get(
+            spec.mode, spec.mode)
         try:
-            xh = run_xhpf(app.program(dataset, nprocs), nprocs=nprocs)
-            report.record("xhpf",
-                          _compare(xh.arrays, ref, app.check_arrays))
+            out = run(spec, gc_threshold=gc_threshold)
         except HpfError as exc:
-            report.record("xhpf", f"unexpected refusal: {exc}")
-    else:
+            report.record(label, f"unexpected refusal: {exc}")
+        else:
+            report.record(label,
+                          _compare(out.arrays, ref, app.check_arrays))
+    if not app.xhpf_ok:     # no xhpf cell: the refusal is the contract
         try:
-            run_xhpf(app.program(dataset, nprocs), nprocs=nprocs)
+            run(RunSpec(app=app, mode="xhpf", **sizing))
             report.record("xhpf", "expected HpfError, got a result")
         except HpfError:
             report.record("xhpf", None)

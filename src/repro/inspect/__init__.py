@@ -17,7 +17,7 @@ the deterministic counters into CI regression gates
 (``python -m repro check``).
 """
 
-from repro.inspect.baseline import (CheckResult, check, collect, compare,
+from repro.inspect.baseline import (CheckResult, check, compare,
                                     compare_entry, default_path)
 from repro.inspect.contention import (BarrierEpoch, ContentionProfile,
                                       LockProfile)
@@ -31,6 +31,5 @@ __all__ = [
     "LockProfile", "BarrierEpoch", "ContentionProfile",
     "CriticalPath", "Segment",
     "InspectReport", "inspect_run",
-    "CheckResult", "check", "collect", "compare", "compare_entry",
-    "default_path",
+    "CheckResult", "check", "compare", "compare_entry", "default_path",
 ]

@@ -4,8 +4,11 @@ The simulator is deterministic, so every protocol counter — faults,
 twins, diffs, invalidations, messages, bytes — is exactly reproducible
 for a given (app, mode, opt, dataset, nprocs, page size).  That makes
 the counts usable as CI regression gates: ``python -m repro check``
-re-runs a small matrix and compares against the checked-in JSON under
-``benchmarks/baselines/``; any drifted integer fails the build.  Only
+re-runs every unperturbed cell of the run matrix
+(:func:`repro.harness.modes.run_matrix`) and compares against the
+checked-in JSON under ``benchmarks/baselines/``, one entry per cell
+under its :attr:`~repro.harness.spec.RunSpec.key`; any drifted integer
+fails the build.  Only
 simulated *time* is compared with a tolerance (``rtol``), since cost-
 model refactors may reorder float accumulation without changing the
 protocol.
@@ -20,58 +23,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
+from repro.capability import cell_of
+from repro.harness.modes import run_matrix
 from repro.harness.spec import RunSpec, run
-
-#: Counters compared exactly (integers; any drift is a regression).
-COUNT_FIELDS = (
-    "read_faults", "write_faults", "protect_ops", "twins_created",
-    "diffs_created", "diffs_applied", "diff_bytes_applied",
-    "full_pages_served", "lock_acquires", "lock_local_acquires",
-    "barriers", "validates", "pushes", "invalidations",
-    # Home-based backends (all zero under the default mw-lrc; older
-    # baseline files without them compare as zero).
-    "home_flushes", "home_applies", "page_fetches", "pages_served",
-    "home_migrations",
-    # One-sided data plane (all zero on the default two-sided plane).
-    "onesided_reads", "onesided_writes", "onesided_lock_fast",
-    "onesided_lock_retries", "onesided_fallbacks",
-)
 
 #: Relative tolerance for simulated time (floats only).
 TIME_RTOL = 1e-6
 
-#: The CI matrix: tiny datasets, 4 processors, small pages so the tiny
-#: arrays still span multiple pages and the protocol actually works.
-#: Non-default coherence backends gate their own entries (keyed
-#: ``app/mode/opt@protocol``).
-DEFAULT_MATRIX = tuple(
-    dict(app=app, mode=mode, opt=opt, dataset="tiny", nprocs=4,
-         page_size=1024, protocol=protocol, data_plane=data_plane)
-    for app, mode, opt, protocol, data_plane in (
-        ("jacobi", "dsm", "base", None, None),
-        ("jacobi", "dsm", "aggr", None, None),
-        ("jacobi", "dsm", "push", None, None),
-        ("jacobi", "mp", None, None, None),
-        ("is", "dsm", "base", None, None),
-        ("is", "dsm", "aggr", None, None),
-        ("is", "mp", None, None, None),
-        ("jacobi", "dsm", "base", "hlrc", None),
-        ("jacobi", "dsm", "push", "hlrc", None),
-        ("is", "dsm", "base", "hlrc", None),
-        ("jacobi", "dsm", "base", "adaptive", None),
-        ("is", "dsm", "base", "adaptive", None),
-        # One-sided data plane cells (keyed ``...+onesided``).
-        ("jacobi", "dsm", "base", None, "onesided"),
-        ("jacobi", "dsm", "push", None, "onesided"),
-        ("is", "dsm", "base", None, "onesided"),
-        ("is", "dsm", "aggr", None, "onesided"),
-        ("gauss", "dsm", "aggr", None, "onesided"),
-        ("mgs", "dsm", "aggr", None, "onesided"),
-        ("jacobi", "dsm", "base", "hlrc", "onesided"),
-        ("is", "dsm", "base", "adaptive", "onesided"),
-    ))
+#: The :class:`RunSpec` fields an entry's ``config`` block records
+#: (those that were set).
+CONFIG_FIELDS = ("app", "mode", "opt", "dataset", "nprocs", "page_size",
+                 "protocol", "data_plane")
 
 
 def default_path() -> Path:
@@ -79,70 +43,26 @@ def default_path() -> Path:
             / "benchmarks" / "baselines" / "protocol.json")
 
 
-def spec_protocol(spec: dict) -> str:
-    """The effective coherence backend of one matrix entry."""
-    return spec.get("protocol") or "mw-lrc"
-
-
-def key_protocol(key: str) -> str:
-    """The coherence backend a baseline key belongs to."""
-    return key.rsplit("@", 1)[1] if "@" in key else "mw-lrc"
-
-
-def spec_data_plane(spec: dict) -> str:
-    """The effective data plane of one matrix entry."""
-    return spec.get("data_plane") or "twosided"
-
-
-def key_data_plane(key: str) -> str:
-    """The data plane a baseline key belongs to."""
-    head = key.rsplit("@", 1)[0]
-    return "onesided" if head.endswith("+onesided") else "twosided"
-
-
-def entry_key(spec: dict) -> str:
-    key = f"{spec['app']}/{spec['mode']}"
-    if spec.get("opt"):
-        key += f"/{spec['opt']}"
-    if spec.get("data_plane"):
-        key += f"+{spec['data_plane']}"
-    if spec_protocol(spec) != "mw-lrc":
-        key += f"@{spec['protocol']}"
-    return key
+def selected(key: str, protocol: Optional[str] = None,
+             data_plane: Optional[str] = None) -> bool:
+    """Whether a baseline key belongs to this backend / data plane
+    (``None``: any)."""
+    spec = RunSpec.from_key(key)
+    cell = cell_of(spec.mode, spec.protocol, spec.data_plane)
+    return (protocol in (None, cell.protocol)
+            and data_plane in (None, cell.data_plane))
 
 
 # ----------------------------------------------------------------------
 # Collection.
 # ----------------------------------------------------------------------
 
-def measure(spec: dict) -> dict:
-    """Run one matrix entry (untraced — counters only) and summarize."""
-    out = run(RunSpec(**spec))
-    entry: dict = {
-        "config": {k: v for k, v in spec.items() if v is not None},
-        "time_us": out.time,
-        "messages": out.messages,
-        "data_bytes": out.data_bytes,
-    }
-    if out.stats is not None:
-        entry["counts"] = {f: getattr(out.stats, f)
-                           for f in COUNT_FIELDS}
-        net = getattr(out, "net", None)
-        if net is not None:
-            entry["messages_by_kind"] = {
-                k: net.by_kind[k] for k in sorted(net.by_kind)}
-            if net.onesided_ops:
-                entry["onesided"] = {
-                    "ops": net.onesided_ops,
-                    "batches": net.onesided_batches,
-                    "bytes": net.onesided_bytes,
-                    "cas_failures": net.onesided_cas_failures,
-                }
-    return entry
-
-
-def collect(matrix=DEFAULT_MATRIX) -> Dict[str, dict]:
-    return {entry_key(spec): measure(spec) for spec in matrix}
+def measure(spec: RunSpec) -> dict:
+    """Run one cell (untraced -- counters only): its record, under the
+    configuration that produced it."""
+    config = {f: getattr(spec, f) for f in CONFIG_FIELDS
+              if getattr(spec, f) is not None}
+    return {"config": config, **run(spec).record()}
 
 
 # ----------------------------------------------------------------------
@@ -221,52 +141,39 @@ def save(baselines: Dict[str, dict],
     return path
 
 
-def check(path: Optional[Path] = None, matrix=DEFAULT_MATRIX,
+def check(path: Optional[Path] = None,
+          matrix: Optional[Iterable[RunSpec]] = None,
           update: bool = False, rtol: float = TIME_RTOL,
           protocol: Optional[str] = None,
           data_plane: Optional[str] = None) -> CheckResult:
     """Re-measure the matrix and compare (or rewrite) the baselines.
 
-    ``protocol`` restricts the run to one backend's entries, and
-    ``data_plane`` (``twosided`` / ``onesided``) to one data plane's;
-    an update then rewrites only those, leaving the other entries
-    untouched (per-backend / per-plane ``--update-baselines``).
+    The matrix is :func:`repro.harness.modes.run_matrix` -- every
+    unperturbed cell -- unless one is passed.  ``protocol`` restricts
+    the run to one backend's entries, and ``data_plane`` (``twosided``
+    / ``onesided``) to one data plane's; an update then rewrites only
+    those, leaving the other entries untouched (per-backend / per-plane
+    ``--update-baselines``).
     """
-    if protocol is not None:
-        from repro.tm.coherence import get_backend
-        get_backend(protocol)   # unknown names raise ReproError
-        matrix = tuple(s for s in matrix
-                       if spec_protocol(s) == protocol)
-    if data_plane is not None:
-        matrix = tuple(s for s in matrix
-                       if spec_data_plane(s) == data_plane)
-    measured = collect(matrix)
+    if matrix is None:
+        matrix = run_matrix(
+            protocols=protocol and [protocol],
+            data_planes=data_plane and [data_plane])
+    measured = {spec.key: measure(spec) for spec in matrix}
     path = default_path() if path is None else Path(path)
+    stored = load(path) if path.exists() else None
     if update:
-        merged: Dict[str, dict] = {}
-        if (protocol is not None or data_plane is not None) \
-                and path.exists():
-            merged = {
-                k: v for k, v in load(path).items()
-                if (protocol is not None
-                    and key_protocol(k) != protocol)
-                or (data_plane is not None
-                    and key_data_plane(k) != data_plane)}
-        merged.update(measured)
-        save(merged, path)
+        kept = {k: v for k, v in (stored or {}).items()
+                if not selected(k, protocol, data_plane)}
+        save({**kept, **measured}, path)
         return CheckResult(ok=True, measured=measured, updated=True)
-    if not path.exists():
+    if stored is None:
         return CheckResult(
             ok=False, measured=measured,
             problems=[f"no baselines at {path}; run "
                       "'python -m repro check --update-baselines'"])
-    expected = load(path)
-    if protocol is not None:
-        expected = {k: v for k, v in expected.items()
-                    if key_protocol(k) == protocol}
-    if data_plane is not None:
-        expected = {k: v for k, v in expected.items()
-                    if key_data_plane(k) == data_plane}
+    expected = {k: v for k, v in stored.items()
+                if selected(k, protocol, data_plane)}
     problems = compare(expected, measured, rtol)
     return CheckResult(ok=not problems, problems=problems,
                        measured=measured)

@@ -86,7 +86,7 @@ class InspectReport:
                     problems.append(
                         f"{name}: spans={got:.3f} TmStats={want:.3f}")
 
-        net = getattr(self.outcome, "net", None)
+        net = self.outcome.net
         tel = self.outcome.telemetry
         if net is not None and tel is not None and tel.bus.enabled:
             n_msg = sum(1 for ev in tel.bus.events
@@ -282,11 +282,10 @@ class InspectReport:
 
     def as_dict(self, top: int = 10) -> dict:
         out = self.outcome
+        rec = out.record()
         d = {
             "title": self.title,
-            "time_us": out.time,
-            "messages": out.messages,
-            "data_bytes": out.data_bytes,
+            **{k: rec[k] for k in ("time_us", "messages", "data_bytes")},
             "pages": self.timelines.as_dict(top),
             "contention": self.contention.as_dict(top),
             "critical_path": self.critpath.as_dict(top),

@@ -65,8 +65,6 @@ class MpSystem:
         for proc in procs:
             comms.append(MpComm(proc, self.net.endpoint(proc.pid)))
         self.engine.run()
-        if self.telemetry is not None:
-            self.telemetry.finalize(self.net.stats)
         return MpRunResult(
             time=self.engine.now,
             net=self.net.stats,

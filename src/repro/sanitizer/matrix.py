@@ -72,34 +72,32 @@ class SanitizeCase:
                 self.events, self.accesses]
 
 
+def _dsm_cells(apps, opts, protocol=None, data_plane=None, **sizing):
+    """The run matrix's DSM cells on one backend and plane, apps in
+    name order unless given."""
+    from repro.apps import all_apps
+    from repro.harness.modes import run_matrix
+
+    return run_matrix(apps if apps is not None else sorted(all_apps()),
+                      opts, modes=("dsm",), protocols=[protocol],
+                      data_planes=[data_plane], **sizing)
+
+
 def clean_matrix(apps: Optional[Sequence[str]] = None,
                  opts: Optional[Sequence[str]] = None,
-                 dataset: str = "tiny", nprocs: int = 4,
-                 page_size: int = 1024,
-                 protocol: Optional[str] = None,
-                 data_plane: Optional[str] = None) -> List[SanitizeCase]:
-    """Sanitize every app at every applicable opt level."""
-    from repro.apps import all_apps
-    from repro.harness.modes import applicable_levels
+                 **run_kw) -> List[SanitizeCase]:
+    """Sanitize every app at every applicable opt level (``run_kw``:
+    ``protocol``, ``data_plane`` and sizing)."""
     from repro.sanitizer.replay import sanitize_run
 
     cases: List[SanitizeCase] = []
-    specs = all_apps()
-    for name in (apps if apps is not None else sorted(specs)):
-        spec = specs[name]
-        levels = applicable_levels(spec)
-        for lvl in (opts if opts is not None else levels):
-            if lvl not in levels:
-                continue
-            _, rep = sanitize_run(name, opt=lvl, dataset=dataset,
-                                  nprocs=nprocs, page_size=page_size,
-                                  protocol=protocol,
-                                  data_plane=data_plane)
-            cases.append(SanitizeCase(
-                app=name, opt=lvl, ok=rep.ok, races=len(rep.races),
-                hint_findings=len(rep.hint_findings),
-                problems=len(rep.problems), events=rep.events,
-                accesses=rep.accesses, report=rep))
+    for spec in _dsm_cells(apps, opts, **run_kw):
+        _, rep = sanitize_run(spec)
+        cases.append(SanitizeCase(
+            app=spec.app, opt=spec.opt, ok=rep.ok, races=len(rep.races),
+            hint_findings=len(rep.hint_findings),
+            problems=len(rep.problems), events=rep.events,
+            accesses=rep.accesses, report=rep))
     return cases
 
 
@@ -204,71 +202,64 @@ def _surviving_read_arrays(sites) -> set:
 
 def build_corpus(apps: Optional[Sequence[str]] = None,
                  opts: Sequence[str] = ELIMINATING,
-                 dataset: str = "tiny", nprocs: int = 4,
-                 page_size: int = 1024) -> List[HintMutation]:
+                 **sizing) -> List[HintMutation]:
     """Enumerate every mutation the sanitizer must detect."""
-    from repro.apps import all_apps
     from repro.compiler.transform import hint_sites
-    from repro.harness.modes import applicable_levels
     from repro.sanitizer.replay import _resolve
 
     corpus: List[HintMutation] = []
-    specs = all_apps()
-    for name in (apps if apps is not None else sorted(specs)):
-        spec = specs[name]
-        for lvl in applicable_levels(spec):
-            if lvl not in opts:
-                continue
-            _, _, prog, _ = _resolve(name, lvl, dataset, nprocs,
-                                     page_size)
-            shapes = {a.name: a.shape for a in prog.arrays}
-            sites = hint_sites(prog)
-            validated_reads = _surviving_read_arrays(sites)
-            for i, s in enumerate(sites):
-                if isinstance(s, ValidateStmt):
-                    if s.access not in OVERWRITING:
-                        continue
-                    for sp in s.specs:
-                        for op in ("shrink", "shift"):
-                            mut = mutate_spec(sp, op, shapes[sp.array])
-                            if mut is not None:
-                                corpus.append(HintMutation(
-                                    name, lvl, i, "validate", op,
-                                    sp.array, repr(sp), repr(mut)))
-                        break  # first mutable spec only
-                elif isinstance(s, PushStmt):
-                    if s.writes:
-                        sp = s.writes[0]
-                        for op in ("shrink", "shift"):
-                            mut = mutate_spec(sp, op, shapes[sp.array])
-                            if mut is not None:
-                                corpus.append(HintMutation(
-                                    name, lvl, i, "push-write", op,
-                                    sp.array, repr(sp), repr(mut)))
-                        corpus.append(HintMutation(
-                            name, lvl, i, "push-write", "drop",
-                            sp.array, repr(sp), "(dropped)"))
-                    if s.reads and s.reads[0].array not in validated_reads:
-                        sp = s.reads[0]
-                        for op in ("shrink", "shift"):
-                            mut = mutate_spec(sp, op, shapes[sp.array])
-                            if mut is not None:
-                                corpus.append(HintMutation(
-                                    name, lvl, i, "push-read", op,
-                                    sp.array, repr(sp), repr(mut)))
+    for cell in _dsm_cells(apps, opts, **sizing):
+        name, lvl = cell.app, cell.opt
+        _, _, prog, _ = _resolve(name, lvl, cell.dataset, cell.nprocs,
+                                 cell.page_size)
+        shapes = {a.name: a.shape for a in prog.arrays}
+        sites = hint_sites(prog)
+        validated_reads = _surviving_read_arrays(sites)
+        for i, s in enumerate(sites):
+            if isinstance(s, ValidateStmt):
+                if s.access not in OVERWRITING:
+                    continue
+                for sp in s.specs:
+                    for op in ("shrink", "shift"):
+                        mut = mutate_spec(sp, op, shapes[sp.array])
+                        if mut is not None:
+                            corpus.append(HintMutation(
+                                name, lvl, i, "validate", op,
+                                sp.array, repr(sp), repr(mut)))
+                    break  # first mutable spec only
+            elif isinstance(s, PushStmt):
+                if s.writes:
+                    sp = s.writes[0]
+                    for op in ("shrink", "shift"):
+                        mut = mutate_spec(sp, op, shapes[sp.array])
+                        if mut is not None:
+                            corpus.append(HintMutation(
+                                name, lvl, i, "push-write", op,
+                                sp.array, repr(sp), repr(mut)))
+                    corpus.append(HintMutation(
+                        name, lvl, i, "push-write", "drop",
+                        sp.array, repr(sp), "(dropped)"))
+                if s.reads and s.reads[0].array not in validated_reads:
+                    sp = s.reads[0]
+                    for op in ("shrink", "shift"):
+                        mut = mutate_spec(sp, op, shapes[sp.array])
+                        if mut is not None:
+                            corpus.append(HintMutation(
+                                name, lvl, i, "push-read", op,
+                                sp.array, repr(sp), repr(mut)))
     return corpus
 
 
-def run_corpus(corpus: Sequence[HintMutation], dataset: str = "tiny",
-               nprocs: int = 4, page_size: int = 1024
-               ) -> List[HintMutation]:
+def run_corpus(corpus: Sequence[HintMutation],
+               **sizing) -> List[HintMutation]:
     """Run each mutated program under the sanitizer; fill ``detected``."""
     from repro.compiler.transform import hint_mutation
+    from repro.harness.modes import SIZING
     from repro.sanitizer.replay import _resolve, sanitize_run
 
+    sizing = {**SIZING, **sizing}
     for entry in corpus:
-        _, _, prog, _ = _resolve(entry.app, entry.opt, dataset, nprocs,
-                                 page_size)
+        _, _, prog, _ = _resolve(entry.app, entry.opt, **sizing)
         shapes = {a.name: a.shape for a in prog.arrays}
 
         def fn(site, stmt, _entry=entry, _shapes=shapes):
@@ -277,9 +268,7 @@ def run_corpus(corpus: Sequence[HintMutation], dataset: str = "tiny",
             return apply_mutation(stmt, _entry, _shapes)
 
         with hint_mutation(fn):
-            _, rep = sanitize_run(entry.app, opt=entry.opt,
-                                  dataset=dataset, nprocs=nprocs,
-                                  page_size=page_size)
+            _, rep = sanitize_run(entry.app, opt=entry.opt, **sizing)
         entry.detected = bool(rep.findings)
         entry.finding_kinds = tuple(sorted({f.kind
                                             for f in rep.findings}))

@@ -36,30 +36,31 @@ def _resolve(app, opt, dataset: str, nprocs: int, page_size: int):
             layout_for(prog, page_size=page_size))
 
 
-def sanitize_run(app, opt="aggr+cons", dataset: str = "tiny",
-                 nprocs: int = 4, page_size: int = 1024,
-                 online: bool = True, config=None,
-                 protocol: Optional[str] = None,
-                 data_plane: Optional[str] = None) -> Tuple[object, object]:
+def sanitize_run(app, opt="aggr+cons", online: bool = True,
+                 **fields) -> Tuple[object, object]:
     """Run ``app`` on the DSM and sanitize it; returns (outcome, report).
 
-    ``online=True`` subscribes the sanitizer to the live bus (events
-    checked as they happen); ``False`` feeds the recorded stream after
-    the run.  Both see the identical append-ordered stream.
+    ``app`` is an application at ``opt``, run at
+    :data:`~repro.harness.modes.SIZING` with any further
+    :class:`~repro.harness.spec.RunSpec` ``fields`` (``dataset``,
+    ``protocol``, ``data_plane``, ``config``, ...), or a ready DSM
+    ``RunSpec``.  ``online=True`` subscribes the sanitizer to the live
+    bus (events checked as they happen); ``False`` feeds the recorded
+    stream after the run.  Both see the identical append-ordered stream.
     """
+    from repro.harness.modes import SIZING
     from repro.harness.spec import RunSpec, run
     from repro.sanitizer import Sanitizer
 
-    _, opt_cfg, _, layout = _resolve(app, opt, dataset, nprocs, page_size)
+    spec = app if isinstance(app, RunSpec) else \
+        RunSpec(app=app, opt=opt, **{**SIZING, **fields})
+    _, opt_cfg, _, layout = _resolve(spec.app, spec.opt, spec.dataset,
+                                     spec.nprocs, spec.page_size)
     tel = Telemetry(access_events=True)
-    san = Sanitizer(layout, nprocs, opt=opt_cfg)
+    san = Sanitizer(layout, spec.nprocs, opt=opt_cfg)
     if online:
         san.attach(tel.bus)
-    name = app if isinstance(app, str) else app.name
-    out = run(RunSpec(app=name, mode="dsm", dataset=dataset,
-                      nprocs=nprocs, page_size=page_size,
-                      opt=opt_cfg, config=config, telemetry=tel,
-                      protocol=protocol, data_plane=data_plane))
+    out = run(spec, telemetry=tel)
     if not online:
         for ev in tel.bus.events:
             san.feed(ev)
@@ -95,8 +96,12 @@ def load_events(path) -> List[Event]:
     return events
 
 
-def sanitize_jsonl(path, app, opt="aggr+cons", dataset: str = "tiny",
-                   nprocs: int = 4, page_size: int = 1024):
-    """Replay a recorded JSONL trace of ``app`` at ``opt`` offline."""
-    _, opt_cfg, _, layout = _resolve(app, opt, dataset, nprocs, page_size)
-    return sanitize_events(load_events(path), layout, nprocs, opt=opt_cfg)
+def sanitize_jsonl(path, app, opt="aggr+cons", **sizing):
+    """Replay a recorded JSONL trace of ``app`` at ``opt`` offline
+    (``sizing`` overrides :data:`~repro.harness.modes.SIZING`)."""
+    from repro.harness.modes import SIZING
+
+    sizing = {**SIZING, **sizing}
+    _, opt_cfg, _, layout = _resolve(app, opt, **sizing)
+    return sanitize_events(load_events(path), layout, sizing["nprocs"],
+                           opt=opt_cfg)

@@ -33,7 +33,8 @@ class Telemetry:
                  access_events: bool = False) -> None:
         self.bus = EventBus(enabled=events)
         self.spans = SpanLog(enabled=spans)
-        #: The run's own counters under flat names; see :meth:`finalize`.
+        #: The run's own counters under flat names, set by the run's
+        #: outcome (:meth:`repro.harness.outcome.RunOutcome.metrics_total`).
         self.metrics_total: Dict[str, float] = {}
         #: Record every shared-memory access (``rt.read``/``rt.write``).
         #: Off by default: the access stream is orders of magnitude
@@ -117,23 +118,6 @@ class Telemetry:
         """One message sent (``nbytes`` includes the header, matching
         :class:`repro.net.stats.NetStats` accounting)."""
         self.event(src, "net.msg", to=dst, msg=kind, bytes=nbytes)
-
-    # ------------------------------------------------------------------
-    # End-of-run finalization.
-    # ------------------------------------------------------------------
-
-    def finalize(self, net, tm=None) -> None:
-        """Render the finished run's counters -- its
-        :class:`~repro.net.stats.NetStats` and, on the DSM, its
-        cluster-wide :class:`~repro.tm.stats.TmStats` -- under the flat
-        names of ``summary()["metrics_total"]``."""
-        total = {"net.messages": net.messages, "net.bytes": net.bytes}
-        for kind, n in net.by_kind.items():
-            total[f"net.msgs.{kind}"] = n
-            total[f"net.bytes.{kind}"] = net.bytes_by_kind[kind]
-        if tm is not None:
-            total.update((f"tm.{k}", v) for k, v in tm.as_dict().items())
-        self.metrics_total = dict(sorted(total.items()))
 
     # ------------------------------------------------------------------
     # Analysis conveniences.

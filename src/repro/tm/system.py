@@ -148,12 +148,9 @@ class TmSystem:
             self.absence.start()
         self.engine.run()
         per_proc = [replace(n.stats) for n in self.nodes]
-        stats = TmStats.total(per_proc)
-        if self.telemetry is not None:
-            self.telemetry.finalize(self.net.stats, stats)
         return RunResult(
             time=self.engine.now,
-            stats=stats,
+            stats=TmStats.total(per_proc),
             per_proc=per_proc,
             net=self.net.stats,
             returns=[p.result for p in procs],

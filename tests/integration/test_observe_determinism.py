@@ -74,12 +74,15 @@ def test_jsonl_roundtrip_reproduces_inspect_report(protocol, tmp_path):
     assert reloaded.counts() == out.telemetry.counts()
     assert len(reloaded.spans) == len(out.telemetry.spans)
 
-    # Offline stand-in for the outcome: only the summary scalars
-    # survive a JSONL export; TmStats/NetStats cross-checks are
-    # skipped on both sides of the comparison below.
+    # Offline stand-in for the outcome: only the summary scalars (the
+    # totals of its record) survive a JSONL export; TmStats/NetStats
+    # cross-checks are skipped on both sides of the comparison below.
+    totals = {k: out.record()[k]
+              for k in ("time_us", "messages", "data_bytes")}
     offline_out = SimpleNamespace(
         telemetry=reloaded, time=out.time, messages=out.messages,
-        data_bytes=out.data_bytes, stats=None, net=None)
+        data_bytes=out.data_bytes, stats=None, net=None,
+        record=lambda: totals)
     offline = InspectReport.build(offline_out, title="run")
 
     def fingerprint(report):

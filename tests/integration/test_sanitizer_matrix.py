@@ -115,10 +115,13 @@ def test_cli_sanitize_and_bench(tmp_path, capsys):
     assert bench_main(["--apps", "jacobi", "--json", str(path)]) == 0
     payload = json.loads(path.read_text())
     assert payload["schema"] == "repro-bench/1"
-    modes = {m["mode"] for m in payload["apps"]["jacobi"]["modes"]}
-    assert "dsm:push" in modes and "mp" in modes
-    for m in payload["apps"]["jacobi"]["modes"]:
-        assert m["time_us"] > 0 and m["speedup"] > 0
+    cells = payload["cells"]
+    assert {"jacobi/seq", "jacobi/dsm/push", "jacobi/mp"} <= set(cells)
+    for rec in cells.values():
+        assert rec["time_us"] > 0
+    # The human table derives the speedup; the payload stores none.
+    assert "speedup" in capsys.readouterr().out
+    assert not any("speedup" in rec for rec in cells.values())
 
 
 def test_cli_sanitize_detects_mutation(capsys):
@@ -151,7 +154,12 @@ def test_bench_payload_matches_direct_runs():
     payload = bench.bench(apps=["is"])
     runs = app_runs(all_apps()["is"], dataset="tiny", nprocs=4,
                     page_size=1024)
-    by_mode = {m["mode"]: m for m in payload["apps"]["is"]["modes"]}
-    assert by_mode["dsm:base"]["messages"] == runs.dsm["base"].messages
-    assert by_mode["mp"]["data_bytes"] == runs.pvme.data_bytes
-    assert payload["apps"]["is"]["best_dsm_level"] == runs.best_level()
+    cells = payload["cells"]
+    assert cells["is/dsm/base"] == runs.dsm["base"].record()
+    assert cells["is/mp"]["data_bytes"] == runs.pvme.data_bytes
+    assert cells["is/seq"]["time_us"] == runs.seq_time
+    assert "is/xhpf" not in cells and runs.xhpf is None
+    dsm = {k: v for k, v in cells.items() if "/dsm/" in k}
+    best = min((k for k in dsm if k != "is/dsm/base"),
+               key=lambda k: dsm[k]["time_us"])
+    assert best == f"is/dsm/{runs.best_level()}"

@@ -2,14 +2,17 @@
 
 import ast
 import json
+import os
 import pathlib
 import re
+import signal
+import subprocess
+import sys
 
 import pytest
 
 import repro.__main__ as cli
 from repro.errors import ReproError
-from repro.harness.bench import bench_protocols
 from repro.sanitizer.replay import sanitize_run
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -39,18 +42,46 @@ def test_unknown_opt_level_is_a_typed_error_everywhere(capsys):
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-def test_bench_protocols_reproduces_the_committed_comparison():
-    committed = json.loads((ROOT / "BENCH_pr9.json").read_text())
-    want = committed["apps"]["jacobi"]
-    both = bench_protocols(apps=["jacobi"],
-                           data_planes=["twosided", "onesided"])
-    assert both["apps"]["jacobi"] == want
-    assert both["data_planes"] == committed["data_planes"]
-    # Without data_planes: the two-sided rows alone, same shape.
-    default = bench_protocols(apps=["jacobi"])
-    assert default["data_planes"] == ["twosided"]
-    assert default["apps"]["jacobi"]["runs"] == [
-        r for r in want["runs"] if r["data_plane"] == "twosided"]
+def test_bench_data_planes_filters_the_mode_table_too(capsys):
+    """``--data-planes`` without ``--protocols`` used to be dropped: the
+    table showed the two-sided numbers under a one-sided request."""
+    assert cli.main(["bench", "--apps", "jacobi", "--data-planes",
+                     "onesided", "--json", "-"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert sorted(cells) == sorted(
+        ["jacobi/seq", *(f"jacobi/dsm/{opt}+onesided" for opt in
+                         ("base", "aggr", "aggr+cons", "merge", "push"))])
+    assert cells["jacobi/dsm/base+onesided"]["onesided"]["ops"] > 0
+    assert cli.main(["bench", "--apps", "jacobi", "--data-planes",
+                     "onesided"]) == 0
+    table = capsys.readouterr().out
+    assert "dsm:base+onesided" in table and "dsm:base " not in table
+
+
+def test_a_sweep_header_says_which_data_plane_ran(capsys):
+    argv = ["--apps", "jacobi", "--opts", "aggr", "--json", "-"]
+    for sweep, extra, plane in (
+            ("chaos", ["--intensity", "light"], None),
+            ("chaos", ["--intensity", "light", "--data-plane",
+                       "onesided"], "onesided"),
+            ("recover", ["--schedules", "manager"], None)):
+        assert cli.main([sweep, *argv, *extra]) == 0
+        header = json.loads(capsys.readouterr().out)
+        assert header["data_plane"] == plane and header["protocol"] is None
+        assert list(header)[-3:] == ["protocol", "data_plane", "cases"]
+
+
+def test_a_closed_stdout_is_a_quiet_exit():
+    """``python -m repro ... | head``: no traceback, SIGPIPE's status."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "bench", "--apps", "jacobi",
+         "--json", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    proc.stdout.close()         # the reader is gone before the output
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 128 + signal.SIGPIPE
+    assert err == ""
 
 
 FLAG = re.compile(r"--[a-z][a-z-]*")

@@ -210,8 +210,8 @@ def test_inspect_report_requires_telemetry():
 # Baselines.
 # ======================================================================
 
-SPEC = dict(app="jacobi", mode="dsm", opt="aggr", dataset="tiny",
-            nprocs=4, page_size=1024)
+SPEC = RunSpec(app="jacobi", mode="dsm", opt="aggr", dataset="tiny",
+               nprocs=4, page_size=1024)
 
 
 def test_baseline_measure_is_deterministic():
@@ -268,8 +268,6 @@ def test_checked_in_baselines_match_current_protocol():
     """The repo's committed baselines must describe the current code."""
     stored = baseline.load()
     key = "jacobi/dsm/aggr"
-    measured = baseline.measure(
-        dict(app="jacobi", mode="dsm", opt="aggr",
-             **{k: v for k, v in stored[key]["config"].items()
-                if k not in ("app", "mode", "opt")}))
+    measured = baseline.measure(RunSpec(**stored[key]["config"]))
+    assert measured["config"] == stored[key]["config"]
     assert compare_entry(key, stored[key], measured) == []

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ReproError
 from repro.faults import FaultPlan, NodeCrash
 from repro.harness import chaos, elastic, recover
+from repro.harness.modes import SIZING
 from repro.harness.sweep import Sweep, arrays_identical
 from repro.membership import MembershipPlan, NodeDrain
 
@@ -78,11 +79,14 @@ def test_run_case_keyword_contract(kind):
     assert isinstance(mod.POLICY, Sweep) and mod.POLICY.kind == kind
     params = inspect.signature(mod.run_case).parameters
     assert list(params)[:3] == ["app", "opt", "label"]
-    assert {"protocol", "data_plane", "seed", "base", "plan", "inspect",
-            "dataset", "nprocs", "page_size"} <= set(params)
+    assert {"protocol", "data_plane", "seed", "base", "plan",
+            "inspect"} <= set(params)
+    # The sizing triple is stated once (harness.modes.SIZING); any of
+    # it may be overridden by keyword.
+    assert params["sizing"].kind is inspect.Parameter.VAR_KEYWORD
 
     args, kw, costs = LEDGER[kind]
-    case = mod.run_case(*args, **kw)
+    case = mod.run_case(*args, **kw, **SIZING)
     assert case.ok and case.status == "ok", case.as_dict()
     assert case.time > case.base_time > 0
     assert list(case.as_dict()) == KEYS[kind]

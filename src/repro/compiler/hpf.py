@@ -27,16 +27,17 @@ sections of each region) and what has already been shipped where.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import HpfError
 from repro.harness.outcome import XhpfOutcome
 from repro.interp.interp import Interpreter
+from repro.interp.lower import compile_sections
 from repro.interp.runtime import BaseRuntime, LocalAccessor, _alloc
-from repro.lang.nodes import Barrier, Program, eval_int
+from repro.lang.nodes import Barrier, Program
 from repro.machine.config import MachineConfig
 from repro.memory.section import Section
 from repro.mp.system import MpSystem
@@ -47,10 +48,12 @@ from repro.compiler.transform import rsd_to_spec
 
 @dataclass
 class _RegionSpec:
-    """Per-region exchange metadata (symbolic; evaluated per proc)."""
+    """Per-region exchange sets, compiled with the plan: ``env`` -> the
+    sections (clipped to the arrays, non-empty) that processor
+    ``env['p']`` writes / reads in the region."""
 
-    writes: List[tuple] = field(default_factory=list)  # (spec, owner)
-    reads: List[tuple] = field(default_factory=list)   # (spec, owner)
+    writes: Callable[[Dict[str, object]], List[Section]]
+    reads: Callable[[Dict[str, object]], List[Section]]
 
 
 @dataclass
@@ -72,25 +75,26 @@ def compile_xhpf(program: Program) -> XhpfPlan:
         raise HpfError(f"{program.name}: indirect access to a shared "
                        "array defeats the analysis")
 
-    def region_spec(info) -> _RegionSpec:
-        spec = _RegionSpec()
+    def exchange_sets(info):
+        """``info``'s symbolic (spec, owner) pairs: writes, then reads."""
+        writes, reads = [], []
         for summ in info.summary_list():
             if summ.unknown:
                 raise HpfError(
                     f"{program.name}: unanalyzable access to "
                     f"{summ.array}")
-            for w in summ.write_parts:
-                spec.writes.append((rsd_to_spec(w), summ.owner))
-            for r in summ.read_parts:
-                spec.reads.append((rsd_to_spec(r), summ.owner))
-        return spec
+            writes += [(rsd_to_spec(w), summ.owner) for w in summ.write_parts]
+            reads += [(rsd_to_spec(r), summ.owner) for r in summ.read_parts]
+        return writes, reads
 
-    by_barrier = {}
-    for key, info in analysis.regions.items():
-        if isinstance(info.fetch, Barrier):
-            by_barrier[id(info.fetch)] = region_spec(info)
-    return XhpfPlan(program=program, entry=region_spec(
-        analysis.entry_region), by_barrier=by_barrier)
+    infos = [info for info in analysis.regions.values()
+             if isinstance(info.fetch, Barrier)] + [analysis.entry_region]
+    fns = compile_sections(
+        program, [group for info in infos for group in exchange_sets(info)])
+    *regions, entry = [_RegionSpec(*fns[i:i + 2])
+                       for i in range(0, len(fns), 2)]
+    return XhpfPlan(program=program, entry=entry, by_barrier={
+        id(info.fetch): region for info, region in zip(infos, regions)})
 
 
 class XhpfRuntime(BaseRuntime):
@@ -146,18 +150,11 @@ class XhpfRuntime(BaseRuntime):
 
     # ------------------------------------------------------------------
 
-    def _eval_spec(self, spec, owner, q: int) -> Optional[Section]:
-        """Evaluate a section spec as processor ``q`` sees it (clipped)."""
-        env_q = self.program.bindings_for(q, self._interp.env)
-        if owner is not None and eval_int(owner, env_q) != q:
-            return None
-        sec = spec.evaluate(env_q)
-        decl = self.program.array_decl(spec.array)
-        whole = Section.whole(spec.array, decl.shape)
-        inter = sec.intersect(whole)
-        if inter is None or inter.empty:
-            return None
-        return inter
+    def _as_each_sees(self, evaluate) -> List[List[Section]]:
+        """One of a region's exchange sets, per processor."""
+        env = self._interp.env
+        return [evaluate(self.program.bindings_for(q, env))
+                for q in range(self.nprocs)]
 
     def barrier(self) -> None:
         site = self._current_barrier()
@@ -174,13 +171,9 @@ class XhpfRuntime(BaseRuntime):
         self._barrier_seq += 1
 
     def _eval_region_writes(self, region: _RegionSpec):
-        out: List[Tuple[int, Section]] = []
-        for q in range(self.nprocs):
-            for spec, owner in region.writes:
-                sec = self._eval_spec(spec, owner, q)
-                if sec is not None:
-                    out.append((q, sec))
-        return out
+        return [(q, sec)
+                for q, secs in enumerate(self._as_each_sees(region.writes))
+                for sec in secs]
 
     def _current_barrier(self) -> Barrier:
         stmt = self._interp.current_stmt
@@ -199,14 +192,7 @@ class XhpfRuntime(BaseRuntime):
         next_region = self.plan.by_barrier[id(site)]
         me = self.pid
         # What each processor needs to read after this barrier.
-        needs: Dict[int, List[Section]] = {}
-        for q in range(self.nprocs):
-            secs = []
-            for spec, owner in next_region.reads:
-                sec = self._eval_spec(spec, owner, q)
-                if sec is not None:
-                    secs.append(sec)
-            needs[q] = secs
+        needs = self._as_each_sees(next_region.reads)
         # Deterministic schedule: for every (writer w, reader r) pair,
         # ship unshipped intersections of w's write log with r's needs.
         # Each part carries its version: several writers' (possibly

@@ -76,7 +76,7 @@ class _Transformer:
     def _allowed_push_symbols(self) -> Set[str]:
         allowed = {"p", "nprocs"}
         allowed.update(self.program.params)
-        allowed.update(loc.name for loc in self.program.partition_locals())
+        allowed.update(loc.name for loc in self.program.partition_locals)
         return allowed
 
     def run(self) -> Program:

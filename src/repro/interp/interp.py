@@ -10,14 +10,13 @@ equivalent of TreadMarks' hardware faults.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import InterpError
 from repro.interp.lower import lower
-from repro.lang.nodes import Kernel, Program, PushStmt, Stmt, ValidateStmt
-from repro.memory.section import Section
+from repro.lang.nodes import Kernel, Program, Stmt, ValidateStmt
 
 
 class _Env(dict):
@@ -51,38 +50,26 @@ class Interpreter:
         return self.rt
 
     # ------------------------------------------------------------------
-    # Kernels, Validate, Push: called by the lowered program.
+    # Kernels, Validate, Push: called by the lowered program, which
+    # hands them the statement's compiled section functions
+    # (``env`` -> sections; Validate's and Push's clipped, non-empty).
     # ------------------------------------------------------------------
 
-    def _kernel(self, k: Kernel) -> None:
+    def _kernel(self, k: Kernel, reads, writes) -> None:
         views: Dict[str, np.ndarray] = {}
-        for i, spec in enumerate(k.reads):
-            sec = spec.evaluate(self.env)
-            views[f"r{i}"] = self.rt.accessor(spec.array).read(sec)
-        for i, spec in enumerate(k.writes):
-            sec = spec.evaluate(self.env)
-            views[f"w{i}"] = self.rt.accessor(spec.array).write_view(sec)
+        for i, sec in enumerate(reads(self.env)):
+            views[f"r{i}"] = self.rt.accessor(sec.array).read(sec)
+        for i, sec in enumerate(writes(self.env)):
+            views[f"w{i}"] = self.rt.accessor(sec.array).write_view(sec)
         k.fn(self.env, views)
 
-    def _sections(self, specs, env) -> List[Section]:
-        """``specs`` evaluated in ``env`` and clipped to their arrays'
-        bounds (RSDs may overhang edges); empty ones are dropped."""
-        out = []
-        for spec in specs:
-            sec = spec.evaluate(env)
-            decl = self.program.array_decl(sec.array)
-            sec = sec.intersect(Section.whole(sec.array, decl.shape))
-            if sec is not None and not sec.empty:
-                out.append(sec)
-        return out
-
-    def _validate(self, v: ValidateStmt) -> None:
-        sections = self._sections(v.specs, self.env)
+    def _validate(self, v: ValidateStmt, specs) -> None:
+        sections = specs(self.env)
         if sections:
             self.rt.validate(sections, v.access, v.w_sync, v.asynchronous)
 
-    def _push(self, s: PushStmt) -> None:
+    def _push(self, reads, writes) -> None:
         envs = [self.program.bindings_for(q, self.env)
                 for q in range(self.rt.nprocs)]
-        self.rt.push([self._sections(s.reads, env) for env in envs],
-                     [self._sections(s.writes, env) for env in envs])
+        self.rt.push([reads(env) for env in envs],
+                     [writes(env) for env in envs])

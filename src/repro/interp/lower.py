@@ -8,6 +8,11 @@ per-processor binding.  Statement kinds, each reference's affine plan,
 operator chains, costs and which loops run as whole-section numpy
 operations are all decided here (docs/simulator.md, "Lowering").
 
+Section bounds are compiled into the same source: one function per
+``Kernel``/``Validate``/``Push`` spec list (``env`` -> sections, the
+hinted ones clipped to the declared shape) and ``rebind``, which
+re-derives the partition ``Local`` values as another processor would.
+
 A loop is *vectorisable* when its body is a sequence of ``Assign`` whose
 stores are ascending affine accesses in the loop variable: decided for
 the whole body, before anything executes.  A descending or indirect
@@ -21,15 +26,17 @@ simulated number is what that walk produces.
 from __future__ import annotations
 
 from math import isfinite
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import InterpError
-from repro.lang.expr import Bin, Expr, LinExpr, Num, Ref, Sym, Un, linearize
+from repro.lang.expr import (Bin, Expr, LinExpr, Num, Ref, Sym, Un, as_expr,
+                             linearize)
 from repro.lang.nodes import (Acquire, Assign, Barrier, If, Kernel, Local,
                               Loop, ProcCall, Program, PushStmt, Release,
                               Stmt, ValidateStmt)
+from repro.memory.section import Section, ap_intersect
 
 _UNARY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp,
           "log": np.log, "sin": np.sin, "cos": np.cos}
@@ -50,41 +57,176 @@ def _gather(acc, whole, idx):
     return acc.read_at(whole)[idx]
 
 
+def _exact_div(a: int, b: int) -> int:
+    if a % b == 0:
+        return a // b
+    raise InterpError(f"non-integer division {a}/{b} in bounds")
+
+
+def _refuse(what: str, *operands) -> int:
+    """An expression with no integer value.  Its operands are arguments,
+    so their own errors come first, as when walking the tree."""
+    raise InterpError(f"cannot int-evaluate {what}")
+
+
 #: What emitted code may name besides its own constants and locals.
 _GLOBALS = {fn.__name__: fn for fn in (*_UNARY.values(), *_BINARY.values())}
 _GLOBALS.update(_item=_item, _gather=_gather, _arange=np.arange,
-                _asarray=np.asarray, _f8=np.float64, _i8=np.int64)
+                _asarray=np.asarray, _f8=np.float64, _i8=np.int64,
+                _exact_div=_exact_div, _refuse=_refuse, Section=Section,
+                ap_intersect=ap_intersect, InterpError=InterpError)
 
 _TAB = "    "
 
+#: How an integer function's ``try`` ends: a symbol ``env`` does not
+#: bind is an :class:`InterpError`, whatever mapping ``env`` is.
+_UNBOUND = ("except KeyError as e:",
+            _TAB + 'raise InterpError(f"unbound symbol {e.args[0]!r}") '
+                   "from None")
 
-class Lowered:
-    """One program as ``run(I)``; ``arrays[k]`` is what ``I.accs[k]``
-    must access.  Holds no processor's state."""
 
-    def __init__(self, program: Program) -> None:
-        self.arrays: List[str] = []
-        self._shapes = {d.name: d.shape for d in program.arrays}
+class _Source:
+    """Functions generated into one source text and compiled together:
+    the ``def f(env)`` definitions, the namespace they run in, and
+    fresh names."""
+
+    def __init__(self, name: str, arrays=()) -> None:
+        self._filename = f"<lowered {name}>"
+        self._shapes = {d.name: d.shape for d in arrays}
         self._ns: Dict[str, object] = dict(_GLOBALS)
         self._names = 0
-        #: Symbol -> local with its int value, per vector statement.
-        self._ints: Dict[str, str] = {}
-        self._lines = ["def run(I):",
-                       "    env = I.env; A = I.accs; rt = I.rt",
-                       "    charge = rt.charge; pid = rt.pid; prof = I.prof"]
-        self._block(program.body, _TAB)
-        self.source = "\n".join(self._lines)
-        exec(compile(self.source, f"<lowered {program.name}>", "exec"),
-             self._ns)
-        # pop: a function that its own globals name is a reference cycle.
-        self.run = self._ns.pop("run")
-
-    def _emit(self, ind: str, *lines: str) -> None:
-        self._lines.extend(ind + line for line in lines)
+        self._defs: Dict[str, str] = {}     # body text -> function name
 
     def _name(self, prefix: str) -> str:
         self._names += 1
         return f"{prefix}{self._names}"
+
+    def _shape(self, array: str) -> Tuple[int, ...]:
+        if array not in self._shapes:
+            raise InterpError(f"unknown array {array!r}")
+        return self._shapes[array]
+
+    def _def(self, body: List[str]) -> str:
+        """Define ``f(env)`` with ``body``, once per distinct body; its
+        name."""
+        text = "\n".join(_TAB + line for line in body or ["pass"])
+        return self._defs.setdefault(text, self._name("f"))
+
+    def _compile(self, lines: List[str], names: List[str]) -> list:
+        """Compile the definitions and ``lines``; the functions
+        ``names``, taken out of the namespace (a function that its own
+        globals name is a reference cycle)."""
+        self.source = "\n".join(
+            [f"def {name}(env):\n{text}"
+             for text, name in self._defs.items()] + lines)
+        exec(compile(self.source, self._filename, "exec"), self._ns)
+        fns = [self._ns[name] for name in names]
+        for name in set(names):
+            del self._ns[name]
+        return fns
+
+    # -- integer expressions: section bounds, partition values -------------
+
+    def _int(self, e) -> str:
+        """Source of ``e`` as a scalar integer over ``env``: a symbol is
+        ``int(env[name])``, ``/`` must divide exactly, an array
+        reference or any other operator is refused when evaluated."""
+        e = as_expr(e)
+        if isinstance(e, Num):
+            return f"({int(e.value)})"
+        if isinstance(e, Sym):
+            return f"int(env[{e.name!r}])"
+        if isinstance(e, Un):
+            v = self._int(e.operand)
+            return f"(-{v})" if e.op == "neg" else \
+                f"_refuse({f'unary {e.op!r}'!r}, {v})"
+        if isinstance(e, Bin):
+            a, b = self._int(e.left), self._int(e.right)
+            if e.op in ("+", "-", "*", "//", "%"):
+                return f"({a} {e.op} {b})"
+            if e.op in ("==", "!=", "<", "<=", ">", ">="):
+                return f"int({a} {e.op} {b})"
+            if e.op in ("min", "max"):
+                return f"{e.op}({a}, {b})"
+            if e.op == "/":
+                return f"_exact_div({a}, {b})"
+            return f"_refuse({f'binary {e.op!r}'!r}, {a}, {b})"
+        return f"_refuse({repr(e)!r})"
+
+    def _sections_fn(self, pairs, clip: bool) -> str:
+        """Define ``f(env) -> [Section]`` for ``(spec, owner)`` pairs,
+        in order; its name.  A spec whose ``owner`` (if any) is not
+        ``env['p']`` is skipped.  With ``clip``, sections are cut to
+        their arrays' declared bounds (RSDs may overhang edges), in
+        ``Section.intersect``'s normal form, and empty ones dropped."""
+        body = ["try:", _TAB + "out = []"]
+
+        def emit(*lines: str) -> None:
+            body.extend(ind + line for line in lines)
+
+        for spec, owner in pairs:
+            shape = self._shape(spec.array)
+            ind = _TAB
+            if owner is not None:
+                emit(f"if {self._int(owner)} == env['p']:")
+                ind += _TAB
+            for i, (lo, hi, _) in enumerate(spec.dims):
+                emit(f"l{i} = {self._int(lo)}", f"h{i} = {self._int(hi)}")
+            steps = [step for _, _, step in spec.dims]
+            dims, conds = "", []
+            # A non-positive step is left for Section to refuse.
+            if not clip or min(steps, default=1) <= 0:
+                dims = "".join(f"(l{i}, h{i}, {step}), "
+                               for i, step in enumerate(steps))
+            elif len(shape) != len(steps):
+                continue            # intersects nothing
+            else:
+                for i, (step, n) in enumerate(zip(steps, shape)):
+                    if step == 1:
+                        emit(f"if l{i} < 0: l{i} = 0",
+                             f"if h{i} > {n - 1}: h{i} = {n - 1}")
+                        conds.append(f"l{i} <= h{i}")
+                        dims += f"(l{i}, h{i}, 1), "
+                    else:
+                        emit(f"d{i} = ap_intersect(l{i}, h{i}, {step}, "
+                             f"0, {n - 1}, 1)")
+                        conds.append(f"d{i} is not None")
+                        dims += f"d{i}, "
+            if conds:
+                emit(f"if {' and '.join(conds)}:")
+                ind += _TAB
+            emit(f"out.append(Section({spec.array!r}, ({dims})))")
+        return self._def(body + [_TAB + "return out", *_UNBOUND])
+
+
+class Lowered(_Source):
+    """One program as ``run(I)``.  ``arrays[k]`` is what ``I.accs[k]``
+    must access; ``fns`` are the section functions ``run`` hands the
+    interpreter; ``rebind(env)`` re-evaluates every partition ``Local``
+    in program order.  Holds no processor's state."""
+
+    def __init__(self, program: Program) -> None:
+        super().__init__(program.name, program.arrays)
+        self.arrays: List[str] = []
+        #: Symbol -> local with its int value, per vector statement.
+        self._ints: Dict[str, str] = {}
+        self._fns: List[str] = []
+        # A Local not yet in scope (it depends on later loop variables)
+        # keeps the value it has.
+        rebind = self._def([
+            line for loc in program.partition_locals for line in (
+                f"try: env[{loc.name!r}] = {self._int(loc.expr)}",
+                "except (InterpError, KeyError): pass")])
+        self._lines = ["def run(I):",
+                       "    env = I.env; A = I.accs; rt = I.rt",
+                       "    charge = rt.charge; pid = rt.pid; prof = I.prof",
+                       "    F = I.lowered.fns"]
+        self._block(program.body, _TAB)
+        self.run, self.rebind, *self.fns = self._compile(
+            self._lines, ["run", rebind, *self._fns])
+
+    def _emit(self, ind: str, *lines: str) -> None:
+        self._lines.extend(ind + line for line in lines)
 
     def _const(self, obj) -> str:
         name = self._name("c")
@@ -95,10 +237,15 @@ class Lowered:
         plain = type(v) in (int, float) and isfinite(v)
         return f"({v!r})" if plain else self._const(v)
 
+    def _sections(self, specs, clip: bool = True) -> str:
+        """``F[k]``: the section function of ``specs``, as ``run``
+        names it."""
+        self._fns.append(self._sections_fn([(s, None) for s in specs], clip))
+        return f"F[{len(self._fns) - 1}]"
+
     def _acc(self, array: str) -> str:
         if array not in self.arrays:
-            if array not in self._shapes:
-                raise InterpError(f"unknown array {array!r}")
+            self._shape(array)
             self.arrays.append(array)
         return f"A[{self.arrays.index(array)}]"
 
@@ -269,7 +416,9 @@ class Lowered:
         self._block(s.orelse, ind + _TAB)
 
     def _kernel(self, k: Kernel, ind: str) -> None:
-        self._emit(self._owned(k.owner, ind), "I._kernel(I.current_stmt)",
+        self._emit(self._owned(k.owner, ind),
+                   f"I._kernel(I.current_stmt, {self._sections(k.reads, False)}"
+                   f", {self._sections(k.writes, False)})",
                    f"v = {self._expr(k.cost)}", "if v: charge(float(v))")
 
     _EMIT = {
@@ -277,10 +426,28 @@ class Lowered:
         Acquire: _lock, Release: _lock, If: _if, Kernel: _kernel,
         ProcCall: lambda self, s, ind: self._block(s.body, ind),
         ValidateStmt: lambda self, s, ind: self._emit(
-            self._owned(s.owner, ind), "I._validate(I.current_stmt)"),
+            self._owned(s.owner, ind),
+            f"I._validate(I.current_stmt, {self._sections(s.specs)})"),
         PushStmt: lambda self, s, ind: self._emit(
-            ind, "I._push(I.current_stmt)"),
+            ind, f"I._push({self._sections(s.reads)}, "
+                 f"{self._sections(s.writes)})"),
     }
+
+
+def compile_int(expr) -> Callable[[Dict[str, object]], int]:
+    """``f(env)``: the scalar integer expression ``expr`` (no array
+    references) as section bounds and partition values evaluate it."""
+    src = _Source("int")
+    body = [f"try: return {src._int(expr)}", *_UNBOUND]
+    return src._compile([], [src._def(body)])[0]
+
+
+def compile_sections(program: Program, groups) -> list:
+    """One ``f(env) -> [Section]`` per group of ``(spec, owner)`` pairs,
+    clipped to ``program``'s declared shapes: exchange sets that are
+    not statements of the program (the XHPF plan), compiled together."""
+    src = _Source(program.name, program.arrays)
+    return src._compile([], [src._sections_fn(g, True) for g in groups])
 
 
 def lower(program: Program) -> Lowered:

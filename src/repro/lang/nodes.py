@@ -3,50 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import InterpError
-from repro.lang.expr import Bin, Expr, Num, Ref, Sym, Un, as_expr
-from repro.memory.section import Section
+from repro.lang.expr import Expr, Num, Ref, as_expr
 from repro.rt.access import AccessType
-
-
-def eval_int(expr: Expr, env: Dict[str, object]) -> int:
-    """Evaluate a scalar integer expression (no array references)."""
-    expr = as_expr(expr)
-    if isinstance(expr, Num):
-        return int(expr.value)
-    if isinstance(expr, Sym):
-        try:
-            return int(env[expr.name])
-        except KeyError:
-            raise InterpError(f"unbound symbol {expr.name!r}") from None
-    if isinstance(expr, Un):
-        v = eval_int(expr.operand, env)
-        if expr.op == "neg":
-            return -v
-        raise InterpError(f"cannot int-evaluate unary {expr.op!r}")
-    if isinstance(expr, Bin):
-        a = eval_int(expr.left, env)
-        b = eval_int(expr.right, env)
-        ops = {
-            "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-            "//": lambda: a // b, "%": lambda: a % b,
-            "min": lambda: min(a, b), "max": lambda: max(a, b),
-            "==": lambda: int(a == b), "!=": lambda: int(a != b),
-            "<": lambda: int(a < b), "<=": lambda: int(a <= b),
-            ">": lambda: int(a > b), ">=": lambda: int(a >= b),
-        }
-        if expr.op in ops:
-            return ops[expr.op]()
-        if expr.op == "/":
-            if a % b == 0:
-                return a // b
-            raise InterpError(f"non-integer division {a}/{b} in bounds")
-        raise InterpError(f"cannot int-evaluate binary {expr.op!r}")
-    raise InterpError(f"cannot int-evaluate {expr!r}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +31,6 @@ class SectionSpec:
                 lo, hi, step = d
             norm.append((as_expr(lo), as_expr(hi), int(step)))
         return cls(array, tuple(norm))
-
-    def evaluate(self, env: Dict[str, object]) -> Section:
-        dims = tuple((eval_int(lo, env), eval_int(hi, env), step)
-                     for lo, hi, step in self.dims)
-        return Section(self.array, dims)
 
     def __repr__(self) -> str:
         dims = ", ".join(
@@ -219,7 +178,8 @@ class Program:
     #: Parameter values (problem sizes etc.), bound into every env.
     params: Dict[str, int] = field(default_factory=dict)
     #: The executable form, built by :func:`repro.interp.lower.lower` on
-    #: first use; not carried over to a transformed copy.
+    #: first use; like the two cached properties below, not carried
+    #: over to a transformed copy (nothing changes a built Program).
     lowered: object = field(default=None, init=False, repr=False,
                             compare=False)
 
@@ -229,12 +189,18 @@ class Program:
     def private_arrays(self) -> List[ArrayDecl]:
         return [a for a in self.arrays if not a.shared]
 
-    def array_decl(self, name: str) -> ArrayDecl:
-        for a in self.arrays:
-            if a.name == name:
-                return a
-        raise InterpError(f"unknown array {name!r} in {self.name}")
+    @cached_property
+    def _decls(self) -> Dict[str, ArrayDecl]:
+        return {a.name: a for a in reversed(self.arrays)}
 
+    def array_decl(self, name: str) -> ArrayDecl:
+        try:
+            return self._decls[name]
+        except KeyError:
+            raise InterpError(
+                f"unknown array {name!r} in {self.name}") from None
+
+    @cached_property
     def partition_locals(self) -> List[Local]:
         """All partition-tagged Locals, in program order."""
         out: List[Local] = []
@@ -260,13 +226,11 @@ class Program:
 
         Used by Push and the XHPF lowering to evaluate another
         processor's sections: copy the current environment, rebind ``p``
-        and re-evaluate every partition Local in order.
+        and re-evaluate every partition Local in order (the lowered
+        program's ``rebind``; one not yet in scope keeps its value).
         """
+        from repro.interp.lower import lower    # interp imports lang
         env_q = dict(env)
         env_q["p"] = pid
-        for loc in self.partition_locals():
-            try:
-                env_q[loc.name] = eval_int(loc.expr, env_q)
-            except InterpError:
-                pass   # not in scope yet (depends on later loop vars)
+        lower(self).rebind(env_q)
         return env_q

@@ -31,12 +31,12 @@ class ArrayInfo:
     base: int           # byte offset of element (0, 0, ...) in the block
     #: The array's part of the access plan: section dims -> (sorted page
     #: indices, numpy index, shape, dims as plain ints).  Filled by
-    #: ``SharedLayout.resolve``, shared by every processor of a run; a
-    #: hit builds no ``Section``.
+    #: ``SharedLayout.resolve_dims``, shared by every processor of a
+    #: run; neither a hit nor a miss builds a ``Section``.
     plan: Dict[tuple, tuple] = field(default_factory=dict, compare=False,
                                      repr=False)
 
-    @property
+    @cached_property
     def itemsize(self) -> int:
         return self.dtype.itemsize
 
@@ -53,6 +53,15 @@ class ArrayInfo:
             strides.append(acc)
             acc *= extent
         return tuple(strides)
+
+    @cached_property
+    def byte_strides(self) -> Tuple[int, ...]:
+        return tuple(s * self.itemsize for s in self.elem_strides)
+
+
+#: Above this many runs numpy lists a section's pages faster than a
+#: Python loop over the runs does (measured: they cross at about 32).
+_NUMPY_RUNS = 32
 
 
 def _align(offset: int, alignment: int) -> int:
@@ -109,62 +118,65 @@ class SharedLayout:
             off += v * stride
         return info.base + off * info.itemsize
 
-    def _runs(self, section: Section):
-        """``(start, nbytes, offsets)`` of ``section``'s contiguous byte
-        runs, or None if it is empty: the first run, the length of each,
-        and, per dimension the runs step through, the byte offsets it
-        adds (a run starts at ``start`` plus one offset from each; a
-        later dimension's offsets dominate an earlier one's)."""
-        info = self.info(section.array)
+    def _reject(self, info: ArrayInfo, dims) -> None:
+        """Why ``dims`` is no in-bounds section of ``info``'s array,
+        raised; an empty section (which may overhang) is None."""
+        section = Section(info.name, dims)   # SectionError: bad step
         if section.ndim != len(info.shape):
             raise LayoutError(
-                f"section {section} has wrong rank for {section.array!r}")
+                f"section {section} has wrong rank for {info.name!r}")
         if section.empty:
             return None
-        for (lo, hi, _), extent in zip(section.dims, info.shape):
-            if lo < 0 or hi >= extent:
-                raise LayoutError(f"section {section} exceeds bounds "
-                                  f"of {section.array!r} {info.shape}")
-        strides = info.elem_strides
-        # Grow a contiguous run over fully-covered leading dimensions.
-        run = 1
-        run_base = 0
-        d = 0
-        while d < section.ndim:
-            lo, hi, step = section.dims[d]
-            if step == 1 and run == strides[d]:
-                run_base += lo * strides[d]
-                run *= hi - lo + 1
-                d += 1
-                if lo != 0 or hi != info.shape[d - 1] - 1:
-                    break  # partial coverage: cannot extend further
-                continue
-            break
-        offsets = []
-        for (lo, hi, step), stride in zip(section.dims[d:], strides[d:]):
-            if lo + step > hi:
-                run_base += lo * stride
+        raise LayoutError(f"section {section} exceeds bounds "
+                          f"of {info.name!r} {info.shape}")
+
+    def _decompose(self, info: ArrayInfo, dims):
+        """``(start, nbytes, walks, index, shape)`` of the section
+        ``dims`` of ``info``'s array, or None if it is empty: the first
+        contiguous byte run, the length of each, one ``(step bytes,
+        count)`` per dimension the runs step through (a later walk's
+        step exceeds all an earlier one covers, so run starts ascend
+        with the last walk slowest), and the numpy index and shape of
+        its view.  Integer arithmetic on the dims alone: this is the
+        paper's "sections are translated into a set of contiguous
+        address ranges" (Section 3.3), and where rank, step and bounds
+        are checked."""
+        shape = info.shape
+        if len(dims) != len(shape):
+            return self._reject(info, dims)
+        start = info.base
+        run = info.itemsize
+        grow = True             # every dimension so far is fully covered
+        walks, index, counts = [], [], []
+        for (lo, hi, step), extent, stride in zip(dims, shape,
+                                                  info.byte_strides):
+            if step <= 0 or lo > hi or lo < 0 or hi >= extent:
+                return self._reject(info, dims)
+            start += lo * stride
+            count = (hi - lo) // step + 1
+            index.append(slice(lo, hi + 1, step))
+            counts.append(count)
+            if count == 1:
+                grow = grow and extent == 1
+            elif grow and step == 1:
+                run *= count
+                grow = count == extent
             else:
-                offsets.append(range(lo * stride * info.itemsize,
-                                     (hi + 1) * stride * info.itemsize,
-                                     step * stride * info.itemsize))
-        return (info.base + run_base * info.itemsize, run * info.itemsize,
-                offsets)
+                walks.append((step * stride, count))
+                grow = False
+        return start, run, walks, tuple(index), tuple(counts)
 
     def byte_ranges(self, section: Section) -> List[Tuple[int, int]]:
-        """Contiguous ``[start, stop)`` byte ranges covering ``section``.
-
-        This is the "sections are translated into a set of contiguous
-        address ranges" step of the paper's Section 3.3.  Ranges are sorted
-        and adjacent/overlapping ranges merged.
-        """
-        runs = self._runs(section)
+        """Contiguous ``[start, stop)`` byte ranges covering ``section``,
+        sorted, adjacent ranges merged."""
+        runs = self._decompose(self.info(section.array), section.dims)
         if runs is None:
             return []
-        base, nbytes, offsets = runs
+        base, nbytes, walks = runs[:3]
         merged: List[Tuple[int, int]] = []
-        # The last dimension varies slowest, so starts only ascend.
-        for combo in product(*reversed(offsets)):
+        # The last walk is the slowest, so starts only ascend.
+        for combo in product(*(range(0, sb * count, sb)
+                               for sb, count in reversed(walks))):
             start = base + sum(combo)
             if merged and start <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], start + nbytes)
@@ -172,45 +184,83 @@ class SharedLayout:
                 merged.append((start, start + nbytes))
         return merged
 
-    def _pages(self, section: Section) -> Tuple[int, ...]:
-        """Sorted pages ``section`` touches, from its runs directly (no
-        ranges are materialised; one run is one ``range``)."""
-        runs = self._runs(section)
-        if runs is None:
-            return ()
-        start, nbytes, offsets = runs
+    def _run_pages(self, start: int, nbytes: int, walks) -> Tuple[int, ...]:
+        """Sorted pages the runs of a decomposition touch, each once."""
         ps = self.page_size
-        if not offsets:
-            return tuple(range(start // ps, (start + nbytes - 1) // ps + 1))
-        starts = np.array([start])
-        for offs in offsets:
-            starts = np.add.outer(np.array(offs), starts).ravel()
-        first, last = starts // ps, (starts + (nbytes - 1)) // ps
-        # Every page from each run's first to its last, each page once;
-        # the runs ascend, so they come out sorted.
-        fill = np.arange(int((last - first).max()) + 1)
-        pages = np.minimum(first[:, None] + fill, last[:, None])
-        return tuple(dict.fromkeys(pages.ravel().tolist()))
+        inner = 0
+        for sb, count in walks:
+            # Steps of at most a page skip no page: the walk touches
+            # what one run from its first byte to its last touches.
+            if sb > ps:
+                break
+            nbytes += (count - 1) * sb
+            inner += 1
+        first, last = start // ps, (start + nbytes - 1) // ps
+        if inner == len(walks):
+            return tuple(range(first, last + 1))
+        if inner == len(walks) - 1 and first == last:
+            sb, count = walks[inner]
+            if sb % ps == 0:        # every run inside one page, its own
+                return tuple(range(first, first + count * (sb // ps),
+                                   sb // ps))
+        if prod(count for _, count in walks[inner:]) > _NUMPY_RUNS:
+            starts = np.array([start])
+            for sb, count in walks[inner:]:
+                starts = np.add.outer(np.arange(0, sb * count, sb),
+                                      starts).ravel()
+            first, last = starts // ps, (starts + (nbytes - 1)) // ps
+            # Every page from each run's first to its last, each page
+            # once; the runs ascend, so they come out sorted.
+            fill = np.arange(int((last - first).max()) + 1)
+            pages = np.minimum(first[:, None] + fill, last[:, None])
+            return tuple(dict.fromkeys(pages.ravel().tolist()))
+        starts = [start]
+        for sb, count in walks[inner:]:
+            starts = [s + off for off in range(0, sb * count, sb)
+                      for s in starts]
+        pages: List[int] = []
+        fresh = 0               # lowest page not yet listed
+        for s in starts:
+            first, stop = max(s // ps, fresh), (s + nbytes - 1) // ps + 1
+            if first < stop:
+                pages.extend(range(first, stop))
+                fresh = stop
+        return tuple(pages)
+
+    def resolve_dims(self, info: ArrayInfo, dims) -> tuple:
+        """The access ``(pages, index, shape, dims)`` of the section
+        ``dims`` of ``info``'s array, worked out and entered in the
+        plan under ``dims`` itself: what a plan miss calls (no
+        ``Section`` is built).  The fourth field is ``dims`` as plain
+        ints (what an access event carries)."""
+        key = dims
+        runs = self._decompose(info, dims)
+        # A numpy integer among the dims makes the start or a count one.
+        if runs is None or type(runs[0] + sum(runs[4])) is not int:
+            dims = tuple((int(lo), int(hi), int(st)) for lo, hi, st in dims)
+            # An empty section is no run: no page.
+            runs = self._decompose(info, dims) or (
+                0, 0, (), tuple(slice(lo, hi + 1, st) for lo, hi, st in dims),
+                tuple(max(0, (hi - lo) // st + 1) for lo, hi, st in dims))
+        start, nbytes, walks, index, shape = runs
+        if walks:
+            pages = self._run_pages(start, nbytes, walks)
+        else:
+            ps = self.page_size
+            first, last = start // ps, (start + nbytes - 1) // ps
+            pages = (first,) if first == last else \
+                tuple(range(first, last + 1))
+        access = info.plan[key] = (pages, index, shape, dims)
+        return access
 
     def resolve(self, section: Section) -> tuple:
         """``(pages, index, shape, dims)`` of ``section``: the sorted
         pages it touches, the numpy index and shape of its view, and its
-        dims as plain ints (what an access event carries).  Worked out
-        once per layout, then looked up (add_array only appends, so an
-        entry never goes stale)."""
-        plan = self.info(section.array).plan
-        access = plan.get(section.dims)
-        if access is None:
-            dims = section.dims
-            if any(type(v) is not int for dim in dims for v in dim):
-                dims = tuple((int(lo), int(hi), int(st))
-                             for lo, hi, st in dims)
-            access = plan[section.dims] = (
-                self._pages(section),
-                tuple(slice(lo, hi + 1, st) for lo, hi, st in dims),
-                tuple(max(0, (hi - lo) // st + 1) for lo, hi, st in dims),
-                dims)
-        return access
+        dims as plain ints.  Worked out once per layout, then looked up
+        (add_array only appends, so an entry never goes stale)."""
+        info = self.info(section.array)
+        return (info.plan.get(section.dims)
+                or self.resolve_dims(info, section.dims))
 
     def pages_of(self, section: Section) -> Tuple[int, ...]:
         """Sorted page indices touched by ``section``."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.memory.section import Section
 from repro.sanitizer.clocks import SyncTracker
 from repro.sanitizer.hints import SYNC_KINDS, HintChecker
 from repro.sanitizer.report import (Finding, SanitizeReport,
@@ -98,8 +97,9 @@ class Sanitizer:
             dims = pack_dims(dims)
         # One numpy index for both checkers, from the data path's access
         # plan: worked out once per distinct section.
-        index = (self.layout.info(array).plan.get(dims)
-                 or self.layout.resolve(Section(array, dims)))[1]
+        info = self.layout.info(array)
+        index = (info.plan.get(dims)
+                 or self.layout.resolve_dims(info, dims))[1]
         is_write = ev.kind == "rt.write"
         conflicts = self.shadow.access(
             pid, is_write, array, index, self.tracker.clock(pid), idx)

@@ -94,7 +94,7 @@ class SharedArray(SectionAccess):
         order, ahead of any faults it triggers."""
         access = self._plan.get(dims)
         if access is None:
-            access = self.node.layout.resolve(Section(self.name, dims))
+            access = self.node.layout.resolve_dims(self.info, dims)
         pages = access[0]
         node = self.node
         tel = node.tel

@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.rsd import RSD, linexpr_to_expr
+from repro.interp.lower import compile_int
 from repro.lang.expr import Sym, linearize
-from repro.lang.nodes import eval_int
+
+
+def eval_int(expr, env):
+    return compile_int(expr)(env)
 
 
 @st.composite

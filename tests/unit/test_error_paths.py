@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import (CompileError, InterpError, LayoutError,
-                          ProtocolError, SimulationError)
+                          ProtocolError, SectionError, SimulationError)
 from repro.lang import build as B
 from repro.lang.nodes import ArrayDecl, Program
 from repro.memory import Section, SharedLayout
@@ -61,6 +61,30 @@ def test_section_out_of_bounds_rejected_by_layout():
         layout.byte_ranges(Section.of("x", (0, 100)))
     with pytest.raises(LayoutError):
         layout.byte_ranges(Section.of("y", (0, 3)))
+
+
+def test_dims_level_entry_refuses_what_section_and_runs_did():
+    """``resolve_dims`` checks step, rank and bounds itself, in the
+    order and with the messages of ``Section(...)`` then ``_runs``; an
+    empty section may overhang and touches no page."""
+    layout = SharedLayout(page_size=256)
+    info = layout.add_array("x", (8, 4))
+    with pytest.raises(SectionError, match=r"non-positive step in x\[0:3:0\]"):
+        layout.resolve_dims(info, ((0, 3, 0),))        # step before rank
+    with pytest.raises(SectionError, match="non-positive step"):
+        layout.resolve_dims(info, ((5, 3, -1), (0, 0, 1)))  # before empty
+    with pytest.raises(LayoutError, match=r"section x\[0:3\] has wrong rank"):
+        layout.resolve_dims(info, ((0, 3, 1),))
+    with pytest.raises(LayoutError,
+                       match=r"section x\[0:8, 0:0\] exceeds bounds of 'x' "
+                             r"\(8, 4\)"):
+        layout.resolve_dims(info, ((0, 8, 1), (0, 0, 1)))
+    with pytest.raises(LayoutError, match="exceeds bounds"):
+        layout.pages_of(Section.of("x", (-1, 3), (0, 0)))
+    assert not info.plan
+    assert layout.resolve_dims(info, ((5, 3, 1), (0, 99, 1))) == \
+        ((), (slice(5, 4, 1), slice(0, 100, 1)), (0, 100),
+         ((5, 3, 1), (0, 99, 1)))
 
 
 def test_interp_unknown_array():

@@ -3,9 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.interp.lower import compile_int
 from repro.lang.expr import (Bin, LinExpr, Num, Ref, Sym, Un, as_expr,
                              linearize, substitute_expr, substitute_lin)
-from repro.lang.nodes import eval_int
+
+
+def eval_int(expr, env):
+    return compile_int(expr)(env)
 
 
 def test_operator_overloading_builds_trees():

@@ -1,8 +1,12 @@
 """Unit tests for symbolic regular section descriptors."""
 
 from repro.compiler.rsd import RSD, linexpr_to_expr
+from repro.interp.lower import compile_int
 from repro.lang.expr import LinExpr, Sym, linearize
-from repro.lang.nodes import eval_int
+
+
+def eval_int(expr, env):
+    return compile_int(expr)(env)
 
 
 def lin(expr, loop_vars=()):

@@ -5,8 +5,9 @@ Usage::
     python -m repro table1
     python -m repro table2 figure5
     python -m repro all --nprocs 8 --dataset bench
-    python -m repro trace jacobi --out trace.json
     python -m repro inspect jacobi --mode dsm --opt aggr
+    python -m repro inspect jacobi --chrome trace.json --jsonl events.jsonl
+    python -m repro inspect jacobi --html report.html --progress
     python -m repro check [--update-baselines]
     python -m repro chaos --apps jacobi is --intensity heavy
     python -m repro recover --apps jacobi --schedules manager lock
@@ -14,7 +15,6 @@ Usage::
     python -m repro sanitize jacobi --opt push
     python -m repro sanitize --all
     python -m repro bench --json bench.json
-    python -m repro report jacobi --html report.html
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 import signal
 import sys
 from functools import partial
+from inspect import signature
 
 from repro.errors import ReproError
 from repro.harness import experiments as ex
@@ -47,15 +48,6 @@ def _sizing_parent() -> argparse.ArgumentParser:
                    help="number of simulated processors")
     p.add_argument("--page-size", type=int, default=SIZING["page_size"],
                    help="DSM page size in bytes")
-    return p
-
-
-def _mode_parent() -> argparse.ArgumentParser:
-    """``--mode``, for commands that run one app in one mode."""
-    from repro.harness import MODES
-
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--mode", default="dsm", choices=sorted(MODES))
     return p
 
 
@@ -93,31 +85,6 @@ def _data_plane_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _seed_parent(seed: int = 0) -> argparse.ArgumentParser:
-    """``--seed``, for commands with a deterministic RNG input."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=seed,
-                   help="RNG seed (same seed = same schedule)")
-    return p
-
-
-def _progress_parent() -> argparse.ArgumentParser:
-    """``--progress``, the live run-monitor heartbeat on stderr."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--progress", action="store_true",
-                   help="print a live heartbeat (simulated time, "
-                        "events/sec, ETA) to stderr while running")
-    return p
-
-
-def _monitor(args):
-    """A bound-ready RunMonitor when ``--progress`` was given."""
-    if not getattr(args, "progress", False):
-        return None
-    from repro.observe import RunMonitor
-    return RunMonitor()
-
-
 _SIZING = ("dataset", "nprocs", "page_size")
 _RUN_FIELDS = (*_SIZING, "protocol", "data_plane")
 
@@ -127,14 +94,6 @@ def _run_kw(args, fields=_RUN_FIELDS) -> dict:
     (a subcommand without ``--protocol`` simply has none to pass)."""
     have = vars(args)
     return {k: have[k] for k in fields if k in have}
-
-
-def _traced_spec(args, **extra):
-    """The traced RunSpec of a one-app, one-mode subcommand."""
-    from repro.harness import RunSpec
-    return RunSpec(app=args.app, mode=args.mode,
-                   opt=args.opt if args.mode == "dsm" else None,
-                   telemetry=True, **_run_kw(args), **extra)
 
 
 def _emit(args, payload: dict, text: str, **dump_kw) -> None:
@@ -152,99 +111,26 @@ def _emit(args, payload: dict, text: str, **dump_kw) -> None:
         print(f"wrote {args.json}")
 
 
-ARTIFACTS = {
-    "table1": (lambda args: ex.table1(dataset=args.dataset),
-               report.render_table1),
-    "table2": (lambda args: ex.table2(dataset=args.dataset,
-                                      nprocs=args.nprocs),
-               report.render_table2),
-    "figure5": (lambda args: ex.figure5(dataset=args.dataset,
-                                        nprocs=args.nprocs),
-                report.render_figure5),
-    "figure6": (lambda args: ex.figure6(dataset=args.dataset,
-                                        nprocs=args.nprocs),
-                report.render_figure6),
-    "figure7": (lambda args: ex.figure7(dataset=args.dataset,
-                                        nprocs=args.nprocs),
-                report.render_figure7),
-    "breakdown": (lambda args: ex.breakdown(dataset=args.dataset,
-                                            nprocs=args.nprocs),
-                  report.render_breakdown),
-    "scaling": (lambda args: ex.scaling(dataset=args.dataset),
-                report.render_scaling),
-    "sensitivity": (lambda args: ex.sensitivity(dataset=args.dataset,
-                                                nprocs=args.nprocs),
-                    lambda rows: report.render_table(
-                        "Communication-cost sensitivity (Jacobi)",
-                        ["comm x", "Tmk", "Opt-Tmk", "PVMe"],
-                        [[r["comm_cost_x"], r["Tmk"], r["Opt-Tmk"],
-                          r["PVMe"]] for r in rows])),
-}
-
-
-def trace_main(argv) -> int:
-    """``python -m repro trace <app>``: run once with full telemetry."""
-    from repro.apps import all_apps
-    from repro.harness import run
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        parents=[_sizing_parent(), _mode_parent(), _opt_parent(),
-                 _protocol_parent(), _data_plane_parent(),
-                 _progress_parent()],
-        description="Run one application with telemetry enabled and "
-                    "export a Chrome-trace timeline "
-                    "(chrome://tracing or https://ui.perfetto.dev).")
-    parser.add_argument("app", choices=sorted(all_apps()),
-                        help="application to trace")
-    parser.add_argument("--out", default=None,
-                        help="Chrome-trace output path "
-                             "(default: trace-<app>.json)")
-    parser.add_argument("--jsonl", default=None,
-                        help="also write a JSONL event log here")
-    parser.add_argument("--profile", action="store_true",
-                        help="wall-clock profile the run and print the "
-                             "host-time attribution table")
-    args = parser.parse_args(argv)
-
-    out = run(_traced_spec(args, profile=args.profile,
-                           monitor=_monitor(args)))
-    tel = out.telemetry
-    path = args.out or f"trace-{args.app}.json"
-    tel.write_chrome_trace(path)
-    if args.jsonl:
-        tel.write_jsonl(args.jsonl)
-
-    print(f"{args.app} [{args.mode}] dataset={args.dataset} "
-          f"nprocs={args.nprocs}: t={out.time:.1f}us "
-          f"messages={out.messages} bytes={out.data_bytes}")
-    counts = tel.counts()
-    for kind in sorted(counts):
-        print(f"  {kind:<20} {counts[kind]}")
-    print(f"wrote {path} ({len(tel.bus)} events, "
-          f"{len(tel.spans)} spans)")
-    if args.jsonl:
-        print(f"wrote {args.jsonl}")
-    if out.profile is not None:
-        print()
-        print(out.profile.render())
-    return 0
-
-
 def inspect_main(argv) -> int:
-    """``python -m repro inspect <app>``: protocol inspection report."""
+    """``python -m repro inspect <app>``: one traced run, reported."""
     from repro.apps import all_apps
+    from repro.harness import MODES, RunSpec
     from repro.inspect import inspect_run
+    from repro.observe.htmlreport import write_html
 
     parser = argparse.ArgumentParser(
         prog="python -m repro inspect",
-        parents=[_sizing_parent(), _mode_parent(), _opt_parent(),
-                 _protocol_parent(), _data_plane_parent()],
+        parents=[_sizing_parent(), _opt_parent(), _protocol_parent(),
+                 _data_plane_parent()],
         description="Run one application with telemetry and print the "
                     "protocol inspection report: hot pages, "
-                    "lock/barrier contention, critical path.")
+                    "lock/barrier contention, critical path.  The same "
+                    "run can also be exported as a Chrome trace, a "
+                    "JSONL event log and a self-contained HTML report, "
+                    "and wall-clock profiled.")
     parser.add_argument("app", choices=sorted(all_apps()),
                         help="application to inspect")
+    parser.add_argument("--mode", default="dsm", choices=sorted(MODES))
     parser.add_argument("--top", type=int, default=10,
                         help="rows per ranking table")
     parser.add_argument("--json", default=None, metavar="PATH",
@@ -253,16 +139,57 @@ def inspect_main(argv) -> int:
     parser.add_argument("--page", type=int, default=None,
                         help="also print this page's full transition "
                              "timeline")
+    parser.add_argument("--chrome", default=None, metavar="PATH",
+                        help="also export a Chrome-trace timeline "
+                             "(chrome://tracing or https://ui.perfetto.dev)")
+    parser.add_argument("--jsonl", default=None, metavar="PATH",
+                        help="also write a JSONL event log here")
+    parser.add_argument("--html", default=None, metavar="PATH",
+                        help="also write a self-contained HTML report "
+                             "(critical path, wall-clock attribution, "
+                             "contention, hot-page timelines; no "
+                             "external assets); the run is wall-clock "
+                             "profiled unless it is a seq run")
+    parser.add_argument("--profile", action="store_true",
+                        help="wall-clock profile the run and print the "
+                             "host-time attribution table")
+    parser.add_argument("--progress", action="store_true",
+                        help="print a live heartbeat (simulated time, "
+                             "events/sec) to stderr while running")
     args = parser.parse_args(argv)
 
-    rep = inspect_run(_traced_spec(args))
+    monitor = None
+    if args.progress:
+        from repro.observe import RunMonitor
+        monitor = RunMonitor()
+    rep = inspect_run(RunSpec(
+        app=args.app, mode=args.mode,
+        opt=args.opt if args.mode == "dsm" else None,
+        profile=args.profile or (bool(args.html) and args.mode != "seq"),
+        monitor=monitor, **_run_kw(args)))
+    out = rep.outcome
+    title = (f"{args.app} [{args.mode}] dataset={args.dataset} "
+             f"nprocs={args.nprocs}")
+    wrote = []
+    for path, write in (
+            (args.chrome, out.telemetry.write_chrome_trace),
+            (args.jsonl, out.telemetry.write_jsonl),
+            (args.html, partial(write_html, report=rep,
+                                profile=out.profile, title=title))):
+        if path:
+            write(path)
+            wrote.append(path)
+
     lines = [rep.render(args.top)]
     if args.page is not None:
         lines += [f"\nTimeline of page {args.page}",
                   "=" * (17 + len(str(args.page))),
                   *map(str, rep.timelines.timeline(args.page))]
-    if args.json:
+    if args.profile:
+        lines += ["", out.profile.render()]
+    if wrote or args.json:
         lines.append("")    # blank line before "wrote <path>"
+    lines += [f"wrote {path}" for path in wrote]
     _emit(args, rep.as_dict(args.top), "\n".join(lines))
     return 0 if not rep.reconcile() else 1
 
@@ -306,18 +233,8 @@ def check_main(argv) -> int:
         path = args.baselines or baseline.default_path()
         print(f"updated {path} ({len(result.measured)} entries)")
         return 0
-    for key in sorted(result.measured):
-        entry = result.measured[key]
-        print(f"  {key:<32} t={entry['time_us']:.1f}us "
-              f"messages={entry['messages']} "
-              f"bytes={entry['data_bytes']}")
-    if result.ok:
-        print(f"OK: {len(result.measured)} baseline entries match")
-        return 0
-    print(f"FAIL: {len(result.problems)} mismatches")
-    for p in result.problems:
-        print(f"  ! {p}")
-    return 1
+    print(result.render())
+    return 0 if result.ok else 1
 
 
 def sweep_main(kind: str, argv) -> int:
@@ -331,8 +248,6 @@ def sweep_main(kind: str, argv) -> int:
 
     policy = importlib.import_module(f"repro.harness.{kind}").POLICY
     parents = [_sizing_parent(), _protocol_parent()]
-    if not policy.mined:        # labels name seeded plans
-        parents.append(_seed_parent())
     if any(c.data_plane == "onesided"
            and policy.perturbation in c.perturbations
            for c in legal_cells()):
@@ -343,6 +258,9 @@ def sweep_main(kind: str, argv) -> int:
                     f"{policy.flag.lstrip('-')}, running each case "
                     f"unperturbed and perturbed; the table reports what "
                     f"the perturbation cost.  {policy.note}")
+    if not policy.mined:        # labels name seeded plans
+        parser.add_argument("--seed", type=int, default=0,
+                            help="RNG seed (same seed = same schedule)")
     parser.add_argument("--apps", nargs="*", default=None,
                         choices=sorted(all_apps()),
                         help="applications to sweep (default: all)")
@@ -404,9 +322,6 @@ def sanitize_main(argv) -> int:
                         help="run the mutated-hint detection corpus; "
                              "exits non-zero unless every mutation "
                              "is detected")
-    parser.add_argument("--offline", action="store_true",
-                        help="replay the recorded stream after the run "
-                             "instead of checking online")
     parser.add_argument("--replay", default=None, metavar="JSONL",
                         help="sanitize a recorded telemetry JSONL "
                              "trace of <app> at --opt instead of "
@@ -416,33 +331,24 @@ def sanitize_main(argv) -> int:
                              "('-' for stdout)")
     args = parser.parse_args(argv)
 
-    from repro.harness.schema import envelope
-
     sizing = _run_kw(args, _SIZING)
-
-    def emit(text, **results) -> None:
-        _emit(args, envelope("sanitize", **sizing, **results), text)
-
     apps = [args.app] if args.app else None
     if args.corpus:
-        corpus = matrix.build_corpus(apps=apps, **sizing)
-        matrix.run_corpus(corpus, **sizing)
-        emit(matrix.render_corpus(corpus),
-             corpus=[e.__dict__ for e in corpus])
-        return 0 if all(e.detected for e in corpus) else 1
-    if args.all or not args.app:
+        corpus = matrix.run_corpus(matrix.build_corpus(apps=apps, **sizing),
+                                   **sizing)
+        text, result = matrix.render_corpus(corpus), dict(corpus=corpus)
+        ok = all(e.detected for e in corpus)
+    elif args.all or not args.app:
         cases = matrix.clean_matrix(apps=apps, **_run_kw(args))
-        emit(matrix.render_matrix(cases),
-             cases=[c.report.as_dict() for c in cases])
-        return 0 if all(c.ok for c in cases) else 1
-    if args.replay:
-        rep = sanitize_jsonl(args.replay, args.app, opt=args.opt,
-                             **sizing)
+        text, result = matrix.render_matrix(cases), dict(cases=cases)
+        ok = all(c.ok for c in cases)
     else:
-        _, rep = sanitize_run(args.app, opt=args.opt,
-                              online=not args.offline, **_run_kw(args))
-    emit(rep.render(), report=rep.as_dict())
-    return 0 if rep.ok else 1
+        rep = (sanitize_jsonl(args.replay, args.app, opt=args.opt, **sizing)
+               if args.replay else
+               sanitize_run(args.app, opt=args.opt, **_run_kw(args))[1])
+        text, result, ok = rep.render(), dict(report=rep), rep.ok
+    _emit(args, matrix.payload(sizing, **result), text)
+    return 0 if ok else 1
 
 
 def bench_main(argv) -> int:
@@ -499,50 +405,8 @@ def bench_main(argv) -> int:
     return 0
 
 
-def report_main(argv) -> int:
-    """``python -m repro report``: self-contained HTML run report."""
-    from repro.apps import all_apps
-    from repro.harness import run
-    from repro.inspect import InspectReport
-    from repro.observe.htmlreport import write_html
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        parents=[_sizing_parent(), _mode_parent(), _opt_parent(),
-                 _protocol_parent(), _data_plane_parent(),
-                 _progress_parent()],
-        description="Run one application traced AND wall-clock "
-                    "profiled, then write a single self-contained HTML "
-                    "file: summary tiles, critical-path tiling, "
-                    "wall-clock attribution, contention profile, and "
-                    "hot-page timelines.  No external assets; opens "
-                    "offline.")
-    parser.add_argument("app", choices=sorted(all_apps()),
-                        help="application to report on")
-    parser.add_argument("--html", default=None, metavar="PATH",
-                        help="output path (default: report-<app>.html)")
-    args = parser.parse_args(argv)
-
-    profiled = args.mode != "seq"
-    out = run(_traced_spec(args, profile=profiled,
-                           monitor=_monitor(args) if profiled else None))
-    title = (f"{args.app} [{args.mode}] dataset={args.dataset} "
-             f"nprocs={args.nprocs}")
-    rep = InspectReport.build(out, title=title)
-    path = args.html or f"report-{args.app}.html"
-    write_html(path, rep, profile=out.profile, title=title)
-    problems = rep.reconcile()
-    print(f"wrote {path} (t={out.time:.1f}us, "
-          f"{len(out.telemetry.bus)} events"
-          + (f", {out.profile.events_per_sec():,.0f} ev/s"
-             if out.profile is not None else "")
-          + f", {len(problems)} reconciliation problems)")
-    return 0 if not problems else 1
-
-
-SUBCOMMANDS = {"trace": trace_main, "inspect": inspect_main,
-               "check": check_main, "sanitize": sanitize_main,
-               "bench": bench_main, "report": report_main,
+SUBCOMMANDS = {"inspect": inspect_main, "check": check_main,
+               "sanitize": sanitize_main, "bench": bench_main,
                **{kind: partial(sweep_main, kind)
                   for kind in ("chaos", "recover", "elastic")}}
 
@@ -586,18 +450,20 @@ def _main(argv) -> int:
                     f"Subcommands: {_subcommand_summary()}; see "
                     "'python -m repro <sub> -h'.")
     parser.add_argument("artifacts", nargs="+",
-                        choices=sorted(ARTIFACTS) + ["all"],
+                        choices=sorted(ex.ARTIFACTS) + ["all"],
                         help="which tables/figures to regenerate")
     parser.add_argument("--nprocs", type=int, default=8)
     parser.add_argument("--dataset", default="bench",
                         help="data set name (bench, tiny, ...)")
     args = parser.parse_args(argv)
 
-    names = sorted(ARTIFACTS) if "all" in args.artifacts \
+    names = sorted(ex.ARTIFACTS) if "all" in args.artifacts \
         else args.artifacts
     for name in names:
-        driver, renderer = ARTIFACTS[name]
-        print(renderer(driver(args)))
+        driver = getattr(ex, name)
+        rows = driver(**{k: getattr(args, k) for k in ("dataset", "nprocs")
+                         if k in signature(driver).parameters})
+        print(getattr(report, f"render_{name}")(rows))
         print()
     return 0
 

@@ -30,6 +30,11 @@ DEFAULT_NPROCS = 8
 DEFAULT_DATASET = "bench"
 DEFAULT_PAGE = 1024
 
+#: Every artifact ``python -m repro <name>`` regenerates: the driver of
+#: that name below, rendered by ``repro.harness.report.render_<name>``.
+ARTIFACTS = ("table1", "table2", "figure5", "figure6", "figure7",
+             "breakdown", "scaling", "sensitivity")
+
 
 @dataclass
 class AppRuns:

@@ -103,6 +103,13 @@ def render_scaling(rows) -> str:
                         ["app"] + keys, table)
 
 
+def render_sensitivity(rows) -> str:
+    table = [[r["comm_cost_x"], r["Tmk"], r["Opt-Tmk"], r["PVMe"]]
+             for r in rows]
+    return render_table("Communication-cost sensitivity (Jacobi)",
+                        ["comm x", "Tmk", "Opt-Tmk", "PVMe"], table)
+
+
 def render_figure7(rows) -> str:
     table = [[r["app"], r["Tmk"], r["Sync"], r["Async"]] for r in rows]
     return render_table(

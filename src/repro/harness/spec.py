@@ -82,8 +82,8 @@ class RunSpec:
     #: keeps every scope down to one attribute test.  Not valid for
     #: ``seq`` runs (no engine to instrument).
     profile: Union[bool, object] = False
-    #: Optional :class:`repro.observe.RunMonitor` heartbeat (progress /
-    #: ETA).  Like ``profile``, needs an engine — not valid for ``seq``.
+    #: Optional :class:`repro.observe.RunMonitor` progress heartbeat.
+    #: Like ``profile``, needs an engine — not valid for ``seq``.
     monitor: Optional[object] = None
 
     # ------------------------------------------------------------------

@@ -124,6 +124,21 @@ class CheckResult:
     measured: Dict[str, dict] = field(default_factory=dict)
     updated: bool = False
 
+    def render(self) -> str:
+        """One line per measured entry, then the verdict and every
+        mismatch (what ``python -m repro check`` prints)."""
+        lines = [f"  {key:<32} t={entry['time_us']:.1f}us "
+                 f"messages={entry['messages']} "
+                 f"bytes={entry['data_bytes']}"
+                 for key, entry in sorted(self.measured.items())]
+        if self.ok:
+            lines.append(f"OK: {len(self.measured)} baseline entries "
+                         f"match")
+        else:
+            lines.append(f"FAIL: {len(self.problems)} mismatches")
+            lines += [f"  ! {p}" for p in self.problems]
+        return "\n".join(lines)
+
 
 def load(path: Optional[Path] = None) -> Dict[str, dict]:
     path = default_path() if path is None else Path(path)

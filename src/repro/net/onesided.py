@@ -74,7 +74,7 @@ op adds ``rdma_op_bytes`` of descriptor to the frame.  See
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError, WindowError
 from repro.net.message import Message
@@ -290,48 +290,6 @@ class OneSidedPlane:
         msg = Message(kind=BATCH_KIND, src=src, dst=dst,
                       payload=(batch_id, src, ops), size=wire)
         net._transmit(msg, depart)
-
-    # Convenience wrappers (the Patronus/DEX-shaped surface). ----------
-
-    def remote_read(self, src: int, dst: int, key: Any,
-                    off: Optional[int] = None,
-                    length: Optional[int] = None) \
-            -> Optional[Tuple[Any, int]]:
-        """One synchronous read; ``None`` when the guard vetoed it."""
-        (res,) = self.post(src, dst, [read(key, off, length)])
-        if res[0] == "miss":
-            return None
-        return res[1], res[2]
-
-    def remote_write(self, src: int, dst: int, key: Any, value: Any,
-                     nbytes: int, sync: bool = False) -> None:
-        self.post(src, dst, [write(key, value, nbytes)], sync=sync)
-
-    def remote_cas(self, src: int, dst: int, key: Any, fld: Any,
-                   expect: Any, new: Any) -> Tuple[bool, Any]:
-        """One synchronous CAS; returns ``(swapped, found)``."""
-        (res,) = self.post(src, dst, [cas(key, fld, expect, new)])
-        return res[1], res[2]
-
-    def remote_faa(self, src: int, dst: int, key: Any, fld: Any,
-                   delta: Any) -> Any:
-        """One synchronous fetch-and-add; returns the old value."""
-        (res,) = self.post(src, dst, [faa(key, fld, delta)])
-        return res[1]
-
-    def write_batch(self, src: int, dst: int,
-                    items: Sequence[Tuple[Any, Any, int]]) -> None:
-        """Post one doorbell-coalesced batch of writes (fire-and-forget)."""
-        self.post(src, dst, [write(k, v, n) for k, v, n in items],
-                  sync=False)
-
-    def read_batch_sync(self, src: int, dst: int, keys: Sequence[Any]) \
-            -> List[Optional[Tuple[Any, int]]]:
-        """Read many windows in one batch; ``None`` per vetoed read."""
-        out: List[Optional[Tuple[Any, int]]] = []
-        for res in self.post(src, dst, [read(k) for k in keys]):
-            out.append(None if res[0] == "miss" else (res[1], res[2]))
-        return out
 
     # ------------------------------------------------------------------
     # NIC side (runs on the engine thread; never blocks).

@@ -9,9 +9,9 @@ It is layered beside — never inside — the simulated-time telemetry:
   the interpreter; reports events/sec, accesses/sec and per-subsystem
   wall-time attribution.
 * :class:`~repro.observe.monitor.RunMonitor` — a live heartbeat for
-  long runs (``--progress``): simulated-time rate, throughput, ETA.
+  long runs (``inspect --progress``): simulated-time rate, throughput.
 * :mod:`repro.observe.htmlreport` — the self-contained HTML run report
-  (``python -m repro report --html``).
+  (``python -m repro inspect --html``).
 
 The host-time *harness* is the ledger (``benchmarks/ledger/``): its
 traced pass runs under a :class:`WallProfiler`, and its ``wall_s``,

@@ -1,4 +1,4 @@
-"""Self-contained HTML run report (``python -m repro report --html``).
+"""Self-contained HTML run report (``python -m repro inspect --html``).
 
 One stdlib-only generator: no external assets, scripts or fonts — the
 output is a single file that renders offline.  It fuses the inspector's

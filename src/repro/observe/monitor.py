@@ -3,9 +3,8 @@
 A :class:`RunMonitor` is polled by the engine's dispatch loop and reads
 the host clock every ``2**mask_bits`` events; when at least
 ``interval_s`` host seconds have passed since the last beat it emits
-one progress line — simulated time, events dispatched, events/sec, the
-simulated-us-per-wall-second rate, and (when the caller supplied an
-expectation, e.g. an earlier run's simulated time) an ETA.
+one progress line — simulated time, events dispatched, events/sec and
+the simulated-us-per-wall-second rate.
 
 The monitor only *reads* engine state, so a monitored run stays
 bit-identical to an unmonitored one.  Output goes to ``stream``
@@ -24,14 +23,10 @@ class RunMonitor:
     """Heartbeat reporting for one engine run."""
 
     def __init__(self, interval_s: float = 0.5,
-                 expected_us: Optional[float] = None,
                  stream: Optional[TextIO] = None,
                  callback: Optional[Callable[[dict], None]] = None,
                  mask_bits: int = 10) -> None:
         self.interval_s = interval_s
-        #: Expected simulated duration (for the ETA column); usually
-        #: the baseline's ``sim_time_us`` for the same configuration.
-        self.expected_us = expected_us
         self.stream = stream
         self.callback = callback
         #: The clock is read every ``2**mask_bits`` events only.
@@ -86,12 +81,6 @@ class RunMonitor:
             "events_per_sec": n_events / wall,
             "sim_us_per_sec": engine.now / wall,
         }
-        if self.expected_us:
-            rate = beat["sim_us_per_sec"]
-            remaining = max(self.expected_us - engine.now, 0.0)
-            beat["eta_s"] = remaining / rate if rate > 0 else None
-            beat["pct"] = min(100.0 * engine.now / self.expected_us,
-                              100.0)
         self.beats += 1
         if self.callback is not None:
             self.callback(beat)
@@ -103,11 +92,6 @@ class RunMonitor:
                 f"events={beat['events']:,}  "
                 f"{beat['events_per_sec']:,.0f} ev/s  "
                 f"{beat['sim_us_per_sec']:,.0f} sim-us/s")
-        if "pct" in beat:
-            line += f"  {beat['pct']:.0f}%"
-            eta = beat.get("eta_s")
-            if eta is not None:
-                line += f"  eta {eta:,.1f}s"
         out = self._out()
         out.write("\r" + line.ljust(78))
         out.flush()

@@ -40,7 +40,7 @@ from repro.telemetry.events import pack_dims
 
 __all__ = ["Sanitizer", "SanitizeReport", "Finding", "SyncTracker",
            "ShadowMemory", "HintChecker", "sanitize_run",
-           "sanitize_events", "load_events"]
+           "sanitize_events"]
 
 
 def _wants_hint_checking(opt) -> bool:
@@ -161,5 +161,4 @@ class Sanitizer:
 
 # Re-exported run/replay drivers (import placed last: replay imports
 # harness modules which are heavier than the core above).
-from repro.sanitizer.replay import (load_events, sanitize_events,  # noqa: E402
-                                    sanitize_run)
+from repro.sanitizer.replay import sanitize_events, sanitize_run  # noqa: E402

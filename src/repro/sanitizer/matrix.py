@@ -275,6 +275,22 @@ def run_corpus(corpus: Sequence[HintMutation],
     return list(corpus)
 
 
+def payload(sizing: dict, corpus: Sequence[HintMutation] = None,
+            cases: Sequence[SanitizeCase] = None, report=None) -> dict:
+    """The ``repro-sanitize/1`` envelope of one result: a run corpus,
+    a clean matrix's cases, or one
+    :class:`~repro.sanitizer.report.SanitizeReport`."""
+    from repro.harness.schema import envelope
+
+    if corpus is not None:
+        result = {"corpus": [e.__dict__ for e in corpus]}
+    elif cases is not None:
+        result = {"cases": [c.report.as_dict() for c in cases]}
+    else:
+        result = {"report": report.as_dict()}
+    return envelope("sanitize", **sizing, **result)
+
+
 def render_corpus(corpus: Sequence[HintMutation]) -> str:
     from repro.harness.report import render_table
 

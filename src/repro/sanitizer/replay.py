@@ -2,9 +2,9 @@
 
 ``sanitize_run`` is the front door: run one app on the DSM with access
 events enabled and sanitize the stream online (a live bus subscriber).
-``sanitize_events`` replays any recorded stream — e.g. one loaded from
-a ``telemetry.write_jsonl`` file via ``load_events`` — against a
-layout rebuilt from the same app/opt pair.
+``sanitize_events`` replays any recorded stream — e.g. the bus of a
+``telemetry.write_jsonl`` file reloaded by ``Telemetry.from_jsonl`` —
+against a layout rebuilt from the same app/opt pair.
 
 A JSONL file orders records by ``(ts, pid)``, which is compatible with
 the tracker's causality assumption: every happens-before edge in the
@@ -15,11 +15,9 @@ joins with; within one processor the sort is stable.
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.telemetry import Telemetry
-from repro.telemetry.events import Event
 
 
 def _resolve(app, opt, dataset: str, nprocs: int, page_size: int):
@@ -80,22 +78,6 @@ def sanitize_events(events, layout, nprocs: int, opt=None,
     return san.finish()
 
 
-def load_events(path) -> List[Event]:
-    """Load the ``"rec": "event"`` records of a telemetry JSONL file."""
-    events: List[Event] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("rec") != "event":
-                continue
-            events.append(Event(rec["ts"], rec["pid"], rec["kind"],
-                                rec.get("epoch", 0), rec.get("args")))
-    return events
-
-
 def sanitize_jsonl(path, app, opt="aggr+cons", **sizing):
     """Replay a recorded JSONL trace of ``app`` at ``opt`` offline
     (``sizing`` overrides :data:`~repro.harness.modes.SIZING`)."""
@@ -103,5 +85,5 @@ def sanitize_jsonl(path, app, opt="aggr+cons", **sizing):
 
     sizing = {**SIZING, **sizing}
     _, opt_cfg, _, layout = _resolve(app, opt, **sizing)
-    return sanitize_events(load_events(path), layout, sizing["nprocs"],
-                           opt=opt_cfg)
+    return sanitize_events(Telemetry.from_jsonl(path).bus.events, layout,
+                           sizing["nprocs"], opt=opt_cfg)

@@ -7,7 +7,6 @@ import pytest
 from repro.harness import chaos
 
 
-@pytest.mark.smoke
 @pytest.mark.parametrize("app,opt", [("jacobi", "base"), ("is", "aggr")])
 def test_heavy_chaos_case_is_bit_identical(app, opt):
     case = chaos.run_case(app, opt, "heavy", seed=1)
@@ -47,7 +46,6 @@ def test_render_reports_failures():
     assert "DIVERGED" in text and "CHAOS FAIL" in text
 
 
-@pytest.mark.smoke
 def test_chaos_cli_end_to_end(capsys, tmp_path):
     from repro.__main__ import main
     json_path = tmp_path / "chaos.json"

@@ -8,7 +8,6 @@ import pytest
 from repro.harness import elastic
 
 
-@pytest.mark.smoke
 @pytest.mark.parametrize("app,opt,schedule", [
     ("jacobi", "aggr", "drain-master"),   # seat + manager handoff
     ("is", "aggr", "drain-mid"),          # lock-token custody
@@ -27,7 +26,6 @@ def test_membership_change_is_bit_identical(app, opt, schedule):
         assert case.handoff_bytes > 0
 
 
-@pytest.mark.smoke
 def test_false_positive_suspicion_is_survived():
     """A silence between the suspicion and eviction thresholds: the
     detector wrongly suspects a live node, re-admits it on the next
@@ -104,7 +102,6 @@ def test_render_reports_failures():
     assert "ELASTIC OK" in elastic.render_elastic([good])
 
 
-@pytest.mark.smoke
 def test_elastic_cli_end_to_end(capsys, tmp_path):
     from repro.__main__ import main
     json_path = tmp_path / "elastic.json"

@@ -25,7 +25,6 @@ CASES = [(app, "dsm", opt)
 CASES += [(app, "mp", None) for app in sorted(all_apps())]
 
 
-@pytest.mark.smoke
 @pytest.mark.parametrize("app,mode,opt", CASES,
                          ids=[f"{a}-{m}-{o}" for a, m, o in CASES])
 def test_inspection_reconciles(app, mode, opt):
@@ -39,7 +38,6 @@ def test_inspection_reconciles(app, mode, opt):
     assert "Lock contention" in text
 
 
-@pytest.mark.smoke
 def test_inspect_cli_end_to_end(capsys, tmp_path):
     from repro.__main__ import main
     json_path = tmp_path / "report.json"
@@ -53,7 +51,6 @@ def test_inspect_cli_end_to_end(capsys, tmp_path):
     assert json_path.exists()
 
 
-@pytest.mark.smoke
 def test_check_cli_against_committed_baselines(capsys):
     """`python -m repro check` passes on the checked-in baselines."""
     from repro.__main__ import main

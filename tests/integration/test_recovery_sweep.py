@@ -10,7 +10,6 @@ from repro.faults import FaultPlan, NodeCrash
 from repro.harness import RunSpec, recover, run
 
 
-@pytest.mark.smoke
 @pytest.mark.parametrize("app,opt,schedule", [
     ("jacobi", "base", "manager"),       # barrier master crashes
     ("jacobi", "aggr+cons", "early"),    # consistency elimination
@@ -94,7 +93,6 @@ def test_render_reports_failures():
     assert "DIVERGED" in text and "RECOVER FAIL" in text
 
 
-@pytest.mark.smoke
 def test_recover_cli_end_to_end(capsys, tmp_path):
     from repro.__main__ import main
     json_path = tmp_path / "recover.json"

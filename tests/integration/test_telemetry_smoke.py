@@ -1,9 +1,9 @@
-"""End-to-end telemetry smoke test (the CI `smoke` job).
+"""End-to-end telemetry smoke test.
 
-Runs one small application through the ``python -m repro trace`` CLI
-and asserts the exported Chrome trace is non-empty and well-formed:
-one track per simulated processor, and events for faults, diffs,
-barriers and validates.
+Runs one small application through ``python -m repro inspect --chrome
+--jsonl`` and asserts the exported Chrome trace is non-empty and
+well-formed: one track per simulated processor, and events for faults,
+diffs, barriers and validates.
 """
 
 import json
@@ -20,14 +20,13 @@ def trace_doc(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("trace")
     out = tmp / "trace.json"
     jsonl = tmp / "events.jsonl"
-    rc = main(["trace", "jacobi", "--out", str(out),
+    rc = main(["inspect", "jacobi", "--chrome", str(out),
                "--jsonl", str(jsonl),
                "--nprocs", str(NPROCS), "--dataset", "tiny"])
     assert rc == 0
     return json.loads(out.read_text()), jsonl.read_text()
 
 
-@pytest.mark.smoke
 class TestTraceSmoke:
     def test_trace_nonempty_and_wellformed(self, trace_doc):
         doc, _ = trace_doc
@@ -73,7 +72,6 @@ class TestTraceSmoke:
         assert {r["rec"] for r in recs} == {"event", "span"}
 
 
-@pytest.mark.smoke
 def test_legacy_artifact_cli_still_works(capsys):
     assert main(["table1", "--dataset", "tiny"]) == 0
     assert "jacobi" in capsys.readouterr().out.lower()

@@ -75,9 +75,9 @@ def test_writes_preserve_per_sender_program_order(params):
             c += 1
             chunk = seq[i:i + size]
             i += size
-            plane.write_batch(
-                proc.pid, 0,
-                [(("sink",), (proc.pid, s), 8) for s in chunk])
+            plane.post(proc.pid, 0,
+                       [ops.write(("sink",), (proc.pid, s), 8)
+                        for s in chunk], sync=False)
 
     def owner(proc, eps):
         eps[0].net.onesided.register(

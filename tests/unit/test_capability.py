@@ -38,7 +38,7 @@ PLANS = {
 #: a CLI invocation reaching it (None: no subcommand can ask for it).
 HOLE_CASES = [
     (Cell("mp", "hlrc"),
-     ["trace", "jacobi", "--mode", "mp", "--protocol", "hlrc"]),
+     ["inspect", "jacobi", "--mode", "mp", "--protocol", "hlrc"]),
     (Cell("xhpf", data_plane="onesided"),
      ["inspect", "jacobi", "--mode", "xhpf", "--data-plane", "onesided"]),
     (Cell(data_plane="onesided", perturbations=frozenset({"crashes"})),

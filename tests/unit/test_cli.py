@@ -13,19 +13,18 @@ import pytest
 
 import repro.__main__ as cli
 from repro.errors import ReproError
+from repro.harness import experiments as ex
 from repro.sanitizer.replay import sanitize_run
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.mark.parametrize("argv", [
-    ["trace", "jacobi", "--mode", "seq", "--profile"],
-    ["trace", "jacobi", "--mode", "mp", "--protocol", "hlrc"],
+    ["inspect", "jacobi", "--mode", "seq", "--profile"],
+    ["inspect", "jacobi", "--mode", "mp", "--protocol", "hlrc"],
     ["recover", "--apps", "jacobi", "--plan", "/nonexistent.json"],
 ])
-def test_typed_errors_leave_as_one_line_and_exit_2(argv, capsys,
-                                                   monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)     # trace would write its default --out
+def test_typed_errors_leave_as_one_line_and_exit_2(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -35,7 +34,7 @@ def test_typed_errors_leave_as_one_line_and_exit_2(argv, capsys,
 def test_unknown_opt_level_is_a_typed_error_everywhere(capsys):
     with pytest.raises(ReproError, match="unknown opt level 'bogus'"):
         sanitize_run("jacobi", opt="bogus")
-    for sub in ("sanitize", "trace", "inspect", "report"):
+    for sub in ("sanitize", "inspect"):
         with pytest.raises(SystemExit) as exc:
             cli.main([sub, "jacobi", "--opt", "bogus"])
         assert exc.value.code == 2
@@ -94,13 +93,19 @@ def _flags(argv, capsys) -> set:
 
 
 def test_every_documented_command_line_exists(capsys):
-    """``python -m repro <word> [--flags]`` anywhere in the README, the
-    docs, CI or the entry point's own usage block names a subcommand or
-    artifact that exists, with flags its parser has."""
-    artifacts = set(cli.ARTIFACTS) | {"all"}
-    texts = {p.name: p.read_text() for p in
-             [ROOT / "README.md", ROOT / ".github/workflows/smoke.yml",
+    """``python -m repro <word> [--flags]`` anywhere in the README,
+    DESIGN.md, EXPERIMENTS.md, the docs, the verify skill, CI, the
+    examples' docstrings or the entry point's own usage block names a
+    subcommand or artifact that exists, with flags its parser has."""
+    artifacts = set(ex.ARTIFACTS) | {"all"}
+    texts = {str(p.relative_to(ROOT)): p.read_text() for p in
+             [ROOT / "README.md", ROOT / "DESIGN.md",
+              ROOT / "EXPERIMENTS.md", ROOT / ".github/workflows/smoke.yml",
+              ROOT / ".claude/skills/verify/SKILL.md",
               *sorted((ROOT / "docs").glob("*.md"))]}
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        texts[f"{path.name} docstring"] = ast.get_docstring(
+            ast.parse(path.read_text())) or ""
     texts["repro.__main__ docstring"] = cli.__doc__
     flags = {}
     for where, text in texts.items():
@@ -113,6 +118,18 @@ def test_every_documented_command_line_exists(capsys):
                     [word] if word in cli.SUBCOMMANDS else [], capsys)
             assert set(FLAG.findall(rest)) <= flags[word], line
     assert set(cli.SUBCOMMANDS) <= set(flags), "an undocumented subcommand"
+
+
+def test_ci_runs_the_whole_suite_unfiltered():
+    """Some CI step runs ``python -m pytest`` with options only: no test
+    path, no ``-m`` marker and no ``-k`` expression narrowing it."""
+    text = (ROOT / ".github/workflows/smoke.yml").read_text()
+    runs = [line.split("python -m pytest", 1)[1].split()
+            for line in text.splitlines() if "python -m pytest" in line]
+    assert any(all(arg.startswith("-")
+                   and not arg.startswith(("-m", "-k", "--ignore",
+                                           "--deselect"))
+                   for arg in args) for args in runs), runs
 
 
 def _emitted_kinds():

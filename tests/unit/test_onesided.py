@@ -41,7 +41,8 @@ def test_value_window_read():
     got = {}
 
     def reader(proc, eps):
-        got["res"] = eps[0].net.onesided.remote_read(0, 1, ("diff", 3))
+        (got["res"],) = eps[0].net.onesided.post(0, 1,
+                                                 [ops.read(("diff", 3))])
 
     def owner(proc, eps):
         eps[1].net.onesided.register(1, ("diff", 3),
@@ -49,7 +50,7 @@ def test_value_window_read():
 
     engine, net, _ = build(2, [reader, owner])
     engine.run()
-    assert got["res"] == ({"page": 3}, 96)
+    assert got["res"] == ("ok", {"page": 3}, 96)
 
 
 def test_byte_window_ranged_read():
@@ -58,8 +59,9 @@ def test_byte_window_ranged_read():
 
     def reader(proc, eps):
         plane = eps[0].net.onesided
-        got["mid"] = plane.remote_read(0, 1, ("image",), off=16, length=8)
-        got["all"] = plane.remote_read(0, 1, ("image",))
+        got["mid"], got["all"] = plane.post(
+            0, 1, [ops.read(("image",), off=16, length=8),
+                   ops.read(("image",))])
 
     def owner(proc, eps):
         eps[1].net.onesided.register(
@@ -68,8 +70,8 @@ def test_byte_window_ranged_read():
 
     engine, _, _ = build(2, [reader, owner])
     engine.run()
-    assert got["mid"] == (image[16:24], 8)
-    assert got["all"] == (image, 256)
+    assert got["mid"] == ("ok", image[16:24], 8)
+    assert got["all"] == ("ok", image, 256)
 
 
 def test_word_window_cas_and_faa():
@@ -77,10 +79,11 @@ def test_word_window_cas_and_faa():
 
     def worker(proc, eps):
         plane = eps[0].net.onesided
-        got["cas_ok"] = plane.remote_cas(0, 1, ("lock", 0), "state", 0, 1)
-        got["cas_lost"] = plane.remote_cas(0, 1, ("lock", 0), "state", 0, 1)
-        got["faa0"] = plane.remote_faa(0, 1, ("lock", 0), "tickets", 5)
-        got["faa1"] = plane.remote_faa(0, 1, ("lock", 0), "tickets", 2)
+        key = ("lock", 0)
+        (got["cas_ok"],) = plane.post(0, 1, [ops.cas(key, "state", 0, 1)])
+        (got["cas_lost"],) = plane.post(0, 1, [ops.cas(key, "state", 0, 1)])
+        (got["faa0"],) = plane.post(0, 1, [ops.faa(key, "tickets", 5)])
+        (got["faa1"],) = plane.post(0, 1, [ops.faa(key, "tickets", 2)])
 
     def owner(proc, eps):
         eps[1].net.onesided.register(1, ("lock", 0),
@@ -88,10 +91,10 @@ def test_word_window_cas_and_faa():
 
     engine, net, _ = build(2, [worker, owner])
     engine.run()
-    assert got["cas_ok"] == (True, 0)
-    assert got["cas_lost"] == (False, 1)     # found the held token
-    assert got["faa0"] == 0                  # missing word starts at 0
-    assert got["faa1"] == 5
+    assert got["cas_ok"] == ("cas", True, 0)
+    assert got["cas_lost"] == ("cas", False, 1)  # found the held token
+    assert got["faa0"] == ("faa", 0)             # missing word starts at 0
+    assert got["faa1"] == ("faa", 5)
     assert net.stats.onesided_cas_failures == 1
 
 
@@ -99,7 +102,8 @@ def test_guard_veto_is_a_miss_not_an_error():
     got = {}
 
     def reader(proc, eps):
-        got["res"] = eps[0].net.onesided.remote_read(0, 1, ("page", 7))
+        (got["res"],) = eps[0].net.onesided.post(0, 1,
+                                                 [ops.read(("page", 7))])
 
     def owner(proc, eps):
         eps[1].net.onesided.register(1, ("page", 7), value=b"x",
@@ -107,15 +111,15 @@ def test_guard_veto_is_a_miss_not_an_error():
 
     engine, _, _ = build(2, [reader, owner])
     engine.run()
-    assert got["res"] is None
+    assert got["res"] == ("miss",)
 
 
 def test_write_deposits_via_callback():
     box = []
 
     def writer(proc, eps):
-        eps[0].net.onesided.remote_write(0, 1, ("push",),
-                                         ("hello", 1), 64)
+        eps[0].net.onesided.post(0, 1, [ops.write(("push",), ("hello", 1),
+                                                  64)], sync=False)
 
     def owner(proc, eps):
         eps[1].net.onesided.register(
@@ -145,8 +149,8 @@ def test_unregistered_window_raises_window_error():
     got = {}
 
     def reader(proc, eps):
-        _capture_error(got, lambda: eps[0].net.onesided.remote_read(
-            0, 1, ("nope", 9)))
+        _capture_error(got, lambda: eps[0].net.onesided.post(
+            0, 1, [ops.read(("nope", 9))]))
 
     engine, _, _ = build(2, [reader, idle])
     engine.run()
@@ -158,8 +162,8 @@ def test_out_of_bounds_read_names_window_and_range():
     got = {}
 
     def reader(proc, eps):
-        _capture_error(got, lambda: eps[0].net.onesided.remote_read(
-            0, 1, ("image",), off=96, length=64))
+        _capture_error(got, lambda: eps[0].net.onesided.post(
+            0, 1, [ops.read(("image",), off=96, length=64)]))
 
     def owner(proc, eps):
         eps[1].net.onesided.register(1, ("image",), nbytes=128,
@@ -176,8 +180,8 @@ def test_missing_capability_raises():
 
     def writer(proc, eps):
         # A value window with no on_write is not a write target.
-        _capture_error(got, lambda: eps[0].net.onesided.remote_write(
-            0, 1, ("ro",), b"x", 1, sync=True))
+        _capture_error(got, lambda: eps[0].net.onesided.post(
+            0, 1, [ops.write(("ro",), b"x", 1)]))
 
     def owner(proc, eps):
         eps[1].net.onesided.register(1, ("ro",), value=b"v", nbytes=1)
@@ -189,7 +193,8 @@ def test_missing_capability_raises():
 
 def test_posted_wild_write_raises_at_service_time():
     def writer(proc, eps):
-        eps[0].net.onesided.remote_write(0, 1, ("nope",), b"x", 1)
+        eps[0].net.onesided.post(0, 1, [ops.write(("nope",), b"x", 1)],
+                                 sync=False)
 
     engine, _, _ = build(2, [writer, idle])
     with pytest.raises(WindowError, match="not registered"):
@@ -202,8 +207,9 @@ def test_posted_wild_write_raises_at_service_time():
 
 def test_batch_one_doorbell_many_ops():
     def writer(proc, eps):
-        eps[0].net.onesided.write_batch(
-            0, 1, [(("push",), i, 32) for i in range(5)])
+        eps[0].net.onesided.post(
+            0, 1, [ops.write(("push",), i, 32) for i in range(5)],
+            sync=False)
 
     box = []
 
@@ -221,7 +227,7 @@ def test_batch_one_doorbell_many_ops():
 
 def test_onesided_frames_not_in_message_books():
     def reader(proc, eps):
-        eps[0].net.onesided.remote_read(0, 1, ("v",))
+        eps[0].net.onesided.post(0, 1, [ops.read(("v",))])
 
     def owner(proc, eps):
         eps[1].net.onesided.register(1, ("v",), value=1, nbytes=8)
@@ -239,8 +245,8 @@ def test_read_batch_sync_results_in_op_order():
     got = {}
 
     def reader(proc, eps):
-        got["res"] = eps[0].net.onesided.read_batch_sync(
-            0, 1, [("a",), ("b",), ("c",)])
+        got["res"] = eps[0].net.onesided.post(
+            0, 1, [ops.read((k,)) for k in "abc"])
 
     def owner(proc, eps):
         plane = eps[1].net.onesided
@@ -251,7 +257,7 @@ def test_read_batch_sync_results_in_op_order():
 
     engine, _, _ = build(2, [reader, owner])
     engine.run()
-    assert got["res"] == [("A", 1), None, ("C", 1)]
+    assert got["res"] == [("ok", "A", 1), ("miss",), ("ok", "C", 1)]
 
 
 def test_destination_process_never_scheduled():
@@ -260,7 +266,7 @@ def test_destination_process_never_scheduled():
     got = {}
 
     def reader(proc, eps):
-        got["res"] = eps[0].net.onesided.remote_read(0, 1, ("v",))
+        (got["res"],) = eps[0].net.onesided.post(0, 1, [ops.read(("v",))])
         eps[0].send(1, "stop")
 
     def owner(proc, eps):
@@ -271,7 +277,7 @@ def test_destination_process_never_scheduled():
 
     engine, _, _ = build(2, [reader, owner])
     engine.run()
-    assert got["res"] == (7, 8)
+    assert got["res"] == ("ok", 7, 8)
     assert got["owner_blocked_span"] > 0.0
 
 
@@ -293,7 +299,7 @@ def test_doorbell_and_poll_costs_charged():
     t = {}
 
     def reader(proc, eps):
-        eps[0].net.onesided.remote_read(0, 1, ("v",))
+        eps[0].net.onesided.post(0, 1, [ops.read(("v",))])
         t["end"] = proc.engine.now
 
     def owner(proc, eps):

@@ -383,6 +383,22 @@ class TestReplayDrivers:
         assert rep.ok, rep.render()
         assert rep.accesses > 0 and rep.sync_counts["barriers"] > 0
 
+    def test_replay_of_an_unknown_record_is_a_typed_error(self, tmp_path,
+                                                          capsys):
+        """The replay reads JSONL with the one reader the telemetry
+        owns: a record it does not know stops the CLI (exit 2, one
+        ``error:`` line) instead of being skipped."""
+        from repro.__main__ import main
+
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            '{"rec": "event", "ts": 0.0, "pid": 0, "kind": "tm.barrier",'
+            ' "epoch": 1}\n{"rec": "bogus", "ts": 1.0, "pid": 0}\n')
+        assert main(["sanitize", "jacobi", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'bogus'" in err
+
     def test_reconcile_against_outcome(self):
         from repro.sanitizer import sanitize_run
 

@@ -88,7 +88,7 @@ def flat(net, stats=None):
     return want
 
 
-#: ``metrics_total`` of ``python -m repro trace jacobi --mode <mode>``
+#: ``metrics_total`` of ``python -m repro inspect jacobi --mode <mode>``
 #: as the live per-site mirror (deleted) produced it: every key it
 #: had keeps its value.
 MIRRORED = {

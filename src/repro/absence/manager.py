@@ -21,9 +21,10 @@ for a while, one lifecycle covers it whatever the reason::
 
 Crash, drain and join are rows of :data:`CRASH`, :data:`DRAIN` and
 :data:`JOIN` — the "Drain vs. evict vs. crash" table of
-``docs/robustness.md`` — and differ in nothing else: whether the node
-must be between critical sections to leave, what it ships before going
-dark, whether it wipes, whom it asks on return.
+``docs/robustness.md``, looked up by the plan's
+:class:`~repro.faults.Absence` ``policy`` — and differ in nothing else:
+whether the node must be between critical sections to leave, what it
+ships before going dark, whether it wipes, whom it asks on return.
 
 "Crash is drain without the goodbye" is literal.  A drain ships the one
 custody record (interval records, diffs, lock tokens, routing tails,
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.absence.detector import AbsenceDetector
-from repro.errors import FaultPlanError, MembershipError
-from repro.faults.plan import NodeOutage
+from repro.errors import ProtocolError
+from repro.faults.plan import Absence
 from repro.tm.diffs import diff_payload_bytes
 from repro.tm.meta import interval_wire_bytes, VC_ENTRY_BYTES
 from repro.tm.roles import Roles
@@ -101,6 +102,9 @@ DRAIN = Policy("drain", "mem", quiesce=True, ships="handoff", wipes=False,
                asks="steward", hello="last")
 JOIN = Policy("join", "mem", quiesce=False, ships=None, wipes=False,
               asks="peer", hello="first")
+#: The rows by ``Absence.policy`` (a ``silence`` moves no state: it is
+#: the injector's and the detector's alone).
+POLICIES = {p.name: p for p in (CRASH, DRAIN, JOIN)}
 
 
 class Frame(NamedTuple):
@@ -173,32 +177,19 @@ class AbsenceManager:
     def __init__(self, system, faults) -> None:
         self.sys = system
         n = self.n = system.nprocs
-        mplan = faults.membership
-        if n < 2 and faults.crashes:
-            raise FaultPlanError(
-                "NodeCrash recovery needs at least 2 processors "
-                "(a lone processor has no survivors to recover from)")
-        for c in faults.crashes:
-            if not 0 <= c.pid < n:
-                raise FaultPlanError(
-                    f"NodeCrash pid {c.pid} out of range for nprocs={n}")
-        if mplan is not None:
-            mplan.validate_for(n, faults.crashes)
-        #: pid -> (policy, event) for every planned absence.
-        self._plan: Dict[int, tuple] = {
-            c.pid: (CRASH, c) for c in faults.crashes}
-        joins = () if mplan is None else \
-            tuple(j for j in mplan.joins if j.t > 0)
-        if mplan is not None:
-            self._plan.update((d.pid, (DRAIN, d)) for d in mplan.drains)
-            self._plan.update((j.pid, (JOIN, j)) for j in joins)
+        faults.validate(n)
+        #: pid -> (policy, event) for every planned absence (a join at
+        #: t=0 is a member from the start).
+        self._plan: Dict[int, Tuple[Policy, Absence]] = {
+            a.pid: (POLICIES[a.policy], a) for a in faults.absences
+            if a.policy in POLICIES and a.t1 > 0}
         #: Lifecycle per planned pid (a joiner starts out away);
         #: unplanned pids are implicitly "member".
         self._status: Dict[int, str] = {
             p: "away" if pol is JOIN else "pending"
             for p, (pol, _) in self._plan.items()}
-        self.view: List[_View] = [
-            _View(j.pid for j in joins) for _ in range(n)]
+        joiners = [p for p, (pol, _) in self._plan.items() if pol is JOIN]
+        self.view: List[_View] = [_View(joiners) for _ in range(n)]
         #: victim -> its record, written only by the steward's custody
         #: handler (reading it anywhere else would cheat).
         self._custody: Dict[int, Custody] = {}
@@ -216,23 +207,14 @@ class AbsenceManager:
         self.reentry = {"rec": [0, 0], "mem": [0, 0]}
         self.t_reentry = {"rec": 0.0, "mem": 0.0}
         self.realized: Dict[int, float] = {}    # pid -> departure time
-        self.returned = {p.name: 0 for p in (CRASH, DRAIN, JOIN)}
+        self.returned = dict.fromkeys(POLICIES, 0)
         self.tokens_claimed = 0
         self.detector: Optional[AbsenceDetector] = None
-        if mplan is not None:
-            inj = system.net.injector
+        if faults.heartbeat is not None:
             self.detector = AbsenceDetector(
-                system, mplan.heartbeat, inj.plan.seed,
+                system, faults.heartbeat, faults.seed,
                 lambda m, p: p in self.view[m].prejoin
                 or p in self.view[m].absent)
-            # Static NIC-dark windows: a joiner is dark from t=0 to its
-            # join, a silenced node for its silence window.  Drain
-            # windows are appended at realization time; a crash's is
-            # the plan's own reboot window.
-            for j in joins:
-                inj.dynamic.append(NodeOutage(j.pid, 0.0, j.t))
-            for s in mplan.silences:
-                inj.dynamic.append(NodeOutage(s.pid, s.t, s.t1))
         system.engine.add_debug_source(self.debug_lines)
 
     # ------------------------------------------------------------------
@@ -486,7 +468,7 @@ class AbsenceManager:
         if pol.wipes:
             if node.tel is not None:
                 node.tel.event(pid, "rec.crash", t_sched=ev.t,
-                               reboot_us=ev.reboot_us)
+                               reboot_us=ev.away_us)
             self._wipe(node)
         # The NIC is dark (the injector drops frames both ways); the
         # processor itself is busy "away" until the window ends.
@@ -517,8 +499,8 @@ class AbsenceManager:
         # Dark window: strictly after the goodbye frames depart, so the
         # injector does not eat them.
         t_dark = max(engine.now, node.proc.busy_until) + 1e-6
-        self.sys.net.injector.dynamic.append(
-            NodeOutage(victim, t_dark, t_dark + ev.away_us))
+        self.sys.net.injector.dark.append(
+            Absence("drain", victim, t_dark, ev.away_us))
         return t_dark + ev.away_us
 
     def _wipe(self, node) -> None:
@@ -552,7 +534,7 @@ class AbsenceManager:
         sleeps (NIC dark, no compute) until its join time."""
         if self._policy(node.pid) is JOIN:
             ev = self._plan[node.pid][1]
-            node.proc.advance(ev.t)
+            node.proc.advance(ev.t1)
             self._reenter(node, JOIN, ev)
 
     def _reenter(self, node, pol: Policy, ev) -> None:
@@ -601,7 +583,7 @@ class AbsenceManager:
             else:
                 node.tel.event(
                     pid, "mem.join",
-                    **({"t_sched": ev.t} if pol is JOIN else {}),
+                    **({"t_sched": ev.t1} if pol is JOIN else {}),
                     how="join" if pol is JOIN else "rejoin",
                     dur_us=engine.now - t0,
                     handoff_messages=cost["handoff_messages"],
@@ -753,7 +735,7 @@ class AbsenceManager:
         for (p, i) in entries:
             d = None if cust is None else cust.diffs.get((victim, i, p))
             if d is None:
-                raise MembershipError(
+                raise ProtocolError(
                     f"steward P{node.pid} has no custody diff for "
                     f"writer P{victim} interval={i} page={p} "
                     f"(custody {'gone' if cust is None else 'trimmed'})")
@@ -812,7 +794,7 @@ class AbsenceManager:
         for pid in sorted(self._plan):
             pol, ev = self._plan[pid]
             parts = [f"absence P{pid}: {pol.name} {self._status[pid]} "
-                     f"(due t={ev.t:g})"]
+                     f"(away [{ev.t:g}, {ev.t1:g}))"]
             if pid in self._asking:
                 parts.append("awaiting state from " + ",".join(
                     f"P{q}" for q in self._asking[pid]))

@@ -23,11 +23,15 @@ from repro.errors import ReproError
 
 MODES = ("seq", "dsm", "xhpf", "mp")
 PLANES = ("twosided", "onesided")
-#: What a fault plan can do to a run, named after the plan field that
-#: asks for it: message ``faults`` (or the reliable transport alone),
-#: node ``crashes``, elastic ``membership``.  The chaos, recover and
-#: elastic sweeps each prove one of them harmless.
-PERTURBATIONS = ("faults", "crashes", "membership")
+#: What in a fault plan asks for more than the reliable transport: a
+#: ``crash`` absence asks for crash recovery, a ``heartbeat`` (which
+#: every drain and join carries) for elastic membership.  Anything else
+#: — link faults, partitions, a silence without a heartbeat, or the
+#: transport alone — is message ``faults``.
+ASKS = {"crash": "crashes", "heartbeat": "membership"}
+#: What a fault plan can do to a run.  The chaos, recover and elastic
+#: sweeps each prove one of them harmless.
+PERTURBATIONS = ("faults", *ASKS.values())
 
 
 @dataclass(frozen=True)
@@ -58,16 +62,16 @@ HOLES = (
      "mode 'seq' has no network: faults/transport do not apply"),
     (lambda c: c.mode != "dsm" and "crashes" in c.perturbations,
      "node crashes need the DSM recovery subsystem; mode {c.mode!r} "
-     "cannot recover a crashed node (use mode 'dsm' or drop the crashes "
-     "from the fault plan)"),
+     "cannot recover a crashed node (use mode 'dsm' or drop the crash "
+     "absences from the fault plan)"),
     (lambda c: c.protocol != "mw-lrc" and "crashes" in c.perturbations,
      "crash recovery supports only protocol='mw-lrc' (backup logging "
-     "replays its diff protocol), not {c.protocol!r}; drop the crashes "
-     "from the fault plan or switch protocols"),
+     "replays its diff protocol), not {c.protocol!r}; drop the crash "
+     "absences from the fault plan or switch protocols"),
     (lambda c: c.mode != "dsm" and "membership" in c.perturbations,
      "membership events need the DSM membership subsystem; mode "
      "{c.mode!r} cannot re-shard a drained node (use mode 'dsm' or drop "
-     "membership from the fault plan)"),
+     "the heartbeat, drains and joins from the fault plan)"),
     (lambda c: c.protocol != "mw-lrc"
      and "membership" in c.perturbations,
      "elastic membership supports only protocol='mw-lrc' (the handoff "
@@ -77,13 +81,12 @@ HOLES = (
 
 def perturbations_of(faults=None, transport=None) -> FrozenSet[str]:
     """What a fault plan / transport setting asks of a run."""
-    found = set()
-    if faults is not None or transport:
-        found.add("faults")
-    if faults is not None and faults.crashes:
-        found.add("crashes")
-    if faults is not None and faults.membership is not None:
-        found.add("membership")
+    found = {"faults"} if faults is not None or transport else set()
+    if faults is not None:
+        asks = {a.policy for a in faults.absences}
+        if faults.heartbeat is not None:
+            asks.add("heartbeat")
+        found.update(ASKS[k] for k in asks if k in ASKS)
     return frozenset(found)
 
 

@@ -22,7 +22,8 @@ class TransportError(SimulationError):
 
 
 class FaultPlanError(ReproError):
-    """A fault-injection plan is malformed (bad probability, window...)."""
+    """A fault plan is malformed (bad probability, overlapping absence
+    windows, a drain whose steward is scheduled to crash...)."""
 
 
 class ProtocolError(ReproError):
@@ -34,12 +35,6 @@ class WindowError(ProtocolError):
     at the destination, or a byte range outside the window's bounds —
     the RDMA equivalent of a wild pointer.  The message names the
     window key and the offending range."""
-
-
-class MembershipError(ReproError):
-    """A membership plan is malformed or a handoff reached a state the
-    elastic-membership layer cannot re-shard (e.g. overlapping absence
-    windows, a steward that is itself scheduled to crash)."""
 
 
 class LayoutError(ReproError):

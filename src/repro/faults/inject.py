@@ -22,9 +22,9 @@ fault counters and, when telemetry is attached, emitted as a
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from repro.faults.plan import FaultPlan, NodeCrash, NodeOutage
+from repro.faults.plan import Absence, FaultPlan
 
 
 class FaultInjector:
@@ -38,10 +38,11 @@ class FaultInjector:
         #: Optional :class:`repro.net.stats.NetStats` for fault counters.
         self.stats = stats
         self.tel = telemetry
-        #: Extra NIC-dark windows registered at run time (membership
-        #: joins, drains, silences).  Same semantics as plan outages;
-        #: kept separate so the declarative plan stays immutable.
-        self.dynamic: List[NodeOutage] = []
+        #: Every NIC-dark window: the plan's silences, crashes and joins,
+        #: and each drain's window once it is realized (a drain leaves
+        #: at the gate, so only the absence manager knows when).
+        self.dark: List[Absence] = [a for a in plan.absences
+                                    if a.policy != "drain"]
 
     # ------------------------------------------------------------------
 
@@ -53,24 +54,16 @@ class FaultInjector:
             self.tel.event(src, f"fault.{kind}", to=dst, msg=msg_kind,
                            **args)
 
-    def outage_at(self, pid: int, t: float) \
-            -> Optional[Union[NodeOutage, NodeCrash]]:
-        """The fault silencing ``pid``'s NIC at time ``t``, if any.
+    def outage_at(self, pid: int, t: float) -> Optional[Absence]:
+        """The absence silencing ``pid``'s NIC at time ``t``, if any.
 
-        A :class:`NodeCrash` reboot window counts: while the victim
-        reboots its NIC is just as dark as during a plain outage, so
-        the wire and transport layers treat both identically (the
-        state wipe itself is the recovery subsystem's business).
+        Whatever the policy, the wire and transport layers treat every
+        dark window identically (a crash's state wipe is the absence
+        manager's business).
         """
-        for o in self.plan.outages:
-            if o.pid == pid and o.covers(t):
-                return o
-        for c in self.plan.crashes:
-            if c.pid == pid and c.covers(t):
-                return c
-        for o in self.dynamic:
-            if o.pid == pid and o.covers(t):
-                return o
+        for a in self.dark:
+            if a.pid == pid and a.covers(t):
+                return a
         return None
 
     # ------------------------------------------------------------------
@@ -87,7 +80,7 @@ class FaultInjector:
         down = self.outage_at(src, depart)
         if down is not None:
             self._note("outage", src, dst, msg_kind, "faults_outage",
-                       **({"crash": True} if isinstance(down, NodeCrash)
+                       **({"crash": True} if down.policy == "crash"
                           else {}))
             return []
         for part in self.plan.partitions:

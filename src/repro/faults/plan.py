@@ -1,21 +1,21 @@
-"""Declarative, seeded fault plans for the simulated interconnect.
+"""Declarative, seeded fault plans for the simulated cluster.
 
 The paper's run-time assumes the SP/2's user-level MPL delivers every
-message reliably; a :class:`FaultPlan` removes that assumption in a
-controlled way.  A plan describes *what can go wrong on the fabric*:
+message reliably and that no node ever goes away; a :class:`FaultPlan`
+removes both assumptions in a controlled way.  A plan describes:
 
 * per-link message **drop**, **duplication**, **reordering** and
   **delay** probabilities (with an exponential extra-delay magnitude),
 * timed **partitions** — groups of processors that cannot exchange
   messages during a window of simulated time,
-* timed **node outages** — a processor whose NIC goes silent for a
-  window: everything it sends or should receive during the window is
-  lost (the node's DSM state survives untouched),
-* scheduled **node crashes** — a fail-stop crash of the whole node:
-  the NIC goes dark for the reboot window *and* the processor's DSM
-  runtime state (page copies, twins, diffs, interval log, lock tokens,
-  barrier arrival) is wiped and must come back through
-  :mod:`repro.absence`.
+* node **absences** — one event type, :class:`Absence`, for every way a
+  processor is away on ``[t, t + away_us)``, named by its ``policy``:
+  a ``silence`` (the NIC is dark, the DSM state survives), a ``crash``
+  (the NIC is dark *and* the DSM runtime state is wiped and comes back
+  through :mod:`repro.absence`), a graceful ``drain`` and a late
+  ``join``,
+* an optional :class:`HeartbeatConfig` — the failure detector runs iff
+  a plan has one; a drain or a join always does.
 
 Plans are *data*, not behavior: the same plan object can be printed,
 serialized into a chaos report, and replayed.  All randomness is drawn
@@ -27,12 +27,16 @@ rolls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import FaultPlanError
 
 _PROB_FIELDS = ("drop", "dup", "reorder", "delay")
+_LINK_FIELDS = _PROB_FIELDS + ("delay_mean_us",)
+#: The absence policies.  ``silence`` leaves the node's state alone;
+#: the other three are the rows of ``repro.absence.manager``'s table.
+POLICIES = ("silence", "crash", "drain", "join")
 
 
 @dataclass(frozen=True)
@@ -106,80 +110,110 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class NodeOutage:
-    """Processor ``pid``'s NIC is dead during ``[t0, t1)``.
+class HeartbeatConfig:
+    """Failure-detector tuning knobs (all times in simulated µs)."""
 
-    This is a *network-level* outage only: the node neither sends nor
-    receives while down, and the reliable transport's retries carry the
-    traffic across the window — but the processor's DSM runtime state
-    (page copies, twins, diffs, interval log, lock tokens, barrier
-    arrival) survives untouched.  For a true fail-stop crash that wipes
-    that state and exercises :mod:`repro.absence`, use
-    :class:`NodeCrash` instead.
-    """
+    #: Beat period: each member sends one beat per period to its ring
+    #: successor ``(pid + 1) % nprocs``.
+    period_us: float = 500.0
+    #: Silence threshold before the monitor *suspects* its monitoree.
+    suspect_after_us: float = 2000.0
+    #: Silence threshold before the monitor declares an *eviction*.
+    evict_after_us: float = 5000.0
+    #: CPU charged to the sender per beat (beats are cheap datagrams,
+    #: not full protocol messages — they bypass ``send_overhead``).
+    beat_send_cost_us: float = 2.0
+    #: CPU stolen from the receiver per beat handled.
+    beat_handler_cost_us: float = 1.0
+    #: Payload bytes per beat (header bytes are added by the network).
+    beat_bytes: int = 8
+    #: Hard horizon after which beat timers stop rescheduling, so a
+    #: deadlocked run still terminates (with the engine's deadlock
+    #: diagnostics) instead of beating forever.
+    max_lifetime_us: float = 60_000_000.0
 
-    pid: int
-    t0: float
-    t1: float
-
-    def __post_init__(self) -> None:
-        if self.t1 <= self.t0:
+    def __post_init__(self):
+        if self.period_us <= 0:
             raise FaultPlanError(
-                f"NodeOutage window [{self.t0}, {self.t1}) is empty")
-
-    def covers(self, t: float) -> bool:
-        return self.t0 <= t < self.t1
+                f"heartbeat period must be positive, got {self.period_us}")
+        if not (self.period_us < self.suspect_after_us
+                < self.evict_after_us):
+            raise FaultPlanError(
+                "heartbeat thresholds must satisfy period < suspect_after "
+                f"< evict_after; got period={self.period_us}, "
+                f"suspect_after={self.suspect_after_us}, "
+                f"evict_after={self.evict_after_us}")
+        if self.max_lifetime_us <= 0:
+            raise FaultPlanError(
+                f"max_lifetime_us must be positive, got "
+                f"{self.max_lifetime_us}")
 
 
 @dataclass(frozen=True)
-class NodeCrash:
-    """Processor ``pid`` fail-stops at time ``t`` and reboots.
+class Absence:
+    """Processor ``pid`` is away on ``[t, t + away_us)``.
 
-    Unlike :class:`NodeOutage` — a transient NIC silence that leaves
-    the node's memory intact — a crash wipes the victim's entire DSM
-    runtime state (page validity, twins, diffs, write notices, the
-    interval log, held and queued lock tokens, barrier arrival state).
-    The NIC is also dark for the reboot window ``[t, t + reboot_us)``.
-    After reboot the node re-enters the computation with every shared
-    page invalid and gets its protocol state back from its steward and
-    the survivors via :mod:`repro.absence`; runs with crashes therefore
-    require ``mode="dsm"`` and at least two processors.
+    The NIC is dark for the window whatever the ``policy``; what else
+    happens is the policy's:
 
-    The crash is *realized* at the victim's next synchronization
-    operation (lock acquire/release, barrier or push entry) at or after
-    ``t``, so ``t`` is a lower bound on the wipe time.  Sync entries
-    are the points where every previously validated region has fully
-    run its kernels, which keeps the cut interval's overwrite
-    (WRITE_ALL) claims sound; see ``AbsenceManager.gate``.
+    * ``silence`` — nothing else: the node keeps computing and its DSM
+      state survives; the reliable transport retries across the window.
+      With a heartbeat in the plan this is what drives the failure
+      detector (suspicion, eviction, re-admission).
+    * ``crash`` — a fail-stop crash: the DSM runtime state (page
+      validity, twins, diffs, write notices, interval log, lock tokens,
+      barrier arrivals) is wiped, and ``away_us`` is the reboot time.
+      It is *realized* at the node's next synchronization operation at
+      or after ``t`` (``AbsenceManager.gate``), so ``t`` is a lower
+      bound on the wipe time.
+    * ``drain`` — a graceful leave at the gate: the node hands its role
+      state to its steward, then goes dark for ``away_us``.
+    * ``join`` — the node is dormant from the start (``t = 0``) until
+      ``away_us``, then catches up.  ``away_us = 0`` is a member from
+      the start.
     """
 
+    policy: str
     pid: int
     t: float
-    #: Reboot duration: the NIC stays dark for ``[t, t + reboot_us)``.
-    reboot_us: float = 20000.0
+    away_us: float
 
     def __post_init__(self) -> None:
-        if self.t < 0:
+        if self.policy not in POLICIES:
             raise FaultPlanError(
-                f"NodeCrash time must be >= 0, got {self.t!r}")
-        if self.reboot_us <= 0:
+                f"absence policy must be one of {list(POLICIES)}, got "
+                f"{self.policy!r}")
+        if self.policy == "join":
+            if self.t != 0 or self.away_us < 0:
+                raise FaultPlanError(
+                    f"a join is away from t=0 until its join time "
+                    f"away_us >= 0: {self.describe()}")
+        elif self.away_us <= 0:
             raise FaultPlanError(
-                f"NodeCrash.reboot_us must be > 0, got "
-                f"{self.reboot_us!r}")
+                f"absence away_us must be > 0: {self.describe()}")
+        elif self.t < 0 and self.policy != "silence":
+            # (A silence is checked by the plan: without a heartbeat it
+            # is a plain outage, which may start before the run.)
+            raise FaultPlanError(
+                f"absence time must be >= 0: {self.describe()}")
 
     @property
     def t1(self) -> float:
-        """End of the reboot window."""
-        return self.t + self.reboot_us
+        """End of the window."""
+        return self.t + self.away_us
 
     def covers(self, t: float) -> bool:
-        """Is the NIC dark at time ``t`` (inside the reboot window)?"""
+        """Is the NIC dark at time ``t``?"""
         return self.t <= t < self.t1
+
+    def describe(self) -> str:
+        return (f"{self.policy} P{self.pid} at t={self.t:g}us for "
+                f"{self.away_us:g}us")
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A full, seeded description of what the fabric does wrong."""
+    """A full, seeded description of what goes wrong in one run."""
 
     seed: int = 0
     #: Faults applied to every link without an explicit override.
@@ -188,52 +222,85 @@ class FaultPlan:
     links: Mapping[Tuple[int, int], LinkFaults] = \
         field(default_factory=dict)
     partitions: Tuple[Partition, ...] = ()
-    outages: Tuple[NodeOutage, ...] = ()
-    crashes: Tuple[NodeCrash, ...] = ()
-    #: Optional :class:`repro.membership.MembershipPlan` — elastic
-    #: joins, drains, silences and the heartbeat failure detector.
-    membership: Optional[object] = None
+    absences: Tuple[Absence, ...] = ()
+    #: The failure detector's tuning; it runs iff this is set.  A plan
+    #: with a drain or a join gets the default.
+    heartbeat: Optional[HeartbeatConfig] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "links", dict(self.links))
         object.__setattr__(self, "partitions", tuple(self.partitions))
-        object.__setattr__(self, "outages", tuple(self.outages))
-        object.__setattr__(self, "crashes", tuple(self.crashes))
-        if self.membership is not None:
-            # The nprocs-dependent checks run when the system is built
-            # (MembershipPlan.validate_for); here we only cross-check
-            # membership events against the crash schedule.
-            try:
-                events = self.membership.events()
-            except AttributeError:
+        object.__setattr__(self, "absences", tuple(self.absences))
+        if self.heartbeat is None and any(
+                getattr(a, "policy", None) in ("drain", "join")
+                for a in self.absences):
+            object.__setattr__(self, "heartbeat", HeartbeatConfig())
+        self.validate()
+
+    def validate(self, nprocs: Optional[int] = None) -> None:
+        """The one plan validator; the checks that need the cluster size
+        run when the absence manager is built with ``nprocs``.
+
+        A silence without a heartbeat is a plain NIC outage: it may
+        start before 0, repeat and overlap, and is only kept clear of a
+        crash of the same node.  Every other absence is one per node,
+        and its window is disjoint from every other one, crash windows
+        among themselves excepted.
+        """
+        if self.heartbeat is not None \
+                and not isinstance(self.heartbeat, HeartbeatConfig):
+            raise FaultPlanError(
+                "FaultPlan.heartbeat must be a HeartbeatConfig")
+        if not all(isinstance(a, Absence) for a in self.absences):
+            raise FaultPlanError(
+                "FaultPlan.absences must hold Absence events")
+        outage = self.heartbeat is None
+        outages = [a for a in self.absences
+                   if outage and a.policy == "silence"]
+        tracked = [a for a in self.absences
+                   if not outage or a.policy != "silence"]
+        crash_pids = {a.pid for a in tracked if a.policy == "crash"}
+        if nprocs is not None and nprocs < 2 \
+                and (crash_pids or self.heartbeat is not None):
+            raise FaultPlanError(
+                f"node absence needs nprocs >= 2 (a lone processor has "
+                f"no survivors to recover from), got {nprocs}")
+        seen: Dict[int, Absence] = {}
+        where = "" if nprocs is None else f" for nprocs={nprocs}"
+        for a in tracked:
+            if a.t < 0 or a.pid < 0 \
+                    or nprocs is not None and a.pid >= nprocs:
                 raise FaultPlanError(
-                    "FaultPlan.membership must be a MembershipPlan") \
-                    from None
-            crash_pids = {c.pid for c in self.crashes}
-            for ev in events:
-                if ev.pid in crash_pids:
-                    raise FaultPlanError(
-                        f"node P{ev.pid} both crashes and has a "
-                        f"membership event; pick one per node")
-        seen_pids = set()
-        for c in self.crashes:
-            if c.pid in seen_pids:
+                    f"absence pid or time out of range{where}: "
+                    f"{a.describe()}")
+            if a.pid in seen:
                 raise FaultPlanError(
-                    f"FaultPlan schedules more than one NodeCrash for "
-                    f"pid {c.pid}; a processor can crash at most once "
-                    f"per run")
-            seen_pids.add(c.pid)
-            for o in self.outages:
-                if o.pid == c.pid and o.t0 < c.t1 and c.t < o.t1:
+                    f"a node is away at most once per run: "
+                    f"{seen[a.pid].describe()} and {a.describe()}")
+            seen[a.pid] = a
+        for i, a in enumerate(tracked):
+            for b in tracked[i + 1:]:
+                if a.t < b.t1 and b.t < a.t1 \
+                        and not a.policy == b.policy == "crash":
                     raise FaultPlanError(
-                        f"NodeCrash(pid={c.pid}, t={c.t:g}, "
-                        f"reboot_us={c.reboot_us:g}) overlaps "
-                        f"NodeOutage(pid={o.pid}, t0={o.t0:g}, "
-                        f"t1={o.t1:g}): a crash already implies a NIC "
-                        f"outage for its reboot window, and overlapping "
-                        f"the two makes the intended semantics "
-                        f"ambiguous — separate the windows or drop the "
-                        f"outage")
+                        f"absence windows overlap: {a.describe()} and "
+                        f"{b.describe()}; windows must be disjoint")
+        for o in outages:
+            c = seen.get(o.pid)     # without a heartbeat, only crashes
+            if c is not None and o.t < c.t1 and c.t < o.t1:
+                raise FaultPlanError(
+                    f"{c.describe()} overlaps {o.describe()}: a crash "
+                    f"already darkens the NIC for its reboot window; "
+                    f"separate the windows or drop the silence")
+        if nprocs is not None:
+            from repro.absence import elect_steward
+            for a in tracked:
+                if a.policy == "drain" \
+                        and elect_steward(a.pid, nprocs) in crash_pids:
+                    raise FaultPlanError(
+                        f"steward P{elect_steward(a.pid, nprocs)} for "
+                        f"{a.describe()} is a crash victim; the handoff "
+                        f"target must stay up")
 
     # ------------------------------------------------------------------
 
@@ -265,33 +332,26 @@ class FaultPlan:
             parts.append(f"{len(self.links)} per-link overrides")
         if self.partitions:
             parts.append(f"{len(self.partitions)} partitions")
-        if self.outages:
-            parts.append(f"{len(self.outages)} node outages")
-        if self.crashes:
-            parts.append(f"{len(self.crashes)} node crashes")
-        if self.membership is not None:
-            parts.append(f"membership [{self.membership.describe()}]")
+        parts += [a.describe() for a in self.absences]
+        hb = self.heartbeat
+        if hb is not None:
+            parts.append(f"heartbeat period={hb.period_us:g}us "
+                         f"suspect={hb.suspect_after_us:g}us "
+                         f"evict={hb.evict_after_us:g}us")
         return ", ".join(parts)
 
     def as_dict(self) -> Dict[str, object]:
-        d = self.default
         return {
             "seed": self.seed,
-            "default": {f: getattr(d, f)
-                        for f in _PROB_FIELDS + ("delay_mean_us",)},
-            "links": {f"{s}->{t}": {f: getattr(lf, f)
-                                    for f in _PROB_FIELDS}
+            "default": {f: getattr(self.default, f) for f in _LINK_FIELDS},
+            "links": {f"{s}->{t}": {f: getattr(lf, f) for f in _LINK_FIELDS}
                       for (s, t), lf in sorted(self.links.items())},
             "partitions": [{"t0": p.t0, "t1": p.t1,
                             "groups": [list(g) for g in p.groups]}
                            for p in self.partitions],
-            "outages": [{"pid": o.pid, "t0": o.t0, "t1": o.t1}
-                        for o in self.outages],
-            "crashes": [{"pid": c.pid, "t": c.t,
-                         "reboot_us": c.reboot_us}
-                        for c in self.crashes],
-            **({"membership": self.membership.as_dict()}
-               if self.membership is not None else {}),
+            "absences": [asdict(a) for a in self.absences],
+            **({"heartbeat": asdict(self.heartbeat)}
+               if self.heartbeat is not None else {}),
         }
 
 
@@ -303,8 +363,9 @@ def plan_from_dict(data: Mapping[str, object]) -> FaultPlan:
     """Build a :class:`FaultPlan` from its ``as_dict`` representation.
 
     Accepts the exact shape :meth:`FaultPlan.as_dict` produces, with
-    every field optional; unknown keys are rejected so a typoed plan
-    file fails loudly instead of silently running fault-free.
+    every top-level block optional; unknown keys are rejected so a
+    typoed plan file fails loudly instead of silently running
+    fault-free.
     """
     if not isinstance(data, Mapping):
         raise FaultPlanError(
@@ -330,12 +391,11 @@ def plan_from_dict(data: Mapping[str, object]) -> FaultPlan:
 
     check_keys(data, "fault plan", (),
                optional=("seed", "default", "links", "partitions",
-                         "outages", "crashes", "membership"))
+                         "absences", "heartbeat"))
 
     def link_faults(spec, where: str) -> LinkFaults:
-        check_keys(spec, where, (),
-                   optional=_PROB_FIELDS + ("delay_mean_us",))
-        return LinkFaults(**spec)
+        return LinkFaults(**check_keys(spec, where, (),
+                                       optional=_LINK_FIELDS))
 
     links: Dict[Tuple[int, int], LinkFaults] = {}
     for key, spec in dict(data.get("links") or {}).items():
@@ -346,38 +406,7 @@ def plan_from_dict(data: Mapping[str, object]) -> FaultPlan:
                 f"link key {key!r} must look like 'src->dst'") from None
         links[(s, t)] = link_faults(spec, f"links[{key!r}]")
 
-    def membership_plan(spec):
-        if spec is None:
-            return None
-        check_keys(spec, "membership", (),
-                   optional=("heartbeat", "joins", "drains", "silences"))
-        from repro.membership import (HeartbeatConfig, MembershipPlan,
-                                      NodeDrain, NodeJoin, NodeSilence)
-        hb_spec = check_keys(
-            spec.get("heartbeat") or {}, "membership.heartbeat", (),
-            optional=("period_us", "suspect_after_us", "evict_after_us",
-                      "beat_send_cost_us", "beat_handler_cost_us",
-                      "beat_bytes", "max_lifetime_us"))
-        joins = tuple(
-            NodeJoin(pid=int(j["pid"]), t=j["t"])
-            for j in (check_keys(j, f"membership.joins[{i}]",
-                                 ("pid", "t"))
-                      for i, j in enumerate(spec.get("joins") or ())))
-        drains = tuple(
-            NodeDrain(pid=int(d["pid"]), t=d["t"], away_us=d["away_us"])
-            for d in (check_keys(d, f"membership.drains[{i}]",
-                                 ("pid", "t", "away_us"))
-                      for i, d in enumerate(spec.get("drains") or ())))
-        silences = tuple(
-            NodeSilence(pid=int(s["pid"]), t=s["t"],
-                        down_us=s["down_us"])
-            for s in (check_keys(s, f"membership.silences[{i}]",
-                                 ("pid", "t", "down_us"))
-                      for i, s in enumerate(spec.get("silences") or ())))
-        return MembershipPlan(heartbeat=HeartbeatConfig(**hb_spec),
-                              joins=joins, drains=drains,
-                              silences=silences)
-
+    hb = data.get("heartbeat")
     try:
         return FaultPlan(
             seed=int(data.get("seed", 0)),
@@ -390,20 +419,15 @@ def plan_from_dict(data: Mapping[str, object]) -> FaultPlan:
                                      ("t0", "t1", "groups"))
                           for i, p in enumerate(
                               data.get("partitions") or ()))),
-            outages=tuple(
-                NodeOutage(pid=int(o["pid"]), t0=o["t0"], t1=o["t1"])
-                for o in (check_keys(o, f"outages[{i}]",
-                                     ("pid", "t0", "t1"))
-                          for i, o in enumerate(
-                              data.get("outages") or ()))),
-            crashes=tuple(
-                NodeCrash(pid=int(c["pid"]), t=c["t"],
-                          reboot_us=c.get("reboot_us", 20000.0))
-                for c in (check_keys(c, f"crashes[{i}]", ("pid", "t"),
-                                     optional=("reboot_us",))
-                          for i, c in enumerate(
-                              data.get("crashes") or ()))),
-            membership=membership_plan(data.get("membership")))
+            absences=tuple(
+                Absence(a["policy"], int(a["pid"]), a["t"], a["away_us"])
+                for a in (check_keys(a, f"absences[{i}]",
+                                     ("policy", "pid", "t", "away_us"))
+                          for i, a in enumerate(
+                              data.get("absences") or ()))),
+            heartbeat=None if hb is None else HeartbeatConfig(
+                **check_keys(hb, "heartbeat", (), optional=[
+                    f.name for f in fields(HeartbeatConfig)])))
     except (KeyError, TypeError) as exc:
         raise FaultPlanError(f"malformed fault plan: {exc!r}") from exc
 

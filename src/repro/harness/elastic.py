@@ -2,10 +2,11 @@
 
 For every case (app x opt level x membership schedule) this harness
 runs the application twice — once on a static fault-free cluster, once
-with a scheduled membership change (:mod:`repro.membership`) — and
-asserts the results are *bit-identical*: join catch-up, drain handoff,
-seat migration, lock-token custody and detector re-admission must
-between them never lose or duplicate a write.  Each elastic run is
+with a scheduled join, drain or silence (an :class:`~repro.faults.Absence`
+under the heartbeat detector) — and asserts the results are
+*bit-identical*: join catch-up, drain handoff, seat migration,
+lock-token custody and detector re-admission must between them never
+lose or duplicate a write.  Each elastic run is
 traced, fed through the protocol inspector (whose invariants must
 still reconcile exactly) and through the DSM sanitizer (zero races,
 zero hint violations).
@@ -49,27 +50,21 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.faults import FaultPlan
-from repro.harness.sweep import Case, Sweep
-from repro.membership import (HeartbeatConfig, MembershipPlan, NodeDrain,
-                              NodeJoin, NodeSilence)
+from repro.faults import Absence, FaultPlan, HeartbeatConfig
+from repro.harness.sweep import Case, Schedule, Sweep, barrier_victim
 
 #: Mined schedule names, in the order the sweep runs them.
 SCHEDULES = ("join-early", "drain-mid", "drain-master",
              "evict-at-barrier", "suspect-then-recover")
+#: The detector every mined schedule runs.
+HEARTBEAT = HeartbeatConfig()
 
 
-@dataclass
-class ElasticSchedule:
-    """One named membership schedule for a given app/opt pair."""
-
-    name: str
-    plan: MembershipPlan
-    #: Detector verdicts this schedule must provoke (and survive).
-    expect: frozenset = frozenset()
-
-    def fault_plan(self) -> FaultPlan:
-        return FaultPlan(membership=self.plan)
+def _absence(name: str, policy: str, pid: int, t: float, away_us: float,
+             *expect: str) -> Schedule:
+    return Schedule(name, FaultPlan(
+        heartbeat=HEARTBEAT,
+        absences=(Absence(policy, pid, t, away_us),)), frozenset(expect))
 
 
 @dataclass
@@ -131,62 +126,46 @@ class ElasticCase(Case):
 
 
 def mine_schedules(base, nprocs: int,
-                   names: Optional[Sequence[str]] = None,
-                   heartbeat: Optional[HeartbeatConfig] = None) \
-        -> List[ElasticSchedule]:
+                   names: Optional[Sequence[str]] = None) -> List[Schedule]:
     """Derive membership schedules from a fault-free traced run.
 
     ``base`` is the fault-free :class:`DsmOutcome` run with telemetry.
     """
     wanted = set(names if names is not None else SCHEDULES)
-    hb = heartbeat or HeartbeatConfig()
     total = base.time
-    out: List[ElasticSchedule] = []
+    out: List[Schedule] = []
     if "join-early" in wanted:
-        out.append(ElasticSchedule(
-            "join-early",
-            MembershipPlan(heartbeat=hb, joins=(
-                NodeJoin(nprocs - 1, total * 0.15),))))
+        out.append(_absence("join-early", "join", nprocs - 1, 0.0,
+                            total * 0.15))
     if "drain-mid" in wanted and nprocs > 2:
-        out.append(ElasticSchedule(
-            "drain-mid",
-            MembershipPlan(heartbeat=hb, drains=(
-                NodeDrain(1, total * 0.50, total * 0.20),))))
+        out.append(_absence("drain-mid", "drain", 1, total * 0.50,
+                            total * 0.20))
     if "drain-master" in wanted:
-        out.append(ElasticSchedule(
-            "drain-master",
-            MembershipPlan(heartbeat=hb, drains=(
-                NodeDrain(0, total * 0.40, total * 0.20),))))
-    tel = base.telemetry
-    if tel is not None and "evict-at-barrier" in wanted:
-        waits = [s for s in tel.spans.spans if s.name == "wait.barrier"]
-        if waits:
-            s = max(waits, key=lambda s: s.t1 - s.t0)
-            victim = (s.pid + 1) % nprocs
-            down = max(hb.evict_after_us * 2.5, 12000.0)
-            out.append(ElasticSchedule(
-                "evict-at-barrier",
-                MembershipPlan(heartbeat=hb, silences=(
-                    NodeSilence(victim, (s.t0 + s.t1) / 2, down),)),
-                expect=frozenset(("suspected", "evicted", "admitted"))))
+        out.append(_absence("drain-master", "drain", 0, total * 0.40,
+                            total * 0.20))
+    victim = barrier_victim(base, nprocs) \
+        if "evict-at-barrier" in wanted else None
+    if victim is not None:
+        out.append(_absence(
+            "evict-at-barrier", "silence", *victim,
+            max(HEARTBEAT.evict_after_us * 2.5, 12000.0),
+            "suspected", "evicted", "admitted"))
     if "suspect-then-recover" in wanted:
-        down = (hb.suspect_after_us + hb.evict_after_us) / 2
-        out.append(ElasticSchedule(
-            "suspect-then-recover",
-            MembershipPlan(heartbeat=hb, silences=(
-                NodeSilence(nprocs - 2, total * 0.30, down),)),
-            expect=frozenset(("suspected", "admitted"))))
+        out.append(_absence(
+            "suspect-then-recover", "silence", nprocs - 2, total * 0.30,
+            (HEARTBEAT.suspect_after_us + HEARTBEAT.evict_after_us) / 2,
+            "suspected", "admitted"))
     return out
 
 
 def _start(app, opt, label, seed, plan):
-    if plan is None:        # label is a mined ElasticSchedule
+    if plan is None:        # label is a mined Schedule
         return ElasticCase(app=app, opt=opt, schedule=label.name,
-                           expected=label.expect), label.fault_plan()
-    if plan.membership is None:
+                           expected=label.expect), label.plan
+    if plan.heartbeat is None:
         raise ReproError(
-            "elastic run_case needs a fault plan with a "
-            "'membership' block")
+            "elastic run_case needs a fault plan with a heartbeat "
+            "(a drain, a join or a 'heartbeat' block)")
     return ElasticCase(app=app, opt=opt, schedule=label), plan
 
 

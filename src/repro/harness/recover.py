@@ -1,8 +1,8 @@
 """Recovery sweep: prove a fail-stop crash is invisible to the result.
 
 For every case (app x opt level x crash schedule) this harness runs the
-application twice — once fault-free, once with a scheduled
-:class:`~repro.faults.NodeCrash` — and asserts the results are
+application twice — once fault-free, once with a scheduled ``crash``
+:class:`~repro.faults.Absence` — and asserts the results are
 *bit-identical*: the crash policy of ``repro.absence`` (custody
 streamed to a steward while the crash is pending, a re-entry round
 after the reboot) must bring back exactly the state the crash wiped.  Each faulted run is traced, fed through the protocol
@@ -42,23 +42,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.faults import FaultPlan, NodeCrash
-from repro.harness.sweep import Case, Sweep
+from repro.faults import Absence, FaultPlan
+from repro.harness.sweep import Case, Schedule, Sweep, barrier_victim
 
 #: Mined schedule names, in the order the sweep runs them.
 SCHEDULES = ("early", "mid", "manager", "barrier", "lock")
+#: Reboot time of a mined crash (us).
+REBOOT_US = 20000.0
 
 
-@dataclass
-class Schedule:
-    """One named crash placement for a given app/opt pair."""
-
-    name: str
-    pid: int
-    t: float
-
-    def plan(self) -> FaultPlan:
-        return FaultPlan(crashes=(NodeCrash(pid=self.pid, t=self.t),))
+def _crash(name: str, pid: int, t: float) -> Schedule:
+    return Schedule(name, FaultPlan(
+        absences=(Absence("crash", pid, t, REBOOT_US),)))
 
 
 @dataclass
@@ -117,18 +112,15 @@ def mine_schedules(base, nprocs: int,
     total = base.time
     out: List[Schedule] = []
     if "early" in wanted:
-        out.append(Schedule("early", nprocs - 1, total * 0.25))
+        out.append(_crash("early", nprocs - 1, total * 0.25))
     if "mid" in wanted and nprocs > 1:
-        out.append(Schedule("mid", 1, total * 0.50))
+        out.append(_crash("mid", 1, total * 0.50))
     if "manager" in wanted:
-        out.append(Schedule("manager", 0, total * 0.35))
+        out.append(_crash("manager", 0, total * 0.35))
+    victim = barrier_victim(base, nprocs) if "barrier" in wanted else None
+    if victim is not None:
+        out.append(_crash("barrier", *victim))
     tel = base.telemetry
-    if tel is not None and "barrier" in wanted:
-        waits = [s for s in tel.spans.spans if s.name == "wait.barrier"]
-        if waits:
-            s = max(waits, key=lambda s: s.t1 - s.t0)
-            victim = (s.pid + 1) % nprocs
-            out.append(Schedule("barrier", victim, (s.t0 + s.t1) / 2))
     if tel is not None and "lock" in wanted:
         held: Dict[int, float] = {}
         best = None
@@ -141,15 +133,14 @@ def mine_schedules(base, nprocs: int,
                     best = (ev.pid, t0, ev.ts)
         if best is not None:
             pid, t0, t1 = best
-            out.append(Schedule("lock", pid, (t0 + t1) / 2))
+            out.append(_crash("lock", pid, (t0 + t1) / 2))
     return out
 
 
 def _start(app, opt, label, seed, plan):
     if plan is None:        # label is a mined Schedule
-        return RecoverCase(app=app, opt=opt, schedule=label.name,
-                           pid=label.pid, t=label.t), label.plan()
-    crash = plan.crashes[0] if plan.crashes else None
+        label, plan = label.name, label.plan
+    crash = next((a for a in plan.absences if a.policy == "crash"), None)
     return RecoverCase(app=app, opt=opt, schedule=label,
                        pid=crash.pid if crash else -1,
                        t=crash.t if crash else 0.0), plan

@@ -11,13 +11,15 @@ sweep reads back into its own case dataclass.
 ``harness/chaos.py``, ``recover.py`` and ``elastic.py`` are *policies*
 over this driver: each builds one :class:`Sweep` (labels, miner, case
 class, cost reader, table columns, verdict words) and binds its
-``run_case`` / ``sweep`` / ``render_*`` to it.
+``run_case`` / ``sweep`` / ``render_*`` to it.  The two absence sweeps
+mine the same :class:`Schedule` type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -31,6 +33,28 @@ from repro.harness.runner import layout_for
 from repro.harness.schema import envelope
 from repro.harness.spec import RunSpec, run
 from repro.telemetry import Telemetry
+
+
+class Schedule(NamedTuple):
+    """One named absence schedule mined for an app/opt pair."""
+
+    name: str
+    plan: FaultPlan
+    #: Detector verdicts this schedule must provoke (and survive).
+    expect: frozenset = frozenset()
+
+
+def barrier_victim(base, nprocs: int) -> Optional[Tuple[int, float]]:
+    """``(pid, t)``: the processor the longest ``wait.barrier`` span of
+    the traced base run waits for, ``(waiter + 1) % nprocs``, and the
+    span's midpoint; ``None`` if the trace has no barrier wait."""
+    tel = base.telemetry
+    waits = [] if tel is None else \
+        [s for s in tel.spans.spans if s.name == "wait.barrier"]
+    if not waits:
+        return None
+    s = max(waits, key=lambda s: s.t1 - s.t0)
+    return (s.pid + 1) % nprocs, (s.t0 + s.t1) / 2
 
 
 def arrays_identical(base: Dict[str, np.ndarray],
@@ -102,7 +126,7 @@ class Sweep:
     labels: Tuple[str, ...]
     flag: str
     #: ``(app, opt, label, seed, plan) -> (case, FaultPlan)``.  ``label``
-    #: is a mined schedule object when ``plan`` is None and the sweep
+    #: is a mined :class:`Schedule` when ``plan`` is None and the sweep
     #: mines; otherwise a name (which only labels an explicit ``plan``).
     start: Callable
     #: ``(case, base, out)``: read the perturbed run's cost into ``case``.
@@ -112,7 +136,7 @@ class Sweep:
     row: Callable               # case -> table row
     note: str
     survived: str               # "<n> <survived> bit-identically"
-    #: ``(base, nprocs, names=) -> schedules`` mined from the traced base
+    #: ``(base, nprocs, names=) -> [Schedule]`` mined from the traced base
     #: run; the perturbed run is then sanitized as well as inspected.
     #: ``None``: the labels name seeded plans, nothing needs the base
     #: run's trace or the access stream.
@@ -136,7 +160,7 @@ class Sweep:
         """Run one app/opt pair unperturbed and perturbed; compare bits.
 
         ``label`` names the case (or, for a mined sweep, may be an
-        already mined schedule object); ``base`` is a shared unperturbed
+        already mined :class:`Schedule`); ``base`` is a shared unperturbed
         outcome (traced, for a mined sweep).  Pass ``plan`` to run an
         explicit declarative :class:`FaultPlan` (e.g. loaded with
         :func:`repro.faults.plan_from_json`) instead; ``label`` then

@@ -213,12 +213,23 @@ class NodeRoles:
             self._give_or_queue(lid, requester, rvc, sreq)
         else:
             node.ep.send(target, "lock_fwd",
-                         payload=(lid, requester, rvc, sreq), size=size)
+                         payload=(lid, requester, rvc, sreq, tail),
+                         size=size)
         self._changed()
 
     def _h_lock_fwd(self, msg: Message) -> None:
-        lid, requester, rvc, sreq = msg.payload
-        self.node._charge(self.node.cfg.lock_service)
+        lid, requester, rvc, sreq, tail = msg.payload
+        node = self.node
+        node._charge(node.cfg.lock_service)
+        if node.absence is not None and tail != node.pid:
+            target = node.absence.route(node.pid, tail)
+            if target != node.pid:
+                # Stale-view forward: the manager still thought we were
+                # standing in for ``tail``, which has since taken its
+                # tokens back.  Relay it, as _route does a lock_req.
+                node.ep.send(target, "lock_fwd", payload=msg.payload,
+                             size=msg.size)
+                return
         self._give_or_queue(lid, requester, rvc, sreq)
         self._changed()
 

@@ -58,7 +58,7 @@ def test_join_handoff_accounting_matches_the_wire():
                    opt="base", page_size=1024)
     base = run(spec, telemetry=True)
     plan = elastic.mine_schedules(
-        base, 4, names=("join-early",))[0].fault_plan()
+        base, 4, names=("join-early",))[0].plan
     out = run(spec, faults=plan, telemetry=True)
     cost = [ev.args for ev in out.telemetry.bus.events
             if ev.kind == "mem.join"][-1]
@@ -120,8 +120,8 @@ def test_elastic_cli_end_to_end(capsys, tmp_path):
 
 def test_elastic_cli_with_declarative_plan(capsys, tmp_path):
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps({"membership": {
-        "drains": [{"pid": 1, "t": 4000.0, "away_us": 2500.0}]}}))
+    plan_path.write_text(json.dumps({"absences": [
+        {"policy": "drain", "pid": 1, "t": 4000.0, "away_us": 2500.0}]}))
     from repro.__main__ import main
     rc = main(["elastic", "--apps", "jacobi", "--opts", "aggr",
                "--plan", str(plan_path)])

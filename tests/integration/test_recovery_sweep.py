@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan
 from repro.harness import RunSpec, recover, run
 
 
@@ -60,8 +60,8 @@ def _is_base(opt):
          for opt, pid, k, reboot_us in GRID + PINNED])
 def test_crash_grid_is_bit_identical(opt, pid, k, reboot_us):
     base = _is_base(opt)
-    plan = FaultPlan(crashes=(NodeCrash(pid, base.time * k / 20,
-                                        reboot_us=reboot_us),))
+    plan = FaultPlan(absences=(
+        Absence("crash", pid, base.time * k / 20, reboot_us),))
     out = run(_is_spec(opt), faults=plan)
     for name in base.arrays:
         assert np.array_equal(base.arrays[name], out.arrays[name]), name
@@ -116,7 +116,8 @@ def test_recover_cli_with_declarative_plan(capsys, tmp_path, t, rc,
                                            verdict):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(
-        {"crashes": [{"pid": 2, "t": t, "reboot_us": 2000.0}]}))
+        {"absences": [{"policy": "crash", "pid": 2, "t": t,
+                       "away_us": 2000.0}]}))
     from repro.__main__ import main
     assert main(["recover", "--apps", "jacobi", "--opts", "aggr",
                  "--plan", str(plan_path)]) == rc

@@ -20,10 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan, HeartbeatConfig
 from repro.harness import RunSpec, run
-from repro.membership import (HeartbeatConfig, MembershipPlan, NodeDrain,
-                              NodeJoin, NodeSilence)
 
 BASE = RunSpec(app="jacobi", mode="dsm", dataset="tiny", nprocs=4,
                opt="aggr")
@@ -54,23 +52,16 @@ mix = st.tuples(
 def _build_plan(m, base_time):
     kind, pid, frac, dur, with_crash, gap, reboot = m
     t = base_time * frac
-    joins, drains, silences = (), (), ()
-    if kind == "join":
-        joins, end = (NodeJoin(pid, t),), t
-    elif kind == "drain":
-        drains, end = (NodeDrain(pid, t, dur),), t + dur
-    else:
-        silences, end = (NodeSilence(pid, t, dur),), t + dur
-    mplan = MembershipPlan(heartbeat=HeartbeatConfig(), joins=joins,
-                           drains=drains, silences=silences)
-    crashes = ()
+    event = Absence("join", pid, 0.0, t) if kind == "join" \
+        else Absence(kind, pid, t, dur)
+    absences = (event,)
     if with_crash:
         # Not the member itself, and not its steward (which must stay
         # up to serve custody while the member is away).
         cpid = sorted(set(range(4)) - {pid, (pid + 1) % 4})[0]
-        crashes = (NodeCrash(pid=cpid, t=end + base_time * gap,
-                             reboot_us=reboot),)
-    return FaultPlan(crashes=crashes, membership=mplan)
+        absences += (Absence("crash", cpid, event.t1 + base_time * gap,
+                             reboot),)
+    return FaultPlan(heartbeat=HeartbeatConfig(), absences=absences)
 
 
 @given(mix)
@@ -94,10 +85,28 @@ def test_drain_then_crash_on_the_lock_app():
                    page_size=1024, opt="base")
     base = run(spec)
     T = base.time
-    plan = FaultPlan(
-        crashes=(NodeCrash(pid=2, t=0.4 * T + 3000, reboot_us=2000.0),),
-        membership=MembershipPlan(
-            drains=(NodeDrain(0, 0.2 * T, 3000.0),)))
+    plan = FaultPlan(absences=(
+        Absence("crash", 2, 0.4 * T + 3000, 2000.0),
+        Absence("drain", 0, 0.2 * T, 3000.0)))
+    out = run(spec, faults=plan)
+    for name in base.arrays:
+        assert np.array_equal(base.arrays[name], out.arrays[name]), name
+
+
+def test_drain_running_into_a_crash_reboot_on_the_lock_app():
+    """A drain's realized window runs into another node's crash reboot:
+    P1 drains, and the returning P1's ``mem.join`` sits in
+    retransmission past P3's dark NIC.  P3 — a lock manager — comes
+    back still believing P1 absent and forwards a ``lock_fwd`` to P1's
+    former steward, which has already handed the token back.  The
+    steward must relay the forward, not queue it forever."""
+    spec = RunSpec(app="is", mode="dsm", dataset="tiny", nprocs=4,
+                   page_size=1024, opt="base")
+    base = run(spec)
+    T = base.time
+    plan = FaultPlan(absences=(
+        Absence("drain", 1, 0.1 * T, 3000.0),
+        Absence("crash", 3, 0.1 * T + 3000 + 0.05 * T, 2000.0)))
     out = run(spec, faults=plan)
     for name in base.arrays:
         assert np.array_equal(base.arrays[name], out.arrays[name]), name

@@ -14,7 +14,7 @@ reference) answers, in the same order, and leave the same ``applied``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan
 from repro.memory import SharedLayout
 from repro.tm.meta import IntervalRecord
 from repro.tm.system import TmSystem
@@ -171,8 +171,8 @@ def test_index_is_empty_after_gc_and_after_a_crash_wipe(monkeypatch):
     assert res.returns == want
     assert all(n.gc_rounds >= 1 for n in system.nodes)
     gc_resets, resets[:] = list(resets), []
-    res, system = run(faults=FaultPlan(crashes=(
-        NodeCrash(pid=1, t=800.0, reboot_us=400.0),)))
+    res, system = run(faults=FaultPlan(absences=(
+        Absence("crash", 1, 800.0, 400.0),)))
     assert res.returns == want
     assert system.absence.summary()["crashes"] == 1
     assert gc_resets and [r[0] for r in resets] == [1]

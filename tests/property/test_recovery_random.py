@@ -26,7 +26,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan
 from repro.harness import RunSpec, run
 from repro.machine import MachineConfig
 from repro.net import Network
@@ -63,7 +63,7 @@ def test_delivery_exactly_once_in_order_across_crash(window):
     the channel may be the one whose NIC goes dark.
     """
     who, t0, dur = window
-    plan = FaultPlan(crashes=(NodeCrash(pid=who, t=t0, reboot_us=dur),))
+    plan = FaultPlan(absences=(Absence("crash", who, t0, dur),))
     got = []
 
     def sender(proc, eps):
@@ -103,8 +103,8 @@ def _base(app, opt):
 def test_same_schedule_is_byte_identical(which, sched):
     pid, frac, reboot = sched
     spec, base = _base(*which)
-    plan = FaultPlan(crashes=(
-        NodeCrash(pid=pid, t=base.time * frac, reboot_us=reboot),))
+    plan = FaultPlan(absences=(
+        Absence("crash", pid, base.time * frac, reboot),))
     a, b = run(spec, faults=plan), run(spec, faults=plan)
     assert a.time == b.time
     assert a.net.messages == b.net.messages
@@ -118,8 +118,8 @@ def test_same_schedule_is_byte_identical(which, sched):
 def test_random_single_crash_converges_to_fault_free(which, sched):
     pid, frac, reboot = sched
     spec, base = _base(*which)
-    plan = FaultPlan(crashes=(
-        NodeCrash(pid=pid, t=base.time * frac, reboot_us=reboot),))
+    plan = FaultPlan(absences=(
+        Absence("crash", pid, base.time * frac, reboot),))
     out = run(spec, faults=plan)
     for name in base.arrays:
         assert np.array_equal(base.arrays[name], out.arrays[name]), name

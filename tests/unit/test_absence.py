@@ -1,15 +1,14 @@
 """Unit tests for the one absence manager (repro.absence): the policy
 table, the shared pieces every policy runs through (gate, deferral,
 custody record, re-entry round), and hand-rolled drain/join scenarios.
-The crash scenarios live in test_recovery.py, plan validation where the
-plan types live (test_recovery.py, test_membership.py)."""
+The crash scenarios live in test_recovery.py, plan validation in
+test_membership.py and test_recovery.py."""
 
 import pytest
 
 from repro.absence.manager import CRASH, DEFERRABLE, DRAIN, JOIN, Frame
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan
 from repro.memory import SharedLayout
-from repro.membership import MembershipPlan, NodeDrain, NodeJoin
 from repro.net.message import Message
 from repro.tm.meta import IntervalRecord
 from repro.tm.roles import Roles
@@ -25,11 +24,11 @@ def _system(nprocs, faults=None):
 
 
 def _crash_plan(pid, t=NEVER, reboot_us=200.0):
-    return FaultPlan(crashes=(NodeCrash(pid, t, reboot_us=reboot_us),))
+    return FaultPlan(absences=(Absence("crash", pid, t, reboot_us),))
 
 
-def _member_plan(**kw):
-    return FaultPlan(membership=MembershipPlan(**kw))
+def _drain_plan(pid, t, away_us):
+    return FaultPlan(absences=(Absence("drain", pid, t, away_us),))
 
 
 def _idle(system):
@@ -108,8 +107,7 @@ def test_gate_lets_a_drain_leave_only_between_critical_sections():
             mgr.gate(node)
             seen["quiet"] = dict(mgr.realized)
 
-    system = _system(3, _member_plan(
-        drains=(NodeDrain(1, 50.0, 500.0),)))
+    system = _system(3, _drain_plan(1, 50.0, 500.0))
     system.run(main)
     assert seen["held"] == {} and seen["queued"] == {}
     assert list(seen["quiet"]) == [1]
@@ -183,10 +181,9 @@ def test_deferred_requests_replay_in_arrival_order():
 
 
 def test_only_nodes_whose_state_goes_into_custody_defer():
-    system = _system(4, FaultPlan(
-        crashes=(NodeCrash(3, NEVER, reboot_us=100.0),),
-        membership=MembershipPlan(joins=(NodeJoin(2, 10.0),),
-                                  drains=(NodeDrain(0, NEVER / 2, 100.0),))))
+    system = _system(4, FaultPlan(absences=(
+        Absence("crash", 3, NEVER, 100.0), Absence("join", 2, 0.0, 10.0),
+        Absence("drain", 0, NEVER / 2, 100.0))))
     _idle(system)
     for pid, wrapped in ((0, True), (1, False), (2, False), (3, True)):
         node = system.nodes[pid]        # drain, none, join, crash
@@ -215,8 +212,7 @@ def _steward_state(mgr, node, victim):
 
 
 def test_custody_install_is_idempotent_under_redelivery():
-    system = _system(3, _member_plan(
-        drains=(NodeDrain(0, NEVER, 100.0),)))
+    system = _system(3, _drain_plan(0, NEVER, 100.0))
     mgr = _idle(system)
     steward = system.nodes[1]
     rec = IntervalRecord(0, 1, (1, 0, 0), (0,))
@@ -380,8 +376,7 @@ def test_drain_of_a_lock_manager_is_invisible():
         node.barrier()
         return float(x[1])
 
-    system = _system(4, _member_plan(
-        drains=(NodeDrain(1, 50.0, 4000.0),)))
+    system = _system(4, _drain_plan(1, 50.0, 4000.0))
     res = system.run(main)
     assert res.returns == _system(4).run(main).returns == [3.0] * 4
     cost = system.absence.summary()
@@ -398,16 +393,14 @@ def test_drain_of_a_lock_manager_is_invisible():
 
 def test_drain_amid_lock_traffic_is_invisible():
     base = _system(4).run(_ladder)
-    system = _system(4, _member_plan(
-        drains=(NodeDrain(1, 1500.0, 4000.0),)))
+    system = _system(4, _drain_plan(1, 1500.0, 4000.0))
     assert system.run(_ladder).returns == base.returns
     assert system.absence.summary()["drains"] == 1
 
 
 def test_drain_of_the_barrier_seat_moves_it_for_good():
     base = _system(4).run(_ladder)
-    system = _system(4, _member_plan(
-        drains=(NodeDrain(0, 1500.0, 3000.0),)))
+    system = _system(4, _drain_plan(0, 1500.0, 3000.0))
     res = system.run(_ladder)
     assert res.returns == base.returns
     assert [system.absence.seat_of(p) for p in range(4)] == [1] * 4
@@ -415,7 +408,8 @@ def test_drain_of_the_barrier_seat_moves_it_for_good():
 
 def test_late_join_catches_up():
     base = _system(4).run(_ladder)
-    system = _system(4, _member_plan(joins=(NodeJoin(3, 2500.0),)))
+    system = _system(4, FaultPlan(
+        absences=(Absence("join", 3, 0.0, 2500.0),)))
     res = system.run(_ladder)
     assert res.returns == base.returns
     cost = system.absence.summary()
@@ -427,10 +421,9 @@ def test_drain_then_crash_of_another_node():
     """The returning crash victim reads the same view everyone else
     does: the moved seat, not the static master."""
     base = _system(4).run(_ladder)
-    system = _system(4, FaultPlan(
-        crashes=(NodeCrash(2, 7000.0, reboot_us=1500.0),),
-        membership=MembershipPlan(
-            drains=(NodeDrain(0, 1000.0, 2000.0),))))
+    system = _system(4, FaultPlan(absences=(
+        Absence("crash", 2, 7000.0, 1500.0),
+        Absence("drain", 0, 1000.0, 2000.0))))
     res = system.run(_ladder)
     assert res.returns == base.returns
     cost = system.absence.summary()
@@ -439,6 +432,6 @@ def test_drain_then_crash_of_another_node():
 
 
 def test_membership_on_one_processor_is_rejected():
-    from repro.errors import MembershipError
-    with pytest.raises(MembershipError, match="nprocs >= 2"):
-        _system(1, _member_plan(drains=(NodeDrain(0, 10.0, 10.0),)))
+    from repro.errors import FaultPlanError
+    with pytest.raises(FaultPlanError, match="nprocs >= 2"):
+        _system(1, _drain_plan(0, 10.0, 10.0))

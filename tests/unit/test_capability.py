@@ -18,10 +18,9 @@ from repro.apps import get_app
 from repro.capability import (HOLES, Cell, cell_of, legal_cells,
                               perturbations_of, render_matrix, require)
 from repro.errors import ReproError
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan
 from repro.harness import OPT_LEVELS, RunSpec, layout_for, run
 from repro.harness.chaos import INTENSITIES
-from repro.membership import MembershipPlan, NodeDrain
 from repro.telemetry import Telemetry
 from repro.tm.system import TmSystem
 
@@ -29,9 +28,10 @@ REPO = Path(__file__).resolve().parents[2]
 
 PLANS = {
     "faults": FaultPlan.uniform(seed=1, **INTENSITIES["moderate"]),
-    "crashes": FaultPlan(crashes=(NodeCrash(pid=1, t=4000.0),)),
-    "membership": FaultPlan(membership=MembershipPlan(
-        drains=(NodeDrain(1, 3000.0, 2000.0),))),
+    "crashes": FaultPlan(absences=(
+        Absence("crash", 1, 4000.0, 20000.0),)),
+    "membership": FaultPlan(absences=(
+        Absence("drain", 1, 3000.0, 2000.0),)),
 }
 
 #: One row per HOLES row, in table order: the cell that falls in it, and
@@ -102,7 +102,7 @@ def test_hole_raises_one_message_from_every_entry_point(i, tmp_path,
         # crashes: the sweep's own cell is legal, so the hole surfaces
         # as the case's error rather than as a raise.
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"crashes": [{"pid": 1, "t": 4000.0}]}))
+        path.write_text(json.dumps(PLANS["crashes"].as_dict()))
         argv = [str(path) if a == "<crashes>" else a for a in argv]
         assert main(argv) == 1
         assert message in capsys.readouterr().out.replace("\n", " ")
@@ -133,6 +133,13 @@ def test_cell_of_normalises_defaults_and_reads_the_plan():
     assert perturbations_of(PLANS["faults"]) == {"faults"}
     assert perturbations_of(PLANS["crashes"]) == {"faults", "crashes"}
     assert perturbations_of(PLANS["membership"]) == \
+        {"faults", "membership"}
+    # A silence alone is a NIC outage; with a heartbeat it drives the
+    # detector, and only then is it membership.
+    silence = (Absence("silence", 1, 10.0, 10.0),)
+    assert perturbations_of(FaultPlan(absences=silence)) == {"faults"}
+    assert perturbations_of(FaultPlan(
+        absences=silence, heartbeat=PLANS["membership"].heartbeat)) == \
         {"faults", "membership"}
 
 

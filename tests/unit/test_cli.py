@@ -1,6 +1,7 @@
 """The CLI surface: typed errors, shared flags, and docs that name it."""
 
 import ast
+import importlib.util
 import json
 import os
 import pathlib
@@ -118,6 +119,35 @@ def test_every_documented_command_line_exists(capsys):
                     [word] if word in cli.SUBCOMMANDS else [], capsys)
             assert set(FLAG.findall(rest)) <= flags[word], line
     assert set(cli.SUBCOMMANDS) <= set(flags), "an undocumented subcommand"
+
+
+def test_documented_plans_and_imports_exist():
+    """Every ``json`` block of docs/robustness.md is a fault plan that
+    ``plan_from_dict`` accepts, and every ``from repro... import ...``
+    in the README, DESIGN.md, the docs and the examples names a symbol
+    that exists."""
+    from repro.faults import plan_from_dict
+    doc = (ROOT / "docs/robustness.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", doc, re.S)
+    assert blocks
+    for block in blocks:
+        plan_from_dict(json.loads(block))
+    paths = [ROOT / "README.md", ROOT / "DESIGN.md",
+             *sorted((ROOT / "docs").glob("*.md")),
+             *sorted((ROOT / "examples").glob("*.py"))]
+    for path in paths:
+        for module, names in re.findall(
+                r"from (repro[\w.]*) import (\([^)]*\)|[^\n]+)",
+                path.read_text()):
+            for name in names.strip("()").replace("\n", " ").split(","):
+                name = name.split(" as ")[0].strip()
+                line = f"{path.name}: from {module} import {name}"
+                try:
+                    mod = importlib.import_module(module)
+                except ImportError:
+                    pytest.fail(line)
+                assert hasattr(mod, name) or importlib.util.find_spec(
+                    f"{module}.{name}") is not None, line
 
 
 def test_ci_runs_the_whole_suite_unfiltered():

@@ -54,9 +54,9 @@ def test_runspec_rejects_non_dsm_protocol():
 
 
 def test_recovery_is_mw_lrc_only():
-    from repro.faults import FaultPlan, NodeCrash
+    from repro.faults import Absence, FaultPlan
 
-    plan = FaultPlan(crashes=(NodeCrash(pid=1, t=100.0),))
+    plan = FaultPlan(absences=(Absence("crash", 1, 100.0, 20000.0),))
     with pytest.raises(ReproError):
         run(RunSpec(app="jacobi", mode="dsm", dataset="tiny", nprocs=4,
                     page_size=1024, protocol="hlrc", faults=plan))

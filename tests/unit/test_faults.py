@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.faults import (FaultInjector, FaultPlan, LinkFaults, NodeOutage,
+from repro.faults import (Absence, FaultInjector, FaultPlan, LinkFaults,
                           Partition)
 
 
@@ -29,7 +29,7 @@ def test_partition_window_must_be_nonempty():
 
 def test_outage_window_must_be_nonempty():
     with pytest.raises(FaultPlanError):
-        NodeOutage(pid=0, t0=50.0, t1=50.0)
+        Absence("silence", pid=0, t=50.0, away_us=0.0)
 
 
 def test_quiet_link_detection():
@@ -62,7 +62,7 @@ def test_partition_separates_only_across_groups_inside_window():
 
 
 def test_outage_covers_half_open_window():
-    out = NodeOutage(pid=2, t0=10.0, t1=20.0)
+    out = Absence("silence", pid=2, t=10.0, away_us=10.0)
     assert out.covers(10.0)
     assert out.covers(19.9)
     assert not out.covers(20.0)
@@ -73,15 +73,17 @@ def test_plan_describe_and_as_dict_round_trip():
     plan = FaultPlan.uniform(seed=42, drop=0.1, dup=0.05,
                              partitions=(Partition(0.0, 10.0,
                                                    ((0,), (1,))),),
-                             outages=(NodeOutage(1, 5.0, 6.0),))
+                             absences=(Absence("silence", 1, 5.0, 1.0),))
     text = plan.describe()
     assert "seed=42" in text and "drop=0.1" in text
-    assert "1 partitions" in text and "1 node outages" in text
+    assert "1 partitions" in text and "silence P1 at t=5us" in text
     d = plan.as_dict()
     assert d["seed"] == 42
     assert d["default"]["drop"] == 0.1
     assert d["partitions"][0]["groups"] == [[0], [1]]
-    assert d["outages"][0]["pid"] == 1
+    assert d["absences"] == [{"policy": "silence", "pid": 1, "t": 5.0,
+                              "away_us": 1.0}]
+    assert "heartbeat" not in d     # a silence alone runs no detector
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def test_partition_drops_cross_group_frames_and_counts():
 
 
 def test_outage_silences_sender():
-    plan = FaultPlan(outages=(NodeOutage(0, 10.0, 20.0),))
+    plan = FaultPlan(absences=(Absence("silence", 0, 10.0, 10.0),))
     inj = FaultInjector(plan, nprocs=2)
     assert inj.plan_copies(0, 1, "data", 15.0) == []
     assert inj.plan_copies(1, 0, "data", 15.0) == [0.0]  # sender 1 is up

@@ -6,8 +6,7 @@ import pytest
 
 from repro.absence import elect_steward
 from repro.errors import FaultPlanError
-from repro.faults import (FaultPlan, NodeCrash, NodeOutage,
-                          plan_from_dict)
+from repro.faults import Absence, FaultPlan, plan_from_dict
 from repro.memory import SharedLayout
 from repro.tm.system import TmSystem
 
@@ -18,7 +17,7 @@ def run(nprocs, main, crashes, page_size=256,
     for name, shape in arrays:
         layout.add_array(name, shape)
     system = TmSystem(nprocs=nprocs, layout=layout,
-                      faults=FaultPlan(crashes=tuple(crashes)),
+                      faults=FaultPlan(absences=tuple(crashes)),
                       telemetry=telemetry)
     return system.run(main), system
 
@@ -29,47 +28,43 @@ def run(nprocs, main, crashes, page_size=256,
 
 def test_crash_validation():
     with pytest.raises(FaultPlanError):
-        NodeCrash(pid=0, t=-1.0)
+        Absence("crash", 0, -1.0, 20000.0)
     with pytest.raises(FaultPlanError):
-        NodeCrash(pid=0, t=10.0, reboot_us=0.0)
+        Absence("crash", 0, 10.0, 0.0)
 
 
 def test_duplicate_crash_pid_rejected():
     with pytest.raises(FaultPlanError, match="at most once"):
-        FaultPlan(crashes=(NodeCrash(pid=1, t=10.0),
-                           NodeCrash(pid=1, t=500.0)))
+        FaultPlan(absences=(Absence("crash", 1, 10.0, 20000.0),
+                            Absence("crash", 1, 500.0, 20000.0)))
 
 
 def test_crash_overlapping_outage_rejected():
-    # The reboot window [100, 100 + 20000) intersects the outage.
+    # The reboot window [100, 100 + 20000) intersects the outage (a
+    # silence without a heartbeat).
+    outage = Absence("silence", 2, 5000.0, 1000.0)
     with pytest.raises(FaultPlanError, match="overlaps"):
-        FaultPlan(crashes=(NodeCrash(pid=2, t=100.0),),
-                  outages=(NodeOutage(pid=2, t0=5000.0, t1=6000.0),))
+        FaultPlan(absences=(Absence("crash", 2, 100.0, 20000.0), outage))
     # Same window on a different pid is fine.
-    FaultPlan(crashes=(NodeCrash(pid=2, t=100.0),),
-              outages=(NodeOutage(pid=1, t0=5000.0, t1=6000.0),))
+    FaultPlan(absences=(Absence("crash", 2, 100.0, 20000.0),
+                        Absence("silence", 1, 5000.0, 1000.0)))
     # Disjoint windows on the same pid are fine too.
-    FaultPlan(crashes=(NodeCrash(pid=2, t=100.0, reboot_us=1000.0),),
-              outages=(NodeOutage(pid=2, t0=5000.0, t1=6000.0),))
+    FaultPlan(absences=(Absence("crash", 2, 100.0, 1000.0), outage))
 
 
 def test_plan_from_dict_round_trip():
-    plan = FaultPlan(crashes=(NodeCrash(pid=3, t=250.0,
-                                        reboot_us=1500.0),))
-    again = plan_from_dict(plan.as_dict())
-    assert again.crashes == plan.crashes
-    assert "1 node crashes" in plan.describe()
+    plan = FaultPlan(absences=(Absence("crash", 3, 250.0, 1500.0),))
+    assert plan_from_dict(plan.as_dict()) == plan
+    assert "crash P3 at t=250us for 1500us" in plan.describe()
 
 
 def test_recovery_needs_two_processors():
     layout = SharedLayout(page_size=256)
     layout.add_array("x", (64,))
-    with pytest.raises(FaultPlanError, match="survivors"):
-        TmSystem(nprocs=1, layout=layout,
-                 faults=FaultPlan(crashes=(NodeCrash(pid=0, t=1.0),)))
-    with pytest.raises(FaultPlanError, match="out of range"):
-        TmSystem(nprocs=2, layout=layout,
-                 faults=FaultPlan(crashes=(NodeCrash(pid=5, t=1.0),)))
+    for pid, n, match in ((0, 1, "survivors"), (5, 2, "out of range")):
+        with pytest.raises(FaultPlanError, match=match):
+            TmSystem(nprocs=n, layout=layout, faults=FaultPlan(
+                absences=(Absence("crash", pid, 1.0, 20000.0),)))
 
 
 def test_elect_backup_is_deterministic_and_distinct():
@@ -102,8 +97,7 @@ def test_crash_at_barrier_recovers_bit_identically():
         return float(x[:].sum())
 
     base = _baseline(4, main)
-    res, system = run(4, main, [NodeCrash(pid=2, t=1500.0,
-                                          reboot_us=2000.0)])
+    res, system = run(4, main, [Absence("crash", 2, 1500.0, 2000.0)])
     assert res.returns == base.returns
     cost = system.absence.summary()
     assert cost["log_messages"] > 0 and cost["state_bytes"] > 0
@@ -123,8 +117,7 @@ def test_crash_while_holding_lock_reparks_token():
     base = _baseline(4, main)
     # Crash P2 mid-run: with t inside the lock ladder the crash
     # realizes at an acquire or release, often with the token held.
-    res, system = run(4, main, [NodeCrash(pid=2, t=900.0,
-                                          reboot_us=1500.0)])
+    res, system = run(4, main, [Absence("crash", 2, 900.0, 1500.0)])
     assert res.returns == base.returns == [16.0] * 4
     assert system.absence.summary()["crashes"] == 1
 
@@ -142,8 +135,7 @@ def test_manager_crash_failover():
         return float(x[0])
 
     base = _baseline(4, main)
-    res, system = run(4, main, [NodeCrash(pid=0, t=500.0,
-                                          reboot_us=1000.0)])
+    res, system = run(4, main, [Absence("crash", 0, 500.0, 1000.0)])
     assert res.returns == base.returns == [4.0] * 4
 
 
@@ -154,7 +146,8 @@ def test_crash_scheduled_after_exit_never_realizes():
         node.barrier()
         return float(x[:4].sum())
 
-    res, system = run(4, main, [NodeCrash(pid=1, t=10_000_000.0)])
+    res, system = run(4, main,
+                      [Absence("crash", 1, 10_000_000.0, 20000.0)])
     assert res.returns == [4.0] * 4
     cost = system.absence.summary()
     assert cost["crashes"] == 0 and cost["realized"] == {}
@@ -168,8 +161,7 @@ def test_debug_lines_show_status():
         x[node.pid] = 1.0
         node.barrier()
 
-    _, system = run(4, main, [NodeCrash(pid=1, t=200.0,
-                                        reboot_us=300.0)])
+    _, system = run(4, main, [Absence("crash", 1, 200.0, 300.0)])
     lines = system.absence.debug_lines()
     assert any("absence P1: crash member" in ln for ln in lines)
     # The steward's copy of the streamed custody record shows too.
@@ -192,8 +184,7 @@ def test_applied_watermarks_restored_from_log():
         return float(x[:].sum())
 
     base = _baseline(4, main)
-    res, system = run(4, main, [NodeCrash(pid=1, t=1200.0,
-                                          reboot_us=800.0)])
+    res, system = run(4, main, [Absence("crash", 1, 1200.0, 800.0)])
     assert res.returns == base.returns
     # Re-entry restored the applied watermarks: the victim's own
     # records are all marked, so none of its own diffs replayed over

@@ -4,7 +4,7 @@ merge, adopt, clear, quiescent — and the one seam that tells a
 crash-pending node's steward the state changed."""
 
 from repro.absence.manager import AbsenceManager
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan
 from repro.memory import SharedLayout
 from repro.tm.roles import Roles
 from repro.tm.system import TmSystem
@@ -170,7 +170,7 @@ def test_the_change_seam_fires_once_per_protocol_moment(monkeypatch):
 
     monkeypatch.setattr(AbsenceManager, "mirror", spy)
     system = _system(3, FaultPlan(
-        crashes=(NodeCrash(0, 1e12, reboot_us=200.0),)))
+        absences=(Absence("crash", 0, 1e12, 200.0),)))
     system.run(_chain)
     assert fired == SEAM
     # Each of P0's eleven firings is one frame to its steward, beside

@@ -13,11 +13,10 @@ import sys
 import pytest
 
 from repro.errors import ReproError
-from repro.faults import FaultPlan, NodeCrash
+from repro.faults import Absence, FaultPlan
 from repro.harness import chaos, elastic, recover
 from repro.harness.modes import SIZING
 from repro.harness.sweep import Sweep, arrays_identical
-from repro.membership import MembershipPlan, NodeDrain
 
 MODULES = {"chaos": chaos, "recover": recover, "elastic": elastic}
 
@@ -133,20 +132,20 @@ def test_render_failing_case_per_status(kind, status, fields, detail):
 
 
 def test_sweep_with_explicit_plan_recover_and_elastic():
-    crash = FaultPlan(crashes=(NodeCrash(pid=2, t=5000.0),))
+    crash = FaultPlan(absences=(Absence("crash", 2, 5000.0, 20000.0),))
     [case] = recover.sweep(apps=["jacobi"], opts=["aggr", "nonesuch"],
                            plan=crash, inspect=False)
     assert case.ok and case.schedule == "plan"
     assert (case.pid, case.t) == (2, 5000.0)
     assert case.state_bytes > 0
 
-    drain = FaultPlan(membership=MembershipPlan(
-        drains=(NodeDrain(1, 4000.0, 2500.0),)))
+    drain = FaultPlan(absences=(Absence("drain", 1, 4000.0, 2500.0),))
     [case] = elastic.sweep(apps=["jacobi"], opts=["aggr"], plan=drain,
                            inspect=False)
     assert case.ok and case.schedule == "plan"
     assert case.handoff_messages > 0
-    with pytest.raises(ReproError, match="'membership' block"):
+    with pytest.raises(ReproError, match="needs a fault plan with a "
+                       "heartbeat"):
         elastic.sweep(apps=["jacobi"], opts=["aggr"], plan=crash)
 
 

@@ -24,11 +24,9 @@ import os
 import signal
 import sys
 from functools import partial
-from inspect import signature
 
 from repro.errors import ReproError
 from repro.harness import experiments as ex
-from repro.harness import report
 
 
 # ----------------------------------------------------------------------
@@ -460,10 +458,8 @@ def _main(argv) -> int:
     names = sorted(ex.ARTIFACTS) if "all" in args.artifacts \
         else args.artifacts
     for name in names:
-        driver = getattr(ex, name)
-        rows = driver(**{k: getattr(args, k) for k in ("dataset", "nprocs")
-                         if k in signature(driver).parameters})
-        print(getattr(report, f"render_{name}")(rows))
+        art = ex.ARTIFACTS[name]
+        print(art.render(art.rows(args.dataset, args.nprocs)))
         print()
     return 0
 

@@ -11,8 +11,9 @@ IBM SP/2 running AIX 3.2.5 with user-space MPL communication:
   number and the number of pages in use, varying between **18 and 800 us**
   with 2000 pages in use.
 
-The defaults below reproduce those numbers exactly (see
-``benchmarks/bench_micro.py``).  The decomposition into send overhead,
+The defaults below reproduce those numbers to within 1 % (the header
+bytes every message carries add ~1 us per wire hop; ``python -m repro
+micro`` prints and checks them).  The decomposition into send overhead,
 wire latency, interrupt cost etc. is our choice — the paper only reports
 the totals — but every component is an explicit knob, so sensitivity
 studies are easy.

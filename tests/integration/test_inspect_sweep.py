@@ -52,7 +52,11 @@ def test_inspect_cli_end_to_end(capsys, tmp_path):
 
 
 def test_check_cli_against_committed_baselines(capsys):
-    """`python -m repro check` passes on the checked-in baselines."""
+    """`python -m repro check` passes on the checked-in baselines: the
+    one exact-count gate, which CI runs only here.  After an intentional
+    protocol change, refresh them with ``python -m repro check
+    --update-baselines`` (``--protocol <backend>`` touches one backend
+    only) and commit the diff."""
     from repro.__main__ import main
     assert main(["check"]) == 0
     assert "OK" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.experiments import roundtrip_us
 from repro.machine import MachineConfig
 from repro.net import Network
 from repro.sim import Engine
@@ -78,28 +79,7 @@ def test_recv_matches_by_src_and_tag():
 
 def test_handler_path_roundtrip_calibration():
     """Minimum request/response roundtrip must be the paper's 365 us."""
-    result = {}
-
-    def responder_stoppable(proc, eps):
-        cfg = eps[1].net.config
-
-        def handle(msg):
-            eps[1].charge(cfg.request_service)
-            eps[1].send(msg.src, "reply", size=0)
-
-        eps[1].on("request", handle)
-        eps[1].recv(kind="stop")
-
-    def requester_with_stop(proc, eps):
-        t0 = proc.engine.now
-        eps[0].send(1, "request", size=0)
-        eps[0].recv(kind="reply")
-        result["rtt"] = proc.engine.now - t0
-        eps[0].send(1, "stop")
-
-    engine, _, _ = build(2, [requester_with_stop, responder_stoppable])
-    engine.run()
-    assert result["rtt"] == pytest.approx(365.0, rel=0.01)
+    assert roundtrip_us() == pytest.approx(365.0, rel=0.01)
 
 
 def test_interrupt_steals_time_from_computation():

@@ -1,9 +1,8 @@
 """Protocol-level tests of the TreadMarks core (LRC, locks, barriers)."""
 
-import numpy as np
 import pytest
 
-from repro.machine import MachineConfig
+from repro.harness.experiments import barrier_us, lock_acquire_us
 from repro.memory import Section, SharedLayout
 from repro.tm.system import TmSystem
 
@@ -29,31 +28,12 @@ def test_barrier_propagates_writes():
 
 
 def test_barrier_time_matches_paper_893us():
-    times = {}
-
-    def main(node):
-        node.barrier()
-        if node.pid == 7:
-            times["after"] = node.proc.engine.now
-        # Keep the implicit exit barrier's arrivals from interleaving
-        # with (and thus delaying) the measured barrier's departures.
-        node.proc.advance(10000.0)
-
-    res, _ = run(8, main)
-    assert times["after"] == pytest.approx(893.0, rel=0.01)
+    assert barrier_us() == pytest.approx(893.0, rel=0.01)
 
 
 def test_remote_free_lock_acquire_costs_427us():
     """Acquiring a free lock whose manager is remote: paper's 427 us."""
-    def main(node):
-        if node.pid == 0:
-            node.lock_acquire(1)   # manager is P1 (1 % 2)
-            node.lock_release(1)
-            return node.proc.engine.now
-        return None
-
-    res, _ = run(2, main)
-    assert res.returns[0] == pytest.approx(427.0, rel=0.01)
+    assert lock_acquire_us() == pytest.approx(427.0, rel=0.01)
 
 
 def test_local_lock_reacquire_needs_no_messages():

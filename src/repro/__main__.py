@@ -13,8 +13,7 @@ Usage::
     python -m repro recover --apps jacobi --schedules manager lock
     python -m repro elastic --apps jacobi --schedules drain-master
     python -m repro sanitize jacobi --opt push
-    python -m repro sanitize --all
-    python -m repro bench --json bench.json
+    python -m repro sanitize --corpus
 """
 
 from __future__ import annotations
@@ -193,24 +192,27 @@ def inspect_main(argv) -> int:
 
 
 def check_main(argv) -> int:
-    """``python -m repro check``: protocol-baseline regression gate."""
+    """``python -m repro check``: the one gate over every run cell."""
     from repro.inspect import baseline
 
     parser = argparse.ArgumentParser(
         prog="python -m repro check",
         parents=[_protocol_parent()],
-        description="Re-run every unperturbed cell of the run matrix "
+        description="Run every unperturbed cell of the run matrix "
                     "(app x mode x opt level x backend x data plane) "
-                    "and compare against benchmarks/baselines/"
-                    "protocol.json.  Counts must match exactly; "
-                    "simulated time within a relative tolerance.  "
-                    "--protocol restricts the run (and any update) to "
-                    "one backend's entries.")
+                    "once, traced, and check it four ways: its record "
+                    "against benchmarks/baselines/protocol.json (counts "
+                    "exactly, simulated time within a relative "
+                    "tolerance), its result arrays against the numpy "
+                    "reference, the inspector's reconciliation and, on "
+                    "the DSM, the sanitizer.  --protocol restricts the "
+                    "run (and any update) to one backend's entries.")
     parser.add_argument("--update-baselines", action="store_true",
                         help="rewrite the baseline file from this run "
                              "(after an intentional protocol change); "
                              "with --protocol, only that backend's "
-                             "entries are rewritten")
+                             "entries are rewritten.  Any other oracle's "
+                             "problem still exits 1")
     parser.add_argument("--baselines", default=None, metavar="PATH",
                         help="baseline JSON path (default: "
                              "benchmarks/baselines/protocol.json)")
@@ -230,8 +232,8 @@ def check_main(argv) -> int:
     if result.updated:
         path = args.baselines or baseline.default_path()
         print(f"updated {path} ({len(result.measured)} entries)")
-        return 0
-    print(result.render())
+    if not (result.updated and result.ok):
+        print(result.render())
     return 0 if result.ok else 1
 
 
@@ -312,10 +314,7 @@ def sanitize_main(argv) -> int:
                     "stream.  Exits non-zero on any finding.")
     parser.add_argument("app", nargs="?", choices=sorted(all_apps()),
                         help="application to sanitize (omit with "
-                             "--all / --corpus to cover every app)")
-    parser.add_argument("--all", action="store_true",
-                        help="sanitize every app at every applicable "
-                             "opt level (the clean matrix)")
+                             "--corpus to cover every app)")
     parser.add_argument("--corpus", action="store_true",
                         help="run the mutated-hint detection corpus; "
                              "exits non-zero unless every mutation "
@@ -328,18 +327,17 @@ def sanitize_main(argv) -> int:
                         help="export the report as JSON "
                              "('-' for stdout)")
     args = parser.parse_args(argv)
+    if not (args.app or args.corpus):
+        parser.error("name an app, or --corpus; every run cell is "
+                     "sanitized by 'python -m repro check'")
 
     sizing = _run_kw(args, _SIZING)
-    apps = [args.app] if args.app else None
     if args.corpus:
+        apps = [args.app] if args.app else None
         corpus = matrix.run_corpus(matrix.build_corpus(apps=apps, **sizing),
                                    **sizing)
         text, result = matrix.render_corpus(corpus), dict(corpus=corpus)
         ok = all(e.detected for e in corpus)
-    elif args.all or not args.app:
-        cases = matrix.clean_matrix(apps=apps, **_run_kw(args))
-        text, result = matrix.render_matrix(cases), dict(cases=cases)
-        ok = all(c.ok for c in cases)
     else:
         rep = (sanitize_jsonl(args.replay, args.app, opt=args.opt, **sizing)
                if args.replay else
@@ -349,62 +347,8 @@ def sanitize_main(argv) -> int:
     return 0 if ok else 1
 
 
-def bench_main(argv) -> int:
-    """``python -m repro bench``: machine-readable benchmark summary."""
-    from repro.apps import all_apps
-    from repro.harness import bench
-
-    from repro.tm.coherence import protocols
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        parents=[_sizing_parent()],
-        description="Run the full mode matrix (seq, every applicable "
-                    "DSM opt level, message passing, XHPF) and report "
-                    "simulated time, speedup and message counts per "
-                    "app x mode.  With --protocols, instead compare "
-                    "the DSM coherence backends side by side (app x "
-                    "opt x protocol).  --json holds each cell's record "
-                    "under its baseline key, as 'check' gates it.")
-    parser.add_argument("--apps", nargs="*", default=None,
-                        choices=sorted(all_apps()),
-                        help="applications to bench (default: all, in "
-                             "the paper's order)")
-    parser.add_argument("--protocols", nargs="*", default=None,
-                        metavar="PROTO",
-                        help="compare DSM coherence backends instead "
-                             "of the mode matrix; give names "
-                             f"({', '.join(sorted(protocols()))}) or "
-                             "no argument for all registered backends")
-    parser.add_argument("--data-planes", nargs="*", default=None,
-                        dest="data_planes",
-                        choices=("twosided", "onesided"),
-                        metavar="PLANE",
-                        help="the data plane(s) of the DSM rows "
-                             "(twosided, onesided; default twosided); "
-                             "with --protocols and both, onesided rows "
-                             "carry their message delta vs the matching "
-                             "two-sided cell")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the JSON payload here "
-                             "('-' for stdout)")
-    args = parser.parse_args(argv)
-
-    cells = dict(apps=args.apps, data_planes=args.data_planes,
-                 **_run_kw(args))
-    if args.protocols is not None:
-        payload = bench.bench_protocols(
-            protocols=args.protocols or None, **cells)
-        render = bench.render_bench_protocols
-    else:
-        payload = bench.bench(**cells)
-        render = bench.render_bench
-    _emit(args, payload, render(payload), sort_keys=True)
-    return 0
-
-
 SUBCOMMANDS = {"inspect": inspect_main, "check": check_main,
-               "sanitize": sanitize_main, "bench": bench_main,
+               "sanitize": sanitize_main,
                **{kind: partial(sweep_main, kind)
                   for kind in ("chaos", "recover", "elastic")}}
 

@@ -1,7 +1,7 @@
 """One versioned envelope for every machine-readable payload.
 
-Every enveloped ``--json`` output of the CLI — the five kinds
-``bench``, ``chaos``, ``recover``, ``elastic`` and ``sanitize`` —
+Every enveloped ``--json`` output of the CLI — the four kinds
+``chaos``, ``recover``, ``elastic`` and ``sanitize`` —
 starts with the same two keys::
 
     {"schema": "repro-<kind>/<version>", "generated_by": "repro 1.0.0", ...}

@@ -1,21 +1,30 @@
-"""Regression-gated protocol baselines (Table 2-style counts).
+"""The one checked run per cell, and the baselines it is gated on.
 
 The simulator is deterministic, so every protocol counter — faults,
 twins, diffs, invalidations, messages, bytes — is exactly reproducible
-for a given (app, mode, opt, dataset, nprocs, page size).  That makes
-the counts usable as CI regression gates: ``python -m repro check``
-re-runs every unperturbed cell of the run matrix
-(:func:`repro.harness.modes.run_matrix`) and compares against the
-checked-in JSON under ``benchmarks/baselines/``, one entry per cell
-under its :attr:`~repro.harness.spec.RunSpec.key`; any drifted integer
-fails the build.  Only
-simulated *time* is compared with a tolerance (``rtol``), since cost-
-model refactors may reorder float accumulation without changing the
-protocol.
+for a given (app, mode, opt, dataset, nprocs, page size).  ``python -m
+repro check`` runs every unperturbed cell of the run matrix
+(:func:`repro.harness.modes.run_matrix`) once, traced, and asks that
+one run every question the repo has about it (:func:`measure`):
+
+1. its record equals the checked-in entry under
+   ``benchmarks/baselines/``, keyed by its
+   :attr:`~repro.harness.spec.RunSpec.key` (:func:`compare_entry`: any
+   drifted integer fails; only simulated *time* is compared with a
+   tolerance, ``rtol``, since cost-model refactors may reorder float
+   accumulation without changing the protocol);
+2. the app's checked arrays equal its numpy reference — the compiler's
+   hints are sound only if the optimized run computes the same answer;
+3. off ``seq``, the inspector's reconstruction reconciles with the
+   run's own counters (:meth:`InspectReport.reconcile
+   <repro.inspect.report.InspectReport.reconcile>`);
+4. on the DSM, the sanitizer, fed the run's recorded access stream
+   offline, finds no race or hint violation and counts the run's sync
+   edges.
 
 ``python -m repro check --update-baselines`` rewrites the file after an
 intentional protocol change; the diff then documents exactly which
-counters moved.
+counters moved.  Oracles 2-4 still fail it.
 """
 
 from __future__ import annotations
@@ -23,14 +32,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.capability import cell_of
 from repro.harness.modes import run_matrix
+from repro.harness.runner import layout_for
 from repro.harness.spec import RunSpec, run
+from repro.inspect.report import InspectReport
+from repro.telemetry import Telemetry
 
 #: Relative tolerance for simulated time (floats only).
 TIME_RTOL = 1e-6
+
+#: Tolerances a result array must meet against the numpy reference.
+RESULT_RTOL, RESULT_ATOL = 1e-9, 1e-12
 
 #: The :class:`RunSpec` fields an entry's ``config`` block records
 #: (those that were set).
@@ -54,15 +71,59 @@ def selected(key: str, protocol: Optional[str] = None,
 
 
 # ----------------------------------------------------------------------
-# Collection.
+# The checked run.
 # ----------------------------------------------------------------------
 
-def measure(spec: RunSpec) -> dict:
-    """Run one cell (untraced -- counters only): its record, under the
-    configuration that produced it."""
+def measure(spec: RunSpec) -> Tuple[dict, List[str]]:
+    """Run one cell once, traced, and judge it: its entry (its record
+    under the configuration that produced it) and what oracles 2-4 of
+    the module docstring found wrong (empty: nothing).  Oracle 1 needs
+    the stored entry: :func:`compare_entry`."""
+    dsm = spec.mode == "dsm"
+    out = run(spec, telemetry=Telemetry(access_events=dsm))
     config = {f: getattr(spec, f) for f in CONFIG_FIELDS
               if getattr(spec, f) is not None}
-    return {"config": config, **run(spec).record()}
+    problems = _diverging(spec, out.arrays)
+    if spec.mode != "seq":
+        problems += [f"inspector: {p}"
+                     for p in InspectReport.build(out).reconcile()]
+    if dsm:
+        problems += _sanitizer_findings(spec, out)
+    return {"config": config, **out.record()}, problems
+
+
+def _diverging(spec: RunSpec, arrays) -> List[str]:
+    """Oracle 2: each checked array against the app's numpy reference."""
+    app = spec.resolve_app()
+    ref = app.reference(spec.resolve_params())
+    problems = []
+    for name in app.check_arrays:
+        got = arrays.get(name)
+        if got is None:
+            problems.append(f"result: array {name!r} missing")
+            continue
+        close = np.isclose(got, ref[name], rtol=RESULT_RTOL,
+                           atol=RESULT_ATOL)
+        if not close.all():
+            problems.append(f"result: array {name!r}: "
+                            f"{int((~close).sum())}/{got.size} elements "
+                            f"diverge")
+    return problems
+
+
+def _sanitizer_findings(spec: RunSpec, out) -> List[str]:
+    """Oracle 4: the recorded stream, sanitized offline against the
+    run's own transformed program."""
+    from repro.sanitizer import sanitize_events
+
+    rep = sanitize_events(out.telemetry.bus.events,
+                          layout_for(out.program, page_size=spec.page_size),
+                          spec.nprocs, opt=spec.resolve_opt())
+    found = [f"[{f.category}:{f.kind}] {f.detail}" for f in rep.findings]
+    found += rep.reconcile(out)
+    if not rep.accesses:    # a clean verdict on nothing proves nothing
+        found.append("the stream holds no access events")
+    return [f"sanitizer: {p}" for p in found]
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +187,8 @@ class CheckResult:
 
     def render(self) -> str:
         """One line per measured entry, then the verdict and every
-        mismatch (what ``python -m repro check`` prints)."""
+        problem, under its cell key (what ``python -m repro check``
+        prints)."""
         lines = [f"  {key:<32} t={entry['time_us']:.1f}us "
                  f"messages={entry['messages']} "
                  f"bytes={entry['data_bytes']}"
@@ -135,7 +197,7 @@ class CheckResult:
             lines.append(f"OK: {len(self.measured)} baseline entries "
                          f"match")
         else:
-            lines.append(f"FAIL: {len(self.problems)} mismatches")
+            lines.append(f"FAIL: {len(self.problems)} problems")
             lines += [f"  ! {p}" for p in self.problems]
         return "\n".join(lines)
 
@@ -161,34 +223,43 @@ def check(path: Optional[Path] = None,
           update: bool = False, rtol: float = TIME_RTOL,
           protocol: Optional[str] = None,
           data_plane: Optional[str] = None) -> CheckResult:
-    """Re-measure the matrix and compare (or rewrite) the baselines.
+    """Run and judge the matrix; compare (or rewrite) the baselines.
 
     The matrix is :func:`repro.harness.modes.run_matrix` -- every
-    unperturbed cell -- unless one is passed.  ``protocol`` restricts
-    the run to one backend's entries, and ``data_plane`` (``twosided``
-    / ``onesided``) to one data plane's; an update then rewrites only
-    those, leaving the other entries untouched (per-backend / per-plane
-    ``--update-baselines``).
+    unperturbed cell -- unless one is passed; each cell runs once
+    (:func:`measure`).  ``protocol`` restricts the run to one backend's
+    entries, and ``data_plane`` (``twosided`` / ``onesided``) to one
+    data plane's; an update then rewrites only those, leaving the other
+    entries untouched (per-backend / per-plane ``--update-baselines``),
+    and is still not ``ok`` if another oracle found a problem.
     """
     if matrix is None:
         matrix = run_matrix(
             protocols=protocol and [protocol],
             data_planes=data_plane and [data_plane])
-    measured = {spec.key: measure(spec) for spec in matrix}
+    measured: Dict[str, dict] = {}
+    found: List[str] = []
+    for spec in matrix:
+        measured[spec.key], problems = measure(spec)
+        found += [f"{spec.key}: {p}" for p in problems]
     path = default_path() if path is None else Path(path)
     stored = load(path) if path.exists() else None
     if update:
         kept = {k: v for k, v in (stored or {}).items()
                 if not selected(k, protocol, data_plane)}
         save({**kept, **measured}, path)
-        return CheckResult(ok=True, measured=measured, updated=True)
+        return CheckResult(ok=not found, problems=found,
+                           measured=measured, updated=True)
     if stored is None:
         return CheckResult(
             ok=False, measured=measured,
             problems=[f"no baselines at {path}; run "
-                      "'python -m repro check --update-baselines'"])
+                      "'python -m repro check --update-baselines'",
+                      *found])
     expected = {k: v for k, v in stored.items()
                 if selected(k, protocol, data_plane)}
-    problems = compare(expected, measured, rtol)
+    # One cell's problems together, whichever oracle found them.
+    problems = sorted(compare(expected, measured, rtol) + found,
+                      key=lambda p: p.split(": ", 1)[0])
     return CheckResult(ok=not problems, problems=problems,
                        measured=measured)

@@ -1,15 +1,14 @@
-"""The sanitizer's soundness proof, both directions.
+"""The sanitizer's detection proof: no false negatives.
 
-Completeness (no false positives): :func:`clean_matrix` runs every app
-at every applicable opt level under the sanitizer and expects zero
-findings — the compiler's hints really do cover every access and the
-sync structure really does order every conflicting pair.
+(Its completeness -- no false positives -- is proved wherever a cell
+runs: ``python -m repro check`` sanitizes every DSM cell of the run
+matrix and expects zero findings.)
 
-Detection (no false negatives): :func:`build_corpus` enumerates
-deliberate hint mutations — shrunk, shifted and dropped regular
-sections, injected into the transformed program through the
-``hint_mutation`` hook in :mod:`repro.compiler.transform` — and
-:func:`run_corpus` verifies every one of them is reported.
+:func:`build_corpus` enumerates deliberate hint mutations — shrunk,
+shifted and dropped regular sections, injected into the transformed
+program through the ``hint_mutation`` hook in
+:mod:`repro.compiler.transform` — and :func:`run_corpus` verifies every
+one of them is reported.
 
 What the corpus mutates, and why only that:
 
@@ -46,76 +45,6 @@ OVERWRITING = (AccessType.WRITE_ALL, AccessType.READ_WRITE_ALL)
 #: and stronger) — the only levels where a bad hint is dangerous.
 ELIMINATING = ("aggr+cons", "merge", "push")
 
-
-# ----------------------------------------------------------------------
-# Clean matrix.
-# ----------------------------------------------------------------------
-
-@dataclass
-class SanitizeCase:
-    """One (app, opt) cell of the clean matrix."""
-
-    app: str
-    opt: str
-    ok: bool
-    races: int
-    hint_findings: int
-    problems: int
-    events: int
-    accesses: int
-    report: object = None
-
-    def row(self) -> List:
-        return [self.app, self.opt,
-                "clean" if self.ok else "FINDINGS",
-                self.races, self.hint_findings, self.problems,
-                self.events, self.accesses]
-
-
-def _dsm_cells(apps, opts, protocol=None, data_plane=None, **sizing):
-    """The run matrix's DSM cells on one backend and plane, apps in
-    name order unless given."""
-    from repro.apps import all_apps
-    from repro.harness.modes import run_matrix
-
-    return run_matrix(apps if apps is not None else sorted(all_apps()),
-                      opts, modes=("dsm",), protocols=[protocol],
-                      data_planes=[data_plane], **sizing)
-
-
-def clean_matrix(apps: Optional[Sequence[str]] = None,
-                 opts: Optional[Sequence[str]] = None,
-                 **run_kw) -> List[SanitizeCase]:
-    """Sanitize every app at every applicable opt level (``run_kw``:
-    ``protocol``, ``data_plane`` and sizing)."""
-    from repro.sanitizer.replay import sanitize_run
-
-    cases: List[SanitizeCase] = []
-    for spec in _dsm_cells(apps, opts, **run_kw):
-        _, rep = sanitize_run(spec)
-        cases.append(SanitizeCase(
-            app=spec.app, opt=spec.opt, ok=rep.ok, races=len(rep.races),
-            hint_findings=len(rep.hint_findings),
-            problems=len(rep.problems), events=rep.events,
-            accesses=rep.accesses, report=rep))
-    return cases
-
-
-def render_matrix(cases: Sequence[SanitizeCase]) -> str:
-    from repro.harness.report import render_table
-
-    clean = sum(c.ok for c in cases)
-    return render_table(
-        "Sanitizer clean matrix (app x opt level)",
-        ["app", "opt", "status", "races", "hints", "problems",
-         "events", "accesses"],
-        [c.row() for c in cases],
-        note=f"{clean}/{len(cases)} combinations clean")
-
-
-# ----------------------------------------------------------------------
-# Mutation corpus.
-# ----------------------------------------------------------------------
 
 @dataclass
 class HintMutation:
@@ -204,11 +133,15 @@ def build_corpus(apps: Optional[Sequence[str]] = None,
                  opts: Sequence[str] = ELIMINATING,
                  **sizing) -> List[HintMutation]:
     """Enumerate every mutation the sanitizer must detect."""
+    from repro.apps import all_apps
     from repro.compiler.transform import hint_sites
+    from repro.harness.modes import run_matrix
     from repro.sanitizer.replay import _resolve
 
     corpus: List[HintMutation] = []
-    for cell in _dsm_cells(apps, opts, **sizing):
+    for cell in run_matrix(apps if apps is not None else sorted(all_apps()),
+                           opts, modes=("dsm",), protocols=[None],
+                           data_planes=[None], **sizing):
         name, lvl = cell.app, cell.opt
         _, _, prog, _ = _resolve(name, lvl, cell.dataset, cell.nprocs,
                                  cell.page_size)
@@ -276,16 +209,13 @@ def run_corpus(corpus: Sequence[HintMutation],
 
 
 def payload(sizing: dict, corpus: Sequence[HintMutation] = None,
-            cases: Sequence[SanitizeCase] = None, report=None) -> dict:
-    """The ``repro-sanitize/1`` envelope of one result: a run corpus,
-    a clean matrix's cases, or one
-    :class:`~repro.sanitizer.report.SanitizeReport`."""
+            report=None) -> dict:
+    """The ``repro-sanitize/1`` envelope of one result: a run corpus or
+    one :class:`~repro.sanitizer.report.SanitizeReport`."""
     from repro.harness.schema import envelope
 
     if corpus is not None:
         result = {"corpus": [e.__dict__ for e in corpus]}
-    elif cases is not None:
-        result = {"cases": [c.report.as_dict() for c in cases]}
     else:
         result = {"report": report.as_dict()}
     return envelope("sanitize", **sizing, **result)

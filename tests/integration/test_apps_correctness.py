@@ -5,7 +5,8 @@ must compute the same answer as the sequential numpy reference when run
 
 * sequentially through the interpreter,
 * on base TreadMarks (pure run-time DSM),
-* on every applicable compiler-optimization level,
+* on every applicable compiler-optimization level (gauss also with
+  barrier garbage collection on),
 * hand-coded over message passing (the PVMe baseline), and
 * through the XHPF lowering (where XHPF can parallelize it at all).
 """
@@ -39,15 +40,18 @@ def test_sequential_matches_reference(appname):
     assert seq.time > 0
 
 
-@pytest.mark.parametrize("appname", APP_NAMES)
+@pytest.mark.parametrize("appname,gc_threshold",
+                         [*((name, None) for name in APP_NAMES),
+                          ("gauss", 32)],
+                         ids=[*APP_NAMES, "gauss-gc32"])
 @pytest.mark.parametrize("level", LEVELS)
-def test_dsm_matches_reference(appname, level):
+def test_dsm_matches_reference(appname, gc_threshold, level):
     app = APPS[appname]
     levels = applicable_levels(app)
     if level not in levels:
         pytest.skip(f"{level} not applicable to {appname} (per the paper)")
     res = run_dsm(app.program("tiny", 4), nprocs=4, opt=levels[level],
-                  page_size=256)
+                  page_size=256, gc_threshold=gc_threshold)
     check(res.arrays, app)
 
 

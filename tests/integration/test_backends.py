@@ -1,10 +1,12 @@
 """Backend conformance: every coherence backend computes the same thing.
 
-Parametrized over the backend registry, so a newly registered protocol
-is automatically held to the same bar: bit-identical application
-results against the sequential run, a clean sanitizer, and an
-inspector whose reconstruction reconciles with the protocol's own
-counters — including on the paper's 8-processor configuration.
+Every backend's cells of the run matrix are held to the full bar --
+results equal to the reference, a clean sanitizer, an inspector that
+reconciles -- by ``repro check``, gated per cell in
+``test_inspect_sweep.py``; a newly registered protocol gets cells there
+automatically.  Here: what the matrix does not hold (the paper's
+8-processor configuration, an opt level the paper leaves out for an
+app) and how the backends' traffic differs.
 """
 
 import numpy as np
@@ -16,16 +18,6 @@ from repro.tm.coherence import protocols
 
 BACKENDS = sorted(protocols())
 APPS = all_apps()
-
-#: One representative per opt level across apps, kept small enough for
-#: CI: the full 6-app x 5-opt matrix runs in the baseline/bench gates.
-MATRIX = [
-    ("jacobi", "base"),
-    ("is", "aggr"),
-    ("mgs", "aggr+cons"),
-    ("shallow", "merge"),
-    ("fft3d", "push"),
-]
 
 
 def check(app_name, arrays):
@@ -43,8 +35,10 @@ def test_registry_lists_all_backends():
 
 
 @pytest.mark.parametrize("protocol", BACKENDS)
-@pytest.mark.parametrize("app,opt", MATRIX)
+@pytest.mark.parametrize("app,opt", [("shallow", "merge")])
 def test_results_match_reference(app, opt, protocol):
+    """A level the paper does not report for the app (Figure 6's n/a
+    bar), so the matrix holds no cell for it: still the same answer."""
     out = run(RunSpec(app=app, mode="dsm", dataset="tiny", nprocs=4,
                       opt=opt, page_size=1024, protocol=protocol))
     check(app, out.arrays)
@@ -58,31 +52,6 @@ def test_eight_procs_paper_config(protocol):
                           nprocs=8, opt="base", page_size=1024,
                           protocol=protocol))
         check(app, out.arrays)
-
-
-@pytest.mark.parametrize("protocol", BACKENDS)
-@pytest.mark.parametrize("app,opt", [("jacobi", "base"), ("is", "aggr"),
-                                     ("mgs", "aggr")])
-def test_inspector_reconciles(app, opt, protocol):
-    from repro.inspect import InspectReport
-
-    out = run(RunSpec(app=app, mode="dsm", dataset="tiny", nprocs=4,
-                      opt=opt, page_size=1024, protocol=protocol,
-                      telemetry=True))
-    rep = InspectReport.build(out, title=f"{app}@{protocol}")
-    assert rep.timelines.violations == []
-    assert rep.reconcile() == []
-
-
-@pytest.mark.parametrize("protocol", BACKENDS)
-@pytest.mark.parametrize("app,opt", [("jacobi", "aggr+cons"),
-                                     ("is", "aggr")])
-def test_sanitizer_clean(app, opt, protocol):
-    from repro.sanitizer.replay import sanitize_run
-
-    _, rep = sanitize_run(app, opt=opt, protocol=protocol)
-    assert rep.ok, [f"[{f.category}:{f.kind}] {f.detail}"
-                    for f in rep.findings]
 
 
 def test_mw_lrc_and_home_backends_differ_only_in_traffic():

@@ -1,41 +1,90 @@
-"""Inspector invariants across every app, mode, and opt level.
+"""The one gate, per cell, and proof that each of its oracles bites.
 
-For each benchmark application at every applicable optimization level
-(plus the mp mode), a traced tiny run must yield
-
-* page timelines with zero illegal transitions,
-* reconstruction totals equal to the run's own ``TmStats``,
-* wait-span totals equal to the ``t_*_wait`` stat accumulators,
-* a critical path whose segments tile end-to-end simulated time.
-
-This is the deterministic, all-opt-levels complement to the randomized
-schedules in ``tests/property/test_protocol_random.py``.
+Every unperturbed cell of the run matrix runs once, traced, and must
+satisfy every oracle ``repro check`` asks (:func:`repro.inspect.
+baseline.measure`): its record equals the committed baseline entry, its
+arrays equal the numpy reference, the inspector's page timelines have
+no illegal transition and its totals, wait spans and critical path
+reconcile with the run's own counters, and on the DSM the sanitizer
+finds no race or hint violation.  This is the deterministic,
+all-cells complement to the randomized schedules in
+``tests/property/test_protocol_random.py``.
 """
 
 import pytest
 
-from repro.apps import all_apps, get_app
-from repro.harness import RunSpec, run
-from repro.harness.modes import applicable_levels
-from repro.inspect import InspectReport
-
-CASES = [(app, "dsm", opt)
-         for app in sorted(all_apps())
-         for opt in sorted(applicable_levels(get_app(app)))]
-CASES += [(app, "mp", None) for app in sorted(all_apps())]
+from repro.apps import get_app
+from repro.compiler.transform import hint_mutation
+from repro.harness import RunSpec
+from repro.harness.modes import SIZING, run_matrix
+from repro.inspect import baseline
+from repro.sanitizer import matrix
 
 
-@pytest.mark.parametrize("app,mode,opt", CASES,
-                         ids=[f"{a}-{m}-{o}" for a, m, o in CASES])
-def test_inspection_reconciles(app, mode, opt):
-    out = run(RunSpec(app=app, mode=mode, dataset="tiny", nprocs=4,
-                      opt=opt, page_size=1024, telemetry=True))
-    rep = InspectReport.build(out, title=f"{app}/{mode}/{opt}")
-    assert rep.reconcile() == []
-    # The report renders without error and names every section.
-    text = rep.render()
-    assert "Critical path" in text
-    assert "Lock contention" in text
+#: key -> ``measure``'s judged run, shared with the CLI test below.
+JUDGED = {}
+
+
+@pytest.fixture(scope="module")
+def stored():
+    return baseline.load()
+
+
+@pytest.mark.parametrize("spec", list(run_matrix()), ids=lambda s: s.key)
+def test_cell_passes_every_oracle(spec, stored):
+    entry, problems = JUDGED[spec.key] = baseline.measure(spec)
+    assert problems == []
+    assert baseline.compare_entry(spec.key, stored[spec.key], entry) == []
+
+
+def check_one(key, tmp_path):
+    """``check`` of one cell against its committed entry alone."""
+    path = tmp_path / "one.json"
+    baseline.save({key: baseline.load()[key]}, path)
+    return baseline.check(path=path,
+                          matrix=[RunSpec.from_key(key, **SIZING)])
+
+
+def test_check_reports_an_unsound_push(tmp_path):
+    """Dropping the first Push's first write section leaves bytes the
+    receivers never get: the gate's sanitizer names the cell."""
+    entry = next(e for e in matrix.build_corpus(["jacobi"], ["push"])
+                 if e.target == "push-write" and e.op == "drop")
+
+    def drop(site, stmt):
+        return matrix.apply_mutation(stmt, entry, {}) \
+            if site == entry.site else stmt
+
+    with hint_mutation(drop):
+        res = check_one("jacobi/dsm/push", tmp_path)
+    assert any(p.startswith("jacobi/dsm/push: sanitizer: [hint:")
+               for p in res.problems), res.problems
+
+
+def test_check_reports_a_diverging_result(tmp_path, monkeypatch):
+    """One wrong element of a snapshot moves no counter; the gate's
+    result oracle still names the array."""
+    import repro.harness.spec as spec_module
+
+    name = get_app("jacobi").check_arrays[0]
+    real = spec_module.run_dsm
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.arrays[name].flat[0] += 1.0
+        return out
+
+    monkeypatch.setattr(spec_module, "run_dsm", corrupted)
+    res = check_one("jacobi/dsm/base", tmp_path)
+    assert len(res.problems) == 1, res.problems
+    assert res.problems[0].startswith(
+        f"jacobi/dsm/base: result: array {name!r}: 1/")
+    # An update writes the (unchanged) record and still fails.
+    res = baseline.check(path=tmp_path / "one.json", update=True,
+                         matrix=[RunSpec.from_key("jacobi/dsm/base",
+                                                  **SIZING)])
+    assert res.updated and not res.ok and len(res.problems) == 1
+    assert baseline.load(tmp_path / "one.json") == res.measured
 
 
 def test_inspect_cli_end_to_end(capsys, tmp_path):
@@ -51,12 +100,18 @@ def test_inspect_cli_end_to_end(capsys, tmp_path):
     assert json_path.exists()
 
 
-def test_check_cli_against_committed_baselines(capsys):
-    """`python -m repro check` passes on the checked-in baselines: the
-    one exact-count gate, which CI runs only here.  After an intentional
-    protocol change, refresh them with ``python -m repro check
-    --update-baselines`` (``--protocol <backend>`` touches one backend
-    only) and commit the diff."""
+def test_check_cli_against_committed_baselines(capsys, monkeypatch):
+    """`python -m repro check` passes on the checked-in baselines (here
+    one backend x one plane; every cell is gated above, one test id
+    each, and a cell judged there is not run twice: ``measure`` is
+    deterministic).  After an intentional protocol change, refresh them
+    with ``python -m repro check --update-baselines`` (``--protocol
+    <backend>`` touches one backend only) and commit the diff."""
     from repro.__main__ import main
-    assert main(["check"]) == 0
-    assert "OK" in capsys.readouterr().out
+    measure = baseline.measure
+    monkeypatch.setattr(baseline, "measure", lambda spec: JUDGED.get(
+        spec.key) or measure(spec))
+    assert main(["check", "--protocol", "hlrc",
+                 "--data-plane", "onesided"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("OK: 25 baseline entries match\n")

@@ -32,6 +32,15 @@ def test_typed_errors_leave_as_one_line_and_exit_2(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_sanitize_names_what_to_sanitize(capsys):
+    """No app and no --corpus used to run the clean matrix silently;
+    every run cell is sanitized by ``check`` now."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sanitize"])
+    assert exc.value.code == 2
+    assert "python -m repro check" in capsys.readouterr().err
+
+
 def test_unknown_opt_level_is_a_typed_error_everywhere(capsys):
     with pytest.raises(ReproError, match="unknown opt level 'bogus'"):
         sanitize_run("jacobi", opt="bogus")
@@ -40,22 +49,6 @@ def test_unknown_opt_level_is_a_typed_error_everywhere(capsys):
             cli.main([sub, "jacobi", "--opt", "bogus"])
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
-
-
-def test_bench_data_planes_filters_the_mode_table_too(capsys):
-    """``--data-planes`` without ``--protocols`` used to be dropped: the
-    table showed the two-sided numbers under a one-sided request."""
-    assert cli.main(["bench", "--apps", "jacobi", "--data-planes",
-                     "onesided", "--json", "-"]) == 0
-    cells = json.loads(capsys.readouterr().out)["cells"]
-    assert sorted(cells) == sorted(
-        ["jacobi/seq", *(f"jacobi/dsm/{opt}+onesided" for opt in
-                         ("base", "aggr", "aggr+cons", "merge", "push"))])
-    assert cells["jacobi/dsm/base+onesided"]["onesided"]["ops"] > 0
-    assert cli.main(["bench", "--apps", "jacobi", "--data-planes",
-                     "onesided"]) == 0
-    table = capsys.readouterr().out
-    assert "dsm:base+onesided" in table and "dsm:base " not in table
 
 
 def test_a_sweep_header_says_which_data_plane_ran(capsys):
@@ -74,8 +67,8 @@ def test_a_sweep_header_says_which_data_plane_ran(capsys):
 def test_a_closed_stdout_is_a_quiet_exit():
     """``python -m repro ... | head``: no traceback, SIGPIPE's status."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "bench", "--apps", "jacobi",
-         "--json", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        [sys.executable, "-m", "repro", "inspect", "jacobi", "--json",
+         "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     proc.stdout.close()         # the reader is gone before the output
     err = proc.stderr.read().decode()

@@ -215,11 +215,13 @@ SPEC = RunSpec(app="jacobi", mode="dsm", opt="aggr", dataset="tiny",
 
 
 def test_baseline_measure_is_deterministic():
-    assert baseline.measure(SPEC) == baseline.measure(SPEC)
+    entry, problems = baseline.measure(SPEC)
+    assert baseline.measure(SPEC) == (entry, problems)
+    assert problems == []
 
 
 def test_baseline_perturbed_count_fails():
-    entry = baseline.measure(SPEC)
+    entry, _ = baseline.measure(SPEC)
     perturbed = json.loads(json.dumps(entry))   # deep copy
     perturbed["counts"]["diffs_created"] += 1
     problems = compare_entry("jacobi/dsm/aggr", entry, perturbed)
@@ -232,7 +234,7 @@ def test_baseline_perturbed_count_fails():
 
 
 def test_baseline_time_tolerance():
-    entry = baseline.measure(SPEC)
+    entry, _ = baseline.measure(SPEC)
     close = json.loads(json.dumps(entry))
     close["time_us"] *= 1 + 1e-9                # inside rtol
     assert compare_entry("k", entry, close) == []
@@ -268,6 +270,6 @@ def test_checked_in_baselines_match_current_protocol():
     """The repo's committed baselines must describe the current code."""
     stored = baseline.load()
     key = "jacobi/dsm/aggr"
-    measured = baseline.measure(RunSpec(**stored[key]["config"]))
+    measured, _ = baseline.measure(RunSpec(**stored[key]["config"]))
     assert measured["config"] == stored[key]["config"]
     assert compare_entry(key, stored[key], measured) == []

@@ -160,13 +160,13 @@ class TestRunMonitor:
 
 class TestSchemaEnvelope:
     def test_envelope_shape(self):
-        p = envelope("bench", dataset="tiny", apps={})
-        assert p["schema"] == "repro-bench/1"
+        p = envelope("sanitize", dataset="tiny", corpus=[])
+        assert p["schema"] == "repro-sanitize/1"
         assert p["generated_by"] == GENERATED_BY
         assert p["dataset"] == "tiny"
 
     def test_schema_id_versions(self):
-        assert schema_id("bench") == "repro-bench/1"
+        assert schema_id("sanitize") == "repro-sanitize/1"
         assert schema_id("chaos", 3) == "repro-chaos/3"
 
 

@@ -3,8 +3,8 @@
 ``harness.modes.run_matrix`` enumerates every unperturbed run cell,
 ``RunOutcome.record()`` is what a finished cell becomes, and
 ``benchmarks/baselines/protocol.json`` pins exactly those records under
-exactly those keys; bench, check and a trace's ``metrics_total`` are
-views of the same numbers.
+exactly those keys; check and a trace's ``metrics_total`` are views of
+the same numbers.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.capability import HOLES, cell_of
 from repro.errors import ReproError
 from repro.harness import RunSpec, run
-from repro.harness.bench import bench, bench_protocols
 from repro.harness.modes import SIZING, run_matrix
 from repro.harness.outcome import COUNT_FIELDS
 from repro.inspect import baseline
@@ -91,42 +90,6 @@ def test_a_key_names_its_spec_and_back():
     assert baseline.selected("is/mp", protocol="mw-lrc")
     assert not baseline.selected("is/dsm/base+onesided@hlrc",
                                  data_plane="twosided")
-
-
-# ----------------------------------------------------------------------
-# bench is a view of the baseline's entries.
-# ----------------------------------------------------------------------
-
-def _matches_baseline(cells):
-    stored = baseline.load()
-    for key, record in cells.items():
-        assert baseline.compare_entry(key, stored[key], record) == []
-        assert round(record["time_us"], 3) == \
-            round(stored[key]["time_us"], 3)
-
-
-def test_bench_cells_are_the_baseline_entries():
-    payload = bench(apps=["jacobi"])
-    assert payload["schema"] == "repro-bench/1"
-    assert {k: payload[k] for k in SIZING} == SIZING
-    assert list(payload["cells"]) == keys(
-        apps=["jacobi"], modes=("seq",)) + keys(
-        apps=["jacobi"], modes=("dsm", "mp", "xhpf"),
-        protocols=["mw-lrc"], data_planes=["twosided"])
-    _matches_baseline(payload["cells"])
-
-
-def test_bench_protocols_cells_are_the_baseline_entries():
-    both = bench_protocols(apps=["jacobi"],
-                           data_planes=["twosided", "onesided"])
-    assert both["schema"] == "repro-bench/1"
-    assert sorted(both["cells"]) == sorted(
-        keys(apps=["jacobi"], modes=("dsm",)))
-    _matches_baseline(both["cells"])
-    # Without data_planes: the two-sided cells alone, same records.
-    default = bench_protocols(apps=["jacobi"])
-    assert default["cells"] == {
-        k: v for k, v in both["cells"].items() if "+onesided" not in k}
 
 
 # ----------------------------------------------------------------------

@@ -339,6 +339,15 @@ class TestHintRules:
                            layout))
         assert san.finish().findings == []
 
+    @pytest.mark.parametrize("level", ["base", "aggr", "aggr+cons",
+                                       "merge", "push"])
+    def test_armed_exactly_at_the_eliminating_levels(self, level):
+        from repro.harness.modes import OPT_LEVELS
+        from repro.sanitizer.matrix import ELIMINATING
+
+        san = Sanitizer(layout_1d(), 1, opt=OPT_LEVELS[level])
+        assert san.hints.enabled == (level in ELIMINATING)
+
 
 # ----------------------------------------------------------------------
 # Section packing round-trip.

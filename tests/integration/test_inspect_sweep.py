@@ -8,21 +8,26 @@ no illegal transition and its totals, wait spans and critical path
 reconcile with the run's own counters, and on the DSM the sanitizer
 finds no race or hint violation.  This is the deterministic,
 all-cells complement to the randomized schedules in
-``tests/property/test_protocol_random.py``.
+``tests/property/test_protocol_random.py``.  Each cell's judged run is
+shared (:mod:`tests.integration.judged`): the inspector sweep over
+every app and level and the CLI test below read it, not a rerun.
 """
 
 import pytest
 
-from repro.apps import get_app
+from repro.apps import all_apps, get_app
 from repro.compiler.transform import hint_mutation
 from repro.harness import RunSpec
-from repro.harness.modes import SIZING, run_matrix
+from repro.harness.modes import SIZING, applicable_levels, run_matrix
 from repro.inspect import baseline
 from repro.sanitizer import matrix
 
+from .judged import cell, judged
 
-#: key -> ``measure``'s judged run, shared with the CLI test below.
-JUDGED = {}
+CASES = [(app, "dsm", opt)
+         for app in sorted(all_apps())
+         for opt in sorted(applicable_levels(get_app(app)))]
+CASES += [(app, "mp", None) for app in sorted(all_apps())]
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +37,21 @@ def stored():
 
 @pytest.mark.parametrize("spec", list(run_matrix()), ids=lambda s: s.key)
 def test_cell_passes_every_oracle(spec, stored):
-    entry, problems = JUDGED[spec.key] = baseline.measure(spec)
-    assert problems == []
-    assert baseline.compare_entry(spec.key, stored[spec.key], entry) == []
+    got = judged(spec.key)
+    assert got.problems == []
+    assert baseline.compare_entry(spec.key, stored[spec.key],
+                                  got.entry) == []
+
+
+@pytest.mark.parametrize("app,mode,opt", CASES,
+                         ids=[f"{a}-{m}-{o}" for a, m, o in CASES])
+def test_inspection_reconciles(app, mode, opt):
+    """Every app at every applicable level (and mp): the inspector's
+    reconstruction reconciles, and its report names every section."""
+    got = judged(cell(app, mode, opt))
+    assert got.found("inspector") == []
+    assert "Critical path" in got.inspection
+    assert "Lock contention" in got.inspection
 
 
 def check_one(key, tmp_path):
@@ -108,9 +125,12 @@ def test_check_cli_against_committed_baselines(capsys, monkeypatch):
     with ``python -m repro check --update-baselines`` (``--protocol
     <backend>`` touches one backend only) and commit the diff."""
     from repro.__main__ import main
-    measure = baseline.measure
-    monkeypatch.setattr(baseline, "measure", lambda spec: JUDGED.get(
-        spec.key) or measure(spec))
+
+    def measure(spec):
+        got = judged(spec.key)
+        return got.entry, got.problems
+
+    monkeypatch.setattr(baseline, "measure", measure)
     assert main(["check", "--protocol", "hlrc",
                  "--data-plane", "onesided"]) == 0
     out = capsys.readouterr().out

@@ -275,9 +275,6 @@ def sweep_main(kind: str, argv) -> int:
                         help="run this declarative JSON fault plan for "
                              "each app/opt pair instead of the named "
                              "cases")
-    parser.add_argument("--no-inspect", action="store_true",
-                        help="skip the protocol-inspector invariant "
-                             "checks on each perturbed run")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="export the sweep results as JSON "
                              "('-' for stdout)")
@@ -291,8 +288,7 @@ def sweep_main(kind: str, argv) -> int:
         from repro.faults import plan_from_json
         plan = plan_from_json(args.plan)
     cases = policy.sweep(args.apps, args.opts, args.labels,
-                         seed=args.seed, inspect=not args.no_inspect,
-                         plan=plan, **_run_kw(args))
+                         seed=args.seed, plan=plan, **_run_kw(args))
     _emit(args, policy.payload(cases, seed=args.seed, **_run_kw(args)),
           policy.render(cases))
     return 0 if all(c.ok for c in cases) else 1

@@ -4,8 +4,10 @@ Every sweep proves the same thing the same way: run an app/opt pair
 unperturbed, derive a :class:`~repro.faults.FaultPlan` (from a seeded
 label, from a schedule mined out of the base run's telemetry, or from
 an explicit plan), run the pair again under that plan with telemetry
-on, and require the results to be *bit-identical* with every invariant
-checker silent.  What a perturbation may change is cost, which each
+on, and judge it (:func:`repro.inspect.baseline.judge`): its results
+must be *bit-identical* to the base run's and the inspector silent,
+and, for a mined sweep, whose perturbed run records access events, the
+sanitizer too.  What a perturbation may change is cost, which each
 sweep reads back into its own case dataclass.
 
 ``harness/chaos.py``, ``recover.py`` and ``elastic.py`` are *policies*
@@ -18,10 +20,7 @@ mine the same :class:`Schedule` type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
-
-import numpy as np
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps import all_apps
 from repro.capability import cell_of, require
@@ -29,7 +28,6 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.harness import report
 from repro.harness.modes import OPT_LEVELS, SIZING, run_matrix
-from repro.harness.runner import layout_for
 from repro.harness.schema import envelope
 from repro.harness.spec import RunSpec, run
 from repro.telemetry import Telemetry
@@ -55,12 +53,6 @@ def barrier_victim(base, nprocs: int) -> Optional[Tuple[int, float]]:
         return None
     s = max(waits, key=lambda s: s.t1 - s.t0)
     return (s.pid + 1) % nprocs, (s.t0 + s.t1) / 2
-
-
-def arrays_identical(base: Dict[str, np.ndarray],
-                     perturbed: Dict[str, np.ndarray]) -> bool:
-    return set(base) == set(perturbed) and all(
-        np.array_equal(base[name], perturbed[name]) for name in base)
 
 
 class Case:
@@ -137,7 +129,8 @@ class Sweep:
     note: str
     survived: str               # "<n> <survived> bit-identically"
     #: ``(base, nprocs, names=) -> [Schedule]`` mined from the traced base
-    #: run; the perturbed run is then sanitized as well as inspected.
+    #: run; the perturbed run then records access events, so it is
+    #: sanitized as well as inspected.
     #: ``None``: the labels name seeded plans, nothing needs the base
     #: run's trace or the access stream.
     mine: Optional[Callable] = None
@@ -153,8 +146,7 @@ class Sweep:
                         (self.perturbation,)))
 
     def run_case(self, app: str, opt: Optional[str], label, *,
-                 seed: int = 0, base=None, inspect: bool = True,
-                 plan: Optional[FaultPlan] = None,
+                 seed: int = 0, base=None, plan: Optional[FaultPlan] = None,
                  protocol: Optional[str] = None,
                  data_plane: Optional[str] = None, **sizing):
         """Run one app/opt pair unperturbed and perturbed; compare bits.
@@ -181,38 +173,26 @@ class Sweep:
             label = mined[0]
         case, plan = self.start(app, opt, label, seed, plan)
         case.base_time = base.time
-        tel = Telemetry(access_events=self.mined)
-        san = None
-        if self.mined:
-            from repro.sanitizer import Sanitizer
-            san = Sanitizer(
-                layout_for(base.program, page_size=spec.page_size),
-                spec.nprocs, opt=spec.resolve_opt())
-            san.attach(tel.bus)
         try:
-            out = run(spec, faults=plan, telemetry=tel)
+            out = run(spec, faults=plan,
+                      telemetry=Telemetry(access_events=self.mined))
         except Exception as exc:
             case.error = f"{type(exc).__name__}: {exc}"
             return case
         case.time = out.time
-        case.identical = arrays_identical(base.arrays, out.arrays)
         self.costs(case, base, out)
-        if san is not None:
-            rep = san.finish()
-            case.findings = [f"[{f.category}:{f.kind}] {f.detail}"
-                             for f in rep.findings]
-            case.findings += rep.reconcile(out)
-        if inspect:
-            from repro.inspect import InspectReport
-            case.violations = InspectReport.build(
-                out, title=f"{app}/dsm/{opt}/{case.label}").reconcile()
+        from repro.inspect.baseline import judge
+
+        verdict = judge(spec, out, reference=base.arrays)
+        case.identical = not verdict.result
+        case.violations = verdict.inspector
+        case.findings = verdict.sanitizer
         return case
 
     def sweep(self, apps: Optional[Sequence[str]] = None,
               opts: Optional[Sequence[str]] = None,
               labels: Optional[Sequence[str]] = None, *,
-              seed: int = 0, inspect: bool = True,
-              plan: Optional[FaultPlan] = None,
+              seed: int = 0, plan: Optional[FaultPlan] = None,
               protocol: Optional[str] = None,
               data_plane: Optional[str] = None, **sizing) -> List:
         """The run matrix's DSM cells on one backend and plane (apps and
@@ -239,8 +219,8 @@ class Sweep:
             for label in todo:
                 cases.append(self.run_case(
                     spec.app, spec.opt, label, seed=seed, base=base,
-                    inspect=inspect, plan=plan, protocol=protocol,
-                    data_plane=data_plane, **sizing))
+                    plan=plan, protocol=protocol, data_plane=data_plane,
+                    **sizing))
         return cases
 
     def render(self, cases: Sequence[Case]) -> str:

@@ -5,7 +5,8 @@ twins, diffs, invalidations, messages, bytes — is exactly reproducible
 for a given (app, mode, opt, dataset, nprocs, page size).  ``python -m
 repro check`` runs every unperturbed cell of the run matrix
 (:func:`repro.harness.modes.run_matrix`) once, traced, and asks that
-one run every question the repo has about it (:func:`measure`):
+one run every question the repo has about it (:func:`measure`,
+through :func:`judge`):
 
 1. its record equals the checked-in entry under
    ``benchmarks/baselines/``, keyed by its
@@ -14,13 +15,15 @@ one run every question the repo has about it (:func:`measure`):
    tolerance, ``rtol``, since cost-model refactors may reorder float
    accumulation without changing the protocol);
 2. the app's checked arrays equal its numpy reference — the compiler's
-   hints are sound only if the optimized run computes the same answer;
+   hints are sound only if the optimized run computes the same answer
+   (a perturbed run, judged by the sweeps, must equal its unperturbed
+   twin's arrays instead, bit for bit);
 3. off ``seq``, the inspector's reconstruction reconciles with the
    run's own counters (:meth:`InspectReport.reconcile
    <repro.inspect.report.InspectReport.reconcile>`);
-4. on the DSM, the sanitizer, fed the run's recorded access stream
-   offline, finds no race or hint violation and counts the run's sync
-   edges.
+4. when the run recorded access events (``check`` records them on the
+   DSM), the sanitizer, fed that stream offline, finds no race or hint
+   violation and counts the run's sync edges.
 
 ``python -m repro check --update-baselines`` rewrites the file after an
 intentional protocol change; the diff then documents exactly which
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -38,7 +42,6 @@ import numpy as np
 
 from repro.capability import cell_of
 from repro.harness.modes import run_matrix
-from repro.harness.runner import layout_for
 from repro.harness.spec import RunSpec, run
 from repro.inspect.report import InspectReport
 from repro.telemetry import Telemetry
@@ -71,59 +74,89 @@ def selected(key: str, protocol: Optional[str] = None,
 
 
 # ----------------------------------------------------------------------
-# The checked run.
+# The judge, and the checked run.
 # ----------------------------------------------------------------------
 
-def measure(spec: RunSpec) -> Tuple[dict, List[str]]:
-    """Run one cell once, traced, and judge it: its entry (its record
-    under the configuration that produced it) and what oracles 2-4 of
-    the module docstring found wrong (empty: nothing).  Oracle 1 needs
-    the stored entry: :func:`compare_entry`."""
-    dsm = spec.mode == "dsm"
-    out = run(spec, telemetry=Telemetry(access_events=dsm))
-    config = {f: getattr(spec, f) for f in CONFIG_FIELDS
-              if getattr(spec, f) is not None}
-    problems = _diverging(spec, out.arrays)
+#: The oracles :func:`judge` asks, in the order ``check`` reports them.
+ORACLES = ("result", "inspector", "sanitizer")
+
+
+@dataclass
+class Verdict:
+    """What each oracle found wrong with one finished run (empty:
+    nothing), and the reports the last two drew it from."""
+
+    result: List[str] = field(default_factory=list)
+    inspector: List[str] = field(default_factory=list)
+    sanitizer: List[str] = field(default_factory=list)
+    #: The inspector's report (``None`` on ``seq``).
+    inspection: Optional[InspectReport] = field(default=None,
+                                                compare=False)
+    #: The sanitizer's report (``None``: the run recorded no access
+    #: events).
+    sanitized: Optional[object] = field(default=None, compare=False)
+
+    @property
+    def problems(self) -> List[str]:
+        """Every oracle's problems, each under its oracle's name."""
+        return [f"{oracle}: {p}" for oracle in ORACLES
+                for p in getattr(self, oracle)]
+
+
+def judge(spec: RunSpec, out, reference=None) -> Verdict:
+    """Ask the finished run ``out`` of ``spec`` oracles 2-4 of the
+    module docstring.  With ``reference`` (an unperturbed twin's
+    arrays), the result oracle requires those arrays, bit for bit,
+    instead of the numpy reference's within tolerance.  The sanitizer
+    runs exactly when the run recorded access events."""
+    verdict = Verdict(result=_diverging(spec, out.arrays, reference))
+    # The sanitizer first: its shadow state is given back before the
+    # inspector's analyses are built.
+    if out.telemetry is not None and out.telemetry.access_events:
+        from repro.sanitizer.replay import sanitize_outcome
+
+        rep = verdict.sanitized = sanitize_outcome(spec, out)
+        verdict.sanitizer = [f"[{f.category}:{f.kind}] {f.detail}"
+                             for f in rep.findings] + rep.problems
     if spec.mode != "seq":
-        problems += [f"inspector: {p}"
-                     for p in InspectReport.build(out).reconcile()]
-    if dsm:
-        problems += _sanitizer_findings(spec, out)
-    return {"config": config, **out.record()}, problems
+        verdict.inspection = InspectReport.build(out)
+        verdict.inspector = verdict.inspection.reconcile()
+    return verdict
 
 
-def _diverging(spec: RunSpec, arrays) -> List[str]:
-    """Oracle 2: each checked array against the app's numpy reference."""
-    app = spec.resolve_app()
-    ref = app.reference(spec.resolve_params())
+def _diverging(spec: RunSpec, arrays, reference) -> List[str]:
+    """Oracle 2: each checked array against the app's numpy reference,
+    or every array against ``reference`` exactly."""
+    if reference is None:
+        app = spec.resolve_app()
+        names, want = app.check_arrays, app.reference(spec.resolve_params())
+        same = partial(np.isclose, rtol=RESULT_RTOL, atol=RESULT_ATOL)
+    else:
+        names, want = sorted(set(reference) | set(arrays)), reference
+        same = np.equal
     problems = []
-    for name in app.check_arrays:
+    for name in names:
         got = arrays.get(name)
-        if got is None:
-            problems.append(f"result: array {name!r} missing")
+        if got is None or name not in want:
+            problems.append(f"array {name!r} missing")
             continue
-        close = np.isclose(got, ref[name], rtol=RESULT_RTOL,
-                           atol=RESULT_ATOL)
+        close = same(got, want[name])
         if not close.all():
-            problems.append(f"result: array {name!r}: "
+            problems.append(f"array {name!r}: "
                             f"{int((~close).sum())}/{got.size} elements "
                             f"diverge")
     return problems
 
 
-def _sanitizer_findings(spec: RunSpec, out) -> List[str]:
-    """Oracle 4: the recorded stream, sanitized offline against the
-    run's own transformed program."""
-    from repro.sanitizer import sanitize_events
-
-    rep = sanitize_events(out.telemetry.bus.events,
-                          layout_for(out.program, page_size=spec.page_size),
-                          spec.nprocs, opt=spec.resolve_opt())
-    found = [f"[{f.category}:{f.kind}] {f.detail}" for f in rep.findings]
-    found += rep.reconcile(out)
-    if not rep.accesses:    # a clean verdict on nothing proves nothing
-        found.append("the stream holds no access events")
-    return [f"sanitizer: {p}" for p in found]
+def measure(spec: RunSpec) -> Tuple[dict, Verdict]:
+    """Run one cell once, traced (access events on the DSM), and judge
+    it: its entry (its record under the configuration that produced
+    it) and its :class:`Verdict`.  Oracle 1 needs the stored entry:
+    :func:`compare_entry`."""
+    out = run(spec, telemetry=Telemetry(access_events=spec.mode == "dsm"))
+    config = {f: getattr(spec, f) for f in CONFIG_FIELDS
+              if getattr(spec, f) is not None}
+    return {"config": config, **out.record()}, judge(spec, out)
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +273,8 @@ def check(path: Optional[Path] = None,
     measured: Dict[str, dict] = {}
     found: List[str] = []
     for spec in matrix:
-        measured[spec.key], problems = measure(spec)
-        found += [f"{spec.key}: {p}" for p in problems]
+        measured[spec.key], verdict = measure(spec)
+        found += [f"{spec.key}: {p}" for p in verdict.problems]
     path = default_path() if path is None else Path(path)
     stored = load(path) if path.exists() else None
     if update:

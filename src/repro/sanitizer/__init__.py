@@ -1,9 +1,9 @@
 """repro.sanitizer: race detection + hint-soundness over telemetry.
 
-The sanitizer consumes the unified telemetry event stream — online (a
-bus subscriber fed during the run) or replayed from a recorded trace —
-and reports two families of defects the optimized DSM otherwise turns
-into silent stale reads:
+The sanitizer consumes a run's unified telemetry event stream, recorded
+with access events on and fed after the run (or reloaded from a JSONL
+trace), and reports two families of defects the optimized DSM otherwise
+turns into silent stale reads:
 
 * data races: conflicting accesses not ordered by the LRC happens-
   before relation (lock chains, barriers, push deliveries), found with
@@ -19,12 +19,11 @@ Typical use::
     outcome, report = sanitize_run("jacobi", opt="push")
     assert report.ok, report.render()
 
-or, online, over any run you control::
+or over any recorded stream (a run traced with
+``Telemetry(access_events=True)``)::
 
-    san = Sanitizer(layout, nprocs, opt=opt_cfg)
-    telemetry.bus.subscribe(san.feed)
-    ...run...
-    report = san.finish()
+    report = sanitize_events(outcome.telemetry.bus.events, layout,
+                             nprocs, opt=opt_cfg)
 """
 
 from __future__ import annotations
@@ -67,11 +66,6 @@ class Sanitizer:
         self._races: List[Finding] = []
 
     # ------------------------------------------------------------------
-
-    def attach(self, bus) -> "Sanitizer":
-        """Subscribe to a live event bus (online mode)."""
-        bus.subscribe(self.feed)
-        return self
 
     def feed(self, ev) -> None:
         """Consume one event, in bus append order."""
@@ -151,10 +145,8 @@ class Sanitizer:
                          "pushes": tr.pushes},
             problems=problems,
         )
-        # The pass is over.  The shadow state is megabytes, and this
-        # object is reachable from the bus it subscribed to, which dies
-        # with the (cyclic) system: give it back now, not whenever the
-        # cycle collector next runs.
+        # The pass is over.  The shadow state is megabytes: give it
+        # back now, not whenever this object is collected.
         self.shadow = self.hints = None
         return report
 

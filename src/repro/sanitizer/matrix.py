@@ -134,17 +134,15 @@ def build_corpus(apps: Optional[Sequence[str]] = None,
                  **sizing) -> List[HintMutation]:
     """Enumerate every mutation the sanitizer must detect."""
     from repro.apps import all_apps
-    from repro.compiler.transform import hint_sites
+    from repro.compiler.transform import hint_sites, transform
     from repro.harness.modes import run_matrix
-    from repro.sanitizer.replay import _resolve
 
     corpus: List[HintMutation] = []
     for cell in run_matrix(apps if apps is not None else sorted(all_apps()),
                            opts, modes=("dsm",), protocols=[None],
                            data_planes=[None], **sizing):
         name, lvl = cell.app, cell.opt
-        _, _, prog, _ = _resolve(name, lvl, cell.dataset, cell.nprocs,
-                                 cell.page_size)
+        prog = transform(cell.resolve_program(), cell.resolve_opt())
         shapes = {a.name: a.shape for a in prog.arrays}
         sites = hint_sites(prog)
         validated_reads = _surviving_read_arrays(sites)
@@ -188,12 +186,12 @@ def run_corpus(corpus: Sequence[HintMutation],
     """Run each mutated program under the sanitizer; fill ``detected``."""
     from repro.compiler.transform import hint_mutation
     from repro.harness.modes import SIZING
-    from repro.sanitizer.replay import _resolve, sanitize_run
+    from repro.harness.spec import RunSpec
+    from repro.sanitizer.replay import sanitize_run
 
-    sizing = {**SIZING, **sizing}
     for entry in corpus:
-        _, _, prog, _ = _resolve(entry.app, entry.opt, **sizing)
-        shapes = {a.name: a.shape for a in prog.arrays}
+        spec = RunSpec(app=entry.app, opt=entry.opt, **{**SIZING, **sizing})
+        shapes = {a.name: a.shape for a in spec.resolve_program().arrays}
 
         def fn(site, stmt, _entry=entry, _shapes=shapes):
             if site != _entry.site:
@@ -201,7 +199,7 @@ def run_corpus(corpus: Sequence[HintMutation],
             return apply_mutation(stmt, _entry, _shapes)
 
         with hint_mutation(fn):
-            _, rep = sanitize_run(entry.app, opt=entry.opt, **sizing)
+            _, rep = sanitize_run(spec)
         entry.detected = bool(rep.findings)
         entry.finding_kinds = tuple(sorted({f.kind
                                             for f in rep.findings}))

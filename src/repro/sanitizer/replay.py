@@ -1,10 +1,13 @@
 """Run-and-sanitize drivers plus JSONL trace replay.
 
-``sanitize_run`` is the front door: run one app on the DSM with access
-events enabled and sanitize the stream online (a live bus subscriber).
-``sanitize_events`` replays any recorded stream — e.g. the bus of a
-``telemetry.write_jsonl`` file reloaded by ``Telemetry.from_jsonl`` —
-against a layout rebuilt from the same app/opt pair.
+Every verdict is one offline pass over a recorded stream
+(:func:`sanitize_events`), which refuses a stream with no access events:
+a clean verdict on nothing proves nothing.  ``sanitize_run`` is the
+front door: run one app on the DSM with access events enabled, then
+sanitize the finished run (:func:`sanitize_outcome`, the step
+:func:`repro.inspect.baseline.judge` takes too).  ``sanitize_jsonl``
+replays a ``telemetry.write_jsonl`` file reloaded by
+``Telemetry.from_jsonl`` against the layout of the same app.
 
 A JSONL file orders records by ``(ts, pid)``, which is compatible with
 the tracker's causality assumption: every happens-before edge in the
@@ -20,53 +23,6 @@ from typing import Optional, Tuple
 from repro.telemetry import Telemetry
 
 
-def _resolve(app, opt, dataset: str, nprocs: int, page_size: int):
-    """(app_spec, opt_cfg, transformed program, layout) for one run."""
-    from repro.compiler.transform import transform
-    from repro.harness.runner import layout_for
-    from repro.harness.spec import RunSpec
-
-    spec = RunSpec(app=app, dataset=dataset, nprocs=nprocs, opt=opt)
-    opt_cfg = spec.resolve_opt()
-    program = spec.resolve_program()
-    prog = transform(program, opt_cfg) if opt_cfg is not None else program
-    return (spec.resolve_app(), opt_cfg, prog,
-            layout_for(prog, page_size=page_size))
-
-
-def sanitize_run(app, opt="aggr+cons", online: bool = True,
-                 **fields) -> Tuple[object, object]:
-    """Run ``app`` on the DSM and sanitize it; returns (outcome, report).
-
-    ``app`` is an application at ``opt``, run at
-    :data:`~repro.harness.modes.SIZING` with any further
-    :class:`~repro.harness.spec.RunSpec` ``fields`` (``dataset``,
-    ``protocol``, ``data_plane``, ``config``, ...), or a ready DSM
-    ``RunSpec``.  ``online=True`` subscribes the sanitizer to the live
-    bus (events checked as they happen); ``False`` feeds the recorded
-    stream after the run.  Both see the identical append-ordered stream.
-    """
-    from repro.harness.modes import SIZING
-    from repro.harness.spec import RunSpec, run
-    from repro.sanitizer import Sanitizer
-
-    spec = app if isinstance(app, RunSpec) else \
-        RunSpec(app=app, opt=opt, **{**SIZING, **fields})
-    _, opt_cfg, _, layout = _resolve(spec.app, spec.opt, spec.dataset,
-                                     spec.nprocs, spec.page_size)
-    tel = Telemetry(access_events=True)
-    san = Sanitizer(layout, spec.nprocs, opt=opt_cfg)
-    if online:
-        san.attach(tel.bus)
-    out = run(spec, telemetry=tel)
-    if not online:
-        for ev in tel.bus.events:
-            san.feed(ev)
-    rep = san.finish()
-    rep.reconcile(out)
-    return out, rep
-
-
 def sanitize_events(events, layout, nprocs: int, opt=None,
                     hint_checking: Optional[bool] = None):
     """Sanitize a pre-recorded event stream against ``layout``."""
@@ -75,15 +31,53 @@ def sanitize_events(events, layout, nprocs: int, opt=None,
     san = Sanitizer(layout, nprocs, opt=opt, hint_checking=hint_checking)
     for ev in events:
         san.feed(ev)
-    return san.finish()
+    rep = san.finish()
+    if not rep.accesses:
+        rep.problems.append("the stream holds no access events")
+    return rep
+
+
+def sanitize_outcome(spec, out):
+    """The finished run ``out`` of ``spec``: its recorded stream,
+    sanitized against its own transformed program, then reconciled
+    with its counters."""
+    from repro.harness.runner import layout_for
+
+    rep = sanitize_events(out.telemetry.bus.events,
+                          layout_for(out.program, page_size=spec.page_size),
+                          spec.nprocs, opt=spec.resolve_opt())
+    rep.reconcile(out)
+    return rep
+
+
+def sanitize_run(app, opt="aggr+cons", **fields) -> Tuple[object, object]:
+    """Run ``app`` on the DSM and sanitize it; returns (outcome, report).
+
+    ``app`` is an application at ``opt``, run at
+    :data:`~repro.harness.modes.SIZING` with any further
+    :class:`~repro.harness.spec.RunSpec` ``fields`` (``dataset``,
+    ``protocol``, ``data_plane``, ``config``, ...), or a ready DSM
+    ``RunSpec``.
+    """
+    from repro.harness.modes import SIZING
+    from repro.harness.spec import RunSpec, run
+
+    spec = app if isinstance(app, RunSpec) else \
+        RunSpec(app=app, opt=opt, **{**SIZING, **fields})
+    out = run(spec, telemetry=Telemetry(access_events=True))
+    return out, sanitize_outcome(spec, out)
 
 
 def sanitize_jsonl(path, app, opt="aggr+cons", **sizing):
     """Replay a recorded JSONL trace of ``app`` at ``opt`` offline
     (``sizing`` overrides :data:`~repro.harness.modes.SIZING`)."""
     from repro.harness.modes import SIZING
+    from repro.harness.runner import layout_for
+    from repro.harness.spec import RunSpec
 
-    sizing = {**SIZING, **sizing}
-    _, opt_cfg, _, layout = _resolve(app, opt, **sizing)
+    spec = RunSpec(app=app, opt=opt, **{**SIZING, **sizing})
+    # The hints a level adds declare no array: the source program's
+    # layout is the transformed one's.
+    layout = layout_for(spec.resolve_program(), page_size=spec.page_size)
     return sanitize_events(Telemetry.from_jsonl(path).bus.events, layout,
-                           sizing["nprocs"], opt=opt_cfg)
+                           spec.nprocs, opt=spec.resolve_opt())

@@ -27,7 +27,7 @@ potential event.  A bus that exists but is disabled drops events at the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 
 def pack_dims(dims) -> tuple:
@@ -66,14 +66,13 @@ class Event(NamedTuple):
 
 
 class EventBus:
-    """Ordered in-memory event log with optional live subscribers."""
+    """Ordered in-memory event log."""
 
-    __slots__ = ("enabled", "events", "_subscribers")
+    __slots__ = ("enabled", "events")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.events: List[Event] = []
-        self._subscribers: List[Callable[[Event], None]] = []
 
     # ------------------------------------------------------------------
 
@@ -83,21 +82,13 @@ class EventBus:
     def disable(self) -> None:
         self.enabled = False
 
-    def subscribe(self, fn: Callable[[Event], None]) -> None:
-        """Call ``fn(event)`` for every subsequently emitted event."""
-        self._subscribers.append(fn)
-
     # ------------------------------------------------------------------
 
     def emit(self, ts: float, pid: int, kind: str, epoch: int = 0,
              args: Optional[dict] = None) -> None:
         if not self.enabled:
             return
-        ev = Event(ts, pid, kind, epoch, args)
-        self.events.append(ev)
-        if self._subscribers:
-            for fn in self._subscribers:
-                fn(ev)
+        self.events.append(Event(ts, pid, kind, epoch, args))
 
     # ------------------------------------------------------------------
 

@@ -49,7 +49,7 @@ def test_registry_lists_all_backends():
 @pytest.mark.parametrize("protocol", BACKENDS)
 @pytest.mark.parametrize("app,opt", MATRIX)
 def test_results_match_reference(app, opt, protocol):
-    assert judged(cell(app, "dsm", opt, protocol)).found("result") == []
+    assert judged(cell(app, "dsm", opt, protocol)).result == []
 
 
 @pytest.mark.parametrize("protocol", BACKENDS)
@@ -66,7 +66,7 @@ def test_eight_procs_paper_config(protocol):
 @pytest.mark.parametrize("app,opt", [("jacobi", "base"), ("is", "aggr"),
                                      ("mgs", "aggr")])
 def test_inspector_reconciles(app, opt, protocol):
-    assert judged(cell(app, "dsm", opt, protocol)).found("inspector") == []
+    assert judged(cell(app, "dsm", opt, protocol)).inspector == []
 
 
 @pytest.mark.parametrize("protocol", BACKENDS)

@@ -25,17 +25,15 @@ def test_heavy_chaos_case_is_bit_identical(app, opt):
 
 
 def test_case_seed_reproducibility():
-    a = chaos.run_case("jacobi", "aggr", "moderate", seed=9,
-                       inspect=False)
-    b = chaos.run_case("jacobi", "aggr", "moderate", seed=9,
-                       inspect=False)
+    a = chaos.run_case("jacobi", "aggr", "moderate", seed=9)
+    b = chaos.run_case("jacobi", "aggr", "moderate", seed=9)
     assert a.as_dict() == b.as_dict()
 
 
 def test_sweep_filters_inapplicable_levels():
     # 'push' does not apply to is; asking for it yields no is cases.
     cases = chaos.sweep(apps=["is"], opts=["push"],
-                        intensities=["light"], inspect=False)
+                        intensities=["light"])
     assert cases == []
 
 

@@ -85,8 +85,7 @@ def test_schedule_mining_produces_all_families():
 
 def test_sweep_reduced_matrix():
     cases = elastic.sweep(apps=["jacobi"], opts=["aggr"],
-                          schedules=["drain-mid", "join-early"],
-                          inspect=False)
+                          schedules=["drain-mid", "join-early"])
     assert len(cases) == 2
     assert all(c.identical for c in cases), \
         [c.as_dict() for c in cases]

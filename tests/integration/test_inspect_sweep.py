@@ -2,15 +2,16 @@
 
 Every unperturbed cell of the run matrix runs once, traced, and must
 satisfy every oracle ``repro check`` asks (:func:`repro.inspect.
-baseline.measure`): its record equals the committed baseline entry, its
-arrays equal the numpy reference, the inspector's page timelines have
-no illegal transition and its totals, wait spans and critical path
-reconcile with the run's own counters, and on the DSM the sanitizer
-finds no race or hint violation.  This is the deterministic,
-all-cells complement to the randomized schedules in
-``tests/property/test_protocol_random.py``.  Each cell's judged run is
-shared (:mod:`tests.integration.judged`): the inspector sweep over
-every app and level and the CLI test below read it, not a rerun.
+baseline.measure`, then :func:`~repro.inspect.baseline.judge`): its
+record equals the committed baseline entry, its arrays equal the numpy
+reference, the inspector's page timelines have no illegal transition and
+its totals, wait spans and critical path reconcile with the run's own
+counters, and on the DSM the sanitizer finds no race or hint violation.
+This is the deterministic, all-cells complement to the randomized
+schedules in ``tests/property/test_protocol_random.py``. Each cell's
+judged run is shared (:mod:`tests.integration.judged`): the inspector
+sweep over every app and level and the CLI test below read it, not a
+rerun.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from repro.harness.modes import SIZING, applicable_levels, run_matrix
 from repro.inspect import baseline
 from repro.sanitizer import matrix
 
-from .judged import cell, judged
+from .judged import cell, judged, measured
 
 CASES = [(app, "dsm", opt)
          for app in sorted(all_apps())
@@ -37,10 +38,9 @@ def stored():
 
 @pytest.mark.parametrize("spec", list(run_matrix()), ids=lambda s: s.key)
 def test_cell_passes_every_oracle(spec, stored):
-    got = judged(spec.key)
-    assert got.problems == []
-    assert baseline.compare_entry(spec.key, stored[spec.key],
-                                  got.entry) == []
+    entry, verdict = measured(spec.key)
+    assert verdict.problems == []
+    assert baseline.compare_entry(spec.key, stored[spec.key], entry) == []
 
 
 @pytest.mark.parametrize("app,mode,opt", CASES,
@@ -49,7 +49,7 @@ def test_inspection_reconciles(app, mode, opt):
     """Every app at every applicable level (and mp): the inspector's
     reconstruction reconciles, and its report names every section."""
     got = judged(cell(app, mode, opt))
-    assert got.found("inspector") == []
+    assert got.inspector == []
     assert "Critical path" in got.inspection
     assert "Lock contention" in got.inspection
 
@@ -126,11 +126,8 @@ def test_check_cli_against_committed_baselines(capsys, monkeypatch):
     <backend>`` touches one backend only) and commit the diff."""
     from repro.__main__ import main
 
-    def measure(spec):
-        got = judged(spec.key)
-        return got.entry, got.problems
-
-    monkeypatch.setattr(baseline, "measure", measure)
+    monkeypatch.setattr(baseline, "measure",
+                        lambda spec: measured(spec.key))
     assert main(["check", "--protocol", "hlrc",
                  "--data-plane", "onesided"]) == 0
     out = capsys.readouterr().out

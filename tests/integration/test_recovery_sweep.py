@@ -80,7 +80,7 @@ def test_schedule_mining_covers_lock_apps_only():
 
 def test_sweep_reduced_matrix():
     cases = recover.sweep(apps=["is"], opts=["aggr"],
-                          schedules=["manager", "lock"], inspect=False)
+                          schedules=["manager", "lock"])
     assert len(cases) == 2
     assert all(c.identical for c in cases), \
         [c.as_dict() for c in cases]

@@ -55,7 +55,7 @@ def test_corpus_covers_every_mutation_shape():
 
 def test_hand_built_racy_program_detected():
     from repro.memory import SharedLayout
-    from repro.sanitizer import Sanitizer
+    from repro.sanitizer import sanitize_events
     from repro.telemetry import Telemetry
     from repro.tm.system import TmSystem
 
@@ -63,7 +63,6 @@ def test_hand_built_racy_program_detected():
     layout.add_array("a", (16,))
     tel = Telemetry(access_events=True)
     system = TmSystem(nprocs=2, layout=layout, telemetry=tel)
-    san = Sanitizer(layout, 2, hint_checking=False).attach(tel.bus)
 
     def main(node):
         a = node.array("a")
@@ -72,7 +71,7 @@ def test_hand_built_racy_program_detected():
         node.barrier()
 
     system.run(main)
-    rep = san.finish()
+    rep = sanitize_events(tel.bus.events, layout, 2, hint_checking=False)
     races = [f for f in rep.findings if f.category == "race"]
     assert races, rep.render()
     assert any(f.kind == "race" and "a[7]" in f.where for f in races)
@@ -80,7 +79,7 @@ def test_hand_built_racy_program_detected():
 
 def test_lock_ordered_program_clean():
     from repro.memory import SharedLayout
-    from repro.sanitizer import Sanitizer
+    from repro.sanitizer import sanitize_events
     from repro.telemetry import Telemetry
     from repro.tm.system import TmSystem
 
@@ -88,7 +87,6 @@ def test_lock_ordered_program_clean():
     layout.add_array("a", (16,))
     tel = Telemetry(access_events=True)
     system = TmSystem(nprocs=2, layout=layout, telemetry=tel)
-    san = Sanitizer(layout, 2, hint_checking=False).attach(tel.bus)
 
     def main(node):
         a = node.array("a")
@@ -98,7 +96,7 @@ def test_lock_ordered_program_clean():
         node.barrier()
 
     system.run(main)
-    rep = san.finish()
+    rep = sanitize_events(tel.bus.events, layout, 2, hint_checking=False)
     assert rep.ok, rep.render()
 
 
@@ -112,12 +110,12 @@ def test_cli_sanitize_one_app(capsys):
 def test_cli_sanitize_detects_mutation(capsys):
     """The CI smoke case: one mutated hint makes the CLI exit non-zero."""
     from repro.__main__ import sanitize_main
+    from repro.apps import get_app
     from repro.compiler.transform import hint_mutation
-    from repro.sanitizer.replay import _resolve
 
     corpus = matrix.build_corpus(apps=["jacobi"])
     entry = next(e for e in corpus if e.op == "shrink")
-    _, _, prog, _ = _resolve(entry.app, entry.opt, "tiny", 4, 1024)
+    prog = get_app(entry.app).program("tiny", 4)
     shapes = {a.name: a.shape for a in prog.arrays}
 
     def fn(site, stmt):

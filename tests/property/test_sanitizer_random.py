@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import SharedLayout
-from repro.sanitizer import Sanitizer
+from repro.sanitizer import sanitize_events
 from repro.telemetry import Telemetry
 from repro.tm.system import TmSystem
 
@@ -37,8 +37,6 @@ def sanitize_schedule(nprocs, page_size, per_proc, locked):
     layout.add_array("acc", (SLOTS, NLOCKS))
     tel = Telemetry(access_events=True)
     system = TmSystem(nprocs=nprocs, layout=layout, telemetry=tel)
-    san = Sanitizer(layout, nprocs,
-                    hint_checking=False).attach(tel.bus)
 
     def main(node):
         acc = node.array("acc")
@@ -51,7 +49,8 @@ def sanitize_schedule(nprocs, page_size, per_proc, locked):
         node.barrier()
 
     system.run(main)
-    return san.finish()
+    return sanitize_events(tel.bus.events, layout, nprocs,
+                           hint_checking=False)
 
 
 @given(schedules())

@@ -9,17 +9,15 @@ import ast
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import capability
 from repro.__main__ import main
-from repro.apps import get_app
 from repro.capability import (HOLES, Cell, cell_of, legal_cells,
                               perturbations_of, render_matrix, require)
 from repro.errors import ReproError
 from repro.faults import Absence, FaultPlan
-from repro.harness import OPT_LEVELS, RunSpec, layout_for, run
+from repro.harness import RunSpec, run
 from repro.harness.chaos import INTENSITIES
 from repro.telemetry import Telemetry
 from repro.tm.system import TmSystem
@@ -182,26 +180,18 @@ def _cell_id(cell: Cell) -> str:
 
 @pytest.mark.parametrize("cell", legal_cells(), ids=_cell_id)
 def test_every_legal_cell_conforms(cell):
-    from repro.inspect import InspectReport
-    from repro.sanitizer.replay import sanitize_events
+    from repro.inspect.baseline import judge
 
     # 'is' is the tiny app with locks as well as barriers, but it has
     # no XHPF lowering; jacobi runs in every mode.
-    name = "is" if cell.mode == "dsm" else "jacobi"
-    app = get_app(name)
-    out = run(_spec(cell, name, telemetry=Telemetry(access_events=True)))
-
-    ref = app.reference(dict(app.dataset("tiny").params))
-    for arr in app.check_arrays:
-        assert np.allclose(out.arrays[arr], ref[arr], rtol=1e-9,
-                           atol=1e-12), arr
+    spec = _spec(cell, "is" if cell.mode == "dsm" else "jacobi",
+                 telemetry=Telemetry(access_events=cell.mode == "dsm"))
+    out = run(spec)
     kinds = {ev.kind for ev in out.telemetry.bus.events}
     for pert in cell.perturbations:
         assert FIRED[pert](out, kinds), f"{pert} never fired"
-    assert InspectReport.build(out, title=_cell_id(cell)).reconcile() == []
-    if cell.mode == "dsm":
-        rep = sanitize_events(
-            out.telemetry.bus.events,
-            layout_for(out.program, page_size=1024), 4,
-            opt=OPT_LEVELS["aggr"])
-        assert rep.findings == [] and rep.reconcile(out) == []
+    # The numpy reference, the inspector and, on the DSM, the sanitizer.
+    verdict = judge(spec, out)
+    assert verdict.problems == []
+    assert (verdict.inspection is None) == (cell.mode == "seq")
+    assert (verdict.sanitized is None) == (cell.mode != "dsm")

@@ -51,6 +51,20 @@ def test_unknown_opt_level_is_a_typed_error_everywhere(capsys):
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_replaying_a_trace_without_access_events_fails(capsys, tmp_path):
+    """An ``inspect --jsonl`` trace records no ``rt.*`` accesses: its
+    replay is refused, not judged clean."""
+    path = tmp_path / "ev.jsonl"
+    assert cli.main(["inspect", "jacobi", "--opt", "aggr+cons",
+                     "--jsonl", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["sanitize", "jacobi", "--opt", "aggr+cons",
+                     "--replay", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "CLEAN" not in out
+    assert "[stream] the stream holds no access events" in out
+
+
 def test_a_sweep_header_says_which_data_plane_ran(capsys):
     argv = ["--apps", "jacobi", "--opts", "aggr", "--json", "-"]
     for sweep, extra, plane in (

@@ -215,9 +215,9 @@ SPEC = RunSpec(app="jacobi", mode="dsm", opt="aggr", dataset="tiny",
 
 
 def test_baseline_measure_is_deterministic():
-    entry, problems = baseline.measure(SPEC)
-    assert baseline.measure(SPEC) == (entry, problems)
-    assert problems == []
+    entry, verdict = baseline.measure(SPEC)
+    assert baseline.measure(SPEC) == (entry, verdict)
+    assert verdict.problems == []
 
 
 def test_baseline_perturbed_count_fails():
@@ -273,3 +273,16 @@ def test_checked_in_baselines_match_current_protocol():
     measured, _ = baseline.measure(RunSpec(**stored[key]["config"]))
     assert measured["config"] == stored[key]["config"]
     assert compare_entry(key, stored[key], measured) == []
+
+
+def test_stored_dsm_counts_are_exactly_the_recorded_fields():
+    """``check --update-baselines`` is a fixpoint of the committed file:
+    every DSM entry stores the counters a run records, no more, no
+    fewer (a missing one would be read as 0 and rewritten)."""
+    from repro.harness.outcome import COUNT_FIELDS
+
+    stored = baseline.load()
+    wrong = [key for key, entry in stored.items()
+             if entry["config"]["mode"] == "dsm"
+             and sorted(entry["counts"]) != sorted(COUNT_FIELDS)]
+    assert wrong == []

@@ -70,8 +70,8 @@ def test_lowered_program_holds_no_processor_state(no_gc):
 
 
 def test_finished_sanitizer_gives_back_its_shadow(no_gc):
-    """The sanitizer hangs off the event bus of a (cyclic) system; its
-    shadow state must not wait for the collector with it."""
+    """A caller may hold a finished sanitizer; its shadow state must
+    not wait with it."""
     prog = get_app("jacobi").program("tiny", 4)
     san = Sanitizer(layout_for(prog, page_size=1024), 4)
     refs = [weakref.ref(san.shadow), weakref.ref(san.shadow.r_clock["b"]),

@@ -9,6 +9,7 @@ sweeps.
 import inspect
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,9 @@ from repro.errors import ReproError
 from repro.faults import Absence, FaultPlan
 from repro.harness import chaos, elastic, recover
 from repro.harness.modes import SIZING
-from repro.harness.sweep import Sweep, arrays_identical
+from repro.harness.spec import RunSpec
+from repro.harness.sweep import Sweep
+from repro.inspect.baseline import judge
 
 MODULES = {"chaos": chaos, "recover": recover, "elastic": elastic}
 
@@ -78,8 +81,8 @@ def test_run_case_keyword_contract(kind):
     assert isinstance(mod.POLICY, Sweep) and mod.POLICY.kind == kind
     params = inspect.signature(mod.run_case).parameters
     assert list(params)[:3] == ["app", "opt", "label"]
-    assert {"protocol", "data_plane", "seed", "base", "plan",
-            "inspect"} <= set(params)
+    assert {"protocol", "data_plane", "seed", "base", "plan"} \
+        <= set(params)
     # The sizing triple is stated once (harness.modes.SIZING); any of
     # it may be overridden by keyword.
     assert params["sizing"].kind is inspect.Parameter.VAR_KEYWORD
@@ -134,14 +137,13 @@ def test_render_failing_case_per_status(kind, status, fields, detail):
 def test_sweep_with_explicit_plan_recover_and_elastic():
     crash = FaultPlan(absences=(Absence("crash", 2, 5000.0, 20000.0),))
     [case] = recover.sweep(apps=["jacobi"], opts=["aggr", "nonesuch"],
-                           plan=crash, inspect=False)
+                           plan=crash)
     assert case.ok and case.schedule == "plan"
     assert (case.pid, case.t) == (2, 5000.0)
     assert case.state_bytes > 0
 
     drain = FaultPlan(absences=(Absence("drain", 1, 4000.0, 2500.0),))
-    [case] = elastic.sweep(apps=["jacobi"], opts=["aggr"], plan=drain,
-                           inspect=False)
+    [case] = elastic.sweep(apps=["jacobi"], opts=["aggr"], plan=drain)
     assert case.ok and case.schedule == "plan"
     assert case.handoff_messages > 0
     with pytest.raises(ReproError, match="needs a fault plan with a "
@@ -174,12 +176,30 @@ def test_payload_envelope_per_kind():
         assert payload["cases"] == [_case(kind).as_dict()]
 
 
-def test_arrays_identical():
+def test_judge_against_a_reference_requires_every_bit():
+    """A perturbed run must reproduce its twin's arrays exactly: every
+    name, every element (here on ``seq``: the result oracle alone)."""
     import numpy as np
     a = {"x": np.arange(4.0), "y": np.zeros(2)}
-    assert arrays_identical(a, {k: v.copy() for k, v in a.items()})
-    assert not arrays_identical(a, {"x": a["x"]})
-    assert not arrays_identical(a, {**a, "y": np.array([0.0, 1e-300])})
+
+    def result(arrays):
+        out = SimpleNamespace(arrays=arrays, telemetry=None)
+        return judge(RunSpec(app="jacobi", mode="seq"), out,
+                     reference=a).result
+
+    assert result({k: v.copy() for k, v in a.items()}) == []
+    assert result({"x": a["x"]}) == ["array 'y' missing"]
+    assert result({**a, "y": np.array([0.0, 1e-300])}) == \
+        ["array 'y': 1/2 elements diverge"]
+
+
+def test_a_mined_case_without_access_events_is_not_ok(monkeypatch):
+    """A clean sanitizer verdict on an empty stream proves nothing."""
+    from repro.telemetry import Telemetry
+    monkeypatch.setattr(Telemetry, "access", lambda *a, **kw: None)
+    case = recover.run_case("jacobi", "aggr", "manager", **SIZING)
+    assert case.status == "INVARIANT"
+    assert "the stream holds no access events" in case.findings
 
 
 def test_importing_the_harness_stays_light():
@@ -190,6 +210,14 @@ def test_importing_the_harness_stays_light():
             "'repro.sanitizer', 'repro.inspect', 'repro.harness.sweep', "
             "'repro.harness.chaos', 'repro.harness.recover', "
             "'repro.harness.elastic'))])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    # The judge reaches the sanitizer only when a run recorded access
+    # events.
+    code = ("import sys, repro.inspect; "
+            "print([m for m in sys.modules "
+            "if m.startswith('repro.sanitizer')])")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

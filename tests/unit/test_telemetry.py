@@ -7,7 +7,7 @@ import pytest
 from repro.apps import get_app
 from repro.harness import (RunSpec, run, run_dsm, run_mp, run_seq,
                            run_xhpf)
-from repro.telemetry import (Event, EventBus, SpanLog, Telemetry,
+from repro.telemetry import (EventBus, SpanLog, Telemetry,
                              chrome_trace, events_jsonl)
 from repro.telemetry.export import TRACE_PID
 from repro.tm.stats import TmStats
@@ -59,13 +59,6 @@ class TestEventBus:
         assert len(bus.filter(kinds=("tm.twin",))) == 3
         assert len(bus.filter(pid=0)) == 3
         assert len(bus.filter(prefix="net.")) == 1
-
-    def test_subscriber_sees_events(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit(1.0, 0, "x", 0, None)
-        assert len(seen) == 1 and isinstance(seen[0], Event)
 
     def test_telemetry_off_leaves_no_trace(self):
         app = get_app("jacobi")

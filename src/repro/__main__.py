@@ -216,9 +216,6 @@ def check_main(argv) -> int:
     parser.add_argument("--baselines", default=None, metavar="PATH",
                         help="baseline JSON path (default: "
                              "benchmarks/baselines/protocol.json)")
-    parser.add_argument("--rtol", type=float,
-                        default=baseline.TIME_RTOL,
-                        help="relative tolerance for simulated time")
     parser.add_argument("--data-plane", default=None, dest="data_plane",
                         choices=("twosided", "onesided"),
                         help="restrict the run (and any update) to one "
@@ -227,7 +224,7 @@ def check_main(argv) -> int:
 
     result = baseline.check(path=args.baselines,
                             update=args.update_baselines,
-                            rtol=args.rtol, protocol=args.protocol,
+                            protocol=args.protocol,
                             data_plane=args.data_plane)
     if result.updated:
         path = args.baselines or baseline.default_path()

@@ -12,8 +12,8 @@ through :func:`judge`):
    ``benchmarks/baselines/``, keyed by its
    :attr:`~repro.harness.spec.RunSpec.key` (:func:`compare_entry`: any
    drifted integer fails; only simulated *time* is compared with a
-   tolerance, ``rtol``, since cost-model refactors may reorder float
-   accumulation without changing the protocol);
+   relative tolerance, :data:`TIME_RTOL`, since cost-model refactors
+   may reorder float accumulation without changing the protocol);
 2. the app's checked arrays equal its numpy reference — the compiler's
    hints are sound only if the optimized run computes the same answer
    (a perturbed run, judged by the sweeps, must equal its unperturbed
@@ -43,11 +43,8 @@ import numpy as np
 from repro.capability import cell_of
 from repro.harness.modes import run_matrix
 from repro.harness.spec import RunSpec, run
-from repro.inspect.report import InspectReport
+from repro.inspect.report import TIME_RTOL, InspectReport
 from repro.telemetry import Telemetry
-
-#: Relative tolerance for simulated time (floats only).
-TIME_RTOL = 1e-6
 
 #: Tolerances a result array must meet against the numpy reference.
 RESULT_RTOL, RESULT_ATOL = 1e-9, 1e-12
@@ -163,11 +160,11 @@ def measure(spec: RunSpec) -> Tuple[dict, Verdict]:
 # Comparison.
 # ----------------------------------------------------------------------
 
-def compare_entry(key: str, expected: dict, actual: dict,
-                  rtol: float = TIME_RTOL) -> List[str]:
+def compare_entry(key: str, expected: dict, actual: dict) -> List[str]:
     """Mismatch descriptions for one baseline entry (empty = match).
 
-    Integer counts must match exactly; ``time_us`` within ``rtol``.
+    Integer counts must match exactly; ``time_us`` within
+    :data:`TIME_RTOL`.
     """
     problems: List[str] = []
     for name in ("messages", "data_bytes"):
@@ -185,14 +182,14 @@ def compare_entry(key: str, expected: dict, actual: dict,
                     f"{exp.get(name, 0)}, got {act.get(name, 0)}")
     t_exp, t_act = expected.get("time_us"), actual.get("time_us")
     if t_exp is not None and t_act is not None:
-        if abs(t_act - t_exp) > rtol * max(1.0, abs(t_exp)):
+        if abs(t_act - t_exp) > TIME_RTOL * max(1.0, abs(t_exp)):
             problems.append(f"{key}: time_us expected {t_exp!r}, got "
-                            f"{t_act!r} (rtol {rtol})")
+                            f"{t_act!r} (rtol {TIME_RTOL})")
     return problems
 
 
-def compare(expected: Dict[str, dict], actual: Dict[str, dict],
-            rtol: float = TIME_RTOL) -> List[str]:
+def compare(expected: Dict[str, dict],
+            actual: Dict[str, dict]) -> List[str]:
     problems: List[str] = []
     for key in sorted(set(expected) | set(actual)):
         if key not in actual:
@@ -203,7 +200,7 @@ def compare(expected: Dict[str, dict], actual: Dict[str, dict],
                             "baselines (run --update-baselines)")
         else:
             problems.extend(compare_entry(key, expected[key],
-                                          actual[key], rtol))
+                                          actual[key]))
     return problems
 
 
@@ -253,7 +250,7 @@ def save(baselines: Dict[str, dict],
 
 def check(path: Optional[Path] = None,
           matrix: Optional[Iterable[RunSpec]] = None,
-          update: bool = False, rtol: float = TIME_RTOL,
+          update: bool = False,
           protocol: Optional[str] = None,
           data_plane: Optional[str] = None) -> CheckResult:
     """Run and judge the matrix; compare (or rewrite) the baselines.
@@ -292,7 +289,7 @@ def check(path: Optional[Path] = None,
     expected = {k: v for k, v in stored.items()
                 if selected(k, protocol, data_plane)}
     # One cell's problems together, whichever oracle found them.
-    problems = sorted(compare(expected, measured, rtol) + found,
+    problems = sorted(compare(expected, measured) + found,
                       key=lambda p: p.split(": ", 1)[0])
     return CheckResult(ok=not problems, problems=problems,
                        measured=measured)

@@ -17,8 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-_EPS = 1e-9
-
 
 @dataclass
 class LockProfile:
@@ -106,22 +104,23 @@ class ContentionProfile:
         prof = cls()
         # Per-pid, time-ordered lock_acquire events (emission order is
         # already time-ordered per pid).
-        acquires: Dict[int, List[Tuple[float, int]]] = {}
+        events: Dict[int, List[Tuple[float, int]]] = {}
         for ev in tel.bus.events:
             if ev.kind == "tm.lock_acquire":
                 lid = (ev.args or {}).get("lid")
-                acquires.setdefault(ev.pid, []).append((ev.ts, lid))
+                events.setdefault(ev.pid, []).append((ev.ts, lid))
                 prof._lock(lid).acquires += 1
                 prof._lock(lid).waiters.add(ev.pid)
             elif ev.kind == "tm.lock_grant":
                 lid = (ev.args or {}).get("lid")
                 prof._lock(lid).grants += 1
-        for pid in acquires:
-            acquires[pid].sort(key=lambda e: e[0])
+        # Each pid's (times, lids), built once for every wait to bisect.
+        acquires = {pid: tuple(zip(*sorted(evs, key=lambda e: e[0])))
+                    for pid, evs in events.items()}
 
         for span in tel.spans.spans:
             if span.name == "wait.lock":
-                lid = _match_lock(acquires.get(span.pid, ()), span.t0)
+                lid = _match_lock(acquires.get(span.pid), span.t0)
                 if lid is None:
                     prof.unattributed.append((span.pid, span.t0, span.t1))
                 else:
@@ -176,10 +175,8 @@ class ContentionProfile:
 
 def _match_lock(acquires, t0: float) -> Optional[int]:
     """Lock id of the latest acquire at or before ``t0`` on this pid."""
-    if not acquires:
+    if acquires is None:
         return None
-    times = [t for t, _ in acquires]
-    i = bisect_right(times, t0 + _EPS) - 1
-    if i < 0:
-        return None
-    return acquires[i][1]
+    times, lids = acquires
+    i = bisect_right(times, t0) - 1
+    return lids[i] if i >= 0 else None

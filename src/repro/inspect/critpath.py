@@ -20,6 +20,11 @@ finish time:
 
 Segments tile ``[0, end]`` contiguously, so per-category totals sum
 exactly to the end-to-end simulated time.
+
+The walk ends by construction: every step moves ``t`` to a strictly
+earlier span start, span end or message send (or 0), and those form a
+finite set.  All comparisons are exact, so no tolerance is needed and
+none can swallow a step at large ``t``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
-
-_EPS = 1e-9
 
 #: Which message kinds can release which wait span.  ``mp`` appears in
 #: every entry because message-passing mode implements its barriers and
@@ -182,12 +185,7 @@ class _Walker:
             end_pid = self._last_activity[1]
         segments: List[Segment] = []
         pid, t = end_pid, end_ts
-        # Each step consumes time, so the chain is at most every span
-        # split once by every message, plus slack.
-        max_steps = 4 * (len(self._ends) + len(self._sends) + 16)
-        for _ in range(max_steps):
-            if t <= _EPS:
-                break
+        while t > 0:
             span = self._covering(pid, t)
             if span is None:
                 prev = self._last_end_before(pid, t)
@@ -196,7 +194,7 @@ class _Walker:
                 continue
             if span.name in WAIT_MSG_KINDS:
                 released = self._releasing_msg(pid, span.name, t)
-                if released is not None and released[0] < t - _EPS:
+                if released is not None:
                     send_ts, src, kind = released
                     segments.append(Segment(
                         pid, send_ts, t, "comm",
@@ -211,54 +209,46 @@ class _Walker:
             segments.append(Segment(pid, span.t0, t, cat,
                                     detail=span.name))
             t = span.t0
-        else:
-            # Walk did not converge; close the remainder as "other" so
-            # totals still tile [0, end].
-            if t > _EPS:
-                segments.append(Segment(pid, 0.0, t, "other",
-                                        detail="unresolved"))
         segments.reverse()
         return _coalesce(segments), end_ts
 
     # ------------------------------------------------------------------
 
     def _covering(self, pid: int, t: float):
-        """Innermost span on ``pid`` covering the instant just before
-        ``t`` (latest start wins, splitting outer spans around it)."""
+        """Innermost span on ``pid`` with ``t0 < t <= t1`` (latest start
+        wins, splitting outer spans around it)."""
         track, starts, reach = self.tracks.get(pid, ((), (), ()))
-        x = t - _EPS
-        i = bisect_left(starts, x) - 1          # last span starting < x
-        while i >= 0 and reach[i] >= x and track[i].t1 < x:
+        i = bisect_left(starts, t) - 1          # last span starting < t
+        while i >= 0 and reach[i] >= t and track[i].t1 < t:
             i -= 1
-        if i < 0 or reach[i] < x:
+        if i < 0 or reach[i] < t:
             return None
         # Equal starts sort by end: the earliest of them still covering.
-        while i > 0 and starts[i - 1] == starts[i] and track[i - 1].t1 >= x:
+        while i > 0 and starts[i - 1] == starts[i] and track[i - 1].t1 >= t:
             i -= 1
         return track[i]
 
     def _last_end_before(self, pid: int, t: float) -> float:
         """Close a no-span gap at the nearest earlier activity on any
-        track (span end or message send), so 'other' segments stay
-        tight."""
-        x = t - _EPS        # > 0: the last end before x, or send up to x
-        return max(self._ends[bisect_left(self._ends, x) - 1],
-                   self._sends[bisect_right(self._sends, x) - 1])
+        track (span end or message send strictly before ``t``, or 0), so
+        'other' segments stay tight."""
+        return max(self._ends[bisect_left(self._ends, t) - 1],
+                   self._sends[bisect_left(self._sends, t) - 1])
 
     def _releasing_msg(self, pid: int, wait: str, t: float) \
             -> Optional[Tuple[float, int, str]]:
-        """Latest message to ``pid`` (send time ≤ t) of a kind that can
-        release ``wait``."""
+        """Latest message to ``pid`` (send time <= t) of a kind that can
+        release ``wait``, if it was sent strictly before ``t``."""
         best: Optional[Tuple[float, int, str]] = None
         for kind in WAIT_MSG_KINDS[wait]:
             entry = self.inbound.get((pid, kind))
             if not entry:
                 continue
             ts_list, src_list = entry
-            i = bisect_right(ts_list, t + _EPS) - 1
+            i = bisect_right(ts_list, t) - 1
             if i >= 0 and (best is None or ts_list[i] > best[0]):
                 best = (ts_list[i], src_list[i], kind)
-        return best
+        return best if best is not None and best[0] < t else None
 
 
 def _coalesce(segments: List[Segment]) -> List[Segment]:
@@ -267,7 +257,7 @@ def _coalesce(segments: List[Segment]) -> List[Segment]:
     for seg in segments:
         if (out and out[-1].pid == seg.pid
                 and out[-1].category == seg.category
-                and abs(out[-1].t1 - seg.t0) <= _EPS):
+                and out[-1].t1 == seg.t0):
             prev = out.pop()
             detail = prev.detail if prev.detail == seg.detail else \
                 (prev.detail or seg.detail)

@@ -18,6 +18,11 @@ from repro.inspect.contention import ContentionProfile
 from repro.inspect.critpath import CriticalPath
 from repro.inspect.timeline import PageTimelines
 
+#: Relative tolerance for a simulated time compared with another
+#: account of it (floats only): reconciled sums here, baselines in
+#: :mod:`repro.inspect.baseline`.
+TIME_RTOL = 1e-6
+
 
 class InspectReport:
     """The three protocol analyses plus their reconciliation."""
@@ -52,12 +57,12 @@ class InspectReport:
     # Reconciliation against the run's independent accounting.
     # ------------------------------------------------------------------
 
-    def reconcile(self, rtol: float = 1e-6) -> List[str]:
+    def reconcile(self) -> List[str]:
         """Cross-check analysis totals against ``TmStats``/``NetStats``.
 
         Returns a list of mismatch descriptions; empty means every
         reconstructed total matches the protocol's own counters exactly
-        (times within ``rtol``).
+        (times within :data:`TIME_RTOL`).
         """
         problems: List[str] = []
         problems.extend(f"timeline: {v}"
@@ -82,7 +87,7 @@ class InspectReport:
                      ("t_fetch_wait", self._fetch_wait()))
             for name, got in waits:
                 want = getattr(stats, name)
-                if abs(got - want) > rtol * max(1.0, abs(want)):
+                if abs(got - want) > TIME_RTOL * max(1.0, abs(want)):
                     problems.append(
                         f"{name}: spans={got:.3f} TmStats={want:.3f}")
 
@@ -100,7 +105,7 @@ class InspectReport:
 
         cp_total = sum(self.critpath.totals().values())
         end = self.critpath.end_ts
-        if abs(cp_total - end) > rtol * max(1.0, abs(end)):
+        if abs(cp_total - end) > TIME_RTOL * max(1.0, abs(end)):
             problems.append(f"critical path: segments sum to "
                             f"{cp_total:.3f}, end-to-end is {end:.3f}")
         return problems

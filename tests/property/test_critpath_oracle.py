@@ -7,9 +7,14 @@ track) per query; the segments must be equal float for float, on random
 captures shaped to hit the tie-breaks (nested, abutting, equal-start
 spans, gaps, several tracks) and on real runs.  A scaling guard keeps a
 quadratic walker from coming back unnoticed.
+
+Every walk must also tile ``[0, end]`` exactly, and a capture moved
+later in time (by 2**24 or 2**33 us, where the spacing between floats
+is far coarser than a nanosecond) must walk to the same category
+totals, with only ``other`` longer, by exactly the offset.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left
 from time import perf_counter
 
 import pytest
@@ -18,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.harness import RunSpec, run
 from repro.inspect import CriticalPath
-from repro.inspect.critpath import _EPS, WAIT_MSG_KINDS, _Walker
+from repro.inspect.critpath import WAIT_MSG_KINDS, _Walker
+from repro.machine.config import MachineConfig
 from repro.telemetry import Telemetry
 
 
@@ -36,9 +42,9 @@ class ScanningWalker(_Walker):
     def _covering(self, pid, t):
         best = None
         for s in self.scan_tracks.get(pid, ()):
-            if s.t0 >= t - _EPS:
+            if s.t0 >= t:
                 break
-            if s.t1 >= t - _EPS:
+            if s.t1 >= t:
                 if best is None or s.t0 > best.t0:
                     best = s
         return best
@@ -47,13 +53,26 @@ class ScanningWalker(_Walker):
         prev = 0.0
         for track in self.scan_tracks.values():
             for s in track:
-                if s.t1 < t - _EPS and s.t1 > prev:
+                if s.t1 < t and s.t1 > prev:
                     prev = s.t1
         for ts_list, _ in self.inbound.values():
-            i = bisect_right(ts_list, t - _EPS) - 1
+            i = bisect_left(ts_list, t) - 1
             if i >= 0 and ts_list[i] > prev:
                 prev = ts_list[i]
         return prev
+
+
+def assert_tiles(cp):
+    """Segments cover ``[0, end_ts]`` exactly: no gap, no overlap, none
+    empty."""
+    segs = cp.segments
+    if cp.end_ts <= 0:
+        assert segs == []
+        return
+    assert segs[0].t0 == 0
+    assert all(a.t1 == b.t0 for a, b in zip(segs, segs[1:]))
+    assert all(s.t0 < s.t1 for s in segs)
+    assert segs[-1].t1 == cp.end_ts
 
 
 def assert_same_path(tel, end_ts=None, end_pid=None):
@@ -61,7 +80,22 @@ def assert_same_path(tel, end_ts=None, end_pid=None):
     want_segments, want_end = ScanningWalker(tel).walk(end_ts, end_pid)
     assert got.end_ts == want_end
     assert got.segments == want_segments      # dataclass ==: float for float
+    assert_tiles(got)
     return got
+
+
+#: Where float spacing is 3.7e-9 us and 1.9e-6 us: a walk that steps
+#: back by a fixed epsilon stalls at both.
+OFFSETS = (0.0, 2.0 ** 24, 2.0 ** 33)
+
+
+def assert_translated(base, moved, offset):
+    """``moved`` is ``base`` walked ``offset`` later: every category
+    equal but ``other``, which grows by exactly the offset."""
+    want, got = base.totals(), moved.totals()
+    assert got["other"] - want["other"] == offset
+    del want["other"], got["other"]
+    assert got == want
 
 
 # ----------------------------------------------------------------------
@@ -75,30 +109,85 @@ MSG_KINDS = sorted({k for kinds in WAIT_MSG_KINDS.values() for k in kinds
 TICKS = st.integers(0, 40).map(lambda k: k * 2.5)
 
 
+def build(spans, msgs, offset=0.0) -> Telemetry:
+    """A capture of ``(pid, name, t0, t1)`` spans and ``(ts, src, dst,
+    kind)`` messages, every time moved ``offset`` later."""
+    tel = Telemetry()
+    for pid, name, t0, t1 in spans:
+        tel.spans.record(pid, name, offset + t0, offset + t1)
+    for ts, src, dst, kind in msgs:
+        tel.bus.emit(offset + ts, src, "net.msg", 0,
+                     {"to": dst, "msg": kind, "bytes": 8})
+    return tel
+
+
 @st.composite
 def captures(draw):
     nprocs = draw(st.integers(1, 4))
-    tel = Telemetry()
+    pids = st.integers(0, nprocs - 1)
+    spans = []
     for _ in range(draw(st.integers(0, 30))):
-        t0 = draw(TICKS)
-        tel.spans.record(draw(st.integers(0, nprocs - 1)),
-                         draw(st.sampled_from(SPAN_NAMES)),
-                         t0, t0 + draw(TICKS))     # zero-length allowed
-    for _ in range(draw(st.integers(0, 20))):
-        src = draw(st.integers(0, nprocs - 1))
-        tel.bus.emit(draw(TICKS), src, "net.msg", 0,
-                     {"to": draw(st.integers(0, nprocs - 1)),
-                      "msg": draw(st.sampled_from(MSG_KINDS)), "bytes": 8})
-    return tel, nprocs
+        t0 = draw(TICKS)                           # zero-length allowed
+        spans.append((draw(pids), draw(st.sampled_from(SPAN_NAMES)),
+                      t0, t0 + draw(TICKS)))
+    msgs = [(draw(TICKS), draw(pids), draw(pids),
+             draw(st.sampled_from(MSG_KINDS)))
+            for _ in range(draw(st.integers(0, 20)))]
+    return spans, msgs, nprocs, draw(st.sampled_from(OFFSETS))
 
 
 @given(captures(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_random_captures_walk_identically(capture, data):
-    tel, nprocs = capture
+    spans, msgs, nprocs, offset = capture
+    tel = build(spans, msgs, offset)
     assert_same_path(tel)
-    assert_same_path(tel, end_ts=data.draw(TICKS) + 1.0,
-                     end_pid=data.draw(st.integers(0, nprocs - 1)))
+    end_ts = data.draw(TICKS) + 1.0
+    end_pid = data.draw(st.integers(0, nprocs - 1))
+    moved = assert_same_path(tel, end_ts=offset + end_ts, end_pid=end_pid)
+    base = CriticalPath.from_telemetry(build(spans, msgs), end_ts, end_pid)
+    assert_translated(base, moved, offset)
+
+
+# ----------------------------------------------------------------------
+# Late captures: the walk must not depend on where in time it runs.
+# ----------------------------------------------------------------------
+
+#: P1 computes, then waits at a barrier that P0 releases with a
+#: ``barrier_depart`` sent in a gap after its compute and diff.
+BARRIER_SPANS = [(0, "compute", 0.0, 20.0), (0, "cpu.diff", 20.0, 30.0),
+                 (1, "compute", 0.0, 10.0),
+                 (1, "wait.barrier", 10.0, 100.0)]
+BARRIER_MSGS = [(40.0, 0, 1, "barrier_depart")]
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_late_barrier_release_resolves(offset):
+    tel = build(BARRIER_SPANS, BARRIER_MSGS, offset)
+    cp = CriticalPath.from_telemetry(tel)
+    assert cp.totals() == {"compute": 20.0, "protocol": 10.0, "wait": 0.0,
+                           "comm": 60.0, "other": 10.0 + offset}
+    assert [s.detail for s in cp.segments][-2:] == [
+        "", "barrier_depart from P0"]
+    base = CriticalPath.from_telemetry(build(BARRIER_SPANS, BARRIER_MSGS))
+    assert_translated(base, cp, offset)
+    assert_same_path(tel)
+
+
+def test_a_run_past_two_to_the_24_us_resolves():
+    """A 1 s wire latency (45 us by default) stretches the tiny run to
+    28 s of simulated time; its chain has the 45 us run's hops."""
+    spec = RunSpec(app="jacobi", mode="dsm", dataset="tiny", nprocs=4,
+                   opt="base", page_size=1024, telemetry=True)
+    fast = run(spec)
+    slow = run(spec, config=MachineConfig(wire_latency=1e6))
+    assert slow.time > 2 ** 24
+    cps = [CriticalPath.from_telemetry(out.telemetry, end_ts=out.time)
+           for out in (fast, slow)]
+    for cp in cps:
+        assert_tiles(cp)
+    assert cps[1].hops() == cps[0].hops() == 19
+    assert cps[1].totals()["other"] < 0.01 * cps[1].end_ts
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +249,6 @@ def test_walk_scales_past_fifty_thousand_spans():
     t0 = perf_counter()
     cp = CriticalPath.from_telemetry(tel)
     wall = perf_counter() - t0
-    assert sum(cp.totals().values()) == pytest.approx(cp.end_ts)
+    assert_tiles(cp)
     assert cp.hops() >= 1250 - 1
     assert wall < 5.0, f"critical-path walk took {wall:.1f}s"

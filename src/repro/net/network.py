@@ -24,21 +24,26 @@ through the reliable transport (:mod:`repro.net.transport`), which
 survives the injected loss/duplication/reordering and still hands the
 upper layers exactly-once, in-order-per-channel delivery.  Without it
 (the default), sends schedule ``_deliver`` directly and nothing changes.
+
+From process context, sends and receives run as one *round*
+(:meth:`Endpoint.exchange`; ``send`` and ``recv`` are rounds of one): a
+step (see :mod:`repro.sim.engine`) that charges each overhead and, at
+its end, transmits the message or hands over the reply, in the dispatch
+loop.  A burst of requests and their replies costs the thread one sleep.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReceiveTimeout, SimulationError
 from repro.machine.config import MachineConfig
 from repro.net.message import Message
 from repro.net.stats import NetStats
-from repro.sim.engine import Engine, Process
+from repro.sim.engine import Engine, Process, ProcessState
 
 Handler = Callable[[Message], None]
-Match = Callable[[Message], bool]
 
 
 class Endpoint:
@@ -50,6 +55,15 @@ class Endpoint:
         self.pid = proc.pid
         self.mailbox: List[Message] = []
         self.handlers: Dict[str, tuple] = {}
+        # The process-context round in progress (see _round / _step).
+        self._sends: Sequence[tuple] = ()
+        self._replies: Sequence[tuple] = ()
+        self._on_reply: Optional[Callable[[Message], None]] = None
+        self._deadline: Optional[float] = None
+        self._i = 0
+        self._charged = False
+        self._t_wait = 0.0
+        self._got: Optional[Message] = None
 
     # ------------------------------------------------------------------
 
@@ -84,8 +98,10 @@ class Endpoint:
 
         Charges the sender's CPU with the send overhead (or ``send_cost``
         when given, e.g. the cheaper marginal cost of a pipelined
-        broadcast).  Works both from process context and from handler
-        context (responses sent while servicing an interrupt).
+        broadcast).  Works both from process context (a one-send round:
+        the message departs when the overhead ends) and from handler
+        context (responses sent while servicing an interrupt: the
+        overhead is stolen CPU and the message departs after it).
 
         ``unreliable=True`` sends a fire-and-forget datagram: the frame
         bypasses the reliable transport (no sequence number, ack, or
@@ -101,24 +117,16 @@ class Endpoint:
         timer context stack up behind multi-millisecond compute
         stretches and a live node looks dead to its monitor.
         """
-        cfg = self.net.config
-        engine = self.net.engine
-        cost = cfg.send_overhead if send_cost is None else send_cost
-        if self.net.engine.current is self.proc:
-            self.proc.advance(cost)
-            depart = max(engine.now, self.proc.busy_until)
-        else:
-            self.proc.steal_cpu(cost)
-            depart = self.proc.busy_until
-        if offload:
-            depart = engine.now
+        cost = self.net.config.send_overhead if send_cost is None \
+            else send_cost
         msg = Message(kind=kind, src=self.pid, dst=dst,
                       payload=payload, size=size, tag=tag)
-        self.net.stats.record(kind, self.pid, size)
-        tel = self.net.telemetry
-        if tel is not None:
-            tel.message(self.pid, dst, kind, size + cfg.header_bytes)
-        self.net._transmit(msg, depart, unreliable=unreliable)
+        if self.net.engine.current is self.proc:
+            self._round(((msg, cost, unreliable, offload),), ())
+        else:
+            self.proc.steal_cpu(cost)
+            self._post(msg, self.net.engine.now if offload
+                       else self.proc.busy_until, unreliable)
         return msg
 
     def broadcast(self, kind: str, payload: Any = None, size: int = 0,
@@ -128,22 +136,31 @@ class Endpoint:
             if dst != self.pid:
                 self.send(dst, kind, payload=payload, size=size, tag=tag)
 
+    def _post(self, msg: Message, depart: float,
+              unreliable: bool) -> None:
+        """Count ``msg`` and put it on the wire at ``depart``."""
+        net = self.net
+        net.stats.record(msg.kind, self.pid, msg.size)
+        tel = net.telemetry
+        if tel is not None:
+            tel.message(self.pid, msg.dst, msg.kind,
+                        msg.size + net.config.header_bytes)
+        net._transmit(msg, depart, unreliable=unreliable)
+
     # ------------------------------------------------------------------
 
     def recv(self, kind: Optional[str] = None, src: Optional[int] = None,
-             tag: Any = None, match: Optional[Match] = None,
-             timeout: Optional[float] = None) -> Message:
+             tag: Any = None, timeout: Optional[float] = None) -> Message:
         """Blocking receive of the first matching mailbox message.
 
         Charges the receive overhead once the message is taken.  Matching
-        is by ``kind``/``src``/``tag`` (each optional) or a custom
-        predicate.  With ``timeout`` (simulated microseconds) the wait is
-        bounded: if no matching message has arrived by ``now + timeout``
-        a :class:`~repro.errors.ReceiveTimeout` is raised, letting the
+        is by ``kind``/``src``/``tag``, each optional.  With ``timeout``
+        (simulated microseconds) the wait is bounded: if no matching
+        message has arrived by ``now + timeout`` a
+        :class:`~repro.errors.ReceiveTimeout` is raised, letting the
         caller degrade gracefully instead of deadlocking the simulation.
         A message arriving exactly at the deadline wins over the timeout.
         """
-
         engine = self.net.engine
         deadline = None
         if timeout is not None:
@@ -151,39 +168,112 @@ class Endpoint:
                 raise SimulationError(f"negative recv timeout: {timeout}")
             deadline = engine.now + timeout
             engine.call_at(deadline, self.proc.wake)
-        what = None     # built only when about to wait or time out
-        while True:
-            for i, msg in enumerate(self.mailbox):
-                if (match(msg) if match is not None else
-                        (kind is None or msg.kind == kind)
-                        and (src is None or msg.src == src)
-                        and (tag is None or msg.tag == tag)):
-                    del self.mailbox[i]
-                    self.proc.waiting_on = None
-                    self.proc.advance(self.net.config.recv_overhead)
-                    return msg
-            if what is None:
-                what = (f"recv(kind={kind!r}, src={src}, tag={tag!r})"
-                        if match is None else "recv(<custom match>)")
-            if deadline is not None and engine.now >= deadline:
-                self.proc.waiting_on = None
-                raise ReceiveTimeout(
-                    f"P{self.pid} {what} timed out after {timeout:g}us "
-                    f"at t={engine.now:.1f}")
-            self.proc.waiting_on = what
-            self.proc.wait()
-            self.proc.waiting_on = None
+        self._round((), ((kind, src, tag),), deadline=deadline)
+        msg = self._got
+        if msg is None:
+            raise ReceiveTimeout(
+                f"P{self.pid} {_what(kind, src, tag)} timed out after "
+                f"{timeout:g}us at t={engine.now:.1f}")
+        return msg
 
     def try_recv(self, kind: Optional[str] = None,
                  src: Optional[int] = None) -> Optional[Message]:
-        """Non-blocking variant of :meth:`recv`; returns ``None`` if empty."""
-        for i, msg in enumerate(self.mailbox):
-            if (kind is None or msg.kind == kind) and \
-               (src is None or msg.src == src):
-                del self.mailbox[i]
-                self.proc.advance(self.net.config.recv_overhead)
-                return msg
-        return None
+        """Non-blocking variant of :meth:`recv` (a receive whose
+        deadline is now); returns ``None`` if nothing matches."""
+        self._round((), ((kind, src, None),), deadline=self.net.engine.now)
+        return self._got
+
+    def exchange(self, sends: Sequence[tuple], replies: Sequence[tuple],
+                 on_reply: Optional[Callable[[Message], None]] = None) \
+            -> float:
+        """One request/reply round from process context.
+
+        ``sends`` are ``(dst, kind, payload, size, tag)``; each is
+        charged the send overhead and departs at its end, back to back.
+        Then each of ``replies``, ``(kind, src, tag)`` as for
+        :meth:`recv`, is taken in order and charged the receive
+        overhead, at whose end ``on_reply(msg)`` runs.  The timing is
+        exactly that of the same ``send`` and ``recv`` calls one after
+        another, but the thread sleeps once: the round runs as a step
+        in the dispatch loop, so ``on_reply`` must neither block nor
+        charge CPU.  Returns the time the last send departed, where
+        the round's wait begins.
+        """
+        cost = self.net.config.send_overhead
+        return self._round(
+            [(Message(kind=kind, src=self.pid, dst=dst, payload=payload,
+                      size=size, tag=tag), cost, False, False)
+             for dst, kind, payload, size, tag in sends],
+            replies, on_reply)
+
+    # --- the one step chain behind send, recv and exchange -------------
+
+    def _round(self, sends: Sequence[tuple], replies: Sequence[tuple],
+               on_reply: Optional[Callable[[Message], None]] = None,
+               deadline: Optional[float] = None) -> float:
+        """Run a round (see :meth:`exchange`; ``sends`` as ``(msg,
+        cost, unreliable, offload)``) to its end; ``_got`` is then the
+        last reply taken, ``None`` if ``deadline`` passed first."""
+        self._sends, self._replies = sends, replies
+        self._on_reply, self._deadline = on_reply, deadline
+        self._i, self._charged = 0, False
+        self._t_wait, self._got = self.net.engine.now, None
+        self.proc.block_on(self._step)
+        return self._t_wait
+
+    def _step(self):
+        """Carry the round on until it blocks: ``True`` once it is over,
+        else the state the process blocks in.  Runs on the process's
+        thread first, then in the dispatch loop at each wake-up.  Item
+        ``_i`` counts the sends, then the replies; ``_charged`` says its
+        overhead is spent, so it completes now."""
+        proc, engine = self.proc, self.net.engine
+        sends, i = self._sends, self._i
+        n = len(sends)
+        while i < n:
+            msg, cost, unreliable, offload = sends[i]
+            if not self._charged:
+                self._charged = True
+                if not proc._charge(cost):
+                    return ProcessState.ADVANCING
+            self._i = i = i + 1
+            self._charged = False
+            self._post(msg, engine.now if offload
+                       else max(engine.now, proc.busy_until), unreliable)
+            self._t_wait = engine.now
+        replies = self._replies
+        end = n + len(replies)
+        while i < end:
+            if not self._charged:
+                kind, src, tag = replies[i - n]
+                for j, msg in enumerate(self.mailbox):
+                    if ((kind is None or msg.kind == kind)
+                            and (src is None or msg.src == src)
+                            and (tag is None or msg.tag == tag)):
+                        break
+                else:
+                    if self._deadline is not None \
+                            and engine.now >= self._deadline:
+                        proc.waiting_on = None
+                        return True
+                    proc.waiting_on = _what(kind, src, tag)
+                    proc._wake_pending = False
+                    return ProcessState.WAITING
+                proc.waiting_on = None
+                self._got = self.mailbox.pop(j)
+                self._charged = True
+                if not proc._charge(self.net.config.recv_overhead):
+                    return ProcessState.ADVANCING
+            self._i = i = i + 1
+            self._charged = False
+            if self._on_reply is not None:
+                self._on_reply(self._got)
+        return True
+
+
+def _what(kind, src, tag) -> str:
+    """A receive, as the deadlock report and timeouts name it."""
+    return f"recv(kind={kind!r}, src={src}, tag={tag!r})"
 
 
 class Network:

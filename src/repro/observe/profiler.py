@@ -11,10 +11,12 @@ kinds of host time:
 * **Process slices** — a process thread reports when it resumes
   simulated code and when it next blocks; that interval is ``compute``.
   The hand-off between threads lies outside both, so it falls to
-  ``engine`` with the rest of the loop's own cost.
+  ``engine`` with the rest of the loop's own cost.  Hand-offs are
+  counted (``handoffs``): a deterministic function of the run.
 * **Leaf scopes** — short, *guaranteed non-blocking* operations timed
   at their call site (shared-array page checks, diff encode/apply,
-  interrupt-handler servicing).  Leaf time is subtracted from the
+  interrupt-handler servicing, the sends and receives a process's
+  step runs in the dispatch loop).  Leaf time is subtracted from the
   enclosing action or slice so every host second is attributed exactly
   once.
 
@@ -44,6 +46,7 @@ _FRAGMENTS = (
     ("ReliableTransport", "net"),
     ("Transport", "net"),
     ("Network", "net"),
+    ("Endpoint", "net"),        # process steps: sends and receives
     ("_deliver", "net"),
     ("Injector", "faults"),
     ("Absence", "absence"),
@@ -61,8 +64,8 @@ class WallProfiler:
     """Per-run wall-clock accounting for the simulation stack."""
 
     __slots__ = ("wall", "leaf_s", "run_s", "n_events", "n_accesses",
-                 "n_access_timed", "n_stmts", "n_messages", "_cache",
-                 "_slice", "engine")
+                 "n_access_timed", "n_stmts", "n_messages", "n_handoffs",
+                 "_cache", "_slice", "engine")
 
     def __init__(self) -> None:
         #: Exclusive wall seconds per attribution bucket.
@@ -82,6 +85,8 @@ class WallProfiler:
         self.n_stmts = 0
         #: Messages delivered while profiled.
         self.n_messages = 0
+        #: Times the dispatch loop resumed a thread other than its own.
+        self.n_handoffs = 0
         self._cache: Dict[str, str] = {}
         #: Host clock minus ``leaf_s`` when the running slice began.
         self._slice = 0.0
@@ -109,14 +114,28 @@ class WallProfiler:
         self.account(action, perf_counter() - self.leaf_s - start)
         self.n_events += 1
 
-    def account(self, action, dt: float) -> None:
-        """Attribute one dispatched action's exclusive wall time."""
+    def _bucket(self, action) -> str:
         qn = getattr(action, "__qualname__", None) \
             or type(action).__name__
         bucket = self._cache.get(qn)
         if bucket is None:
             bucket = self._cache[qn] = _classify(qn)
+        return bucket
+
+    def account(self, action, dt: float) -> None:
+        """Attribute one dispatched action's exclusive wall time."""
+        bucket = self._bucket(action)
         self.wall[bucket] = self.wall.get(bucket, 0.0) + dt
+
+    def step(self, step):
+        """Run a process's step in the dispatch loop (it never blocks)
+        as a leaf scope, bucketed by its qualname like an action."""
+        t0 = perf_counter()
+        leaf0 = self.leaf_s
+        state = step()
+        self.leaf(self._bucket(step),
+                  perf_counter() - t0 - (self.leaf_s - leaf0))
+        return state
 
     def resume(self) -> None:
         """A process thread starts running simulated code."""
@@ -178,6 +197,7 @@ class WallProfiler:
             "accesses_per_sec": round(self.accesses_per_sec(), 1),
             "stmts": self.n_stmts,
             "messages": self.n_messages,
+            "handoffs": self.n_handoffs,
             "attribution_s": {k: round(v, 6)
                               for k, v in sorted(att.items())},
             "attribution_pct": {k: round(100.0 * v / total, 2)
@@ -199,5 +219,6 @@ class WallProfiler:
                  f"({self.events_per_sec():,.0f}/s), "
                  f"{self.n_accesses} accesses "
                  f"({self.accesses_per_sec():,.0f}/s), "
-                 f"{self.n_stmts} interpreted statements")
+                 f"{self.n_stmts} interpreted statements, "
+                 f"{self.n_handoffs} thread hand-offs")
         return head

@@ -19,6 +19,12 @@ wake-up is postponed by whatever interrupt handlers steal meanwhile) and
 run *in the dispatch loop* at message-delivery time, with
 :attr:`Engine.current` ``None``; they must never block.  CPU time they
 consume is charged to the interrupted process by :meth:`Process.steal_cpu`.
+
+A process can also block on a *step* (:meth:`Process.block_on`): a
+callable the dispatch loop runs where it would have resumed the thread.
+It returns ``True`` to resume the thread, or the state it blocked in
+again, having scheduled its wake-up exactly as ``advance`` or ``wait``
+would.  A chain of sends and receives then costs the thread one sleep.
 """
 
 from __future__ import annotations
@@ -71,6 +77,11 @@ class Process:
         #: lock waits) for the deadlock diagnostic.  Purely informational.
         self.waiting_on: Optional[str] = None
         self._wake_pending = False
+        #: While blocked on a step: what the dispatch loop calls instead
+        #: of resuming this thread (see :meth:`block_on`).
+        self._step: Optional[Callable[[], object]] = None
+        #: What a step raised, re-raised on this thread.
+        self._step_error: Optional[BaseException] = None
         self._main = main
         # What this thread sleeps on while another runs: a raw lock (much
         # cheaper than a semaphore), held except while being handed over.
@@ -85,6 +96,7 @@ class Process:
     def _thread_main(self) -> None:
         engine = self.engine
         try:
+            _batch_policy()
             self._park()
             self.result = self._main(self)
             self.state = ProcessState.DONE
@@ -96,7 +108,7 @@ class Process:
                 engine._failure.__cause__ = exc
                 engine._elock.release()
             return
-        engine._dispatch()
+        engine._dispatch(self)
 
     def _park(self) -> None:
         """Sleep until a dispatch loop names this process."""
@@ -118,13 +130,35 @@ class Process:
         if self.engine._reaping:    # a blocking call made while unwinding
             raise _Cancelled()
         self.state = state
-        self.engine._dispatch()
+        self.engine._dispatch(self)
         self._park()
+
+    def _resume(self) -> None:
+        """Dispatch loop: the process's wake-up is due.  Run the step it
+        blocked on, if any, as if on its thread (state ``RUNNING``, so a
+        ``wake`` is remembered); resume the thread when it returns
+        ``True`` (or raises), else stay blocked in the state it returns."""
+        step = self._step
+        if step is not None:
+            self.state = ProcessState.RUNNING
+            prof = self.engine.profiler
+            try:
+                state = step() if prof is None else prof.step(step)
+            except BaseException as exc:
+                self._step_error, state = exc, True
+            if state is not True:
+                self.state = state
+                return
+            self._step = None
+        self._switch_in()
 
     # --- blocking API used by simulated code -------------------------
 
-    def advance(self, dt: float) -> None:
-        """Consume ``dt`` microseconds of CPU time on this processor."""
+    def _charge(self, dt: float) -> bool:
+        """Start ``dt`` microseconds of CPU time.  ``True`` if they are
+        already over (nothing to wait for, or the clock moved straight
+        to their end); else their wake-up is scheduled and the caller
+        must block ``ADVANCING`` until it fires."""
         if dt < 0:
             raise SimulationError(f"negative advance: {dt}")
         engine = self.engine
@@ -132,16 +166,42 @@ class Process:
         self.wake_time = start + dt
         self.busy_until = self.wake_time
         if self.wake_time <= engine.now:
-            return
+            return True
         # Fast path: if no queued event precedes our wake-up, the loop
         # would pop our wake event next anyway — skip scheduling it and
         # move the clock directly.
         queue = engine._queue
         if not queue or queue[0][0] >= self.wake_time:
             engine.now = self.wake_time
-            return
+            return True
         engine.call_at(self.wake_time, self._advance_wake)
-        self._block(ProcessState.ADVANCING)
+        return False
+
+    def advance(self, dt: float) -> None:
+        """Consume ``dt`` microseconds of CPU time on this processor."""
+        if not self._charge(dt):
+            self._block(ProcessState.ADVANCING)
+
+    def block_on(self, step: Callable[[], object]) -> None:
+        """Run ``step`` until it returns ``True``: now, on this thread,
+        and then in the dispatch loop each time this process would have
+        resumed, so the thread sleeps once however often it blocks.
+
+        A step that blocks has scheduled its wake-up as ``advance`` or
+        ``wait`` would (``_charge``; clearing ``_wake_pending``) and
+        returns the state, ``ADVANCING`` or ``WAITING``.  It must not
+        block otherwise, nor touch ``Engine.current`` (``None`` in the
+        loop).  What it raises in the loop is raised here.
+        """
+        state = step()
+        if state is True:
+            return
+        self._step = step
+        self._block(state)
+        exc = self._step_error
+        if exc is not None:
+            self._step_error = None
+            raise exc
 
     def _advance_wake(self) -> None:
         if self.state is not ProcessState.ADVANCING:
@@ -150,7 +210,7 @@ class Process:
             # An interrupt postponed us; re-arm at the new wake time.
             self.engine.call_at(self.wake_time, self._advance_wake)
             return
-        self._switch_in()
+        self._resume()
 
     def wait(self) -> None:
         """Block until some component calls :meth:`wake`.
@@ -182,7 +242,7 @@ class Process:
         if self.engine.now < self.busy_until:
             self.engine.call_at(self.busy_until, self._wait_wake)
             return
-        self._switch_in()
+        self._resume()
 
     def steal_cpu(self, cost: float) -> None:
         """Charge ``cost`` microseconds of interrupt-service CPU time.
@@ -323,14 +383,15 @@ class Engine:
         if blocked:
             raise SimulationDeadlock(self._deadlock_report(blocked))
 
-    def _dispatch(self) -> None:
+    def _dispatch(self, me: Optional[Process] = None) -> None:
         """The one dispatch loop: pop, set ``now``, call the action.
 
         Run by whichever thread just stopped running simulated code (a
-        blocked or finished process, or :meth:`run`) until an action
-        names the process to resume, whose lock it releases: the caller's
-        own if it woke itself (no thread switch then).  :meth:`run` is
-        woken instead when the queue drains or an action raises.
+        blocked or finished process ``me``, or :meth:`run`) until an
+        action names the process to resume, whose lock it releases: the
+        caller's own if it woke itself (no thread switch then; any other
+        is a hand-off, counted when profiled).  :meth:`run` is woken
+        instead when the queue drains or an action raises.
         """
         queue, pop = self._queue, heapq.heappop
         prof, mon = self.profiler, self.monitor
@@ -347,8 +408,11 @@ class Engine:
                     prof.timed(action)
                 if mon is not None:
                     mon.poll(self)
-                if self.current is not None:
-                    self.current._plock.release()
+                nxt = self.current
+                if nxt is not None:
+                    if prof is not None and nxt is not me:
+                        prof.n_handoffs += 1
+                    nxt._plock.release()
                     return
         except BaseException as exc:
             self._failure = exc
@@ -378,6 +442,18 @@ class Engine:
                          "processes are waiting for messages that were "
                          "never sent")
         return "\n".join(lines)
+
+
+def _batch_policy() -> None:
+    """Run the calling thread under ``SCHED_BATCH``.  The kernel then
+    does not let a woken thread preempt its waker, which is about to
+    sleep and release the GIL anyway: a hand-off costs one context
+    switch instead of two or three.  Skipped where the policy is
+    missing or refused."""
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
 
 
 def _pin_thread() -> Optional[set]:

@@ -95,10 +95,14 @@ class MwLrcBackend(CoherenceBackend):
                     self.node.pid, w, missing[w])]
 
     def _send_diff_requests(self, missing) -> List[tuple]:
+        """Start a fetch: post the one-sided reads, or send the diff
+        requests; returns what ``_recv_diff_responses`` awaits."""
         groups = self._serving_groups(missing)
         if self.node.osl is not None:
             return self._post_diff_reads(groups)
-        return self._send_diff_requests_two(groups)
+        sends, replies = self._diff_requests(groups)
+        self.node.ep.exchange(sends, ())
+        return replies
 
     def _post_diff_reads(self, groups) -> List[tuple]:
         """One-sided lowering: one batched read per serving node pulls
@@ -127,59 +131,74 @@ class MwLrcBackend(CoherenceBackend):
             expected.append(("rdma", serve, bid, plan))
         return expected
 
-    def _send_diff_requests_two(self, groups) -> List[Tuple[int, int]]:
+    def _diff_requests(self, groups) -> Tuple[list, list]:
+        """The two-sided round: one ``diff_req`` per serving group (a
+        custody request to a steward) and the ``diff_resp`` each
+        expects, as ``Endpoint.exchange`` sends and replies."""
         node = self.node
-        expected: List[Tuple[int, int]] = []
+        sends, replies = [], []
         for serve, w, entries in groups:
             node._req_seq += 1
             tag = node._req_seq
             if serve != w:
-                node.ep.send(serve, "custody.diff_req",
-                             payload=(w, tuple(entries), tag),
-                             size=8 + 12 * len(entries), tag=tag)
+                sends.append((serve, "custody.diff_req",
+                              (w, tuple(entries), tag),
+                              8 + 12 * len(entries), tag))
             else:
-                node.ep.send(w, "diff_req",
-                             payload=(tuple(entries), tag),
-                             size=4 + 12 * len(entries), tag=tag)
-            expected.append((serve, tag))
-        return expected
+                sends.append((w, "diff_req", (tuple(entries), tag),
+                              4 + 12 * len(entries), tag))
+            replies.append(("diff_resp", serve, tag))
+        return sends, replies
+
+    def _store_reply(self, msg: Message) -> None:
+        self.node._store_diffs(msg.payload)
+
+    def _fetch_diffs(self, missing) -> None:
+        """Fetch_diffs (Figure 4): two-sided, the requests and their
+        replies are one ``exchange``, so the thread sleeps once."""
+        node = self.node
+        if node.osl is not None:
+            self._recv_diff_responses(self._send_diff_requests(missing))
+            return
+        sends, replies = self._diff_requests(self._serving_groups(missing))
+        if sends:
+            self._waited(node.ep.exchange(sends, replies,
+                                          self._store_reply))
 
     def _recv_diff_responses(self, expected: List[tuple]) -> None:
         if not expected:
             return
         node = self.node
+        if node.osl is None:
+            self._waited(node.ep.exchange((), expected,
+                                          self._store_reply))
+            return
         t0 = node.sys.engine.now
         fallback: Dict[int, List[Tuple[int, int]]] = {}
-        for ent in expected:
-            if ent[0] == "rdma":
-                _, dst, bid, plan = ent
-                results = node.osl.plane.post_wait(node.pid, dst, bid)
-                diffs = []
-                for res, (kind, w, i, p) in zip(results, plan):
-                    if res[0] == "miss":
-                        # Guard veto: replay through the handler path.
-                        fallback.setdefault(w, []).append((p, i))
-                        node.stats.onesided_fallbacks += 1
-                        continue
-                    node.stats.onesided_reads += 1
-                    if kind == "page":
-                        diffs.append(full_page_diff(
-                            p, w, i,
-                            np.frombuffer(res[1], dtype=np.uint8)))
-                    else:
-                        diffs.append(res[1])
-                node._store_diffs(diffs)
-            else:
-                serve, tag = ent
-                msg = node.ep.recv(kind="diff_resp", src=serve,
-                                   tag=tag)
-                node._store_diffs(msg.payload)
+        for _, dst, bid, plan in expected:
+            results = node.osl.plane.post_wait(node.pid, dst, bid)
+            diffs = []
+            for res, (kind, w, i, p) in zip(results, plan):
+                if res[0] == "miss":
+                    # Guard veto: replay through the handler path.
+                    fallback.setdefault(w, []).append((p, i))
+                    node.stats.onesided_fallbacks += 1
+                    continue
+                node.stats.onesided_reads += 1
+                if kind == "page":
+                    diffs.append(full_page_diff(
+                        p, w, i, np.frombuffer(res[1], dtype=np.uint8)))
+                else:
+                    diffs.append(res[1])
+            node._store_diffs(diffs)
         if fallback:
-            for serve, tag in self._send_diff_requests_two(
-                    self._serving_groups(fallback)):
-                msg = node.ep.recv(kind="diff_resp", src=serve,
-                                   tag=tag)
-                node._store_diffs(msg.payload)
+            node.ep.exchange(*self._diff_requests(
+                self._serving_groups(fallback)), self._store_reply)
+        self._waited(t0)
+
+    def _waited(self, t0: float) -> None:
+        """Account a fetch's wait, from the last request's departure."""
+        node = self.node
         node.stats.t_fetch_wait += node.sys.engine.now - t0
         if node.tel is not None:
             node.tel.span(node.pid, "wait.fetch", t0,
@@ -189,8 +208,7 @@ class MwLrcBackend(CoherenceBackend):
         node = self.node
         pages = sorted(set(pages))
         needed_by_page, missing = self._collect_missing(pages)
-        expected = self._send_diff_requests(missing)
-        self._recv_diff_responses(expected)
+        self._fetch_diffs(missing)
         with node._atomic():    # batch apply charges into one advance
             for p in pages:
                 node._apply_page(p, needed_by_page.get(p, []))

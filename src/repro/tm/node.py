@@ -753,14 +753,18 @@ class TmNode:
             size = (VC_ENTRY_BYTES * self.nprocs + interval_wire_bytes(recs)
                     + (sreq.wire_bytes() if sreq else 0)
                     + self.coherence.barrier_extra_bytes(extra))
-            self.ep.send(roles.current_master(), "barrier_arrive",
-                         payload=(self.pid, self._vc_tuple(),
-                                  tuple(recs), sreq, extra),
-                         size=size)
-            t0 = self.sys.engine.now
-            if self.absence is None:
-                msg = self.ep.recv(kind="barrier_depart")
+            arrive = (roles.current_master(), "barrier_arrive",
+                      (self.pid, self._vc_tuple(), tuple(recs), sreq,
+                       extra), size, None)
+            if self.absence is None:    # one round, one thread sleep
+                got = []
+                t0 = self.ep.exchange(
+                    (arrive,), (("barrier_depart", None, None),),
+                    got.append)
+                msg = got[0]
             else:
+                self.ep.send(*arrive)
+                t0 = self.sys.engine.now
                 msg = roles.await_depart_or_seat()
             self.stats.t_barrier_wait += self.sys.engine.now - t0
             if self.tel is not None:

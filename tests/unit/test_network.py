@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReceiveTimeout
 from repro.harness.experiments import roundtrip_us
 from repro.machine import MachineConfig
 from repro.net import Network
@@ -161,3 +162,96 @@ def test_wire_time_scales_with_size():
     engine.run()
     # 35000 bytes at 35 bytes/us adds ~1000 us of wire time.
     assert times["big_extra"] > 900.0
+
+
+# ----------------------------------------------------------------------
+# Process-context sends and receives run as steps: one thread resume
+# per round.
+# ----------------------------------------------------------------------
+
+def test_a_waited_for_message_resumes_the_receiver_once(parks):
+    cfg = MachineConfig()
+    arrive = cfg.send_overhead + cfg.wire_time(0)
+    got = {}
+
+    def sender(proc, eps):
+        eps[0].send(1, "data", payload="ok")
+
+    def receiver(proc, eps):
+        got["payload"] = eps[1].recv(kind="data").payload
+        got["at"] = proc.engine.now
+
+    engine, _, _ = build(2, [sender, receiver])
+    # Inside the receive overhead: no fast path to the end of it.
+    engine.call_at(arrive + cfg.recv_overhead / 2, lambda: None)
+    engine.run()
+    assert got == {"payload": "ok", "at": arrive + cfg.recv_overhead}
+    assert parks["p1"] == 2     # its start, and the one wait
+
+
+def test_recv_timeout_after_an_unmatched_wakeup(parks):
+    caught = {}
+
+    def sender(proc, eps):
+        eps[0].send(1, "other")
+
+    def receiver(proc, eps):
+        try:
+            eps[1].recv(kind="data", timeout=500.0)
+        except ReceiveTimeout as exc:
+            caught["at"] = proc.engine.now
+            caught["left"] = [m.kind for m in eps[1].mailbox]
+
+    engine, _, _ = build(2, [sender, receiver])
+    engine.run()
+    # "other" woke the receiver in the loop, which waited on: the thread
+    # resumed once, at the deadline.
+    assert caught == {"at": 500.0, "left": ["other"]}
+    assert parks["p1"] == 2
+
+
+def test_exchange_times_like_sends_then_recvs():
+    """One burst of three requests, each echoed by a handler: the round
+    ends where three sends and three receives in a row end, and
+    ``on_reply`` sees each reply at the end of its receive overhead."""
+    def echo(pid):
+        def handler(msg):
+            eps[pid].send(msg.src, "echo", tag=msg.tag)
+        return handler
+
+    def client(rounds):
+        def main(proc, eps):
+            for dst in (1, 2, 3):
+                eps[dst].on("ask", echo(dst))
+            seen = []
+            if rounds:
+                t0 = eps[0].exchange(
+                    [(dst, "ask", None, 8, dst) for dst in (1, 2, 3)],
+                    [("echo", dst, dst) for dst in (1, 2, 3)],
+                    lambda m: seen.append((m.src, proc.engine.now)))
+            else:
+                for dst in (1, 2, 3):
+                    eps[0].send(dst, "ask", size=8, tag=dst)
+                t0 = proc.engine.now
+                for dst in (1, 2, 3):
+                    eps[0].recv(kind="echo", src=dst, tag=dst)
+                    seen.append((dst, proc.engine.now))
+            return t0, seen, proc.engine.now
+        return main
+
+    results = []
+    for rounds in (False, True):
+        eps = {}
+        engine = Engine()
+        net = Network(engine, MachineConfig(nprocs=4), 4)
+        mains = [client(rounds)] + [lambda p, e: None] * 3
+        for i, main in enumerate(mains):
+            proc = engine.add_process(
+                f"p{i}", lambda p, m=main: m(p, eps))
+            eps[i] = net.attach(proc)
+        engine.run()
+        results.append((engine.processes[0].result, net.stats.messages))
+    assert results[0] == results[1]
+    (t0, seen, end), messages = results[1]
+    assert t0 == 3 * MachineConfig().send_overhead and messages == 6
+    assert [src for src, _ in seen] == [1, 2, 3] and seen[-1][1] == end

@@ -34,6 +34,10 @@ class TestClassify:
         assert _classify(
             "AbsenceDetector.start.<locals>.<lambda>") == "absence"
 
+    def test_process_steps_are_net(self):
+        # Sends and receives a blocked process's step runs in the loop.
+        assert _classify("Endpoint._step") == "net"
+
     def test_lambda_inside_subsystem_classifies_to_it(self):
         assert _classify("Transport.send.<locals>.<lambda>") == "net"
 
@@ -106,6 +110,14 @@ class TestWallProfiler:
         prof.run_s = 1.0
         prof.n_events = 10
         assert "events" in prof.render()
+
+    def test_handoffs_are_counted_deterministically(self):
+        profs = [run(RunSpec(app="is", dataset="tiny", nprocs=4,
+                             opt="base", profile=True)).profile
+                 for _ in range(2)]
+        counts = [prof.as_dict()["handoffs"] for prof in profs]
+        assert counts[0] == counts[1] > 0
+        assert f"{counts[0]} thread hand-offs" in profs[0].render()
 
 
 # ----------------------------------------------------------------------

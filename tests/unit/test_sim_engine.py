@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
 import gc
+import hashlib
 import heapq
+import json
+import os
 import threading
 import traceback
 import weakref
@@ -10,6 +13,7 @@ import pytest
 
 import repro.sim.engine as engine_module
 from repro.errors import SimulationDeadlock, SimulationError
+from repro.harness.spec import RunSpec, run
 from repro.sim import Engine, ProcessState
 
 
@@ -419,3 +423,132 @@ def test_failed_and_deadlocked_runs_leave_no_threads():
     gc.collect()
     assert threading.active_count() == baseline
     assert len(tokens) == 5 and all(ref() is None for ref in tokens)
+
+
+# ----------------------------------------------------------------------
+# Steps: a process blocks on a callable the dispatch loop runs instead
+# of resuming its thread; no event moves.
+# ----------------------------------------------------------------------
+
+class PoppedHeap:
+    """Stands in for the engine module's ``heapq``: logs ``(time, seq)``
+    of every pop."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.log = []
+
+    def heappop(self, queue):
+        item = heapq.heappop(queue)
+        self.log.append(item[:2])
+        return item
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: Traced ``tiny`` runs on 4 processors, ``base``, 1 KB pages, generated
+#: before sends and receives ran as steps: events popped, sha256 of the
+#: popped ``(time, seq)`` list, sha256 of the telemetry stream (events in
+#: emission order, then spans) and ``outcome.time``.
+PINNED_RUNS = {
+    "gauss": (23103, "c832366691938c27853ad8dc3e23cf1a"
+                     "95bc614cacb87ce7520c00c9970d7580",
+              "8f824df292c607a28861d6268c75748d"
+              "eae8ee3233857c8c81ae83dcf313d543", 637128.0735428467),
+    "is": (1200, "2dcddd2a7727ddcc48ec609caf59d1fd"
+                 "e7383c2965bba3349221d6b398f5ebe2",
+           "19201941aa83ee785a0451e00938fba0"
+           "a8850a1387a0a67af1df50771ec6ce92", 24365.108571428547),
+}
+
+
+@pytest.mark.parametrize("app", sorted(PINNED_RUNS))
+def test_event_order_telemetry_and_time_are_pinned(app, monkeypatch):
+    heap = PoppedHeap()
+    monkeypatch.setattr(engine_module, "heapq", heap)
+    out = run(RunSpec(app=app, dataset="tiny", nprocs=4, opt="base",
+                      page_size=1024, telemetry=True))
+    tel = out.telemetry
+    stream = [json.dumps(ev.as_dict(), sort_keys=True)
+              for ev in tel.bus.events]
+    stream += [json.dumps(dict(ts=s.t0, dur=s.dur, **s.as_dict()),
+                          sort_keys=True) for s in tel.spans.spans]
+    assert (len(heap.log), _sha(repr(heap.log)), _sha("\n".join(stream)),
+            out.time) == PINNED_RUNS[app]
+
+
+def test_a_step_runs_in_the_loop_and_resumes_the_thread_once(parks):
+    engine = Engine()
+    log = []
+
+    def main(proc):
+        left = [3]
+
+        def step():         # three 10 us charges, each overtaken by a timer
+            log.append((engine.now, threading.current_thread().name,
+                        engine.current))
+            if not left[0]:
+                return True
+            left[0] -= 1
+            return proc._charge(10.0) or ProcessState.ADVANCING
+
+        proc.block_on(step)
+        log.append(engine.now)
+
+    proc = engine.add_process("p0", main)
+    for t in (5.0, 15.0, 25.0):
+        engine.call_at(t, lambda: None)
+    engine.run()
+    assert log == [(0.0, "sim-p0", proc), (10.0, "sim-p0", None),
+                   (20.0, "sim-p0", None), (30.0, "sim-p0", None), 30.0]
+    assert parks == {"p0": 2}       # its start, and the one resume
+
+
+def test_a_step_error_is_raised_on_the_thread():
+    def main(proc):
+        def step():
+            if engine.current is None:      # in the loop
+                raise KeyError("boom")
+            return proc._charge(10.0) or ProcessState.ADVANCING
+        proc.block_on(step)
+
+    engine = Engine()
+    engine.add_process("p0", main)
+    engine.call_at(5.0, lambda: None)
+    with pytest.raises(SimulationError, match="'p0' failed at t=10.0") \
+            as exc_info:
+        engine.run()
+    assert isinstance(exc_info.value.__cause__, KeyError)
+
+
+# ----------------------------------------------------------------------
+# SCHED_BATCH: a woken thread does not preempt its waker.
+# ----------------------------------------------------------------------
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"),
+                    reason="SCHED_BATCH is Linux-only")
+def test_process_threads_run_under_sched_batch():
+    seen = []
+    engine = Engine()
+    engine.add_process("p0", lambda proc: seen.append(
+        os.sched_getscheduler(0)))
+    before = os.sched_getscheduler(0)
+    engine.run()
+    assert seen == [os.SCHED_BATCH]
+    assert os.sched_getscheduler(0) == before       # the caller's own
+
+
+def test_a_refused_sched_batch_is_skipped(monkeypatch):
+    def refuse(*args):
+        raise PermissionError("not permitted")
+
+    monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+    log = []
+    engine = Engine()
+    engine.add_process("p0", lambda proc: (proc.advance(5.0),
+                                           log.append(engine.now)))
+    engine.run()
+    assert log == [5.0]

@@ -4,6 +4,8 @@ import pytest
 
 from repro.harness.experiments import barrier_us, lock_acquire_us
 from repro.memory import Section, SharedLayout
+from repro.tm.backends.mw_lrc import MwLrcBackend
+from repro.tm.node import TmNode
 from repro.tm.system import TmSystem
 
 
@@ -285,3 +287,40 @@ def test_eager_diffing_is_equivalent_but_costlier():
     eager = run_mode(True)
     assert lazy.returns == eager.returns
     assert eager.stats.diffs_created >= lazy.stats.diffs_created
+
+
+def test_two_sided_fetch_from_four_writers_parks_once(monkeypatch, parks):
+    """Fetch_diffs from four concurrent writers is one round: the
+    faulting thread sleeps once between collecting what is missing and
+    applying the first diff.  Sent and received one call at a time, it
+    slept here eight times (per send overhead, per reply waited for and
+    per receive overhead, less the charges no event overtook)."""
+    marks = []
+    collect = MwLrcBackend._collect_missing
+    apply_page = TmNode._apply_page
+
+    def collect_missing(self, pages):
+        needed, missing = collect(self, pages)
+        if self.node.pid == 0 and len(missing) == 4:
+            marks.append(parks["P0"])
+        return needed, missing
+
+    def apply(self, page, keys):
+        if self.pid == 0 and len(marks) == 1:
+            marks.append(parks["P0"])
+        return apply_page(self, page, keys)
+
+    monkeypatch.setattr(MwLrcBackend, "_collect_missing", collect_missing)
+    monkeypatch.setattr(TmNode, "_apply_page", apply)
+
+    def main(node):
+        x = node.array("x")
+        if node.pid:
+            x[node.pid] = float(node.pid)
+        node.barrier()
+        if node.pid == 0:
+            return float(x[0:8].sum())
+
+    res, _ = run(5, main)
+    assert res.returns[0] == 10.0
+    assert len(marks) == 2 and marks[1] - marks[0] == 1

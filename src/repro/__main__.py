@@ -7,7 +7,7 @@ Usage::
     python -m repro all --nprocs 8 --dataset bench
     python -m repro inspect jacobi --mode dsm --opt aggr
     python -m repro inspect jacobi --chrome trace.json --jsonl events.jsonl
-    python -m repro inspect jacobi --html report.html --progress
+    python -m repro inspect jacobi --profile
     python -m repro check [--update-baselines]
     python -m repro chaos --apps jacobi is --intensity heavy
     python -m repro recover --apps jacobi --schedules manager lock
@@ -113,7 +113,6 @@ def inspect_main(argv) -> int:
     from repro.apps import all_apps
     from repro.harness import MODES, RunSpec
     from repro.inspect import inspect_run
-    from repro.observe.htmlreport import write_html
 
     parser = argparse.ArgumentParser(
         prog="python -m repro inspect",
@@ -122,9 +121,8 @@ def inspect_main(argv) -> int:
         description="Run one application with telemetry and print the "
                     "protocol inspection report: hot pages, "
                     "lock/barrier contention, critical path.  The same "
-                    "run can also be exported as a Chrome trace, a "
-                    "JSONL event log and a self-contained HTML report, "
-                    "and wall-clock profiled.")
+                    "run can also be exported as a Chrome trace and a "
+                    "JSONL event log, and wall-clock profiled.")
     parser.add_argument("app", choices=sorted(all_apps()),
                         help="application to inspect")
     parser.add_argument("--mode", default="dsm", choices=sorted(MODES))
@@ -141,38 +139,20 @@ def inspect_main(argv) -> int:
                              "(chrome://tracing or https://ui.perfetto.dev)")
     parser.add_argument("--jsonl", default=None, metavar="PATH",
                         help="also write a JSONL event log here")
-    parser.add_argument("--html", default=None, metavar="PATH",
-                        help="also write a self-contained HTML report "
-                             "(critical path, wall-clock attribution, "
-                             "contention, hot-page timelines; no "
-                             "external assets); the run is wall-clock "
-                             "profiled unless it is a seq run")
     parser.add_argument("--profile", action="store_true",
                         help="wall-clock profile the run and print the "
                              "host-time attribution table")
-    parser.add_argument("--progress", action="store_true",
-                        help="print a live heartbeat (simulated time, "
-                             "events/sec) to stderr while running")
     args = parser.parse_args(argv)
 
-    monitor = None
-    if args.progress:
-        from repro.observe import RunMonitor
-        monitor = RunMonitor()
     rep = inspect_run(RunSpec(
         app=args.app, mode=args.mode,
         opt=args.opt if args.mode == "dsm" else None,
-        profile=args.profile or (bool(args.html) and args.mode != "seq"),
-        monitor=monitor, **_run_kw(args)))
+        profile=args.profile, **_run_kw(args)))
     out = rep.outcome
-    title = (f"{args.app} [{args.mode}] dataset={args.dataset} "
-             f"nprocs={args.nprocs}")
     wrote = []
     for path, write in (
             (args.chrome, out.telemetry.write_chrome_trace),
-            (args.jsonl, out.telemetry.write_jsonl),
-            (args.html, partial(write_html, report=rep,
-                                profile=out.profile, title=title))):
+            (args.jsonl, out.telemetry.write_jsonl)):
         if path:
             write(path)
             wrote.append(path)

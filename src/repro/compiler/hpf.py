@@ -253,12 +253,12 @@ class XhpfRuntime(BaseRuntime):
 def lower_xhpf(program: Program, nprocs: int,
                config: Optional[MachineConfig] = None,
                telemetry=None, faults=None, transport=None,
-               profile=None, monitor=None) -> XhpfOutcome:
+               profile=None) -> XhpfOutcome:
     """Compile and run the XHPF version of ``program``."""
     plan = compile_xhpf(program)
     system = MpSystem(nprocs=nprocs, config=config, telemetry=telemetry,
                       faults=faults, transport=transport,
-                      profile=profile, monitor=monitor)
+                      profile=profile)
     runtimes: Dict[int, XhpfRuntime] = {}
 
     def main(comm):

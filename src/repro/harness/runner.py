@@ -49,7 +49,7 @@ def run_dsm(program: Program, nprocs: int,
             telemetry=None, faults=None, transport=None,
             protocol: Optional[str] = None,
             data_plane: Optional[str] = None,
-            profile=None, monitor=None) -> DsmOutcome:
+            profile=None) -> DsmOutcome:
     """Run on the (optionally compiler-optimized) TreadMarks DSM."""
     prog = transform(program, opt) if opt is not None else program
     lower(prog)     # once, before the run's byte images are allocated
@@ -60,7 +60,7 @@ def run_dsm(program: Program, nprocs: int,
                       telemetry=telemetry, faults=faults,
                       transport=transport, protocol=protocol,
                       data_plane=data_plane,
-                      profile=profile, monitor=monitor)
+                      profile=profile)
 
     def main(node):
         Interpreter(prog, DsmRuntime(node, prog)).run()
@@ -75,11 +75,11 @@ def run_dsm(program: Program, nprocs: int,
 def run_mp(app, params: Dict[str, int], nprocs: int,
            config: Optional[MachineConfig] = None,
            telemetry=None, faults=None, transport=None,
-           profile=None, monitor=None) -> MpOutcome:
+           profile=None) -> MpOutcome:
     """Run the hand-coded message-passing (PVMe) version."""
     system = MpSystem(nprocs=nprocs, config=config, telemetry=telemetry,
                       faults=faults, transport=transport,
-                      profile=profile, monitor=monitor)
+                      profile=profile)
     result = system.run(lambda comm: app.mp_main(comm, dict(params)))
     arrays = {}
     if app.assemble_mp is not None:
@@ -91,9 +91,9 @@ def run_mp(app, params: Dict[str, int], nprocs: int,
 def run_xhpf(program: Program, nprocs: int,
              config: Optional[MachineConfig] = None,
              telemetry=None, faults=None, transport=None,
-             profile=None, monitor=None) -> XhpfOutcome:
+             profile=None) -> XhpfOutcome:
     """Run the XHPF-like compiler-generated message-passing version."""
     from repro.compiler.hpf import lower_xhpf
     return lower_xhpf(program, nprocs, config=config, telemetry=telemetry,
                       faults=faults, transport=transport,
-                      profile=profile, monitor=monitor)
+                      profile=profile)

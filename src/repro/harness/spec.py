@@ -82,9 +82,6 @@ class RunSpec:
     #: keeps every scope down to one attribute test.  Not valid for
     #: ``seq`` runs (no engine to instrument).
     profile: Union[bool, object] = False
-    #: Optional :class:`repro.observe.RunMonitor` progress heartbeat.
-    #: Like ``profile``, needs an engine — not valid for ``seq``.
-    monitor: Optional[object] = None
 
     # ------------------------------------------------------------------
 
@@ -179,10 +176,10 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
 
     if spec.mode == "seq":
         # Not a matrix cell: observation, not perturbation.
-        if prof is not None or spec.monitor is not None:
+        if prof is not None:
             raise ReproError(
-                "mode 'seq' has no simulation engine: profile/monitor "
-                "do not apply")
+                "mode 'seq' has no simulation engine: profile does "
+                "not apply")
         return run_seq(spec.resolve_program(), telemetry=tel)
     if spec.mode == "dsm":
         return run_dsm(spec.resolve_program(), nprocs=spec.nprocs,
@@ -192,13 +189,12 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
                        eager_diffing=spec.eager_diffing, telemetry=tel,
                        faults=spec.faults, transport=spec.transport,
                        protocol=spec.protocol,
-                       data_plane=spec.data_plane, profile=prof,
-                       monitor=spec.monitor)
+                       data_plane=spec.data_plane, profile=prof)
     if spec.mode == "xhpf":
         return run_xhpf(spec.resolve_program(), nprocs=spec.nprocs,
                         config=spec.config, telemetry=tel,
                         faults=spec.faults, transport=spec.transport,
-                        profile=prof, monitor=spec.monitor)
+                        profile=prof)
     # mp: needs the hand-coded main from the AppSpec.
     app = spec.resolve_app()
     if app is None:
@@ -207,4 +203,4 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
     return run_mp(app, spec.resolve_params(), nprocs=spec.nprocs,
                   config=spec.config, telemetry=tel,
                   faults=spec.faults, transport=spec.transport,
-                  profile=prof, monitor=spec.monitor)
+                  profile=prof)

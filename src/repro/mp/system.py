@@ -33,7 +33,7 @@ class MpSystem:
     def __init__(self, nprocs: int,
                  config: Optional[MachineConfig] = None,
                  telemetry=None, faults=None, transport=None,
-                 profile=None, monitor=None) -> None:
+                 profile=None) -> None:
         self.nprocs = nprocs
         base = config or MachineConfig()
         self.config = base.with_nprocs(nprocs)
@@ -43,13 +43,11 @@ class MpSystem:
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.bind_engine(self.engine, nprocs)
-        #: Optional wall-clock observatory (profiler + heartbeat); must
-        #: bind before the network, which captures ``engine.profiler``.
+        #: Optional :class:`repro.observe.WallProfiler`; must bind
+        #: before the network, which captures ``engine.profiler``.
         self.profile = profile
         if profile is not None:
             profile.bind_engine(self.engine)
-        if monitor is not None:
-            monitor.bind_engine(self.engine)
         self.net = Network(self.engine, self.config, nprocs,
                            telemetry=telemetry, faults=faults,
                            transport=transport)

@@ -288,11 +288,10 @@ class Engine:
         #: ``Telemetry.bind_engine``.  Lifecycle events only — per-event
         #: hooks would be far too hot for the scheduling core.
         self.telemetry = None
-        #: Optional :class:`repro.observe.WallProfiler` / ``RunMonitor``
-        #: (set by their ``bind_engine``): hooks on the dispatch loop
-        #: that read the host clock and never touch simulated state.
+        #: Optional :class:`repro.observe.WallProfiler` (set by its
+        #: ``bind_engine``): the dispatch loop's one hook, which reads
+        #: the host clock and never touches simulated state.
         self.profiler = None
-        self.monitor = None
         #: Callables returning extra diagnostic lines for the deadlock
         #: dump (e.g. the network registers its mailbox/transport state).
         self._debug_sources: List[Callable[[], List[str]]] = []
@@ -373,8 +372,6 @@ class Engine:
                     proc._thread.join()
             if mask is not None:
                 os.sched_setaffinity(0, mask)
-        if self.monitor is not None:
-            self.monitor.finish(self, self.monitor.events)
         if tel is not None:
             for proc in self._processes:
                 tel.event(proc.pid, "sim.proc_done",
@@ -394,7 +391,7 @@ class Engine:
         instead when the queue drains or an action raises.
         """
         queue, pop = self._queue, heapq.heappop
-        prof, mon = self.profiler, self.monitor
+        prof = self.profiler
         if prof is not None and self.current is not None:
             prof.block()        # a process's slice just ended
         self.current = None
@@ -406,8 +403,6 @@ class Engine:
                     action()
                 else:
                     prof.timed(action)
-                if mon is not None:
-                    mon.poll(self)
                 nxt = self.current
                 if nxt is not None:
                     if prof is not None and nxt is not me:

@@ -60,7 +60,7 @@ class TmSystem:
                  telemetry=None, faults=None, transport=None,
                  protocol: Optional[str] = None,
                  data_plane: Optional[str] = None,
-                 profile=None, monitor=None) -> None:
+                 profile=None) -> None:
         self.nprocs = nprocs
         self.layout = layout
         cell = require(cell_of("dsm", protocol, data_plane,
@@ -82,15 +82,12 @@ class TmSystem:
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.bind_engine(self.engine, nprocs)
-        #: Optional :class:`repro.observe.WallProfiler` /
-        #: :class:`repro.observe.RunMonitor` — the wall-clock
+        #: Optional :class:`repro.observe.WallProfiler` — the wall-clock
         #: observatory.  Bound to the engine *before* the network is
         #: built (the network captures ``engine.profiler``).
         self.profile = profile
         if profile is not None:
             profile.bind_engine(self.engine)
-        if monitor is not None:
-            monitor.bind_engine(self.engine)
         #: Optional :class:`repro.faults.FaultPlan` /
         #: :class:`repro.net.TransportConfig`; a fault plan auto-enables
         #: the reliable transport underneath the DSM protocol.

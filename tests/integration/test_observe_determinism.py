@@ -1,9 +1,8 @@
 """Determinism under observation, across every coherence backend.
 
-The wall-clock observatory only *reads* engine state, so a profiled or
-monitored run must be byte-identical to a bare one — same simulated
-time, same traffic, same array contents — under every registered
-protocol.  The second half closes the offline loop: a JSONL telemetry
+The wall-clock profiler only *reads* engine state, so a profiled run
+must be byte-identical to a bare one — same simulated time, same
+traffic, same array contents — under every registered protocol.  The second half closes the offline loop: a JSONL telemetry
 export reloaded from disk must drive the inspector to the same report
 as the live run.
 """
@@ -15,10 +14,10 @@ import pytest
 
 from repro.harness import RunSpec, run
 from repro.inspect import InspectReport
-from repro.observe import RunMonitor
 from repro.telemetry import Telemetry
+from repro.tm.coherence import protocols
 
-BACKENDS = ("mw-lrc", "hlrc", "adaptive")
+BACKENDS = sorted(protocols())
 
 SPEC = dict(app="jacobi", mode="dsm", dataset="tiny", nprocs=4,
             page_size=1024, opt="aggr")
@@ -39,12 +38,7 @@ def outcome_fingerprint(out):
 @pytest.mark.parametrize("protocol", BACKENDS)
 def test_observatory_is_invisible(protocol):
     bare = run(RunSpec(protocol=protocol, **SPEC))
-    beats = []
-    mon = RunMonitor(interval_s=0.0, callback=beats.append,
-                     mask_bits=2)
-    observed = run(RunSpec(protocol=protocol, profile=True,
-                           monitor=mon, **SPEC))
-    assert beats, "monitor never ticked"
+    observed = run(RunSpec(protocol=protocol, profile=True, **SPEC))
     assert observed.profile.n_events > 0
     assert outcome_fingerprint(observed) == outcome_fingerprint(bare)
 

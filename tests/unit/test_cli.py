@@ -65,6 +65,15 @@ def test_replaying_a_trace_without_access_events_fails(capsys, tmp_path):
     assert "[stream] the stream holds no access events" in out
 
 
+def test_a_profiled_inspect_prints_the_attribution(capsys):
+    """``inspect --profile`` is the one way to watch a run's host time:
+    the report, then the wall-clock table with its hand-off count."""
+    assert cli.main(["inspect", "jacobi", "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "Wall-clock attribution" in out
+    assert re.search(r"\d+ thread hand-offs", out)
+
+
 def test_a_sweep_header_says_which_data_plane_ran(capsys):
     argv = ["--apps", "jacobi", "--opts", "aggr", "--json", "-"]
     for sweep, extra, plane in (

@@ -1,13 +1,11 @@
 """Unit tests for the wall-clock observatory (``repro.observe``)."""
 
-import io
-
 import pytest
 
 from repro.errors import ReproError
 from repro.harness import RunSpec, run
 from repro.harness.schema import GENERATED_BY, envelope, schema_id
-from repro.observe import RunMonitor, WallProfiler
+from repro.observe import WallProfiler
 from repro.observe.profiler import _classify
 
 
@@ -121,52 +119,6 @@ class TestWallProfiler:
 
 
 # ----------------------------------------------------------------------
-# Run monitor.
-# ----------------------------------------------------------------------
-
-class TestRunMonitor:
-    class FakeEngine:
-        now = 500.0
-
-    def test_callback_receives_beats(self):
-        beats = []
-        mon = RunMonitor(interval_s=0.0, callback=beats.append)
-        mon.tick(self.FakeEngine(), 1000)
-        assert len(beats) == 1
-        b = beats[0]
-        assert b["sim_us"] == 500.0
-        assert b["events"] == 1000
-        assert b["events_per_sec"] > 0
-
-    def test_beat_carries_exactly_the_measured_fields(self):
-        beats = []
-        mon = RunMonitor(interval_s=0.0, callback=beats.append)
-        mon.tick(self.FakeEngine(), 10)
-        assert set(beats[0]) == {"sim_us", "events", "wall_s",
-                                 "events_per_sec", "sim_us_per_sec"}
-
-    def test_first_maybe_tick_only_arms_the_clock(self):
-        beats = []
-        mon = RunMonitor(interval_s=0.0, callback=beats.append)
-        mon.maybe_tick(self.FakeEngine(), 1)
-        assert beats == []          # arms t0
-        mon.maybe_tick(self.FakeEngine(), 2)
-        assert len(beats) == 1      # interval 0 -> beats from then on
-
-    def test_stream_line_is_carriage_returned(self):
-        out = io.StringIO()
-        mon = RunMonitor(interval_s=0.0, stream=out)
-        mon.tick(self.FakeEngine(), 42)
-        mon.finish(self.FakeEngine(), 42)
-        text = out.getvalue()
-        assert text.startswith("\r[observe]")
-        assert text.endswith("\n")
-
-    def test_mask_matches_mask_bits(self):
-        assert RunMonitor(mask_bits=10).mask == 1023
-
-
-# ----------------------------------------------------------------------
 # Versioned JSON schema envelope (satellite: unified --json schema).
 # ----------------------------------------------------------------------
 
@@ -258,18 +210,3 @@ class TestProfiledRun:
         with pytest.raises(ReproError, match="seq"):
             run(RunSpec(app="jacobi", mode="seq", dataset="tiny",
                         profile=True))
-
-    def test_seq_mode_rejects_monitor(self):
-        with pytest.raises(ReproError, match="seq"):
-            run(RunSpec(app="jacobi", mode="seq", dataset="tiny",
-                        monitor=RunMonitor(callback=lambda b: None)))
-
-    def test_monitored_run_beats(self):
-        beats = []
-        mon = RunMonitor(interval_s=0.0, callback=beats.append,
-                         mask_bits=2)
-        out = run(RunSpec(app="jacobi", mode="dsm", dataset="tiny",
-                          nprocs=4, page_size=1024, monitor=mon))
-        assert out.time > 0
-        assert beats, "monitor never ticked"
-        assert beats[-1]["sim_us"] == pytest.approx(float(out.time))

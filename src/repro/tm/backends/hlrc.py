@@ -430,5 +430,5 @@ class HlrcBackend(CoherenceBackend):
         image = MemoryImage(system.layout)
         for p in range(system.layout.npages):
             image.page(p)[:] = system.nodes[self.home_map[p]].image.page(p)
-        return {name: image.view(name).copy()
+        return {name: image.view(name)
                 for name in system.layout.arrays}

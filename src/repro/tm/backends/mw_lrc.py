@@ -406,5 +406,5 @@ class MwLrcBackend(CoherenceBackend):
                 diff = system.nodes[rec.writer]._get_or_make_diff(
                     page, rec.index)
                 apply_diff(diff, image.page(page))
-        return {name: image.view(name).copy()
+        return {name: image.view(name)
                 for name in system.layout.arrays}

@@ -9,10 +9,10 @@ multiple-writer protocol of Carter et al. used by TreadMarks.
 
 A diff is held columnar, not as a list of runs: the changed bytes in one
 contiguous ``payload``, located either by a single ``[lo, hi)`` slice
-(one run, or none) or by an index of byte offsets in the narrowest
-unsigned dtype that can address the page.  Only the run *count* is kept,
-because the wire size is all the protocol needs of the runs:
-``wire_bytes = 12 + 8 * nruns + payload_bytes``.
+(one run, or none) or by the page's changed-byte bitmap, packed to one
+bit per byte (``page_size / 8`` bytes however many runs there are).
+Only the run *count* is kept, because the wire size is all the protocol
+needs of the runs: ``wire_bytes = 12 + 8 * nruns + payload_bytes``.
 
 A special *full-page* diff (``full=True``) carries the entire page.  It is
 produced for intervals whose pages were covered by a ``WRITE_ALL``
@@ -48,7 +48,8 @@ class Diff:
     writer: int
     interval: int
     #: Where ``payload`` goes in the page: one ``slice`` when the changed
-    #: bytes form a single run (or none), else their byte offsets.
+    #: bytes form a single run (or none), else the page's changed-byte
+    #: bitmap (``np.packbits`` of ``twin != current``).
     where: Union[slice, np.ndarray]
     payload: np.ndarray
     #: Maximal runs of consecutive changed bytes.
@@ -72,17 +73,16 @@ def make_diff(page: int, writer: int, interval: int,
     """Encode the bytes where ``current`` differs from ``twin``."""
     if twin.shape != current.shape:
         raise ValueError("twin/page size mismatch")
-    idx = np.flatnonzero(twin != current)
-    n = len(idx)
-    lo = int(idx[0]) if n else 0
-    if n == 0 or int(idx[-1]) - lo + 1 == n:
-        run = slice(lo, lo + n)
-        return Diff(page, writer, interval, run, current[run].copy(),
-                    min(n, 1))
-    nruns = 1 + int(np.count_nonzero(np.diff(idx) > 1))
-    return Diff(page, writer, interval,
-                idx.astype(np.min_scalar_type(len(current) - 1)),
-                current[idx], nruns)
+    changed = twin != current
+    # A run starts at every rising edge, and at byte 0 if it changed.
+    nruns = int(np.count_nonzero(changed[:1])
+                + np.count_nonzero(changed[1:] > changed[:-1]))
+    if nruns <= 1:
+        lo = int(changed.argmax())      # 0 when nothing changed
+        run = slice(lo, lo + int(np.count_nonzero(changed)))
+        return Diff(page, writer, interval, run, current[run].copy(), nruns)
+    return Diff(page, writer, interval, np.packbits(changed),
+                current[changed], nruns)
 
 
 def full_page_diff(page: int, writer: int, interval: int,
@@ -94,5 +94,8 @@ def full_page_diff(page: int, writer: int, interval: int,
 
 def apply_diff(diff: Diff, page_bytes: np.ndarray) -> int:
     """Apply ``diff`` onto ``page_bytes`` in place; returns bytes written."""
-    page_bytes[diff.where] = diff.payload
+    where = diff.where
+    if type(where) is not slice:
+        where = np.unpackbits(where, count=len(page_bytes)).view(bool)
+    page_bytes[where] = diff.payload
     return diff.payload_bytes

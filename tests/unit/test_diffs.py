@@ -2,7 +2,8 @@
 
 The codec is checked through its public surface only (``make_diff``,
 ``full_page_diff``, ``apply_diff``, ``payload_bytes``, ``wire_bytes``)
-against the per-run loop encoder it replaced, kept here as the oracle.
+against the per-run loop encoder it replaced, kept here as the oracle;
+one test pins the two shapes of ``where`` (a slice or a bitmap).
 """
 
 import numpy as np
@@ -14,8 +15,9 @@ from repro.tm.diffs import (DIFF_HEADER_BYTES, RUN_HEADER_BYTES, apply_diff,
                             diff_payload_bytes, full_page_diff, make_diff)
 
 PAGE = 128
-#: 256 and 65536 sit on the index-dtype edges (uint8 / uint16 just fit).
-PAGE_SIZES = (256, 4096, 65536)
+#: 100 is not a multiple of 8, so the bitmap's last byte is padded.
+PAGE_SIZES = (100, 256, 4096, 65536)
+PATTERNS = ("random", "sparse", "strided", "block", "full", "edges", "empty")
 
 
 def oracle_runs(twin, current):
@@ -45,7 +47,7 @@ def pages(size, pattern, seed=1996):
     rng = np.random.default_rng(seed)
     twin = rng.integers(0, 255, size, dtype=np.uint8)
     cur = twin.copy()
-    words = cur.view(np.uint64)
+    words = cur[:size - size % 8].view(np.uint64)
     n = len(words)
     if pattern == "random":
         mask = rng.random(size) < 0.3
@@ -68,8 +70,7 @@ def pages(size, pattern, seed=1996):
 
 
 @pytest.mark.parametrize("size", PAGE_SIZES)
-@pytest.mark.parametrize("pattern", ["random", "sparse", "strided", "block",
-                                     "full", "edges", "empty"])
+@pytest.mark.parametrize("pattern", PATTERNS)
 def test_matches_run_list_oracle(size, pattern):
     twin, cur = pages(size, pattern)
     runs = oracle_runs(twin, cur)
@@ -88,6 +89,20 @@ def test_matches_run_list_oracle(size, pattern):
     target = twin.copy()
     apply_diff(diff, target)
     np.testing.assert_array_equal(target, cur)
+
+
+@pytest.mark.parametrize("size", PAGE_SIZES)
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_where_is_a_slice_or_the_changed_byte_bitmap(size, pattern):
+    twin, cur = pages(size, pattern)
+    diff = make_diff(3, 0, 1, twin, cur)
+    if diff.nruns <= 1:
+        assert type(diff.where) is slice
+        return
+    assert diff.where.dtype == np.uint8
+    assert diff.where.shape == (-(-size // 8),)
+    np.testing.assert_array_equal(
+        np.unpackbits(diff.where, count=size).view(bool), twin != cur)
 
 
 @st.composite

@@ -10,6 +10,7 @@ interpreter or a runtime's private arrays into a cycle.
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.apps import get_app
@@ -54,7 +55,28 @@ def test_release_frees_images_and_plan_without_gc(no_gc):
     system.release()
     assert all(dead(images)) and all(dead(views))
     assert not system.layout.info("b").plan
-    assert arrays["b"].shape == (64, 64)     # the snapshot is a copy
+    assert arrays["b"].shape == (64, 64)     # the snapshot outlives it
+
+
+@pytest.mark.parametrize("protocol", ["mw-lrc", "hlrc"])
+def test_snapshot_arrays_belong_to_the_caller(protocol):
+    """A snapshot is views of an image private to the call: writing
+    into it touches no node, and the next snapshot is unaffected."""
+    prog = get_app("jacobi").program("tiny", 4)
+    system = TmSystem(nprocs=4, layout=layout_for(prog, page_size=1024),
+                      protocol=protocol)
+    system.run(lambda node: Interpreter(prog, DsmRuntime(node, prog)).run())
+    images = [n.image.buf.copy() for n in system.nodes]
+    first = system.snapshot()
+    kept = {name: a.copy() for name, a in first.items()}
+    for a in first.values():
+        a[...] = -1
+    for node, image in zip(system.nodes, images):
+        np.testing.assert_array_equal(node.image.buf, image)
+    second = system.snapshot()
+    assert second.keys() == kept.keys()
+    for name, a in second.items():
+        np.testing.assert_array_equal(a, kept[name])
 
 
 def test_lowered_program_holds_no_processor_state(no_gc):

@@ -442,7 +442,7 @@ class AbsenceManager:
         # Outstanding asynchronous fetches complete first: their
         # responses are addressed to pre-departure request tags and
         # carry data the program has already been promised.
-        node.coherence.drain_async()
+        node._drain_validates()
         # Close the open interval.  A cut-short one carries crash=True
         # on its tm.interval event so the sanitizer's partial-overwrite
         # rule knows; a streaming node logs it from end_interval.
@@ -743,7 +743,7 @@ class AbsenceManager:
         node.ep.send(msg.src, "diff_resp", payload=tuple(diffs),
                      size=diff_payload_bytes(diffs), tag=tag)
 
-    def on_gc_discard(self, pid: int) -> None:
+    def discard_custody(self, pid: int) -> None:
         """Barrier-time GC on ``pid``: drop the history it holds in
         custody (role state stays).
 

@@ -17,6 +17,7 @@ from repro.harness.report import render_table
 from repro.inspect.contention import ContentionProfile
 from repro.inspect.critpath import CriticalPath
 from repro.inspect.timeline import PageTimelines
+from repro.tm.stats import WAIT_FIELDS
 
 #: Relative tolerance for a simulated time compared with another
 #: account of it (floats only): reconciled sums here, baselines in
@@ -179,10 +180,10 @@ class InspectReport:
         return problems
 
     def _fetch_wait(self) -> float:
-        # Home-based backends charge their release-time flush waits to
-        # t_fetch_wait too, under the "wait.flush" span.
+        names = {span for span, field in WAIT_FIELDS.items()
+                 if field == "t_fetch_wait"}
         return sum(s.dur for s in self.outcome.telemetry.spans.spans
-                   if s.name in ("wait.fetch", "wait.flush"))
+                   if s.name in names)
 
     # ------------------------------------------------------------------
     # Rendering.

@@ -7,13 +7,16 @@ runtime emits:
 * ``compute``       — application computation charged by the interpreter;
 * ``wait.barrier``  — blocked between barrier arrival and departure;
 * ``wait.lock``     — blocked acquiring a lock;
-* ``wait.fetch``    — blocked on diff responses / pushed data;
+* ``wait.fetch``    — blocked on diff or page responses;
+* ``wait.flush``    — hlrc/adaptive: a release blocked on flush acks;
+* ``wait.push``     — blocked receiving Push data;
 * ``cpu.protect`` / ``cpu.twin`` / ``cpu.diff`` — protocol CPU bursts
   (placed at the simulated time the cost is charged; bursts deferred by
   an atomic protocol section keep their emission timestamp).
 
-Aggregating spans by ``(epoch, name)`` yields the paper's per-phase
-execution-time breakdown, per barrier epoch.
+``repro.tm.stats.WAIT_FIELDS`` names the ``TmStats`` field each wait
+span feeds.  Aggregating spans by ``(epoch, name)`` yields the paper's
+per-phase execution-time breakdown, per barrier epoch.
 """
 
 from __future__ import annotations

@@ -32,30 +32,16 @@ writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.memory.section import Section
 from repro.net.message import Message
 from repro.net import onesided as rdma
-from repro.rt.access import AccessType
 from repro.tm.coherence import CoherenceBackend, register
 from repro.tm.diffs import apply_diff, diff_payload_bytes
 from repro.tm.meta import PAGE_ID_BYTES
-
-
-@dataclass
-class HomeAsyncPlan:
-    """An asynchronous Validate waiting for its page responses."""
-
-    pages: Set[int]
-    expected: Dict[int, int]        # home -> response tag
-    local: List[int]                # own-home pages (no message needed)
-    perm_sections: List[Section]
-    access_type: AccessType
 
 
 @register
@@ -70,7 +56,6 @@ class HlrcBackend(CoherenceBackend):
         #: rewrites entries at barriers (all nodes in lockstep).
         self.home_map: List[int] = [
             p % node.nprocs for p in range(node.layout.npages)]
-        self._plans: List[HomeAsyncPlan] = []
         #: Pages this node just became home for, whose base copy is
         #: still in flight from the old home (adaptive migration):
         #: requests and flushes for them are deferred, not served stale.
@@ -141,10 +126,7 @@ class HlrcBackend(CoherenceBackend):
         t0 = node.sys.engine.now
         for h in sorted(by_home):
             node.ep.recv(kind="home_flush_ack", src=h, tag=tag)
-        node.stats.t_fetch_wait += node.sys.engine.now - t0
-        if node.tel is not None:
-            node.tel.span(node.pid, "wait.flush", t0,
-                          node.sys.engine.now)
+        node._waited("wait.flush", t0)
 
     def _h_home_flush(self, msg: Message) -> None:
         node = self.node
@@ -258,10 +240,7 @@ class HlrcBackend(CoherenceBackend):
                                        tag=fb[h])
                     responses[h] = list(responses.get(h, ())) \
                         + list(msg.payload)
-            node.stats.t_fetch_wait += node.sys.engine.now - t0
-            if node.tel is not None:
-                node.tel.span(node.pid, "wait.fetch", t0,
-                              node.sys.engine.now)
+            node._waited("wait.fetch", t0)
         with node._atomic():    # batch install charges into one advance
             for p in local:
                 # The home's own copy is authoritative by construction;
@@ -270,11 +249,6 @@ class HlrcBackend(CoherenceBackend):
             for h in sorted(responses):
                 for p, data in responses[h]:
                     self._install_page(p, h, data)
-
-    def fetch_pages(self, pages: Sequence[int]) -> None:
-        local, by_home = self._partition(pages)
-        expected = self._send_page_requests(by_home)
-        self._recv_and_install(expected, local)
 
     def _subsume(self, page: int) -> None:
         """Mark every known notice for ``page`` applied: the home copy
@@ -372,42 +346,12 @@ class HlrcBackend(CoherenceBackend):
         self._recv_and_install(expected, local)
 
     # ==================================================================
-    # Asynchronous Validate.
-    # ==================================================================
-
-    def validate_async(self, fetch, pages, sections, access_type) -> bool:
-        local, by_home = self._partition(fetch)
-        expected = self._send_page_requests(by_home)
-        self._plans.append(HomeAsyncPlan(
-            pages=set(pages), expected=expected, local=local,
-            perm_sections=list(sections), access_type=access_type))
-        return True
-
-    def complete_async_covering(self, page: int) -> bool:
-        for i, plan in enumerate(self._plans):
-            if page in plan.pages:
-                del self._plans[i]
-                self._recv_and_install(plan.expected, plan.local)
-                self.node._apply_validate_perms(plan.perm_sections,
-                                                plan.access_type)
-                return True
-        return False
-
-    def drain_async(self) -> None:
-        while self._plans:
-            plan = self._plans[0]
-            self.complete_async_covering(next(iter(plan.pages)))
-
-    # ==================================================================
     # Validate_w_sync: no merge partner — complete after the sync op.
     # ==================================================================
     # There is no per-writer diff traffic to merge into the sync
     # message under hlrc; the queued entries are satisfied right after
     # the synchronization completes, with ordinary home fetches (the
     # deferral still saves the pre-sync fetch of soon-stale pages).
-
-    def take_wsync_request(self, entries):
-        return None
 
     def complete_wsync(self, entries, req, await_donations) -> None:
         node = self.node

@@ -14,15 +14,12 @@ baselines and Table 2 benchmarks pin that down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.memory.section import Section
 from repro.net.message import Message
 from repro.net import onesided as rdma
-from repro.rt.access import AccessType
 from repro.tm.coherence import (CoherenceBackend, SyncFetchRequest,
                                 register)
 from repro.tm.diffs import (Diff, apply_diff, diff_payload_bytes,
@@ -31,27 +28,11 @@ from repro.tm.diffs import (Diff, apply_diff, diff_payload_bytes,
 Key = Tuple[int, int]          # (writer, interval index)
 
 
-@dataclass
-class AsyncPlan:
-    """An asynchronous Validate waiting for its first page fault."""
-
-    pages: Set[int]
-    fetch_pages: List[int]
-    needed_by_page: Dict[int, List[Key]]
-    expected: List[Tuple[int, int]]     # (serving pid, response tag)
-    perm_sections: List[Section]
-    access_type: AccessType
-
-
 @register
 class MwLrcBackend(CoherenceBackend):
     """TreadMarks' multiple-writer LRC data movement."""
 
     name = "mw-lrc"
-
-    def __init__(self, node) -> None:
-        super().__init__(node)
-        self._async_plans: List[AsyncPlan] = []
 
     def attach(self) -> None:
         self.node.ep.on("diff_req", self._h_diff_req)
@@ -162,16 +143,16 @@ class MwLrcBackend(CoherenceBackend):
             return
         sends, replies = self._diff_requests(self._serving_groups(missing))
         if sends:
-            self._waited(node.ep.exchange(sends, replies,
-                                          self._store_reply))
+            node._waited("wait.fetch", node.ep.exchange(
+                sends, replies, self._store_reply))
 
     def _recv_diff_responses(self, expected: List[tuple]) -> None:
         if not expected:
             return
         node = self.node
         if node.osl is None:
-            self._waited(node.ep.exchange((), expected,
-                                          self._store_reply))
+            node._waited("wait.fetch", node.ep.exchange(
+                (), expected, self._store_reply))
             return
         t0 = node.sys.engine.now
         fallback: Dict[int, List[Tuple[int, int]]] = {}
@@ -194,15 +175,7 @@ class MwLrcBackend(CoherenceBackend):
         if fallback:
             node.ep.exchange(*self._diff_requests(
                 self._serving_groups(fallback)), self._store_reply)
-        self._waited(t0)
-
-    def _waited(self, t0: float) -> None:
-        """Account a fetch's wait, from the last request's departure."""
-        node = self.node
-        node.stats.t_fetch_wait += node.sys.engine.now - t0
-        if node.tel is not None:
-            node.tel.span(node.pid, "wait.fetch", t0,
-                          node.sys.engine.now)
+        node._waited("wait.fetch", t0)
 
     def fetch_pages(self, pages: Sequence[int]) -> None:
         node = self.node
@@ -245,38 +218,6 @@ class MwLrcBackend(CoherenceBackend):
         for p in handle["pages"]:
             node._apply_page(p, handle["needed"].get(p, []))
             node.pages[p].valid = True
-
-    # ==================================================================
-    # Asynchronous Validate plans.
-    # ==================================================================
-
-    def validate_async(self, fetch, pages, sections, access_type) -> bool:
-        needed_by_page, missing = self._collect_missing(fetch)
-        expected = self._send_diff_requests(missing)
-        self._async_plans.append(AsyncPlan(
-            pages=set(pages), fetch_pages=fetch,
-            needed_by_page=needed_by_page, expected=expected,
-            perm_sections=list(sections), access_type=access_type))
-        return True
-
-    def complete_async_covering(self, page: int) -> bool:
-        node = self.node
-        for i, plan in enumerate(self._async_plans):
-            if page in plan.pages:
-                del self._async_plans[i]
-                self._recv_diff_responses(plan.expected)
-                for p in plan.fetch_pages:
-                    node._apply_page(p, plan.needed_by_page.get(p, []))
-                    node.pages[p].valid = True
-                node._apply_validate_perms(plan.perm_sections,
-                                           plan.access_type)
-                return True
-        return False
-
-    def drain_async(self) -> None:
-        while self._async_plans:
-            plan = self._async_plans[0]
-            self.complete_async_covering(next(iter(plan.pages)))
 
     # ==================================================================
     # Validate_w_sync: sync+data merge (paper Sections 3.2.1 / 3.3).

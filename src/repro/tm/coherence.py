@@ -3,12 +3,16 @@
 :class:`~repro.tm.node.TmNode` owns the machinery every software-DSM
 protocol shares — the private page image, the page table, vector clocks,
 interval records and write notices, twin/diff encoding, the lock and
-barrier clients, Push.  What *varies* between protocols is the data
-movement policy: where a faulting processor gets page contents from,
-what happens to a dirty page's modifications at a release, whether a
-given page is ever twinned, and how the compiler-directed
-``Validate_w_sync`` merge is honored.  :class:`CoherenceBackend`
-captures exactly that variation; one instance exists per node.
+barrier clients, Push, and the asynchronous Validate, which it keeps
+as split-phase fetches (:meth:`~CoherenceBackend.begin_fetch` at the
+Validate, :meth:`~CoherenceBackend.finish_fetch` at the first fault on
+a covered page) and drains at every synchronization operation.  What
+*varies* between protocols is the data movement policy: where a
+faulting processor gets page contents from, what happens to a dirty
+page's modifications at a release, whether a given page is ever
+twinned, and how the compiler-directed ``Validate_w_sync`` merge is
+honored.  :class:`CoherenceBackend` captures exactly that variation;
+one instance exists per node.
 
 Three backends are registered (see :mod:`repro.tm.backends`):
 
@@ -92,42 +96,20 @@ class CoherenceBackend:
 
     # --- fault / validate-time data acquisition -----------------------
 
-    def fetch_pages(self, pages: Sequence[int]) -> None:
-        """Make every page in ``pages`` valid, fetching as needed."""
+    def begin_fetch(self, pages: Sequence[int]):
+        """Start a split-phase fetch of ``pages`` (Figure 4's
+        ``Fetch_diffs``): send the requests, return without waiting;
+        the opaque handle goes to :meth:`finish_fetch`."""
         raise NotImplementedError
 
-    def begin_fetch(self, pages: Sequence[int]):
-        """Start a split-phase fetch (Figure 4's ``Fetch_diffs``);
-        returns an opaque handle for :meth:`finish_fetch`."""
-        return list(pages)
-
     def finish_fetch(self, handle) -> None:
-        """Complete a split-phase fetch (Figure 4's ``Apply_diffs``)."""
-        self.fetch_pages(handle)
+        """Complete a split-phase fetch (Figure 4's ``Apply_diffs``):
+        wait for the responses and make every page valid."""
+        raise NotImplementedError
 
-    def validate_async(self, fetch: List[int], pages: List[int],
-                       sections, access_type) -> bool:
-        """Begin an asynchronous Validate fetch for ``fetch``.
-
-        Returns True when a plan was queued (the node returns without
-        applying permissions; :meth:`complete_async_covering` finishes
-        the job at the first fault on one of ``pages``), or False to
-        fall back to the synchronous path.
-        """
-        return False
-
-    def complete_async_covering(self, page: int) -> bool:
-        """Finish the queued asynchronous Validate covering ``page``."""
-        return False
-
-    def drain_async(self) -> None:
-        """Complete every outstanding asynchronous Validate plan.
-
-        Called on entry to every synchronization operation: a plan
-        computed before an acquire references the pre-acquire notice
-        state, so letting it complete after new write notices arrive
-        would mark stale pages valid.
-        """
+    def fetch_pages(self, pages: Sequence[int]) -> None:
+        """Make every page in ``pages`` valid, fetching as needed."""
+        self.finish_fetch(self.begin_fetch(pages))
 
     # --- twin policy --------------------------------------------------
 
@@ -192,10 +174,7 @@ class CoherenceBackend:
     def apply_barrier_plan(self, plan) -> None:
         """Apply the master's plan (every node, inside the barrier)."""
 
-    # --- garbage collection / shutdown --------------------------------
-
-    def on_gc_discard(self) -> None:
-        """Barrier-time GC dropped all interval/diff history."""
+    # --- shutdown -----------------------------------------------------
 
     def snapshot_arrays(self) -> dict:
         """Offline final-state reconciliation (see TmSystem.snapshot)."""

@@ -52,7 +52,7 @@ from repro.tm.diffs import Diff, apply_diff, full_page_diff, make_diff
 from repro.tm.meta import (IntervalRecord, PageMeta, interval_wire_bytes,
                            VC_ENTRY_BYTES)
 from repro.tm.roles import NodeRoles
-from repro.tm.stats import TmStats
+from repro.tm.stats import TmStats, WAIT_FIELDS
 from repro.memory.layout import MemoryImage
 
 Key = Tuple[int, int]          # (writer, interval index)
@@ -151,6 +151,9 @@ class TmNode:
 
         # --- compiler-driven machinery ----------------------------------
         self._wsync_queue: List[_WsyncEntry] = []
+        #: Outstanding asynchronous Validates, oldest first: (covered
+        #: pages, the backend's begin_fetch handle, sections, access).
+        self._async_validates: List[tuple] = []
         self._req_seq = 0
         self._push_round = 0
 
@@ -235,6 +238,15 @@ class TmNode:
 
     def _merge_vc(self, other: Sequence[int]) -> None:
         self.vc = [max(a, b) for a, b in zip(self.vc, other)]
+
+    def _waited(self, span: str, t0: float) -> None:
+        """Account a wait from ``t0`` to now: its ``TmStats`` field
+        (``WAIT_FIELDS``) and its telemetry span."""
+        now = self.sys.engine.now
+        field = WAIT_FIELDS[span]
+        setattr(self.stats, field, getattr(self.stats, field) + (now - t0))
+        if self.tel is not None:
+            self.tel.span(self.pid, span, t0, now)
 
     def _syncpoint(self) -> None:
         """Scheduled crashes, drains and joins realize here."""
@@ -518,7 +530,7 @@ class TmNode:
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.read_fault", page=p)
             self._charge(self.cfg.protect_cost(p))
-            if not self.coherence.complete_async_covering(p):
+            if not self._finish_validate_covering(p):
                 self.coherence.fetch_pages([p])
 
     def ensure_write(self, pages: Iterable[int]) -> None:
@@ -531,8 +543,7 @@ class TmNode:
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.write_fault", page=p)
             self._charge(self.cfg.protect_cost(p))
-            if self.coherence.complete_async_covering(p) \
-                    and meta.write_enabled:
+            if self._finish_validate_covering(p) and meta.write_enabled:
                 continue
             if not meta.valid:
                 self.coherence.fetch_pages([p])
@@ -559,12 +570,40 @@ class TmNode:
         else:
             fetch = []
         if asynchronous and fetch:
-            if self.coherence.validate_async(fetch, pages, sections,
-                                             access_type):
-                return
+            # Figure 4's Fetch_diffs now, Apply_diffs (and permissions)
+            # at the first fault on a covered page.
+            self._async_validates.append(
+                (set(pages), self.coherence.begin_fetch(fetch),
+                 list(sections), access_type))
+            return
         if fetch:
             self.coherence.fetch_pages(fetch)
         self._apply_validate_perms(sections, access_type)
+
+    def _finish_validate(self, i: int) -> None:
+        """Complete outstanding asynchronous Validate ``i``: finish its
+        fetch, then set its permissions."""
+        _, handle, sections, access_type = self._async_validates.pop(i)
+        self.coherence.finish_fetch(handle)
+        self._apply_validate_perms(sections, access_type)
+
+    def _finish_validate_covering(self, page: int) -> bool:
+        """Complete the oldest asynchronous Validate covering ``page``."""
+        for i, plan in enumerate(self._async_validates):
+            if page in plan[0]:
+                self._finish_validate(i)
+                return True
+        return False
+
+    def _drain_validates(self) -> None:
+        """Complete every outstanding asynchronous Validate, oldest
+        first.  Called on entry to every synchronization operation
+        (lock acquire, barrier, Push, GC, departure): a fetch begun
+        before the operation reflects the write notices known then;
+        completed after it, it would install stale data over newer
+        bytes (a Push's, say) and mark the pages valid."""
+        while self._async_validates:
+            self._finish_validate(0)
 
     def validate_w_sync(self, sections: Sequence[Section],
                         access_type: AccessType,
@@ -709,7 +748,7 @@ class TmNode:
         self.stats.lock_acquires += 1
         if self.tel is not None:
             self.tel.event(self.pid, "tm.lock_acquire", lid=lid)
-        self.coherence.drain_async()
+        self._drain_validates()
         sreq, wsync = self._take_wsync_request()
         if self.osl is not None and self.absence is None:
             # CAS-spinlock fast path (no manager handler, no queues).
@@ -738,7 +777,7 @@ class TmNode:
         self.stats.barriers += 1
         if self.tel is not None:
             self.tel.barrier(self.pid)   # advances the barrier epoch
-        self.coherence.drain_async()
+        self._drain_validates()
         sreq, wsync = self._take_wsync_request()
         self.end_interval()
         if self.nprocs == 1:
@@ -766,10 +805,7 @@ class TmNode:
                 self.ep.send(*arrive)
                 t0 = self.sys.engine.now
                 msg = roles.await_depart_or_seat()
-            self.stats.t_barrier_wait += self.sys.engine.now - t0
-            if self.tel is not None:
-                self.tel.span(self.pid, "wait.barrier", t0,
-                              self.sys.engine.now)
+            self._waited("wait.barrier", t0)
             if msg is None:
                 # The seat moved to this node while it waited as a
                 # client; its own (relayed) arrival is already in the
@@ -814,6 +850,7 @@ class TmNode:
                            round=self._push_round + 1,
                            reads=pack_sections(read_sections[self.pid]),
                            writes=pack_sections(write_sections[self.pid]))
+        self._drain_validates()
         rec = self.end_interval()
         index = rec.index if rec is not None else None
         self._push_round += 1
@@ -897,8 +934,8 @@ class TmNode:
             self.tel.event(self.pid, "tm.gc_validate",
                            round=self.gc_rounds)
         # Outstanding asynchronous Validates must complete first:
-        # their plans reference records that phase 2 will discard.
-        self.coherence.drain_async()
+        # their fetches reference records that phase 2 will discard.
+        self._drain_validates()
         stale = [p for p in range(self.layout.npages)
                  if not self.pages[p].valid and self._needed_notices(p)]
         if stale:
@@ -918,11 +955,11 @@ class TmNode:
         self._discard_history()
         for meta in self.pages:
             meta.valid = True
-        if self.osl is not None:
-            self.osl.on_gc_discard()
-        self.coherence.on_gc_discard()
+        if self.osl is not None:    # the diff windows go with the store
+            self.osl.plane.deregister_where(
+                self.pid, lambda k: k[0] == "diff")
         if self.absence is not None:
-            self.absence.on_gc_discard(self.pid)
+            self.absence.discard_custody(self.pid)
 
     @staticmethod
     def _intersect_lists(writes: Sequence[Section],

@@ -92,11 +92,6 @@ class NodeOneSided:
         self.plane.register(self.node.pid, ("diff", interval, page),
                             value=diff, nbytes=diff.wire_bytes)
 
-    def on_gc_discard(self) -> None:
-        """GC phase 2 dropped the diff store; drop its windows too."""
-        self.plane.deregister_where(
-            self.node.pid, lambda k: k[0] == "diff")
-
     # ------------------------------------------------------------------
     # Push staging (NIC deposit -> process-context install).
     # ------------------------------------------------------------------
@@ -229,10 +224,7 @@ class NodeOneSided:
             node.tel.event(node.pid, "tm.lock_grant", lid=lid,
                            to=node.pid)
         stats.onesided_lock_fast += 1
-        stats.t_lock_wait += node.sys.engine.now - t0
-        if node.tel is not None:
-            node.tel.span(node.pid, "wait.lock", t0,
-                          node.sys.engine.now)
+        node._waited("wait.lock", t0)
         self._consume_meta(lid, meta)
         node.roles.held.add(lid)
 
@@ -255,10 +247,7 @@ class NodeOneSided:
                      payload=(lid, node._vc_tuple()),
                      size=8 + VC_ENTRY_BYTES * node.nprocs, tag=lid)
         msg = node.ep.recv(kind="lock_sync_grant", tag=lid)
-        node.stats.t_lock_wait += node.sys.engine.now - t0
-        if node.tel is not None:
-            node.tel.span(node.pid, "wait.lock", t0,
-                          node.sys.engine.now)
+        node._waited("wait.lock", t0)
         granter_vc, recs = msg.payload
         node.apply_notices(recs, granter_vc)
 

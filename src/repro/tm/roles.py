@@ -150,9 +150,11 @@ class NodeRoles:
         node = self.node
         if self._has_token(lid) and lid not in self.held:
             # Re-acquiring the lock we released last: purely local.
+            # Held before the charge, which yields: a lock_fwd served
+            # meanwhile must queue, not take the token away.
+            self.held.add(lid)
             node._charge(node.cfg.local_lock_cost)
             node.stats.lock_local_acquires += 1
-            self.held.add(lid)
             return
         manager = self._manager_of(lid)
         rvc = node._vc_tuple()
@@ -167,10 +169,7 @@ class NodeRoles:
                          size=size)
         t0 = node.sys.engine.now
         msg = node.ep.recv(kind="lock_grant", tag=lid)
-        node.stats.t_lock_wait += node.sys.engine.now - t0
-        if node.tel is not None:
-            node.tel.span(node.pid, "wait.lock", t0,
-                          node.sys.engine.now)
+        node._waited("wait.lock", t0)
         granter_vc, recs, donated = msg.payload
         node._store_diffs(donated)
         node.apply_notices(recs, granter_vc)
@@ -291,10 +290,7 @@ class NodeRoles:
                 f"{['P%d' % p for p in absent]}")
             node.proc.wait()
         node.proc.waiting_on = None
-        node.stats.t_barrier_wait += node.sys.engine.now - t0
-        if node.tel is not None:
-            node.tel.span(node.pid, "wait.barrier", t0,
-                          node.sys.engine.now)
+        node._waited("wait.barrier", t0)
         self.barrier_finish()
 
     def await_depart_or_seat(self) -> Optional[Message]:

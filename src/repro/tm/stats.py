@@ -4,6 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+#: The one map from a wait span to the ``TmStats`` time field it feeds
+#: (``TmNode._waited`` charges both; the inspector reconciles them).
+#: hlrc's release-time flush wait counts as fetch wait.
+WAIT_FIELDS = {
+    "wait.barrier": "t_barrier_wait",
+    "wait.lock": "t_lock_wait",
+    "wait.fetch": "t_fetch_wait",
+    "wait.flush": "t_fetch_wait",
+}
+
 
 @dataclass
 class TmStats:
@@ -62,7 +72,8 @@ class TmStats:
     t_barrier_wait: float = 0.0
     #: Wall time blocked acquiring locks.
     t_lock_wait: float = 0.0
-    #: Wall time blocked waiting for diff responses / push data.
+    #: Wall time blocked waiting for diff/page responses and, under
+    #: hlrc, home-flush acks.
     t_fetch_wait: float = 0.0
 
     @property

@@ -7,7 +7,7 @@ always produce at least one race report.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memory import SharedLayout
@@ -54,6 +54,13 @@ def sanitize_schedule(nprocs, page_size, per_proc, locked):
 
 
 @given(schedules())
+# P3 re-acquires L2 locally while P2's request is forwarded to it: the
+# local re-acquire must be atomic, or the token is granted away inside
+# its cost charge and both run the critical section.
+@example(sched=(4, 256, [[(0, 0), (1, 0), (1, 0), (0, 0), (0, 0)],
+                         [(2, 0), (1, 0), (0, 0), (0, 0), (0, 0)],
+                         [(0, 0), (0, 0), (0, 0), (2, 0), (0, 0)],
+                         [(2, 0), (2, 0)]]))
 @settings(max_examples=25, deadline=None)
 def test_race_free_schedules_sanitize_clean(sched):
     nprocs, page_size, per_proc = sched

@@ -180,23 +180,34 @@ def test_ci_runs_the_whole_suite_unfiltered():
 
 def _emitted_kinds():
     """Every kind or span name handed to ``tel.event/span/cpu/access``
-    under ``src/repro`` (and to ``Telemetry``'s own ``self.event``), as
+    under ``src/repro`` (and to ``Telemetry``'s own ``self.event``), or
+    to ``TmNode._waited`` (which emits its span), as
     ``(literals, prefixes)``: an f-string such as ``f"fault.{kind}"``
     counts as its literal head."""
     literals, prefixes = {}, {}
     for path in sorted((ROOT / "src/repro").rglob("*.py")):
         own = path.name == "core.py" and path.parent.name == "telemetry"
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        # _waited forwards its caller's span name: counted at the call.
+        forwarding = {id(n) for f in ast.walk(tree)
+                      if isinstance(f, ast.FunctionDef)
+                      and f.name == "_waited" for n in ast.walk(f)}
+        for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("event", "span", "cpu",
-                                           "access")):
-                continue
-            receiver = ast.unparse(node.func.value)
-            if not (receiver.endswith("tel") or own and receiver == "self"):
+                    and id(node) not in forwarding):
                 continue
             where = f"{path.relative_to(ROOT)}:{node.lineno}"
-            kind = node.args[1]
+            if node.func.attr == "_waited":
+                kind = node.args[0]
+            elif node.func.attr in ("event", "span", "cpu", "access"):
+                receiver = ast.unparse(node.func.value)
+                if not (receiver.endswith("tel")
+                        or own and receiver == "self"):
+                    continue
+                kind = node.args[1]
+            else:
+                continue
             if isinstance(kind, ast.Constant):
                 literals[kind.value] = where
             else:

@@ -28,6 +28,25 @@ def test_registry_names():
         assert cls.name == name
 
 
+def test_protocol_doc_hook_table_is_the_contract():
+    """docs/protocol.md's hook table names exactly CoherenceBackend's
+    public methods: a deleted hook cannot stay listed, nor a new one
+    go unlisted."""
+    import re
+    from pathlib import Path
+
+    doc = (Path(__file__).resolve().parents[2] / "docs"
+           / "protocol.md").read_text()
+    table = doc.split("| Hook | Called when |", 1)[1].split("\n\n", 1)[0]
+    listed = set()
+    for row in table.splitlines()[2:]:
+        hooks = row.split("|")[1]
+        listed.update(re.findall(r"`(\w+)`", hooks))
+    public = {name for name, attr in vars(CoherenceBackend).items()
+              if callable(attr) and not name.startswith("_")}
+    assert listed == public
+
+
 def test_unknown_protocol_lists_choices():
     with pytest.raises(ReproError) as exc:
         get_backend("treadmarks")

@@ -2,16 +2,22 @@
 
 import pytest
 
+from repro.capability import PLANES
 from repro.memory import Section, SharedLayout
 from repro.rt import AccessType
+from repro.tm.coherence import protocols
 from repro.tm.system import TmSystem
 
+#: Every registered backend on both data planes.
+CELLS = pytest.mark.parametrize("protocol,data_plane", [
+    (proto, plane) for proto in protocols() for plane in PLANES])
 
-def run(nprocs, main, page_size=256, arrays=(("x", (64,)),)):
+
+def run(nprocs, main, page_size=256, arrays=(("x", (64,)),), **kw):
     layout = SharedLayout(page_size=page_size)
     for name, shape in arrays:
         layout.add_array(name, shape)
-    system = TmSystem(nprocs=nprocs, layout=layout)
+    system = TmSystem(nprocs=nprocs, layout=layout, **kw)
     return system.run(main), system
 
 
@@ -181,7 +187,8 @@ def test_validate_w_sync_at_barrier_donates_diffs():
     assert res.net.by_kind.get("diff_req", 0) == 0
 
 
-def test_async_validate_completes_at_first_fault():
+@CELLS
+def test_async_validate_completes_at_first_fault(protocol, data_plane):
     def main(node):
         x = node.array("x")
         if node.pid == 0:
@@ -197,13 +204,14 @@ def test_async_validate_completes_at_first_fault():
         node.barrier()
         return None
 
-    res, _ = run(2, main)
+    res, _ = run(2, main, protocol=protocol, data_plane=data_plane)
     assert res.returns[1] == 256.0
     p1 = res.per_proc[1]
     assert p1.read_faults == 1      # exactly one completing fault
 
 
-def test_async_validate_overlaps_communication():
+@CELLS
+def test_async_validate_overlaps_communication(protocol, data_plane):
     """With enough independent compute, async beats sync wall-clock."""
     def make(asynchronous):
         def main(node):
@@ -219,9 +227,39 @@ def test_async_validate_overlaps_communication():
             node.barrier()
         return main
 
-    res_sync, _ = run(2, make(False))
-    res_async, _ = run(2, make(True))
+    kw = dict(protocol=protocol, data_plane=data_plane)
+    res_sync, _ = run(2, make(False), **kw)
+    res_async, _ = run(2, make(True), **kw)
     assert res_async.time < res_sync.time
+
+
+@CELLS
+def test_push_completes_an_outstanding_async_validate_first(
+        protocol, data_plane):
+    """A Push drains an outstanding asynchronous Validate, as a lock
+    acquire and a barrier do: completed after the Push, its fetch
+    (begun before P0's second write) would overwrite the pushed bytes
+    with the old ones and leave the page valid."""
+    page0 = [Section.of("x", (0, 31))]     # x[0:32] is page 0
+
+    def main(node):
+        x = node.array("x")
+        if node.pid == 0:
+            x[0:32] = 1.0
+        node.barrier()
+        if node.pid == 0:
+            node.proc.advance(2000.0)      # P1's request is served
+            x[0:32] = 2.0
+        else:
+            node.validate(page0, AccessType.READ, asynchronous=True)
+        node.push([[], page0], [page0, []])
+        after_push = float(x[0:32].sum())
+        node.barrier()
+        node.barrier()
+        return after_push, float(x[0:32].sum())
+
+    res, _ = run(2, main, protocol=protocol, data_plane=data_plane)
+    assert res.returns[1] == (64.0, 64.0)
 
 
 def test_validate_counts():

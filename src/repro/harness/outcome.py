@@ -45,10 +45,9 @@ COUNT_FIELDS = (
     "diffs_created", "diffs_applied", "diff_bytes_applied",
     "full_pages_served", "lock_acquires", "lock_local_acquires",
     "barriers", "validates", "pushes", "invalidations",
-    # Home-based backends (all zero under the default mw-lrc; older
+    # Home-based hlrc (all zero under the default mw-lrc; older
     # baseline files without them compare as zero).
     "home_flushes", "home_applies", "page_fetches", "pages_served",
-    "home_migrations",
     # One-sided data plane (all zero on the default two-sided plane).
     "onesided_reads", "onesided_writes", "onesided_lock_fast",
     "onesided_lock_retries", "onesided_fallbacks",

@@ -56,7 +56,7 @@ class RunSpec:
     gc_threshold: Optional[int] = None
     eager_diffing: bool = False
     #: Coherence backend for DSM runs: a registered protocol name
-    #: ("mw-lrc", "hlrc", "adaptive") or None for the default (the
+    #: ("mw-lrc", "hlrc") or None for the default (the
     #: paper's mw-lrc).  See :mod:`repro.tm.coherence`.
     protocol: Optional[str] = None
     #: Data plane for DSM runs: None/"twosided" (default; every message

@@ -76,8 +76,7 @@ class InspectReport:
                          "twins_created", "diffs_created",
                          "diffs_applied", "diff_bytes_applied",
                          "full_pages_served", "home_flushes",
-                         "home_applies", "page_fetches", "pages_served",
-                         "home_migrations"):
+                         "home_applies", "page_fetches", "pages_served"):
                 got, want = recon[name], getattr(stats, name)
                 if got != want:
                     problems.append(

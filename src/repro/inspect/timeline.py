@@ -51,7 +51,7 @@ invalidated-ever, so post-recovery diff applications are legal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
 @dataclass
@@ -105,7 +105,6 @@ class PageCounters:
     home_applies: int = 0
     page_fetches: int = 0
     pages_served: int = 0
-    home_migrations: int = 0
     writers: Set[int] = field(default_factory=set)
     readers: Set[int] = field(default_factory=set)
 
@@ -132,7 +131,6 @@ class PageCounters:
             "home_applies": self.home_applies,
             "page_fetches": self.page_fetches,
             "pages_served": self.pages_served,
-            "home_migrations": self.home_migrations,
             "writers": sorted(self.writers),
             "readers": sorted(self.readers),
         }
@@ -145,7 +143,6 @@ _PAGE_KINDS = frozenset((
     "tm.write_enable", "tm.interval", "tm.protect_down", "tm.overwrite",
     "tm.push_recv", "tm.gc_discard", "rec.crash",
     "tm.home_flush", "tm.home_apply", "tm.page_fetch", "tm.page_serve",
-    "tm.home_migrate",
 ))
 
 
@@ -165,7 +162,7 @@ class PageTimelines:
         #: pages default to invalid, not the boot default.
         self._crashed: Set[int] = set()
         #: page -> home pid, learned from the home-based protocols'
-        #: events (flushes, fetches, migrations); empty under mw-lrc.
+        #: events (flushes, fetches); empty under mw-lrc.
         self.homes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -332,9 +329,7 @@ class PageTimelines:
                 self._flag(ev, "page fetch of an already-valid page")
             home = args.get("home")
             known = self.homes.setdefault(page, home)
-            if home != known and ev.pid != known:
-                # (the exception: a freshly-migrated home refilling its
-                # base copy from the old home)
+            if home != known:
                 self._flag(ev, f"fetch addressed to P{home} but the "
                                f"home is P{known}")
             st.valid = True
@@ -343,14 +338,6 @@ class PageTimelines:
             if not st.valid:
                 self._flag(ev, "home served a page from an invalid copy")
             c.pages_served += 1
-        elif kind == "tm.home_migrate":
-            frm, to = args.get("frm"), args.get("to")
-            known = self.homes.get(page)
-            if known is not None and frm != known:
-                self._flag(ev, f"migration away from P{frm} but the "
-                               f"home is P{known}")
-            self.homes[page] = to
-            c.home_migrations += 1
         elif kind == "tm.page_valid":
             st.valid = True
         elif kind == "tm.write_enable":
@@ -388,7 +375,7 @@ class PageTimelines:
                "twins_created": 0, "diffs_created": 0, "diffs_applied": 0,
                "diff_bytes_applied": 0, "full_pages_served": 0,
                "home_flushes": 0, "home_applies": 0, "page_fetches": 0,
-               "pages_served": 0, "home_migrations": 0}
+               "pages_served": 0}
         for c in self.counters.values():
             out["read_faults"] += c.read_faults
             out["write_faults"] += c.write_faults
@@ -402,7 +389,6 @@ class PageTimelines:
             out["home_applies"] += c.home_applies
             out["page_fetches"] += c.page_fetches
             out["pages_served"] += c.pages_served
-            out["home_migrations"] += c.home_migrations
         return out
 
     def as_dict(self, top: int = 10) -> dict:
@@ -420,41 +406,3 @@ def _detail(kind: str, args: dict) -> str:
     parts = [f"{k}={v}" for k, v in args.items()
              if k not in ("page", "pages")]
     return " ".join(parts)
-
-
-def preferred_home(activity: Dict[int, Tuple[int, int]], current: int,
-                   min_activity: int = 2) -> Optional[int]:
-    """Where should a page live, given who touched it?
-
-    ``activity`` maps pid -> (writes, fetches) observed on the page
-    since the last decision point; ``current`` is its present home.
-    The policy mirrors the offline rankings above:
-
-    * a **single-writer** page flips into owner mode — the lone writer
-      becomes the home, so its releases stop shipping diffs anywhere
-      (``hot_pages`` with one writer).  One write suffices: this is
-      the classic first-write owner heuristic;
-    * otherwise the busiest processor hosts the page, but only with at
-      least ``min_activity`` touches (``multi_writer_pages`` churn
-      goes to whoever causes most of it).
-
-    Hysteresis: stay put unless the candidate beats the current home's
-    own activity.  Returns the new home pid, or None to keep
-    ``current``.  Ties break toward the lowest pid so every processor
-    computes the same plan.
-    """
-    if not activity:
-        return None
-    totals = {q: w + f for q, (w, f) in activity.items()}
-    writers = [q for q, (w, _f) in activity.items() if w > 0]
-    if len(writers) == 1:
-        cand = writers[0]
-    else:
-        cand = min(totals, key=lambda q: (-totals[q], q))
-        if totals[cand] < min_activity:
-            return None
-    if cand == current:
-        return None
-    if totals[cand] <= totals.get(current, 0):
-        return None
-    return cand

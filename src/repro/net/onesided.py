@@ -26,7 +26,7 @@ Concepts
   :class:`~repro.errors.WindowError` naming the window and the
   offending range — never silent corruption.  An optional ``guard``
   predicate lets the owner veto serving (e.g. a home refusing to serve
-  a page mid-migration); a vetoed op completes as a *miss*, which the
+  an invalid copy); a vetoed op completes as a *miss*, which the
   initiator treats as "fall back to the two-sided handler path".
 
 * **Batch / doorbell** — ops issued to one destination in one sync

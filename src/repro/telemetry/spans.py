@@ -8,7 +8,7 @@ runtime emits:
 * ``wait.barrier``  — blocked between barrier arrival and departure;
 * ``wait.lock``     — blocked acquiring a lock;
 * ``wait.fetch``    — blocked on diff or page responses;
-* ``wait.flush``    — hlrc/adaptive: a release blocked on flush acks;
+* ``wait.flush``    — hlrc: a release blocked on flush acks;
 * ``wait.push``     — blocked receiving Push data;
 * ``cpu.protect`` / ``cpu.twin`` / ``cpu.diff`` — protocol CPU bursts
   (placed at the simulated time the cost is charged; bursts deferred by

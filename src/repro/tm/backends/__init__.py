@@ -2,6 +2,5 @@
 
 from repro.tm.backends.mw_lrc import MwLrcBackend
 from repro.tm.backends.hlrc import HlrcBackend
-from repro.tm.backends.adaptive import AdaptiveBackend
 
-__all__ = ["MwLrcBackend", "HlrcBackend", "AdaptiveBackend"]
+__all__ = ["MwLrcBackend", "HlrcBackend"]

@@ -1,9 +1,8 @@
 """Home-based lazy release consistency (hlrc).
 
-Every page has a *home* processor (statically ``page % nprocs``; the
-adaptive backend migrates it).  The protocol differs from the paper's
-multiple-writer LRC in exactly the way the home-based literature
-(Zhou/Iftode/Li) describes:
+Every page has a *home* processor (statically ``page % nprocs``).  The
+protocol differs from the paper's multiple-writer LRC in exactly the
+way the home-based literature (Zhou/Iftode/Li) describes:
 
 * When a writer's interval closes, it encodes diffs for its dirty
   pages and **flushes them to each page's home** (``home_flush``),
@@ -32,7 +31,7 @@ writes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -52,15 +51,9 @@ class HlrcBackend(CoherenceBackend):
 
     def __init__(self, node) -> None:
         super().__init__(node)
-        #: page -> home pid.  Static here; the adaptive subclass
-        #: rewrites entries at barriers (all nodes in lockstep).
+        #: page -> home pid (static).
         self.home_map: List[int] = [
             p % node.nprocs for p in range(node.layout.npages)]
-        #: Pages this node just became home for, whose base copy is
-        #: still in flight from the old home (adaptive migration):
-        #: requests and flushes for them are deferred, not served stale.
-        self._pending_home: Set[int] = set()
-        self._deferred: List[Tuple[str, Message]] = []
 
     def attach(self) -> None:
         node = self.node
@@ -69,9 +62,8 @@ class HlrcBackend(CoherenceBackend):
         if node.osl is not None:
             # One-sided page fetches read whole pages straight out of
             # the home's image window; the guard only serves pages this
-            # node currently homes with a clean copy.  A mid-migration
-            # read misses and falls back to ``page_req``, which knows
-            # how to defer (see ``_h_page_req``).
+            # node homes with a clean copy (a miss falls back to
+            # ``page_req``).
             psz = node.layout.page_size
 
             def home_guard(op, node=node, psz=psz):
@@ -82,7 +74,6 @@ class HlrcBackend(CoherenceBackend):
                     return False
                 p = off // psz
                 return (self.home_map[p] == node.pid
-                        and p not in self._pending_home
                         and node.pages[p].valid)
 
             node.osl.image_window.guard = home_guard
@@ -131,14 +122,6 @@ class HlrcBackend(CoherenceBackend):
     def _h_home_flush(self, msg: Message) -> None:
         node = self.node
         diffs, tag = msg.payload
-        if any(d.page in self._pending_home
-               or self.home_map[d.page] != node.pid for d in diffs):
-            # Either the base copy is still in flight, or the sender's
-            # home map is ahead of ours (it already applied a migration
-            # plan we have not processed yet).  Park the flush; it is
-            # replayed once the plan lands here.
-            self._deferred.append(("home_flush", msg))
-            return
         with node._atomic():
             node._charge(node.cfg.request_service)
             for d in diffs:
@@ -243,8 +226,7 @@ class HlrcBackend(CoherenceBackend):
             node._waited("wait.fetch", t0)
         with node._atomic():    # batch install charges into one advance
             for p in local:
-                # The home's own copy is authoritative by construction;
-                # an invalidation can only be a migration transient.
+                # The home's own copy is authoritative by construction.
                 node._apply_page(p, [])
             for h in sorted(responses):
                 for p, data in responses[h]:
@@ -293,17 +275,6 @@ class HlrcBackend(CoherenceBackend):
     def _h_page_req(self, msg: Message) -> None:
         node = self.node
         pages, tag = msg.payload
-        if any(p in self._pending_home
-               or (self.home_map[p] != node.pid
-                   and not node.pages[p].valid)
-               for p in pages):
-            # The requester's home map is ahead of ours: a migration
-            # plan naming us the new home is still in flight (or our
-            # base copy is).  A valid copy can serve either way (the
-            # old home stays valid and serves the refill); an invalid
-            # one must wait for the plan + refill, so park the request.
-            self._deferred.append(("page_req", msg))
-            return
         with node._atomic():
             node._charge(node.cfg.request_service)
             payload = []
@@ -322,15 +293,6 @@ class HlrcBackend(CoherenceBackend):
                 size += PAGE_ID_BYTES + node.layout.page_size
             node.ep.send(msg.src, "page_resp", payload=tuple(payload),
                          size=size, tag=tag)
-
-    def _replay_deferred(self) -> None:
-        """Serve the requests parked while a home copy was in flight."""
-        deferred, self._deferred = self._deferred, []
-        for kind, msg in deferred:
-            if kind == "page_req":
-                self._h_page_req(msg)
-            else:
-                self._h_home_flush(msg)
 
     # ==================================================================
     # Split-phase fetch (Figure 4's Fetch_diffs / Apply_diffs).

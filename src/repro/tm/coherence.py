@@ -14,7 +14,7 @@ twinned, and how the compiler-directed ``Validate_w_sync`` merge is
 honored.  :class:`CoherenceBackend` captures exactly that variation;
 one instance exists per node.
 
-Three backends are registered (see :mod:`repro.tm.backends`):
+Two backends are registered (see :mod:`repro.tm.backends`):
 
 ``mw-lrc``
     The paper's multiple-writer lazy release consistency: diffs are
@@ -26,12 +26,6 @@ Three backends are registered (see :mod:`repro.tm.backends`):
     their diffs to the home when an interval closes, faulting
     processors fetch the whole clean page from the home, and the home
     itself never twins its own pages.
-
-``adaptive``
-    hlrc plus barrier-time home migration driven by the same per-page
-    activity rankings the inspector computes offline: single-writer
-    pages flip into owner mode (the writer becomes the home), and pages
-    dominated by one remote consumer migrate toward it.
 
 Select a backend with ``TmSystem(..., protocol="hlrc")`` or
 ``RunSpec(protocol="hlrc")`` / ``--protocol hlrc`` in the CLI.
@@ -151,28 +145,6 @@ class CoherenceBackend:
 
     def donate_for_requests(self, sreqs) -> None:
         """Send donations for the fetch requests a barrier forwarded."""
-
-    # --- barrier piggy-back (adaptive home migration) -----------------
-
-    def barrier_extra(self):
-        """Protocol payload to ride on this node's barrier arrival."""
-        return None
-
-    def barrier_extra_bytes(self, extra) -> int:
-        """Wire size of :meth:`barrier_extra`'s payload."""
-        return 0
-
-    def barrier_plan(self, extras: Dict[int, object]):
-        """Master only: turn the arrivals' extras into a global plan
-        (rides on every barrier departure; None when nothing to do)."""
-        return None
-
-    def barrier_plan_bytes(self, plan) -> int:
-        """Wire size of :meth:`barrier_plan`'s payload."""
-        return 0
-
-    def apply_barrier_plan(self, plan) -> None:
-        """Apply the master's plan (every node, inside the barrier)."""
 
     # --- shutdown -----------------------------------------------------
 

@@ -25,16 +25,14 @@ Protocol message kinds
 ``lock_req``              lock acquire sent to the manager (carries vc)
 ``lock_fwd``              manager forwards the request to the last requester
 ``lock_grant``            token + write notices (+ piggy-backed diffs)
-``barrier_arrive``        client vc + fresh write notices (+ sync fetch reqs
-                          + the backend's piggy-backed ``extra``)
-``barrier_depart``        master's merged notices (+ forwarded fetch reqs
-                          + the backend's global ``plan``)
+``barrier_arrive``        client vc + fresh write notices (+ sync fetch reqs)
+``barrier_depart``        master's merged notices (+ forwarded fetch reqs)
 ``push_data``             raw section bytes exchanged by ``Push``
 ========================  =====================================================
 
 Backend-owned kinds: ``diff_req``/``diff_resp``/``diff_donate``
 (mw-lrc), ``home_flush``/``home_flush_ack``/``page_req``/``page_resp``
-(hlrc, adaptive).
+(hlrc).
 """
 
 from __future__ import annotations
@@ -166,7 +164,7 @@ class TmNode:
             from repro.tm.onesided import NodeOneSided
             self.osl = NodeOneSided(self)
 
-        #: The data-movement policy (mw-lrc / hlrc / adaptive).
+        #: The data-movement policy (mw-lrc / hlrc).
         self.coherence = system.backend_cls(self)
 
         #: The lock protocol and the barrier master, with their state.
@@ -783,18 +781,16 @@ class TmNode:
         if self.nprocs == 1:
             self._complete_wsync(wsync)
             return
-        extra = self.coherence.barrier_extra()
         roles = self.roles
         if self.pid == roles.current_master():
-            roles.barrier_as_master(sreq, extra)
+            roles.barrier_as_master(sreq)
         else:
             recs = self._intervals_after(self.master_seen_vc)
             size = (VC_ENTRY_BYTES * self.nprocs + interval_wire_bytes(recs)
-                    + (sreq.wire_bytes() if sreq else 0)
-                    + self.coherence.barrier_extra_bytes(extra))
+                    + (sreq.wire_bytes() if sreq else 0))
             arrive = (roles.current_master(), "barrier_arrive",
-                      (self.pid, self._vc_tuple(), tuple(recs), sreq,
-                       extra), size, None)
+                      (self.pid, self._vc_tuple(), tuple(recs), sreq),
+                      size, None)
             if self.absence is None:    # one round, one thread sleep
                 got = []
                 t0 = self.ep.exchange(
@@ -812,12 +808,10 @@ class TmNode:
                 # box — complete the episode as the new master.
                 roles.barrier_finish()
             else:
-                master_vc, recs, sreqs, gc_now, plan = msg.payload
+                master_vc, recs, sreqs, gc_now = msg.payload
                 self.apply_notices(recs, master_vc)
                 self.master_seen_vc = list(master_vc)
                 self.coherence.donate_for_requests(sreqs)
-                if plan is not None:
-                    self.coherence.apply_barrier_plan(plan)
                 if gc_now:
                     self._gc_validate()
                     self.ep.send(roles.current_master(), "gc_done",

@@ -12,10 +12,10 @@ the fallback for every case a NIC cannot decide alone:
   the writer's encoder on demand, so the lazy-diff optimization is
   traded for zero-CPU serving, the classic RDMA-DSM trade).  WRITE_ALL
   intervals never encode a diff; the fetcher reads the page straight
-  out of the writer's ``("image",)`` byte window instead.  Under hlrc /
-  adaptive the home's image window carries a *guard* that only serves
-  clean, currently-owned pages — a mid-migration read misses and falls
-  back to the two-sided ``page_req`` (which knows how to defer).
+  out of the writer's ``("image",)`` byte window instead.  Under hlrc
+  the home's image window carries a *guard* that only serves clean
+  pages it homes — any other read misses and falls back to the
+  two-sided ``page_req``.
 
 * **Push rounds** become doorbell-coalesced one-sided *writes* into the
   receiver's ``("push",)`` staging window.  The NIC deposit never

@@ -276,12 +276,11 @@ class NodeRoles:
             return node.absence.seat_of(node.pid)
         return MASTER_PID
 
-    def barrier_as_master(self, sreq: Optional[SyncFetchRequest],
-                          extra) -> None:
+    def barrier_as_master(self, sreq: Optional[SyncFetchRequest]) -> None:
         """The master's own barrier: box its arrival, wait for everyone
         else's, run the episode."""
         node = self.node
-        self.box[node.pid] = (node._vc_tuple(), (), sreq, extra)
+        self.box[node.pid] = (node._vc_tuple(), (), sreq)
         t0 = node.sys.engine.now
         while len(self.box) < node.nprocs:
             absent = sorted(set(range(node.nprocs)) - set(self.box))
@@ -316,7 +315,7 @@ class NodeRoles:
 
     def _h_barrier_arrive(self, msg: Message) -> None:
         node = self.node
-        pid, vc, recs, sreq, extra = msg.payload
+        pid, vc, recs, sreq = msg.payload
         node._charge(node.cfg.barrier_arrival_service)
         if node.absence is not None:
             seat = self.current_master()
@@ -326,7 +325,7 @@ class NodeRoles:
                 node.ep.send(seat, "barrier_arrive", payload=msg.payload,
                              size=msg.size)
                 return
-        self.box[pid] = (vc, recs, sreq, extra)
+        self.box[pid] = (vc, recs, sreq)
         self._changed()
         if len(self.box) == node.nprocs:
             node.proc.wake()
@@ -339,7 +338,7 @@ class NodeRoles:
         for q in sorted(box):
             if q == node.pid:
                 continue
-            qvc, recs, _, _ = box[q]
+            qvc, recs, _ = box[q]
             node.apply_notices(recs, qvc)
         if node.osl is not None:
             # The merged clock is the lock-release coverage floor: any
@@ -349,8 +348,6 @@ class NodeRoles:
             node.master_seen_vc = list(node.vc)
         sreqs = tuple(entry[2] for _, entry in sorted(box.items())
                       if entry[2] is not None)
-        plan = node.coherence.barrier_plan(
-            {q: entry[3] for q, entry in box.items()})
         gc_now = (node.gc_threshold is not None
                   and len(node.intervals) >= node.gc_threshold)
         for q in sorted(box):
@@ -360,15 +357,12 @@ class NodeRoles:
             recs = node._intervals_after(qvc)
             size = (VC_ENTRY_BYTES * node.nprocs
                     + interval_wire_bytes(recs)
-                    + sum(r.wire_bytes() for r in sreqs)
-                    + node.coherence.barrier_plan_bytes(plan))
+                    + sum(r.wire_bytes() for r in sreqs))
             node.ep.send(q, "barrier_depart",
                          payload=(node._vc_tuple(), tuple(recs), sreqs,
-                                  gc_now, plan),
+                                  gc_now),
                          size=size)
         node.coherence.donate_for_requests(sreqs)
-        if plan is not None:
-            node.coherence.apply_barrier_plan(plan)
         if gc_now:
             # Two-phase collection: nobody discards until everyone has
             # validated (a discarded diff could otherwise still be

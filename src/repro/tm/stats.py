@@ -34,7 +34,7 @@ class TmStats:
     pushes: int = 0
     invalidations: int = 0
 
-    # --- home-based protocols (hlrc / adaptive; zero under mw-lrc) ----
+    # --- home-based protocol (hlrc; zero under mw-lrc) ----------------
     #: Diffs flushed to a page's home at interval close.
     home_flushes: int = 0
     #: Flushed diffs applied at the home.
@@ -43,8 +43,6 @@ class TmStats:
     page_fetches: int = 0
     #: Whole pages served by this node as home.
     pages_served: int = 0
-    #: Home migrations decided at barriers (master counts them).
-    home_migrations: int = 0
 
     # --- one-sided data plane (zero on the default two-sided plane) ---
     #: Diffs / pages pulled by one-sided reads (no remote CPU).

@@ -216,7 +216,7 @@ def test_custody_install_is_idempotent_under_redelivery():
     mgr = _idle(system)
     steward = system.nodes[1]
     rec = IntervalRecord(0, 1, (1, 0, 0), (0,))
-    arrival = ((0, 0, 1), (), None, None)
+    arrival = ((0, 0, 1), (), None)
     goodbye = Frame(0, records=(rec,), applied=((0, 1, 0),),
                     roles=Roles(1, {0: True, 3: False}, {0: 2, 3: 0}, {},
                                 {2: arrival}),

@@ -47,8 +47,8 @@ HOLE_CASES = [
     (Cell(protocol="hlrc", perturbations=frozenset({"crashes"})),
      ["recover", "--apps", "jacobi", "--protocol", "hlrc"]),
     (Cell("xhpf", perturbations=frozenset({"membership"})), None),
-    (Cell(protocol="adaptive", perturbations=frozenset({"membership"})),
-     ["elastic", "--apps", "jacobi", "--protocol", "adaptive"]),
+    (Cell(protocol="hlrc", perturbations=frozenset({"membership"})),
+     ["elastic", "--apps", "jacobi", "--protocol", "hlrc"]),
 ]
 
 

@@ -1,10 +1,9 @@
-"""The coherence-backend registry, home policy, and protocol plumbing."""
+"""The coherence-backend registry and protocol plumbing."""
 
 import pytest
 
 from repro.errors import ReproError
 from repro.harness import RunSpec, run
-from repro.inspect.timeline import preferred_home
 from repro.tm.coherence import (DEFAULT_PROTOCOL, CoherenceBackend,
                                 get_backend, protocols)
 
@@ -21,7 +20,7 @@ def test_default_protocol_is_the_papers():
 
 def test_registry_names():
     names = protocols()
-    assert {"mw-lrc", "hlrc", "adaptive"} <= set(names)
+    assert set(names) == {"mw-lrc", "hlrc"}
     for name in names:
         cls = get_backend(name)
         assert issubclass(cls, CoherenceBackend)
@@ -52,7 +51,7 @@ def test_unknown_protocol_lists_choices():
         get_backend("treadmarks")
     msg = str(exc.value)
     assert "treadmarks" in msg
-    for name in ("mw-lrc", "hlrc", "adaptive"):
+    for name in ("mw-lrc", "hlrc"):
         assert name in msg
 
 
@@ -82,52 +81,6 @@ def test_recovery_is_mw_lrc_only():
 
 
 # ----------------------------------------------------------------------
-# The adaptive home policy (shared with the inspector's rankings).
-# ----------------------------------------------------------------------
-
-def test_policy_no_activity_stays_put():
-    assert preferred_home({}, current=0) is None
-
-
-def test_policy_single_writer_flips_on_one_write():
-    # First-write owner heuristic: min_activity does not gate it.
-    assert preferred_home({2: (1, 0)}, current=0) == 2
-
-
-def test_policy_single_writer_already_home():
-    assert preferred_home({2: (5, 0)}, current=2) is None
-
-
-def test_policy_multi_writer_needs_min_activity():
-    act = {1: (1, 0), 2: (1, 0)}
-    assert preferred_home(act, current=0, min_activity=3) is None
-    assert preferred_home({1: (2, 1), 2: (1, 0)}, current=0,
-                          min_activity=3) == 1
-
-
-def test_policy_busiest_processor_wins():
-    act = {1: (3, 1), 2: (1, 0), 3: (2, 0)}
-    assert preferred_home(act, current=2) == 1
-
-
-def test_policy_hysteresis_keeps_balanced_pages():
-    # The candidate must strictly beat the current home's activity.
-    act = {0: (2, 1), 1: (2, 1)}
-    assert preferred_home(act, current=0) is None
-
-
-def test_policy_ties_break_to_lowest_pid():
-    act = {3: (2, 0), 1: (2, 0)}
-    assert preferred_home(act, current=0) == 1
-
-
-def test_policy_reader_dominated_page_migrates_to_consumer():
-    # Two writers, one heavy remote consumer: the page moves to it.
-    act = {0: (1, 0), 1: (1, 0), 2: (0, 4)}
-    assert preferred_home(act, current=0) == 2
-
-
-# ----------------------------------------------------------------------
 # Backend-owned counters.
 # ----------------------------------------------------------------------
 
@@ -141,7 +94,7 @@ def test_home_counters_zero_under_mw_lrc():
     out = run_tiny("mw-lrc")
     s = out.stats
     assert (s.home_flushes, s.home_applies, s.page_fetches,
-            s.pages_served, s.home_migrations) == (0, 0, 0, 0, 0)
+            s.pages_served) == (0, 0, 0, 0)
     assert s.diffs_applied > 0
 
 
@@ -151,11 +104,6 @@ def test_hlrc_homes_never_twin_their_pages():
     assert s.home_flushes > 0
     assert s.home_applies > 0
     assert s.pages_served == s.page_fetches > 0
-    assert s.home_migrations == 0
     # mw-lrc's diff-serving machinery stays cold.
     assert s.full_pages_served == 0
 
-
-def test_adaptive_reports_migrations():
-    out = run_tiny("adaptive")
-    assert out.stats.home_migrations > 0

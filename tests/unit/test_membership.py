@@ -216,7 +216,7 @@ def test_runspec_rejects_crashes_with_other_protocols():
 def test_runspec_rejects_membership_with_other_protocols():
     from repro.harness import RunSpec, run
     spec = RunSpec(app="jacobi", mode="dsm", dataset="tiny", nprocs=4,
-                   opt="aggr", protocol="adaptive",
+                   opt="aggr", protocol="hlrc",
                    faults=_member_plan())
     with pytest.raises(ReproError, match="mw-lrc"):
         run(spec)
@@ -239,5 +239,5 @@ def test_recover_cli_rejects_other_protocols(capsys):
 def test_elastic_cli_rejects_other_protocols(capsys):
     from repro.__main__ import main
     assert main(["elastic", "--apps", "jacobi",
-                 "--protocol", "adaptive"]) == 2
+                 "--protocol", "hlrc"]) == 2
     assert "mw-lrc" in capsys.readouterr().err

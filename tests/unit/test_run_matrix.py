@@ -68,8 +68,8 @@ def test_filters_compose():
     assert picked and picked == [k for k in keys()
                                  if k.endswith("+onesided@hlrc")]
     assert keys(apps=["jacobi"], opts=["push", "base"],
-                protocols=["adaptive"], data_planes=["twosided"]) == [
-        "jacobi/dsm/push@adaptive", "jacobi/dsm/base@adaptive"]
+                protocols=["hlrc"], data_planes=["twosided"]) == [
+        "jacobi/dsm/push@hlrc", "jacobi/dsm/base@hlrc"]
     # seq, mp and xhpf are cells of the default backend and plane only.
     assert {k.split("/")[1] for k in keys(protocols=["mw-lrc"])} == {
         "seq", "dsm", "xhpf", "mp"}

@@ -161,7 +161,7 @@ def test_sweep_refuses_a_hole_before_the_base_run(monkeypatch):
         recover.run_case("jacobi", "aggr", "mid", data_plane="onesided")
     with pytest.raises(ReproError, match="supports only protocol"):
         elastic.run_case("jacobi", "aggr", "drain-mid",
-                         protocol="adaptive")
+                         protocol="hlrc")
 
 
 def test_payload_envelope_per_kind():

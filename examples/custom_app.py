@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from repro.compiler import OptConfig
-from repro.harness.runner import run_dsm, run_seq
+from repro.harness import run
 from repro.lang import build as B
 from repro.lang.nodes import ArrayDecl, Program
 
@@ -91,19 +91,18 @@ def main() -> None:
     nprocs = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     ref = reference()
 
-    seq = run_seq(build_program(1))
+    seq = run(build_program(1), mode="seq")
     assert np.allclose(seq.arrays["g"], ref), "sequential run diverged"
     print(f"sequential: {seq.time / 1e6:.3f} simulated seconds")
 
-    base = run_dsm(build_program(nprocs), nprocs=nprocs, opt=None,
-                   page_size=256)
-    opt = run_dsm(build_program(nprocs), nprocs=nprocs,
-                  opt=OptConfig(push=True, name="full"), page_size=256)
+    base = run(build_program(nprocs), nprocs=nprocs, page_size=256)
+    opt = run(build_program(nprocs), nprocs=nprocs,
+              opt=OptConfig(push=True, name="full"), page_size=256)
     for name, res in (("base", base), ("optimized", opt)):
         ok = np.allclose(res.arrays["g"], ref)
         print(f"{name:10s} t={res.time / 1e6:.3f}s "
-              f"msgs={res.run.messages:5d} segv={res.run.stats.segv:4d} "
-              f"data={res.run.data_bytes:7d}B correct={ok}")
+              f"msgs={res.messages:5d} segv={res.stats.segv:4d} "
+              f"data={res.data_bytes:7d}B correct={ok}")
         assert ok
     print("\nRow bands are strided sections: compare the message and "
           "data counts\nwith examples/quickstart.py's contiguous column "

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.apps import get_app
 from repro.compiler import OptConfig
-from repro.harness.runner import run_dsm, run_seq
+from repro.harness import RunSpec, run
 
 
 def main() -> None:
@@ -31,13 +31,12 @@ def main() -> None:
     print(f"Jacobi {params['M']}x{params['N']}, {params['iters']} "
           f"iterations, {nprocs} processors\n")
 
-    seq = run_seq(app.program(dataset, 1))
+    seq = run(RunSpec(app=app, mode="seq", dataset=dataset))
     print(f"uniprocessor time: {seq.time / 1e6:.2f} simulated seconds")
 
-    base = run_dsm(app.program(dataset, nprocs), nprocs=nprocs, opt=None,
-                   page_size=1024)
-    opt = run_dsm(app.program(dataset, nprocs), nprocs=nprocs,
-                  opt=OptConfig(push=True, name="full"), page_size=1024)
+    spec = RunSpec(app=app, dataset=dataset, nprocs=nprocs, page_size=1024)
+    base = run(spec)
+    opt = run(spec, opt=OptConfig(push=True, name="full"))
 
     ref = app.reference(params)
     for name, res in (("base TreadMarks", base), ("optimized", opt)):
@@ -47,14 +46,12 @@ def main() -> None:
     rows = [
         ("time (sim. seconds)", base.time / 1e6, opt.time / 1e6),
         ("speedup", seq.time / base.time, seq.time / opt.time),
-        ("messages", base.run.messages, opt.run.messages),
-        ("data (KB)", base.run.data_bytes / 1024,
-         opt.run.data_bytes / 1024),
-        ("page faults", base.run.stats.segv, opt.run.stats.segv),
-        ("twins", base.run.stats.twins_created,
-         opt.run.stats.twins_created),
-        ("diffs created", base.run.stats.diffs_created,
-         opt.run.stats.diffs_created),
+        ("messages", base.messages, opt.messages),
+        ("data (KB)", base.data_bytes / 1024, opt.data_bytes / 1024),
+        ("page faults", base.stats.segv, opt.stats.segv),
+        ("twins", base.stats.twins_created, opt.stats.twins_created),
+        ("diffs created", base.stats.diffs_created,
+         opt.stats.diffs_created),
     ]
     for label, b, o in rows:
         if isinstance(b, float):

@@ -8,22 +8,18 @@ hand-coded message-passing baselines, the paper's six applications, and
 a harness regenerating every table and figure — all on a deterministic
 discrete-event simulation of the paper's 8-node IBM SP/2.
 
-Typical entry points::
+One entry point runs a program in any of the four modes::
 
     from repro import RunSpec, run
     out = run(RunSpec(app="jacobi", mode="dsm", nprocs=4,
                       opt="aggr", telemetry=True))
     out.telemetry.write_chrome_trace("trace.json")
 
-or the mode-specific helpers::
-
-    from repro import run_dsm, run_mp, run_seq, run_xhpf
-    from repro.harness import experiments
+and the paper's tables and figures are ``repro.harness.experiments``.
 """
 
 from repro.compiler import OptConfig, analyze_program, transform
-from repro.harness import (RunOutcome, RunSpec, run, run_dsm, run_mp,
-                           run_seq, run_xhpf)
+from repro.harness import RunOutcome, RunSpec, run, run_seq
 from repro.machine import MachineConfig
 from repro.memory import Section, SharedLayout
 from repro.rt import AccessType
@@ -36,8 +32,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AccessType", "MachineConfig", "OptConfig", "Section", "SharedLayout",
     "TmSystem", "analyze_program", "transform", "__version__",
-    "RunOutcome", "RunSpec", "run",
-    "run_dsm", "run_mp", "run_seq", "run_xhpf",
+    "RunOutcome", "RunSpec", "run", "run_seq",
     "Telemetry", "EventBus", "SpanLog",
     "chrome_trace", "events_jsonl", "write_chrome_trace", "write_jsonl",
 ]

@@ -111,8 +111,8 @@ def _emit(args, payload: dict, text: str, **dump_kw) -> None:
 def inspect_main(argv) -> int:
     """``python -m repro inspect <app>``: one traced run, reported."""
     from repro.apps import all_apps
-    from repro.harness import MODES, RunSpec
-    from repro.inspect import inspect_run
+    from repro.harness import MODES, RunSpec, run
+    from repro.inspect import InspectReport
 
     parser = argparse.ArgumentParser(
         prog="python -m repro inspect",
@@ -144,11 +144,13 @@ def inspect_main(argv) -> int:
                              "host-time attribution table")
     args = parser.parse_args(argv)
 
-    rep = inspect_run(RunSpec(
-        app=args.app, mode=args.mode,
-        opt=args.opt if args.mode == "dsm" else None,
-        profile=args.profile, **_run_kw(args)))
-    out = rep.outcome
+    spec = RunSpec(app=args.app, mode=args.mode,
+                   opt=args.opt if args.mode == "dsm" else None,
+                   telemetry=True, profile=args.profile, **_run_kw(args))
+    out = run(spec)
+    rep = InspectReport.build(
+        out, title=f"{args.app} mode={args.mode} nprocs={spec.nprocs}"
+        + (f" opt={spec.opt}" if spec.opt else ""))
     wrote = []
     for path, write in (
             (args.chrome, out.telemetry.write_chrome_trace),

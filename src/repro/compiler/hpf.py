@@ -28,21 +28,17 @@ sections of each region) and what has already been shipped where.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import HpfError
-from repro.harness.outcome import XhpfOutcome
 from repro.interp.interp import Interpreter
 from repro.interp.lower import compile_sections
 from repro.interp.runtime import BaseRuntime, LocalAccessor, _alloc
 from repro.lang.nodes import Barrier, Program
-from repro.machine.config import MachineConfig
 from repro.memory.section import Section
-from repro.mp.system import MpSystem
-from repro.compiler.analysis import AnalysisResult, analyze_program
-from repro.compiler.rsd import RSD, linexpr_to_expr
+from repro.compiler.analysis import analyze_program
 from repro.compiler.transform import rsd_to_spec
 
 
@@ -250,35 +246,27 @@ class XhpfRuntime(BaseRuntime):
             self.accessor(sec.array).write(sec, data)
 
 
-def lower_xhpf(program: Program, nprocs: int,
-               config: Optional[MachineConfig] = None,
-               telemetry=None, faults=None, transport=None,
-               profile=None) -> XhpfOutcome:
-    """Compile and run the XHPF version of ``program``."""
+def xhpf_main(program: Program) -> Callable:
+    """Compile ``program`` (or raise :class:`HpfError`) into the
+    per-processor main of its XHPF version: ``main(comm)`` runs the
+    program on its replica and returns its :class:`XhpfRuntime`."""
     plan = compile_xhpf(program)
-    system = MpSystem(nprocs=nprocs, config=config, telemetry=telemetry,
-                      faults=faults, transport=transport,
-                      profile=profile)
-    runtimes: Dict[int, XhpfRuntime] = {}
 
-    def main(comm):
+    def main(comm) -> XhpfRuntime:
         rt = XhpfRuntime(comm, program, plan)
-        runtimes[comm.pid] = rt
         interp = Interpreter(program, rt)
         rt.bind_interp(interp)
         interp.run()
+        return rt
 
-    result = system.run(main)
-    # Merge the replicated arrays: take each element from its last writer
-    # (processor images agree except where only the owner wrote; use the
-    # deterministic write log to pick).
-    arrays = _merge_replicas(program, runtimes)
-    return XhpfOutcome(time=result.time, net=result.net, arrays=arrays,
-                       telemetry=telemetry, profile=profile)
+    return main
 
 
-def _merge_replicas(program: Program,
-                    runtimes: Dict[int, XhpfRuntime]) -> Dict[str, np.ndarray]:
+def merge_replicas(program: Program, runtimes: Sequence[XhpfRuntime]
+                   ) -> Dict[str, np.ndarray]:
+    """The final arrays from the processors' replicas: each element from
+    its last writer (processor images agree except where only the owner
+    wrote; the deterministic write log picks)."""
     out: Dict[str, np.ndarray] = {}
     nprocs = len(runtimes)
     for decl in program.shared_arrays():

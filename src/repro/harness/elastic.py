@@ -129,7 +129,8 @@ def mine_schedules(base, nprocs: int,
                    names: Optional[Sequence[str]] = None) -> List[Schedule]:
     """Derive membership schedules from a fault-free traced run.
 
-    ``base`` is the fault-free :class:`DsmOutcome` run with telemetry.
+    ``base`` is the fault-free traced DSM run's
+    :class:`~repro.harness.outcome.RunOutcome`.
     """
     wanted = set(names if names is not None else SCHEDULES)
     total = base.time

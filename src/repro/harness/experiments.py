@@ -45,7 +45,7 @@ class AppRuns:
 
     app: AppSpec
     seq: object = None
-    dsm: Dict[str, object] = field(default_factory=dict)   # level -> DsmOutcome
+    dsm: Dict[str, object] = field(default_factory=dict)   # level -> RunOutcome
     dsm_sync: Dict[str, object] = field(default_factory=dict)
     pvme: object = None
     xhpf: object = None            # None when XHPF refuses the program
@@ -567,7 +567,7 @@ def breakdown(dataset: str = DEFAULT_DATASET,
         runs = app_runs(app, dataset, nprocs)
         for label, res in (("base", runs.base),
                            (runs.best_level(), runs.opt)):
-            frac = res.run.stats.breakdown(res.time * nprocs)
+            frac = res.stats.breakdown(res.time * nprocs)
             row = {"app": app.name, "mode": label,
                    "speedup": runs.speedup(res.time)}
             row.update({f"{k}%": 100.0 * v for k, v in frac.items()})

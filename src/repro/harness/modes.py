@@ -1,23 +1,14 @@
-"""Run modes, Figure 6's optimization levels, and the run matrix."""
+"""Figure 6's optimization levels, the default sizing, and the run
+matrix."""
 
 from __future__ import annotations
 
-import enum
 from itertools import product
 from typing import Dict, Iterator, Optional, Sequence
 
 from repro.capability import MODES, PLANES, Cell, cell_of, legal_cells
 from repro.compiler.transform import OptConfig
 from repro.harness.spec import RunSpec
-
-
-class Mode(enum.Enum):
-    """The four systems compared in Figure 5."""
-
-    TMK = "Tmk"              # base TreadMarks
-    OPT_TMK = "Opt-Tmk"      # best compiler-optimized TreadMarks
-    XHPF = "XHPF"            # compiler-generated message passing
-    PVME = "PVMe"            # hand-coded message passing
 
 
 #: Figure 6's cumulative optimization levels, in bar order.

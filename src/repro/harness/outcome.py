@@ -1,41 +1,19 @@
-"""Uniform run outcomes for every execution mode.
+"""One finished run, whatever system produced it.
 
-All four modes share the :class:`RunOutcome` protocol:
-
-``.mode``
-    Which system produced this outcome ("seq", "dsm", "mp", "xhpf").
-``.time``
-    Simulated execution time in microseconds.
-``.stats``
-    Aggregated :class:`~repro.tm.stats.TmStats` for DSM runs; ``None``
-    for modes without protocol counters.
-``.arrays``
-    Final contents of the checked shared arrays.
-``.telemetry``
-    The :class:`~repro.telemetry.Telemetry` handle when the run was
-    traced, else ``None``.
-``.net`` / ``.messages`` / ``.data_bytes``
-    The run's :class:`~repro.net.stats.NetStats` and its totals
-    (``None`` / 0 for sequential runs).
-``.profile``
-    The :class:`~repro.observe.WallProfiler` when the run was
-    wall-clock profiled, else ``None``.
-``.record()``
-    The finished run as numbers; see :meth:`RunOutcome.record`.
+:class:`RunOutcome` is what :func:`repro.harness.spec.run` returns for
+every mode; the fields a mode has no use for stay ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.lang.nodes import Program
-from repro.mp.system import MpRunResult
 from repro.net.stats import NetStats
 from repro.tm.stats import TmStats
-from repro.tm.system import RunResult
 
 
 #: Protocol counters a record pins exactly (integers; any drift is a
@@ -54,26 +32,31 @@ COUNT_FIELDS = (
 )
 
 
+@dataclass
 class RunOutcome:
-    """Protocol base shared by all four mode outcomes.
+    """One finished run: simulated time, counters and final arrays."""
 
-    Deliberately defines only plain class attributes for the optional
-    slots (``stats``, ``net``, ``telemetry``, ``profile``): data
-    descriptors here would shadow same-named dataclass fields in
-    subclasses.
-    """
-
-    mode = "?"
-    #: Aggregated TmStats (DSM only).
-    stats = None
+    #: Which system produced it: "seq", "dsm", "mp" or "xhpf".
+    mode: str
+    #: Simulated execution time in microseconds.
+    time: float
+    #: Final contents of the checked shared arrays (empty for a DSM run
+    #: with ``snapshot=False``).
+    arrays: Dict[str, np.ndarray]
+    #: Aggregated :class:`~repro.tm.stats.TmStats`, and each
+    #: processor's (DSM only).
+    stats: Optional[TmStats] = None
+    per_proc: Optional[List[TmStats]] = None
     #: The run's :class:`~repro.net.stats.NetStats` (every mode with a
     #: network: all but ``seq``).
-    net = None
-    #: Telemetry handle when the run was traced.
-    telemetry = None
-    #: :class:`repro.observe.WallProfiler` when the run was wall-clock
-    #: profiled (``RunSpec(profile=True)``), else ``None``.
-    profile = None
+    net: Optional[NetStats] = None
+    #: The program the DSM ran, after the compiler's transformation.
+    program: Optional[Program] = None
+    #: The :class:`~repro.telemetry.Telemetry` when the run was traced.
+    telemetry: Optional[object] = None
+    #: The :class:`~repro.observe.WallProfiler` when the run was
+    #: wall-clock profiled (``RunSpec(profile=True)``).
+    profile: Optional[object] = None
 
     def __post_init__(self) -> None:
         tel = self.telemetry
@@ -136,81 +119,4 @@ class RunOutcome:
         return dict(sorted(total.items()))
 
 
-@dataclass
-class SeqOutcome(RunOutcome):
-    """Uniprocessor reference run (Table 1 baseline)."""
-
-    time: float                      # simulated microseconds
-    arrays: Dict[str, np.ndarray]
-    telemetry: Optional[object] = None
-
-    mode = "seq"
-
-
-@dataclass
-class DsmOutcome(RunOutcome):
-    """TreadMarks DSM run (optionally compiler-optimized)."""
-
-    run: RunResult
-    arrays: Dict[str, np.ndarray]
-    program: Program
-    telemetry: Optional[object] = None
-    profile: Optional[object] = None
-
-    mode = "dsm"
-
-    @property
-    def time(self) -> float:
-        return self.run.time
-
-    @property
-    def stats(self) -> TmStats:
-        return self.run.stats
-
-    @property
-    def per_proc(self) -> List[TmStats]:
-        return self.run.per_proc
-
-    @property
-    def net(self) -> NetStats:
-        return self.run.net
-
-
-@dataclass
-class MpOutcome(RunOutcome):
-    """Hand-coded message-passing (PVMe) run."""
-
-    run: MpRunResult
-    arrays: Dict[str, np.ndarray]
-    telemetry: Optional[object] = None
-    profile: Optional[object] = None
-
-    mode = "mp"
-
-    @property
-    def time(self) -> float:
-        return self.run.time
-
-    @property
-    def net(self) -> NetStats:
-        return self.run.net
-
-
-@dataclass
-class XhpfOutcome(RunOutcome):
-    """Compiler-generated message-passing (XHPF) run."""
-
-    time: float
-    #: Required: a bare annotation would take the base's class-level
-    #: ``None`` for its default.
-    net: NetStats = field()
-    arrays: Dict[str, np.ndarray]
-    telemetry: Optional[object] = None
-    profile: Optional[object] = None
-
-    mode = "xhpf"
-
-
-__all__ = [
-    "RunOutcome", "SeqOutcome", "DsmOutcome", "MpOutcome", "XhpfOutcome",
-]
+__all__ = ["RunOutcome"]

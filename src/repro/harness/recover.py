@@ -104,7 +104,8 @@ def mine_schedules(base, nprocs: int,
                    names: Optional[Sequence[str]] = None) -> List[Schedule]:
     """Derive crash schedules from a fault-free traced run.
 
-    ``base`` is the fault-free :class:`DsmOutcome` run with telemetry.
+    ``base`` is the fault-free traced DSM run's
+    :class:`~repro.harness.outcome.RunOutcome`.
     Schedules that do not apply (a lock-free app has no ``lock`` case)
     are silently omitted.
     """

@@ -1,4 +1,4 @@
-"""The redesigned run facade: one spec, one entry point, four modes.
+"""The one way to run a program: one spec, one entry point, four modes.
 
 ::
 
@@ -10,8 +10,9 @@
     out.telemetry.write_chrome_trace("trace.json")
 
 ``run`` also accepts keyword shorthand — ``run("jacobi", mode="mp",
-nprocs=4)`` — and every outcome obeys the uniform
-:class:`~repro.harness.outcome.RunOutcome` protocol.
+nprocs=4)`` — builds the mode's system straight from the spec, and
+returns one :class:`~repro.harness.outcome.RunOutcome` whatever the
+mode.
 """
 
 from __future__ import annotations
@@ -23,15 +24,20 @@ from repro.apps import get_app
 from repro.apps.base import AppSpec
 from repro.capability import (MODES, PLANES, Cell, cell_of,
                               perturbations_of, require)
-from repro.compiler.transform import OptConfig
+from repro.compiler.transform import OptConfig, transform
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.harness.outcome import RunOutcome
-from repro.harness.runner import run_dsm, run_mp, run_seq, run_xhpf
+from repro.harness.runner import layout_for, run_seq
+from repro.interp.interp import Interpreter
+from repro.interp.lower import lower
+from repro.interp.runtime import DsmRuntime
 from repro.lang.nodes import Program
 from repro.machine.config import MachineConfig
+from repro.mp.system import MpSystem
 from repro.net import TransportConfig
 from repro.telemetry import Telemetry
+from repro.tm.system import TmSystem
 
 
 @dataclass
@@ -182,25 +188,65 @@ def run(spec: Union[RunSpec, str, AppSpec, Program], **overrides) -> RunOutcome:
                 "not apply")
         return run_seq(spec.resolve_program(), telemetry=tel)
     if spec.mode == "dsm":
-        return run_dsm(spec.resolve_program(), nprocs=spec.nprocs,
-                       opt=spec.resolve_opt(), config=spec.config,
-                       page_size=spec.page_size, snapshot=spec.snapshot,
-                       gc_threshold=spec.gc_threshold,
-                       eager_diffing=spec.eager_diffing, telemetry=tel,
-                       faults=spec.faults, transport=spec.transport,
-                       protocol=spec.protocol,
-                       data_plane=spec.data_plane, profile=prof)
+        return _tm_run(spec, tel, prof)
+    return _mp_run(spec, tel, prof)
+
+
+def _tm_run(spec: RunSpec, tel, prof) -> RunOutcome:
+    """The (optionally compiler-optimized) TreadMarks DSM."""
+    prog = spec.resolve_program()
+    opt = spec.resolve_opt()
+    if opt is not None:
+        prog = transform(prog, opt)
+    lower(prog)     # once, before the run's byte images are allocated
+    system = TmSystem(nprocs=spec.nprocs,
+                      layout=layout_for(prog, page_size=spec.page_size),
+                      config=spec.config, gc_threshold=spec.gc_threshold,
+                      eager_diffing=spec.eager_diffing, telemetry=tel,
+                      faults=spec.faults, transport=spec.transport,
+                      protocol=spec.protocol, data_plane=spec.data_plane,
+                      profile=prof)
+
+    def main(node):
+        Interpreter(prog, DsmRuntime(node, prog)).run()
+
+    result = system.run(main)
+    arrays = system.snapshot() if spec.snapshot else {}
+    system.release()
+    return RunOutcome(mode="dsm", time=result.time, arrays=arrays,
+                      stats=result.stats, per_proc=result.per_proc,
+                      net=result.net, program=prog, telemetry=tel,
+                      profile=prof)
+
+
+def _mp_run(spec: RunSpec, tel, prof) -> RunOutcome:
+    """Message passing: the XHPF lowering of the program, or the app's
+    hand-coded (PVMe) main."""
     if spec.mode == "xhpf":
-        return run_xhpf(spec.resolve_program(), nprocs=spec.nprocs,
-                        config=spec.config, telemetry=tel,
-                        faults=spec.faults, transport=spec.transport,
-                        profile=prof)
-    # mp: needs the hand-coded main from the AppSpec.
-    app = spec.resolve_app()
-    if app is None:
-        raise ReproError("mode 'mp' needs an app name or AppSpec, "
-                         "not a raw Program")
-    return run_mp(app, spec.resolve_params(), nprocs=spec.nprocs,
-                  config=spec.config, telemetry=tel,
-                  faults=spec.faults, transport=spec.transport,
-                  profile=prof)
+        from repro.compiler.hpf import merge_replicas, xhpf_main
+        prog = spec.resolve_program()
+        main = xhpf_main(prog)
+
+        def assemble(returns):
+            return merge_replicas(prog, returns)
+    else:
+        app = spec.resolve_app()
+        if app is None:
+            raise ReproError("mode 'mp' needs an app name or AppSpec, "
+                             "not a raw Program")
+        params = spec.resolve_params()
+
+        def main(comm):
+            return app.mp_main(comm, dict(params))
+
+        def assemble(returns):
+            if app.assemble_mp is None:
+                return {}
+            return app.assemble_mp(returns, dict(params))
+    system = MpSystem(nprocs=spec.nprocs, config=spec.config,
+                      telemetry=tel, faults=spec.faults,
+                      transport=spec.transport, profile=prof)
+    result = system.run(main)
+    return RunOutcome(mode=spec.mode, time=result.time,
+                      arrays=assemble(result.returns), net=result.net,
+                      telemetry=tel, profile=prof)

@@ -22,7 +22,7 @@ from repro.inspect.baseline import (CheckResult, check, compare,
 from repro.inspect.contention import (BarrierEpoch, ContentionProfile,
                                       LockProfile)
 from repro.inspect.critpath import CriticalPath, Segment
-from repro.inspect.report import InspectReport, inspect_run
+from repro.inspect.report import InspectReport
 from repro.inspect.timeline import (PageCounters, PageState,
                                     PageTimelines, Transition)
 
@@ -30,6 +30,6 @@ __all__ = [
     "PageState", "Transition", "PageCounters", "PageTimelines",
     "LockProfile", "BarrierEpoch", "ContentionProfile",
     "CriticalPath", "Segment",
-    "InspectReport", "inspect_run",
+    "InspectReport",
     "CheckResult", "check", "compare", "compare_entry", "default_path",
 ]

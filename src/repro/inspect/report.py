@@ -304,20 +304,3 @@ class InspectReport:
 def _pids(pids) -> str:
     return ",".join(f"P{p}" for p in sorted(pids)) or "-"
 
-
-def inspect_run(spec=None, **kwargs) -> InspectReport:
-    """Run per spec/kwargs (forcing telemetry on) and build the report."""
-    from repro.harness.spec import RunSpec, run
-    from dataclasses import replace
-    if spec is None:
-        spec = RunSpec(**kwargs)
-    elif kwargs:
-        spec = replace(spec, **kwargs)
-    if spec.telemetry is False:
-        spec = replace(spec, telemetry=True)
-    outcome = run(spec)
-    app = spec.app if isinstance(spec.app, str) else \
-        getattr(spec.resolve_app(), "name", "program")
-    title = f"{app} mode={spec.mode} nprocs={spec.nprocs}" + \
-        (f" opt={spec.opt}" if isinstance(spec.opt, str) else "")
-    return InspectReport.build(outcome, title=title)

@@ -18,14 +18,6 @@ class MpRunResult:
     net: NetStats
     returns: list
 
-    @property
-    def messages(self) -> int:
-        return self.net.messages
-
-    @property
-    def data_bytes(self) -> int:
-        return self.net.bytes
-
 
 class MpSystem:
     """A simulated cluster running hand-coded message passing."""

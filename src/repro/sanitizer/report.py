@@ -110,7 +110,7 @@ class SanitizeReport:
         the protocol counted them as it executed.  Disagreement means
         the stream is incomplete and every "clean" verdict is suspect.
         """
-        stats = outcome.run.stats
+        stats = outcome.stats
         checks = [
             ("lock hand-offs", self.sync_counts.get("lock_grants", 0),
              stats.lock_acquires - stats.lock_local_acquires),

@@ -31,7 +31,7 @@ writes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -144,22 +144,17 @@ class HlrcBackend(CoherenceBackend):
                          size=4, tag=tag)
 
     # ==================================================================
-    # Fault-time data acquisition: whole pages from the homes.
+    # Fault-time data acquisition: whole pages from the homes, split
+    # phase (Figure 4's Fetch_diffs / Apply_diffs): begin_fetch asks
+    # each home for its pages, finish_fetch installs the replies.
     # ==================================================================
 
-    def _partition(self, pages):
-        """Split fetch pages into own-home and per-home groups."""
-        local: List[int] = []
+    def begin_fetch(self, pages) -> Dict[int, object]:
+        # Never one of this node's own pages: a home's copy of its pages
+        # is never invalidated (module docstring).
         by_home: Dict[int, List[int]] = {}
         for p in sorted(set(pages)):
-            h = self.home_map[p]
-            if h == self.node.pid:
-                local.append(p)
-            else:
-                by_home.setdefault(h, []).append(p)
-        return local, by_home
-
-    def _send_page_requests(self, by_home) -> Dict[int, object]:
+            by_home.setdefault(self.home_map[p], []).append(p)
         if self.node.osl is not None:
             return self._post_page_reads(by_home)
         return self._send_page_requests_two(by_home)
@@ -190,8 +185,7 @@ class HlrcBackend(CoherenceBackend):
             expected[h] = tag
         return expected
 
-    def _recv_and_install(self, expected: Dict[int, object],
-                          local: Sequence[int]) -> None:
+    def finish_fetch(self, expected: Dict[int, object]) -> None:
         node = self.node
         responses = {}
         if expected:
@@ -225,9 +219,6 @@ class HlrcBackend(CoherenceBackend):
                         + list(msg.payload)
             node._waited("wait.fetch", t0)
         with node._atomic():    # batch install charges into one advance
-            for p in local:
-                # The home's own copy is authoritative by construction.
-                node._apply_page(p, [])
             for h in sorted(responses):
                 for p, data in responses[h]:
                     self._install_page(p, h, data)
@@ -293,19 +284,6 @@ class HlrcBackend(CoherenceBackend):
                 size += PAGE_ID_BYTES + node.layout.page_size
             node.ep.send(msg.src, "page_resp", payload=tuple(payload),
                          size=size, tag=tag)
-
-    # ==================================================================
-    # Split-phase fetch (Figure 4's Fetch_diffs / Apply_diffs).
-    # ==================================================================
-
-    def begin_fetch(self, pages):
-        local, by_home = self._partition(pages)
-        expected = self._send_page_requests(by_home)
-        return (expected, local)
-
-    def finish_fetch(self, handle) -> None:
-        expected, local = handle
-        self._recv_and_install(expected, local)
 
     # ==================================================================
     # Validate_w_sync: no merge partner — complete after the sync op.

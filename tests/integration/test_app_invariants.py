@@ -13,15 +13,14 @@ from repro.apps.gauss import _init_matrix as gauss_matrix
 from repro.apps.is_sort import _keys_for
 from repro.apps.mgs import _init_matrix as mgs_matrix
 from repro.compiler import OptConfig
-from repro.harness.runner import run_dsm
+from repro.harness import run
 
 FULL = OptConfig(push=True, name="full")
 
 
 def dsm_result(appname, nprocs=4):
     app = get_app(appname)
-    res = run_dsm(app.program("tiny", nprocs), nprocs=nprocs, opt=FULL,
-                  page_size=256)
+    res = run(appname, nprocs=nprocs, opt=FULL, page_size=256)
     return app, res
 
 

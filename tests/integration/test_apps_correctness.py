@@ -17,7 +17,7 @@ import pytest
 from repro.apps import all_apps
 from repro.errors import HpfError
 from repro.harness.modes import applicable_levels
-from repro.harness.runner import run_dsm, run_mp, run_seq, run_xhpf
+from repro.harness import run, run_seq
 
 APPS = all_apps()
 APP_NAMES = sorted(APPS)
@@ -50,8 +50,8 @@ def test_dsm_matches_reference(appname, gc_threshold, level):
     levels = applicable_levels(app)
     if level not in levels:
         pytest.skip(f"{level} not applicable to {appname} (per the paper)")
-    res = run_dsm(app.program("tiny", 4), nprocs=4, opt=levels[level],
-                  page_size=256, gc_threshold=gc_threshold)
+    res = run(app, nprocs=4, opt=levels[level], page_size=256,
+              gc_threshold=gc_threshold)
     check(res.arrays, app)
 
 
@@ -63,24 +63,22 @@ def test_push_snapshot_with_several_columns_per_page(page_size, data_plane):
     stale; the offline reconciliation must not trust it.  (At 1024 and
     4096 a page holds 2 and 8 of jacobi's 512-byte columns.)"""
     app = APPS["jacobi"]
-    res = run_dsm(app.program("tiny", 4), nprocs=4,
-                  opt=applicable_levels(app)["push"], page_size=page_size,
-                  data_plane=data_plane)
+    res = run(app, nprocs=4, opt=applicable_levels(app)["push"],
+              page_size=page_size, data_plane=data_plane)
     check(res.arrays, app)
 
 
 @pytest.mark.parametrize("appname", APP_NAMES)
 def test_dsm_two_processors(appname):
     app = APPS[appname]
-    res = run_dsm(app.program("tiny", 2), nprocs=2, opt=None,
-                  page_size=256)
+    res = run(app, nprocs=2, page_size=256)
     check(res.arrays, app)
 
 
 @pytest.mark.parametrize("appname", APP_NAMES)
 def test_pvme_matches_reference(appname):
     app = APPS[appname]
-    res = run_mp(app, dict(app.datasets["tiny"].params), nprocs=4)
+    res = run(app, mode="mp", nprocs=4)
     check(res.arrays, app)
 
 
@@ -88,11 +86,11 @@ def test_pvme_matches_reference(appname):
 def test_xhpf_matches_reference_or_refuses(appname):
     app = APPS[appname]
     if app.xhpf_ok:
-        res = run_xhpf(app.program("tiny", 4), nprocs=4)
+        res = run(app, mode="xhpf", nprocs=4)
         check(res.arrays, app)
     else:
         with pytest.raises(HpfError):
-            run_xhpf(app.program("tiny", 4), nprocs=4)
+            run(app, mode="xhpf", nprocs=4)
 
 
 @pytest.mark.parametrize("appname", APP_NAMES)
@@ -100,10 +98,9 @@ def test_optimized_dsm_never_slower_than_base(appname):
     """Aggregation + consistency elimination must not hurt (paper §6.4)."""
     app = APPS[appname]
     levels = applicable_levels(app)
-    base = run_dsm(app.program("tiny", 4), nprocs=4, opt=None,
-                   page_size=256, snapshot=False)
-    opt = run_dsm(app.program("tiny", 4), nprocs=4,
-                  opt=levels["aggr+cons"], page_size=256, snapshot=False)
+    base = run(app, nprocs=4, page_size=256, snapshot=False)
+    opt = run(app, nprocs=4, opt=levels["aggr+cons"], page_size=256,
+              snapshot=False)
     assert opt.time <= base.time * 1.02
 
 
@@ -112,32 +109,30 @@ def test_optimization_reduces_page_faults(appname):
     """Table 2: optimized programs have almost all page faults removed."""
     app = APPS[appname]
     levels = applicable_levels(app)
-    base = run_dsm(app.program("tiny", 4), nprocs=4, opt=None,
-                   page_size=256, snapshot=False)
-    opt = run_dsm(app.program("tiny", 4), nprocs=4,
-                  opt=levels["aggr+cons"], page_size=256, snapshot=False)
-    assert opt.run.stats.segv < base.run.stats.segv
+    base = run(app, nprocs=4, page_size=256, snapshot=False)
+    opt = run(app, nprocs=4, opt=levels["aggr+cons"], page_size=256,
+              snapshot=False)
+    assert opt.stats.segv < base.stats.segv
 
 
 @pytest.mark.parametrize("appname", APP_NAMES)
 def test_optimization_reduces_messages(appname):
     app = APPS[appname]
     levels = applicable_levels(app)
-    base = run_dsm(app.program("tiny", 4), nprocs=4, opt=None,
-                   page_size=256, snapshot=False)
-    opt = run_dsm(app.program("tiny", 4), nprocs=4,
-                  opt=levels["aggr+cons"], page_size=256, snapshot=False)
-    assert opt.run.messages < base.run.messages
+    base = run(app, nprocs=4, page_size=256, snapshot=False)
+    opt = run(app, nprocs=4, opt=levels["aggr+cons"], page_size=256,
+              snapshot=False)
+    assert opt.messages < base.messages
 
 
 def test_is_consistency_elimination_removes_diffs():
     """IS with READ&WRITE_ALL creates no twins or diffs (paper §6.2)."""
     app = APPS["is"]
     levels = applicable_levels(app)
-    res = run_dsm(app.program("tiny", 4), nprocs=4,
-                  opt=levels["aggr+cons"], page_size=256, snapshot=False)
-    assert res.run.stats.diffs_created == 0
-    assert res.run.stats.full_pages_served > 0
+    res = run(app, nprocs=4, opt=levels["aggr+cons"], page_size=256,
+              snapshot=False)
+    assert res.stats.diffs_created == 0
+    assert res.stats.full_pages_served > 0
 
 
 def test_jacobi_write_all_increases_data():
@@ -145,30 +140,27 @@ def test_jacobi_write_all_increases_data():
     mostly-unchanged data, so the optimized version moves MORE bytes."""
     app = APPS["jacobi"]
     levels = applicable_levels(app)
-    base = run_dsm(app.program("tiny", 4), nprocs=4, opt=None,
-                   page_size=256, snapshot=False)
-    cons = run_dsm(app.program("tiny", 4), nprocs=4,
-                   opt=levels["aggr+cons"], page_size=256, snapshot=False)
-    assert cons.run.data_bytes > base.run.data_bytes
+    base = run(app, nprocs=4, page_size=256, snapshot=False)
+    cons = run(app, nprocs=4, opt=levels["aggr+cons"], page_size=256,
+               snapshot=False)
+    assert cons.data_bytes > base.data_bytes
 
 
 def test_fft_push_reduces_false_sharing_data():
     """Push ships exact sections: less data than whole-page diffs."""
     app = APPS["fft3d"]
     levels = applicable_levels(app)
-    cons = run_dsm(app.program("tiny", 4), nprocs=4,
-                   opt=levels["aggr+cons"], page_size=256, snapshot=False)
-    push = run_dsm(app.program("tiny", 4), nprocs=4,
-                   opt=levels["push"], page_size=256, snapshot=False)
-    assert push.run.data_bytes < cons.run.data_bytes
+    cons = run(app, nprocs=4, opt=levels["aggr+cons"], page_size=256,
+               snapshot=False)
+    push = run(app, nprocs=4, opt=levels["push"], page_size=256,
+               snapshot=False)
+    assert push.data_bytes < cons.data_bytes
 
 
 def test_deterministic_across_runs():
     app = APPS["jacobi"]
-    r1 = run_dsm(app.program("tiny", 4), nprocs=4, opt=None,
-                 page_size=256, snapshot=False)
-    r2 = run_dsm(app.program("tiny", 4), nprocs=4, opt=None,
-                 page_size=256, snapshot=False)
+    r1 = run(app, nprocs=4, page_size=256, snapshot=False)
+    r2 = run(app, nprocs=4, page_size=256, snapshot=False)
     assert r1.time == r2.time
-    assert r1.run.messages == r2.run.messages
-    assert r1.run.stats.as_dict() == r2.run.stats.as_dict()
+    assert r1.messages == r2.messages
+    assert r1.stats.as_dict() == r2.stats.as_dict()

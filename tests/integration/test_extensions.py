@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import get_app
 from repro.compiler import OptConfig
-from repro.harness.runner import run_dsm
+from repro.harness import run
 
 
 def check(res, app, dataset="tiny"):
@@ -21,13 +21,12 @@ class TestGcUnderApps:
     @pytest.mark.parametrize("appname", ["jacobi", "gauss", "is"])
     def test_apps_correct_with_aggressive_gc(self, appname):
         app = get_app(appname)
-        res = run_dsm(app.program("tiny", 4), nprocs=4, opt=None,
-                      page_size=256, gc_threshold=16)
+        res = run(app, nprocs=4, page_size=256, gc_threshold=16)
         check(res, app)
 
     def test_gc_with_optimizations(self):
         app = get_app("jacobi")
         opt = OptConfig(push=True, name="full")
-        res = run_dsm(app.program("tiny", 4), nprocs=4, opt=opt,
-                      page_size=256, gc_threshold=16)
+        res = run(app, nprocs=4, opt=opt, page_size=256,
+                  gc_threshold=16)
         check(res, app)

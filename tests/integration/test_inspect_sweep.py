@@ -16,19 +16,19 @@ rerun.
 
 import pytest
 
-from repro.apps import all_apps, get_app
+from repro.apps import get_app
 from repro.compiler.transform import hint_mutation
 from repro.harness import RunSpec
-from repro.harness.modes import SIZING, applicable_levels, run_matrix
+from repro.harness.modes import SIZING, run_matrix
 from repro.inspect import baseline
 from repro.sanitizer import matrix
+from repro.tm.system import TmSystem
 
 from .judged import cell, judged, measured
 
-CASES = [(app, "dsm", opt)
-         for app in sorted(all_apps())
-         for opt in sorted(applicable_levels(get_app(app)))]
-CASES += [(app, "mp", None) for app in sorted(all_apps())]
+CASES = [(s.app, s.mode, s.opt)
+         for s in run_matrix(modes=("dsm", "mp"), protocols=[None],
+                             data_planes=[None])]
 
 
 @pytest.fixture(scope="module")
@@ -81,17 +81,15 @@ def test_check_reports_an_unsound_push(tmp_path):
 def test_check_reports_a_diverging_result(tmp_path, monkeypatch):
     """One wrong element of a snapshot moves no counter; the gate's
     result oracle still names the array."""
-    import repro.harness.spec as spec_module
-
     name = get_app("jacobi").check_arrays[0]
-    real = spec_module.run_dsm
+    real = TmSystem.snapshot
 
-    def corrupted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        out.arrays[name].flat[0] += 1.0
-        return out
+    def corrupted(self):
+        arrays = real(self)
+        arrays[name].flat[0] += 1.0
+        return arrays
 
-    monkeypatch.setattr(spec_module, "run_dsm", corrupted)
+    monkeypatch.setattr(TmSystem, "snapshot", corrupted)
     res = check_one("jacobi/dsm/base", tmp_path)
     assert len(res.problems) == 1, res.problems
     assert res.problems[0].startswith(

@@ -10,9 +10,8 @@ derives, per iteration:
 
 import pytest
 
-from repro.apps import get_app
+from repro.harness import run
 from repro.harness.modes import OPT_LEVELS
-from repro.harness.runner import run_dsm, run_mp
 
 
 def jacobi_params(M, N, iters):
@@ -20,10 +19,8 @@ def jacobi_params(M, N, iters):
 
 
 def run_jacobi_dsm(nprocs, M, N, iters, opt=None, page_size=256):
-    app = get_app("jacobi")
-    prog = app.build_program(jacobi_params(M, N, iters), nprocs)
-    return run_dsm(prog, nprocs=nprocs, opt=opt, page_size=page_size,
-                   snapshot=False)
+    return run("jacobi", params=jacobi_params(M, N, iters), nprocs=nprocs,
+               opt=opt, page_size=page_size, snapshot=False)
 
 
 def test_base_jacobi_message_formula():
@@ -33,18 +30,17 @@ def test_base_jacobi_message_formula():
     m = (M * 8) // 256
     it1 = run_jacobi_dsm(n, M, N, 1)
     it3 = run_jacobi_dsm(n, M, N, 3)
-    per_iter = (it3.run.messages - it1.run.messages) / 2
+    per_iter = (it3.messages - it1.messages) / 2
     expected = 2 * 2 * (n - 1) + 4 * m * (n - 1)
     assert per_iter == pytest.approx(expected, rel=0.05)
 
 
 def test_mp_jacobi_message_formula():
     """Hand-coded Jacobi sends exactly 2(n-1) messages per iteration."""
-    app = get_app("jacobi")
     n = 4
-    r1 = run_mp(app, jacobi_params(64, 64, 1), nprocs=n)
-    r3 = run_mp(app, jacobi_params(64, 64, 3), nprocs=n)
-    per_iter = (r3.run.messages - r1.run.messages) / 2
+    r1 = run("jacobi", mode="mp", params=jacobi_params(64, 64, 1), nprocs=n)
+    r3 = run("jacobi", mode="mp", params=jacobi_params(64, 64, 3), nprocs=n)
+    per_iter = (r3.messages - r1.messages) / 2
     assert per_iter == 2 * (n - 1)
 
 
@@ -54,7 +50,7 @@ def test_push_jacobi_replaces_barrier2():
     n = 4
     it1 = run_jacobi_dsm(n, 64, 64, 1, opt=OPT_LEVELS["push"])
     it3 = run_jacobi_dsm(n, 64, 64, 3, opt=OPT_LEVELS["push"])
-    per_iter = (it3.run.messages - it1.run.messages) / 2
+    per_iter = (it3.messages - it1.messages) / 2
     assert per_iter == pytest.approx(2 * (n - 1) + 2 * (n - 1), rel=0.05)
 
 
@@ -68,8 +64,8 @@ def test_aggregation_halves_boundary_fetch_messages():
     base3 = run_jacobi_dsm(n, M, 64, 3)
     aggr1 = run_jacobi_dsm(n, M, 64, 1, opt=OPT_LEVELS["aggr"])
     aggr3 = run_jacobi_dsm(n, M, 64, 3, opt=OPT_LEVELS["aggr"])
-    base_per_iter = (base3.run.messages - base1.run.messages) / 2
-    aggr_per_iter = (aggr3.run.messages - aggr1.run.messages) / 2
+    base_per_iter = (base3.messages - base1.messages) / 2
+    aggr_per_iter = (aggr3.messages - aggr1.messages) / 2
     m = (M * 8) // 256
     assert base_per_iter == pytest.approx(
         2 * 2 * (n - 1) + 4 * m * (n - 1), rel=0.05)
@@ -81,7 +77,7 @@ def test_barrier_messages_scale_with_processors():
     for n in (2, 4, 8):
         res = run_jacobi_dsm(n, 64, 64, 1, page_size=256)
         # Every barrier contributes 2(n-1): arrival + departure.
-        barriers = res.run.net.by_kind["barrier_arrive"]
-        departs = res.run.net.by_kind["barrier_depart"]
+        barriers = res.net.by_kind["barrier_arrive"]
+        departs = res.net.by_kind["barrier_depart"]
         assert barriers == departs
         assert barriers % (n - 1) == 0

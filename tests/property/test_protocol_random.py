@@ -68,7 +68,7 @@ def oracle(phases):
     return x, checks
 
 
-def run_dsm_program(nprocs, page_size, phases, validates=None,
+def run_tmk_program(nprocs, page_size, phases, validates=None,
                     telemetry=False):
     layout = SharedLayout(page_size=page_size)
     layout.add_array("x", (SIZE,))
@@ -124,7 +124,7 @@ def random_validates(data, nprocs, nphases):
 def test_random_phased_program_matches_oracle(case):
     nprocs, page_size, phases = case
     expected_x, expected_checks = oracle(phases)
-    got_x, got_checks, _, _ = run_dsm_program(nprocs, page_size, phases)
+    got_x, got_checks, _, _ = run_tmk_program(nprocs, page_size, phases)
     np.testing.assert_allclose(got_x, expected_x)
     np.testing.assert_allclose(got_checks, expected_checks)
 
@@ -135,7 +135,7 @@ def test_consistency_preserving_validates_are_pure_hints(case, data):
     nprocs, page_size, phases = case
     validates = random_validates(data, nprocs, len(phases))
     expected_x, expected_checks = oracle(phases)
-    got_x, got_checks, _, _ = run_dsm_program(nprocs, page_size, phases,
+    got_x, got_checks, _, _ = run_tmk_program(nprocs, page_size, phases,
                                               validates=validates)
     np.testing.assert_allclose(got_x, expected_x)
     np.testing.assert_allclose(got_checks, expected_checks)
@@ -145,8 +145,8 @@ def test_consistency_preserving_validates_are_pure_hints(case, data):
 @settings(max_examples=10, deadline=None)
 def test_runs_are_deterministic(case):
     nprocs, page_size, phases = case
-    x1, c1, r1, _ = run_dsm_program(nprocs, page_size, phases)
-    x2, c2, r2, _ = run_dsm_program(nprocs, page_size, phases)
+    x1, c1, r1, _ = run_tmk_program(nprocs, page_size, phases)
+    x2, c2, r2, _ = run_tmk_program(nprocs, page_size, phases)
     np.testing.assert_array_equal(x1, x2)
     assert c1 == c2
     assert r1.time == r2.time
@@ -162,7 +162,7 @@ def test_page_timelines_are_legal_and_reconcile(case, data):
     whatever the schedule, page size, or injected Validate pattern."""
     nprocs, page_size, phases = case
     validates = random_validates(data, nprocs, len(phases))
-    _, _, res, tel = run_dsm_program(nprocs, page_size, phases,
+    _, _, res, tel = run_tmk_program(nprocs, page_size, phases,
                                      validates=validates,
                                      telemetry=True)
     tl = PageTimelines.from_telemetry(tel)

@@ -137,21 +137,38 @@ def test_every_documented_command_line_exists(capsys):
     assert set(cli.SUBCOMMANDS) <= set(flags), "an undocumented subcommand"
 
 
+def _resolves(dotted: str) -> bool:
+    """``repro.a.b...`` names a module, or attributes of the longest
+    importable module prefix."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
 def test_documented_plans_and_imports_exist():
     """Every ``json`` block of docs/robustness.md is a fault plan that
-    ``plan_from_dict`` accepts, and every ``from repro... import ...``
-    in the README, DESIGN.md, the docs and the examples names a symbol
-    that exists."""
+    ``plan_from_dict`` accepts, every ``from repro... import ...`` in
+    the README, DESIGN.md, the docs and the examples names a symbol that
+    exists, and so does every backticked ``repro.a.b...`` reference in
+    the README, DESIGN.md, the docs and the verify skill."""
     from repro.faults import plan_from_dict
     doc = (ROOT / "docs/robustness.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", doc, re.S)
     assert blocks
     for block in blocks:
         plan_from_dict(json.loads(block))
-    paths = [ROOT / "README.md", ROOT / "DESIGN.md",
-             *sorted((ROOT / "docs").glob("*.md")),
-             *sorted((ROOT / "examples").glob("*.py"))]
-    for path in paths:
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    for path in [*docs, *sorted((ROOT / "examples").glob("*.py"))]:
         for module, names in re.findall(
                 r"from (repro[\w.]*) import (\([^)]*\)|[^\n]+)",
                 path.read_text()):
@@ -164,6 +181,12 @@ def test_documented_plans_and_imports_exist():
                     pytest.fail(line)
                 assert hasattr(mod, name) or importlib.util.find_spec(
                     f"{module}.{name}") is not None, line
+    refs = [(path.name, ref)
+            for path in [*docs, ROOT / ".claude/skills/verify/SKILL.md"]
+            for ref in re.findall(r"`(repro(?:\.\w+)+)", path.read_text())]
+    assert refs
+    for where, ref in refs:
+        assert _resolves(ref), f"{where}: `{ref}`"
 
 
 def test_ci_runs_the_whole_suite_unfiltered():

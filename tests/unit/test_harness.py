@@ -9,10 +9,10 @@ import pytest
 from repro.apps import all_apps, get_app
 from repro.compiler import OptConfig
 from repro.harness import experiments as ex
+from repro.harness import layout_for, run
 from repro.harness.modes import (OPT_LEVELS, applicable_levels,
                                  sync_fetch_variant)
 from repro.harness.report import render_table
-from repro.harness.runner import layout_for, run_dsm
 
 
 def test_registry_has_all_six_apps():
@@ -226,10 +226,8 @@ def test_a_deviation_explains_only_its_programs_and_distance(
     assert claim.verdict(rows) == verdict
 
 
-def test_run_dsm_without_snapshot_returns_no_arrays():
-    app = get_app("jacobi")
-    res = run_dsm(app.program("tiny", 2), nprocs=2, opt=None,
-                  page_size=256, snapshot=False)
+def test_a_run_without_snapshot_returns_no_arrays():
+    res = run("jacobi", nprocs=2, page_size=256, snapshot=False)
     assert res.arrays == {}
     assert res.time > 0
 

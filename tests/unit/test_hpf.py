@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.compiler.hpf import compile_xhpf, lower_xhpf
+from repro.compiler.hpf import compile_xhpf
 from repro.errors import HpfError
+from repro.harness import run
 from repro.lang import build as B
 from repro.lang.nodes import ArrayDecl, Program
 
@@ -74,7 +75,7 @@ def test_exchange_covers_multi_barrier_gap():
     ]
     prog = Program("gap", [ArrayDecl("x", (16,)), ArrayDecl("y", (16,))],
                    body)
-    res = lower_xhpf(prog, nprocs=2)
+    res = run(prog, mode="xhpf", nprocs=2)
     np.testing.assert_allclose(res.arrays["x"], np.arange(16.0))
     np.testing.assert_allclose(res.arrays["y"], np.arange(16.0) + 1.0)
 
@@ -82,12 +83,11 @@ def test_exchange_covers_multi_barrier_gap():
 def test_jacobi_message_count_matches_hand_coded():
     """XHPF Jacobi exchanges exactly the boundary columns: the same
     2(n-1) messages per iteration as the hand-coded version."""
-    app = get_app("jacobi")
     n = 4
-    r1 = lower_xhpf(app.build_program(
-        {"M": 64, "N": 64, "iters": 1}, n), nprocs=n)
-    r3 = lower_xhpf(app.build_program(
-        {"M": 64, "N": 64, "iters": 3}, n), nprocs=n)
+    r1 = run("jacobi", mode="xhpf", params={"M": 64, "N": 64, "iters": 1},
+             nprocs=n)
+    r3 = run("jacobi", mode="xhpf", params={"M": 64, "N": 64, "iters": 3},
+             nprocs=n)
     per_iter = (r3.messages - r1.messages) / 2
     assert per_iter == 2 * (n - 1)
 
@@ -102,7 +102,7 @@ def test_owner_gated_writes_ship_from_owner_only():
         B.barrier("B2"),
     ]
     prog = Program("own", [ArrayDecl("x", (8,))], body)
-    res = lower_xhpf(prog, nprocs=4)
+    res = run(prog, mode="xhpf", nprocs=4)
     np.testing.assert_allclose(res.arrays["x"], np.full(8, 6.0))
     # One shipment P2 -> P0 at B1, one P0 -> everyone-who-reads at B2.
     assert res.messages >= 1

@@ -7,7 +7,7 @@ import pytest
 from repro.harness import RunSpec, run
 from repro.inspect import (ContentionProfile, CriticalPath,
                            InspectReport, PageTimelines, baseline,
-                           compare_entry, inspect_run)
+                           compare_entry)
 from repro.telemetry import Telemetry
 
 
@@ -184,8 +184,8 @@ def test_critical_path_gap_becomes_other():
 # ======================================================================
 
 def test_inspect_report_reconciles_on_real_run():
-    rep = inspect_run(app="jacobi", mode="dsm", dataset="tiny",
-                      nprocs=4, opt="aggr", page_size=1024)
+    rep = InspectReport.build(run("jacobi", nprocs=4, opt="aggr",
+                                  page_size=1024, telemetry=True))
     assert rep.reconcile() == []
     text = rep.render()
     assert "Hot pages" in text

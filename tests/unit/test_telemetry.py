@@ -5,21 +5,17 @@ import json
 import pytest
 
 from repro.apps import get_app
-from repro.harness import (RunSpec, run, run_dsm, run_mp, run_seq,
-                           run_xhpf)
+from repro.harness import RunSpec, run, run_seq
 from repro.telemetry import (EventBus, SpanLog, Telemetry,
                              chrome_trace, events_jsonl)
 from repro.telemetry.export import TRACE_PID
 from repro.tm.stats import TmStats
 
 
-def traced_jacobi(opt_name="aggr", nprocs=4, **kw):
-    app = get_app("jacobi")
-    from repro.harness.modes import OPT_LEVELS
+def traced_jacobi(opt_name="aggr", nprocs=4):
     tel = Telemetry()
-    out = run_dsm(app.program("tiny", nprocs), nprocs=nprocs,
-                  opt=OPT_LEVELS[opt_name], page_size=1024,
-                  telemetry=tel, **kw)
+    out = run("jacobi", nprocs=nprocs, opt=opt_name, page_size=1024,
+              telemetry=tel)
     return out, tel
 
 
@@ -61,8 +57,7 @@ class TestEventBus:
         assert len(bus.filter(prefix="net.")) == 1
 
     def test_telemetry_off_leaves_no_trace(self):
-        app = get_app("jacobi")
-        out = run_dsm(app.program("tiny", 2), nprocs=2, page_size=1024)
+        out = run("jacobi", nprocs=2, page_size=1024)
         assert out.telemetry is None
 
 
@@ -123,7 +118,7 @@ class TestMetricsEquivalence:
     @pytest.mark.parametrize("opt_name", ["base", "aggr", "merge", "push"])
     def test_tm_counters_match_legacy_totals(self, opt_name):
         out, tel = traced_jacobi(opt_name)
-        legacy = TmStats.total(out.run.per_proc)
+        legacy = TmStats.total(out.per_proc)
         total = tel.metrics_total
         for name, value in legacy.as_dict().items():
             assert total["tm." + name] == value, name
@@ -131,8 +126,8 @@ class TestMetricsEquivalence:
     def test_net_counters_match_netstats(self):
         out, tel = traced_jacobi()
         total = tel.metrics_total
-        assert total["net.messages"] == out.run.net.messages
-        assert total["net.bytes"] == out.run.net.bytes
+        assert total["net.messages"] == out.net.messages
+        assert total["net.bytes"] == out.net.bytes
 
     def test_event_counts_match_counters(self):
         out, tel = traced_jacobi()
@@ -144,7 +139,7 @@ class TestMetricsEquivalence:
 
     def test_time_gauges_ingested(self):
         out, tel = traced_jacobi()
-        legacy = TmStats.total(out.run.per_proc)
+        legacy = TmStats.total(out.per_proc)
         assert tel.metrics_total["tm.t_compute"] == \
             pytest.approx(legacy.t_compute)
 
@@ -181,7 +176,7 @@ class TestSpans:
 
     def test_epochs_advance_with_barriers(self):
         out, tel = traced_jacobi()
-        per_pid_barriers = out.run.per_proc[0].barriers
+        per_pid_barriers = out.per_proc[0].barriers
         assert tel.epoch(0) == per_pid_barriers
         by_epoch = tel.phase_profile(pid=0, by_epoch=True)
         assert len({e for (e, _name) in by_epoch}) > 1
@@ -190,7 +185,7 @@ class TestSpans:
         # Compute spans measure wall occupancy, which may exceed the
         # charged cost when interrupt handlers steal CPU mid-advance.
         out, tel = traced_jacobi()
-        legacy = TmStats.total(out.run.per_proc)
+        legacy = TmStats.total(out.per_proc)
         total_compute = sum(
             tel.phase_profile(pid).get("compute", 0)
             for pid in tel.pids())
@@ -260,30 +255,24 @@ class TestOtherModes:
             pytest.approx(out.time)
 
     def test_mp_telemetry(self):
-        app = get_app("jacobi")
         tel = Telemetry()
-        out = run_mp(app, dict(app.dataset("tiny").params), nprocs=4,
-                     telemetry=tel)
+        out = run("jacobi", mode="mp", nprocs=4, telemetry=tel)
         total = tel.metrics_total
-        assert total["net.messages"] == out.run.net.messages
-        assert total["net.bytes"] == out.run.net.bytes
+        assert total["net.messages"] == out.net.messages
+        assert total["net.bytes"] == out.net.bytes
 
     def test_xhpf_telemetry(self):
-        app = get_app("jacobi")
         tel = Telemetry()
-        out = run_xhpf(app.program("tiny", 4), nprocs=4, telemetry=tel)
+        out = run("jacobi", mode="xhpf", nprocs=4, telemetry=tel)
         assert out.telemetry is tel
         assert tel.metrics_total["net.messages"] == out.net.messages
         assert tel.phase_profile().get("compute", 0) > 0
 
     def test_untraced_runs_share_no_state(self):
         # Two plain runs must not accumulate into each other.
-        app = get_app("jacobi")
         tel1, tel2 = Telemetry(), Telemetry()
-        out1 = run_dsm(app.program("tiny", 2), nprocs=2,
-                       page_size=1024, telemetry=tel1)
-        out2 = run_dsm(app.program("tiny", 2), nprocs=2,
-                       page_size=1024, telemetry=tel2)
+        out1 = run("jacobi", nprocs=2, page_size=1024, telemetry=tel1)
+        out2 = run("jacobi", nprocs=2, page_size=1024, telemetry=tel2)
         assert tel1.metrics_total["tm.read_faults"] == \
             tel2.metrics_total["tm.read_faults"] == \
             out1.stats.read_faults == out2.stats.read_faults

@@ -103,6 +103,8 @@ class XhpfRuntime(BaseRuntime):
         #: Wall-clock profiler (``None`` when unobserved); the
         #: interpreter picks it up for its statements/sec counter.
         self.prof = comm.ep.net.profiler
+        #: ``comm.compute`` banks when the run is untraced.
+        self.banks = comm.tel is None
         for d in program.shared_arrays():
             self._accessors[d.name] = LocalAccessor(_alloc(d))
         #: Deterministically mirrored write log: per writer, entries of

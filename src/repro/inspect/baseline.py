@@ -145,12 +145,19 @@ def _diverging(spec: RunSpec, arrays, reference) -> List[str]:
     return problems
 
 
-def measure(spec: RunSpec) -> Tuple[dict, Verdict]:
-    """Run one cell once, traced (access events on the DSM), and judge
-    it: its entry (its record under the configuration that produced
-    it) and its :class:`Verdict`.  Oracle 1 needs the stored entry:
-    :func:`compare_entry`."""
-    out = run(spec, telemetry=Telemetry(access_events=spec.mode == "dsm"))
+def checked_run(spec: RunSpec):
+    """The one run of a cell that :func:`measure` judges: traced, with
+    access events on the DSM."""
+    return run(spec, telemetry=Telemetry(access_events=spec.mode == "dsm"))
+
+
+def measure(spec: RunSpec, out=None) -> Tuple[dict, Verdict]:
+    """Run one cell once, traced (:func:`checked_run`; ``out`` if the
+    caller made that run), and judge it: its entry (its record under
+    the configuration that produced it) and its :class:`Verdict`.
+    Oracle 1 needs the stored entry: :func:`compare_entry`."""
+    if out is None:
+        out = checked_run(spec)
     config = {f: getattr(spec, f) for f in CONFIG_FIELDS
               if getattr(spec, f) is not None}
     return {"config": config, **out.record()}, judge(spec, out)

@@ -3,7 +3,7 @@
 ``lower(program)`` emits the statement tree as the source of a single
 function ``run(I)`` and compiles it.  Every simulated processor of a run
 executes that one function; its interpreter ``I`` (``env``, accessors,
-the runtime whose ``charge`` advances the clock) is the only
+the runtime whose ``charge`` spends simulated CPU) is the only
 per-processor binding.  Statement kinds, each reference's affine plan,
 operator chains, costs and which loops run as whole-section numpy
 operations are all decided here (docs/simulator.md, "Lowering").
@@ -21,6 +21,14 @@ told a section by its dims, the key of the layout's shared access plan.
 Emitted code keeps the order of accesses, ``charge`` calls and numpy
 operations of a statement-by-statement walk of the tree, so every
 simulated number is what that walk produces.
+
+The exception is a perfect affine nest (:meth:`Lowered._nest`), also
+emitted collapsed: when the runtime banks its charges, every page the
+whole nest touches passes its check and no statement reads or writes
+what another writes, each statement runs as one N-D numpy operation and
+the columns' charges are banked in their original order.  Its accesses
+are then one per reference, not one per column; the simulated numbers
+are still the walk's (docs/simulator.md, "Banked compute").
 """
 
 from __future__ import annotations
@@ -57,6 +65,76 @@ def _gather(acc, whole, idx):
     return acc.read_at(whole)[idx]
 
 
+def _disjoint(a, b) -> bool:
+    """Whether the sections with dims ``a`` and ``b`` share no element."""
+    return any(ap_intersect(*x, *y) is None for x, y in zip(a, b))
+
+
+def _refs(e: Expr):
+    """The array references of ``e``, in evaluation order."""
+    if isinstance(e, Ref):
+        yield e
+    elif isinstance(e, Bin):
+        yield from _refs(e.left)
+        yield from _refs(e.right)
+    elif isinstance(e, Un):
+        yield from _refs(e.operand)
+
+
+def _axes(ref: Ref, nest_vars) -> Optional[Tuple]:
+    """Per subscript of ``ref``, the nest variable it steps along
+    (``None``: constant over the nest), or ``None`` unless each
+    subscript is affine in at most one of them, with a positive
+    coefficient, no variable is in two subscripts and no atom reads
+    an array."""
+    out = []
+    for sub in ref.subs:
+        lin = linearize(sub, set(nest_vars))
+        if lin is None or not all(isinstance(a, str) for a in lin.atoms()):
+            return None
+        used = [v for v in nest_vars if lin.coef(v)]
+        if len(used) > 1 or (used and lin.coef(used[0]) < 0) \
+                or (used and used[0] in out):
+            return None
+        out.append(used[0] if used else None)
+    return tuple(out)
+
+
+class _Nest:
+    """How one statement of a collapsed nest names things: per nest
+    variable ``(lo, hi, step, n)`` locals, the store's axes, and the
+    dims local of each reference."""
+
+    def __init__(self, loops, store_axes, dims) -> None:
+        self.loops, self.axes, self.dims = loops, store_axes, dims
+
+    def shape(self, along) -> str:
+        """The store view's shape, stepping only along ``along``."""
+        return "(" + "".join(
+            f"{self.loops[v][3]}, " if v is not None and v in along
+            else "1, " for v in self.axes) + ")"
+
+    def sym(self, name: str) -> Optional[str]:
+        if name not in self.loops:
+            return None
+        lo, hi, step, _ = self.loops[name]
+        return (f"_arange({lo}, {hi} + 1, {step}, dtype=_f8)"
+                f".reshape({self.shape((name,))})")
+
+    def ref(self, acc: str, ref: Ref) -> str:
+        """The section ``ref`` reads, laid along the store's axes."""
+        name, axes = self.dims[ref]
+        out = f"{acc}.read_at({name})"
+        if axes == self.axes:
+            return out
+        last = len(self.axes)
+        order = sorted(range(len(axes)), key=lambda k: last if axes[k] is None
+                       else self.axes.index(axes[k]))
+        if order != sorted(order):
+            out += f".transpose({tuple(order)!r})"
+        return out + f".reshape({self.shape(axes)})"
+
+
 def _exact_div(a: int, b: int) -> int:
     if a % b == 0:
         return a // b
@@ -71,7 +149,8 @@ def _refuse(what: str, *operands) -> int:
 
 #: What emitted code may name besides its own constants and locals.
 _GLOBALS = {fn.__name__: fn for fn in (*_UNARY.values(), *_BINARY.values())}
-_GLOBALS.update(_item=_item, _gather=_gather, _arange=np.arange,
+_GLOBALS.update(_item=_item, _gather=_gather, _disjoint=_disjoint,
+                _arange=np.arange,
                 _asarray=np.asarray, _f8=np.float64, _i8=np.int64,
                 _exact_div=_exact_div, _refuse=_refuse, Section=Section,
                 ap_intersect=ap_intersect, InterpError=InterpError)
@@ -252,12 +331,16 @@ class Lowered(_Source):
     # -- expressions -------------------------------------------------------
 
     def _expr(self, e: Expr, loop: Optional[Tuple] = None) -> str:
-        """Source that evaluates ``e``: at one point (``loop`` None), or
+        """Source that evaluates ``e``: at one point (``loop`` None),
         for every value of a vectorised loop's variable at once
-        (``loop`` = variable, names of its bounds, step)."""
+        (``loop`` = variable, names of its bounds, step), or over a
+        whole collapsed nest (``loop`` a :class:`_Nest`)."""
         if isinstance(e, Num):
             return self._num(e.value)
+        nest = loop if isinstance(loop, _Nest) else None
         if isinstance(e, Sym):
+            if nest is not None:
+                return nest.sym(e.name) or f"env[{e.name!r}]"
             if loop and e.name == loop[0]:
                 return "_arange({1}, {2} + 1, {3}, dtype=_f8)".format(*loop)
             return f"env[{e.name!r}]"
@@ -281,6 +364,8 @@ class Lowered(_Source):
             return f"({a} {e.op} {b})"
         if isinstance(e, Ref):
             acc = self._acc(e.array)
+            if nest is not None:
+                return nest.ref(acc, e)
             if loop is None:
                 return (f"float({acc}.read_at({self._point(e.subs)})"
                         f".reshape(-1)[0])")
@@ -373,12 +458,142 @@ class Lowered(_Source):
             for b in s.body:
                 self._vector_assign(b, loop, self._owned(b.owner, ind))
             return
+        loops = self._nest(s)
+        if loops is not None:
+            ind = self._collapse(loops, (lo, hi), ind)
         saved = self._name("saved")
         self._emit(ind, f"{saved} = env.get({s.var!r})",
                    f"for env[{s.var!r}] in range({lo}, {hi} + 1, {s.step}):")
         self._block(s.body, ind + _TAB)
         self._emit(ind, f"if {saved} is None: env.pop({s.var!r}, None)",
                    f"else: env[{s.var!r}] = {saved}")
+
+    @staticmethod
+    def _nest(s: Loop) -> Optional[List[Loop]]:
+        """The loops of the perfect nest ``s`` heads, outermost first,
+        if it may also run collapsed: two loops or more, the innermost
+        a body of ``Assign`` only; positive steps; inner bounds and
+        owner guards that read no array and no nest variable; each
+        reference affine along the nest (:func:`_axes`), each store
+        stepping along every nest variable, and no statement's store
+        written or read as is by another."""
+        loops = [s]
+        while len(loops[-1].body) == 1 and type(loops[-1].body[0]) is Loop:
+            loops.append(loops[-1].body[0])
+        body = loops[-1].body
+        names = [l.var for l in loops]
+        if len(loops) < 2 or not body or len(set(names)) < len(names) \
+                or any(type(b) is not Assign for b in body) \
+                or any(l.step <= 0 for l in loops):
+            return None
+        fixed = [e for l in loops[1:] for e in (l.lo, l.hi)] + [
+            b.owner for b in body if b.owner is not None]
+        if any(any(_refs(e)) or e.free_syms() & set(names) for e in fixed):
+            return None
+        for i, b in enumerate(body):
+            store = _axes(b.lhs, names)
+            if store is None or sorted(filter(None, store)) != sorted(names) \
+                    or any(_axes(r, names) is None for r in _refs(b.rhs)):
+                return None
+            # Another statement storing or reading this store as it is
+            # always meets it: the collapsed form could never run.
+            if any(b.lhs in (c.lhs, *_refs(c.rhs))
+                   for c in body[:i] + body[i + 1:]):
+                return None
+        return loops
+
+    def _collapse(self, loops: List[Loop], outer: Tuple[str, str],
+                  ind: str) -> str:
+        """Emit the collapsed form of a :meth:`_nest`: taken when the
+        runtime banks and, over the whole nest, every page its
+        references touch passes its check and no section a statement
+        reads (other than its own store's) or writes meets another
+        statement's store.  Then each statement runs as one N-D numpy
+        operation, and the columns' charges are banked in their
+        interleaved order.  Returns the indent of the per-column form,
+        which runs otherwise."""
+        done = self._name("done")
+        self._emit(ind, f"{done} = False", "if rt.banks:")
+        ind += _TAB
+        bounds = {loops[0].var: outer}
+        for l in loops[1:]:
+            lo, hi = self._name("lo"), self._name("hi")
+            self._emit(ind, f"{lo} = int({self._expr(l.lo)})",
+                       f"{hi} = int({self._expr(l.hi)})")
+            bounds[l.var] = (lo, hi)
+        self._emit(ind, "if " + " and ".join(
+            f"{lo} <= {hi}" for lo, hi in list(bounds.values())[1:]) + ":")
+        ind += _TAB
+        nvars = {}
+        for l in loops:
+            lo, hi = bounds[l.var]
+            n = self._name("n")
+            self._emit(ind, f"{n} = ({hi} - {lo}) // {l.step} + 1")
+            nvars[l.var] = (lo, hi, l.step, n)
+        body = loops[-1].body
+        self._ints.clear()
+        dims, lines = {}, []
+        for ref in [r for b in body for r in (b.lhs, *_refs(b.rhs))]:
+            if ref not in dims:
+                d = self._name("d")
+                lines.append(f"{d} = {self._nd_dims(ref, nvars)}")
+                dims[ref] = (d, _axes(ref, list(nvars)))
+        guards = [None if b.owner is None else self._name("o")
+                  for b in body]
+        lines += [f"{g} = int({self._expr(b.owner)}) == pid"
+                  for g, b in zip(guards, body) if g]
+        self._emit(ind, *(f"{name} = int(env[{sym!r}])"
+                          for sym, name in self._ints.items()), *lines)
+        conds = []
+        for b, guard in zip(body, guards):
+            checks = [f"{self._acc(r.array)}.passes({dims[r][0]}, True, "
+                      "False)" for r in _refs(b.rhs)]
+            checks.append(f"{self._acc(b.lhs.array)}.passes("
+                          f"{dims[b.lhs][0]}, False, True)")
+            conds.append(" and ".join(checks) if guard is None else
+                         f"(not {guard} or {' and '.join(checks)})")
+        for i, b in enumerate(body):
+            for j, b2 in enumerate(body):
+                w = b2.lhs
+                for r in ([b.lhs] if i < j else []) + list(_refs(b.rhs)):
+                    if r.array == w.array and not (i == j and r == w):
+                        conds.append(f"_disjoint({dims[r][0]}, "
+                                     f"{dims[w][0]})")
+        self._emit(ind, f"if {' and '.join(conds)}:")
+        ind += _TAB
+        n = nvars[loops[-1].var][3]
+        costs = self._name("cs")
+        self._emit(ind, f"{costs} = ()")
+        for b, guard in zip(body, guards):
+            nest = _Nest(nvars, dims[b.lhs][1], dims)
+            at = ind if guard is None else ind + _TAB
+            if guard is not None:
+                self._emit(ind, f"if {guard}:")
+            self._emit(at, f"{self._acc(b.lhs.array)}.write_at("
+                           f"{dims[b.lhs][0]}, {self._expr(b.rhs, nest)})",
+                       f"{costs} += ({n} * {self._num(b.cost)},)")
+        self._emit(ind, f"rt.charge_columns({costs}, " + " * ".join(
+            nvars[l.var][3] for l in loops[:-1]) + ")", f"{done} = True")
+        self._emit(ind[:-3 * len(_TAB)], f"if not {done}:")
+        return ind[:-2 * len(_TAB)]
+
+    def _nd_dims(self, ref: Ref, nvars) -> str:
+        """Dims source of the section ``ref`` touches over a whole
+        collapsed nest (``nvars``: variable -> bounds, step, count)."""
+        out = ""
+        for sub in ref.subs:
+            lin = linearize(sub, set(nvars))
+            var = next((v for v in nvars if lin.coef(v)), None)
+            t = self._name("t")
+            if var is None:
+                out += f"(({t} := {self._base(lin)}), {t}, 1), "
+                continue
+            lo, hi, step, _ = nvars[var]
+            c = lin.coef(var)
+            k = "" if c == 1 else f"{c}*"
+            base = f"({t} := {self._base(lin.without(var))})"
+            out += f"({k}{lo} + {base}, {k}{hi} + {t}, {c * step}), "
+        return f"({out})"
 
     def _vector_assign(self, a: Assign, loop: Tuple, ind: str) -> None:
         """``a`` for all ``n`` values of the loop variable: the store's

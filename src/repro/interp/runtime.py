@@ -58,8 +58,21 @@ class BaseRuntime:
     def _make_shared(self, name: str):
         raise InterpError(f"unknown array {name!r}")
 
+    #: Whether ``charge`` banks (the process's clock moves at its next
+    #: blocking point, :meth:`repro.sim.engine.Process.flush`): what
+    #: lets the lowered program run a fault-free nest as one section.
+    banks = False
+
     def charge(self, us: float) -> None:
         raise NotImplementedError
+
+    def charge_columns(self, costs: Sequence[float], ncols: int) -> None:
+        """``charge`` each of ``costs``, in order, ``ncols`` times over:
+        what a collapsed nest's columns would have charged one by one."""
+        charge = self.charge
+        for _ in range(ncols):
+            for us in costs:
+                charge(us)
 
     def barrier(self) -> None:
         raise NotImplementedError
@@ -121,6 +134,10 @@ class DsmRuntime(BaseRuntime):
         #: Wall-clock profiler (``None`` when unobserved); picked up by
         #: the interpreter for its statements/sec counter.
         self.prof = node.prof
+        #: An untraced run banks compute; a traced one charges each
+        #: burst at once, so its span and access events keep their time.
+        self.banks = node.tel is None
+        self._bank = node.proc.bank
 
     def _make_shared(self, name: str):
         return self.node.array(name)
@@ -130,7 +147,7 @@ class DsmRuntime(BaseRuntime):
             self.node.stats.t_compute += us
             tel = self.node.tel
             if tel is None:
-                self.node.proc.advance(us)
+                self._bank.append(us)
             else:
                 t0 = self.node.sys.engine.now
                 self.node.proc.advance(us)

@@ -89,10 +89,12 @@ class MpComm:
         return self.recv(src=0, tag=(tag, "out"))
 
     def compute(self, us: float) -> None:
-        """Charge local computation time."""
+        """Charge local computation time: banked until the next send,
+        receive or the end of ``main`` when untraced (see
+        :meth:`repro.sim.engine.Process.flush`)."""
         if us > 0:
             if self.tel is None:
-                self.proc.advance(us)
+                self.proc.bank.append(us)
             else:
                 t0 = self.proc.engine.now
                 self.proc.advance(us)

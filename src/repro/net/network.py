@@ -164,6 +164,7 @@ class Endpoint:
         engine = self.net.engine
         deadline = None
         if timeout is not None:
+            self.proc.flush()       # the deadline counts from now
             if timeout < 0:
                 raise SimulationError(f"negative recv timeout: {timeout}")
             deadline = engine.now + timeout
@@ -214,6 +215,7 @@ class Endpoint:
         """Run a round (see :meth:`exchange`; ``sends`` as ``(msg,
         cost, unreliable, offload)``) to its end; ``_got`` is then the
         last reply taken, ``None`` if ``deadline`` passed first."""
+        self.proc.flush()       # the round starts where the compute ends
         self._sends, self._replies = sends, replies
         self._on_reply, self._deadline = on_reply, deadline
         self._i, self._charged = 0, False

@@ -25,6 +25,13 @@ callable the dispatch loop runs where it would have resumed the thread.
 It returns ``True`` to resume the thread, or the state it blocked in
 again, having scheduled its wake-up exactly as ``advance`` or ``wait``
 would.  A chain of sends and receives then costs the thread one sleep.
+
+Compute can be *banked* (:attr:`Process.bank`): a charge appended there
+is spent by :meth:`Process.flush`, one ``_charge`` per banked charge,
+in order, as one step.  Each charge starts where the thread, resumed
+after the one before, would have started it, so every event keeps its
+``(time, seq)``; only the thread sleeps once for a whole compute phase.
+Every blocking call flushes first, and so does the end of ``main``.
 """
 
 from __future__ import annotations
@@ -82,6 +89,12 @@ class Process:
         self._step: Optional[Callable[[], object]] = None
         #: What a step raised, re-raised on this thread.
         self._step_error: Optional[BaseException] = None
+        #: CPU charges (us, each positive) not yet spent, oldest first;
+        #: :meth:`flush` spends them.  Only this process's own code
+        #: appends, and only while it runs.
+        self.bank: List[float] = []
+        #: How many of ``bank`` the flush in progress has spent.
+        self._spent = 0
         self._main = main
         # What this thread sleeps on while another runs: a raw lock (much
         # cheaper than a semaphore), held except while being handed over.
@@ -99,6 +112,7 @@ class Process:
             _batch_policy()
             self._park()
             self.result = self._main(self)
+            self.flush()
             self.state = ProcessState.DONE
         except BaseException as exc:
             if not engine._reaping:     # else unwinding: the run is over
@@ -178,9 +192,32 @@ class Process:
         return False
 
     def advance(self, dt: float) -> None:
-        """Consume ``dt`` microseconds of CPU time on this processor."""
-        if not self._charge(dt):
+        """Consume ``dt`` microseconds of CPU time on this processor
+        (after whatever is banked)."""
+        if self.bank:
+            self.bank.append(dt)
+            self._block_on(self._spend)
+        elif not self._charge(dt):
             self._block(ProcessState.ADVANCING)
+
+    def flush(self) -> None:
+        """Spend the banked charges: the clock then stands where it
+        would had each been an :meth:`advance` of its own."""
+        if self.bank:
+            self._block_on(self._spend)
+
+    def _spend(self):
+        """The flush step: ``_charge`` each banked charge in turn,
+        resuming after one whose wake-up had to be scheduled."""
+        bank, i = self.bank, self._spent
+        while i < len(bank):
+            i += 1
+            if not self._charge(bank[i - 1]):
+                self._spent = i
+                return ProcessState.ADVANCING
+        bank.clear()
+        self._spent = 0
+        return True
 
     def block_on(self, step: Callable[[], object]) -> None:
         """Run ``step`` until it returns ``True``: now, on this thread,
@@ -191,8 +228,13 @@ class Process:
         ``wait`` would (``_charge``; clearing ``_wake_pending``) and
         returns the state, ``ADVANCING`` or ``WAITING``.  It must not
         block otherwise, nor touch ``Engine.current`` (``None`` in the
-        loop).  What it raises in the loop is raised here.
+        loop).  What it raises in the loop is raised here.  The bank is
+        flushed first.
         """
+        self.flush()
+        self._block_on(step)
+
+    def _block_on(self, step: Callable[[], object]) -> None:
         state = step()
         if state is True:
             return
@@ -218,6 +260,7 @@ class Process:
         Callers are responsible for re-checking their condition in a loop:
         a wake-up does not carry a payload.
         """
+        self.flush()
         if self._wake_pending:
             self._wake_pending = False
             return

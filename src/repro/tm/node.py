@@ -247,7 +247,10 @@ class TmNode:
             self.tel.span(self.pid, span, t0, now)
 
     def _syncpoint(self) -> None:
-        """Scheduled crashes, drains and joins realize here."""
+        """Every synchronization operation starts here: the banked
+        compute is spent (the operation reads the clock), then any
+        scheduled crash, drain or join realizes."""
+        self.proc.flush()
         if self.absence is not None:
             self.absence.gate(self)
 
@@ -519,11 +522,20 @@ class TmNode:
     # Page faults (the base TreadMarks access-detection path).
     # ==================================================================
 
+    def passes(self, pages: Iterable[int], read: bool,
+               write: bool) -> bool:
+        """Whether ``ensure_read``/``ensure_write`` of ``pages`` would
+        return without a fault; changes nothing."""
+        meta = self.pages
+        return (not read or all(meta[p].valid for p in pages)) and \
+            (not write or all(meta[p].write_enabled for p in pages))
+
     def ensure_read(self, pages: Iterable[int]) -> None:
         """Make every page readable, faulting (and fetching) as needed."""
         for p in pages:
             if self.pages[p].valid:
                 continue
+            self.proc.flush()
             self.stats.read_faults += 1
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.read_fault", page=p)
@@ -537,6 +549,7 @@ class TmNode:
             meta = self.pages[p]
             if meta.write_enabled:
                 continue
+            self.proc.flush()
             self.stats.write_faults += 1
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.write_fault", page=p)
@@ -554,6 +567,7 @@ class TmNode:
     def validate(self, sections: Sequence[Section], access_type: AccessType,
                  asynchronous: bool = False) -> None:
         """Prefetch and set permissions for ``sections`` (Figure 3)."""
+        self.proc.flush()
         self.stats.validates += 1
         pages = sorted({p for s in sections
                         for p in self.layout.pages_of(s)})
@@ -607,6 +621,7 @@ class TmNode:
                         access_type: AccessType,
                         asynchronous: bool = False) -> None:
         """Defer the fetch: piggy-back it on the next synchronization."""
+        self.proc.flush()
         self.stats.validates += 1
         if self.tel is not None:
             from repro.telemetry.events import pack_sections

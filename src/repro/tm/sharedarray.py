@@ -29,6 +29,11 @@ class SectionAccess:
     subclass's one access path: it returns the section's numpy index,
     after whatever access detection the subclass performs."""
 
+    def passes(self, dims, read: bool, write: bool) -> bool:
+        """Whether accessing the section ``dims`` would pass its checks
+        without a fault; no side effect.  Always, without detection."""
+        return True
+
     def read_at(self, dims) -> np.ndarray:
         return self._view[self._check(dims, True, False)]
 
@@ -115,6 +120,12 @@ class SharedArray(SectionAccess):
             if write:
                 self._ensure_profiled(node.ensure_write, pages)
         return access[1]
+
+    def passes(self, dims, read: bool, write: bool) -> bool:
+        access = self._plan.get(dims)
+        if access is None:
+            access = self.node.layout.resolve_dims(self.info, dims)
+        return self.node.passes(access[0], read, write)
 
     def _ensure_profiled(self, ensure, pages) -> None:
         """One page-state check under the wall-clock observatory.

@@ -427,7 +427,7 @@ def table2(dataset: str = DEFAULT_DATASET,
     rows = []
     for app in all_apps().values():
         runs = app_runs(app, dataset, nprocs)
-        base, opt = runs.base.run, runs.opt.run
+        base, opt = runs.base, runs.opt
         rows.append({
             "app": app.name,
             "best level": runs.best_level(),

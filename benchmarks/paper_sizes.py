@@ -1,14 +1,14 @@
 """The paper's ``small`` data sets at the paper's configuration.
 
     PYTHONPATH=src python benchmarks/paper_sizes.py [--apps A ...]
-        [--levels base best] [--limit-gb 5] [--critpath] [--json OUT]
+        [--critpath]
 
 Runs each app at Table 1's ``small`` set, 8 processors and 4 KB pages,
 at ``base`` and at the level that is best at ``bench`` (Table 2), plus
 the uniprocessor run the speedups divide.  Gauss, MGS and Shallow run
 with barrier garbage collection (``gc_threshold=200``); the others
 without.  Every run gets a fresh interpreter whose address space is
-capped (``RLIMIT_AS``, ``--limit-gb``), so a run over budget ends as a
+capped (``RLIMIT_AS``, :data:`LIMIT_GB`), so a run over budget ends as a
 recorded ``MemoryError`` instead of exhausting the machine.
 
 Prints, per run: simulated seconds, speedup, host seconds and peak RSS
@@ -34,6 +34,8 @@ BEST = {"jacobi": "push", "fft3d": "push", "is": "aggr+cons",
 #: Apps whose history outgrows memory without barrier GC.
 GC_THRESHOLD = {"gauss": 200, "mgs": 200, "shallow": 200}
 SIZING = {"dataset": "small", "nprocs": 8, "page_size": 4096}
+#: Address-space cap of each run's process: under what the host has.
+LIMIT_GB = 5
 
 
 def child(cell: dict) -> dict:
@@ -62,9 +64,9 @@ def child(cell: dict) -> dict:
     return got
 
 
-def measure(cell: dict, limit_gb: float) -> dict:
+def measure(cell: dict) -> dict:
     """One cell in a fresh interpreter under the address-space cap."""
-    limit = int(limit_gb * 2 ** 30)
+    limit = LIMIT_GB * 2 ** 30
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -82,11 +84,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[1])
     ap.add_argument("--apps", nargs="+", default=list(APPS),
                     choices=APPS)
-    ap.add_argument("--levels", nargs="+", default=["base", "best"],
-                    choices=("base", "best"))
-    ap.add_argument("--limit-gb", type=float, default=5.0)
     ap.add_argument("--critpath", action="store_true")
-    ap.add_argument("--json", metavar="OUT")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -96,19 +94,17 @@ def main(argv=None) -> int:
     for app in args.apps:
         cells.append({"app": app, "mode": "seq", "opt": None,
                       "critpath": False})
-        for level in args.levels:
-            cells.append({"app": app, "mode": "dsm",
-                          "opt": "base" if level == "base" else BEST[app],
+        for opt in ("base", BEST[app]):
+            cells.append({"app": app, "mode": "dsm", "opt": opt,
                           "critpath": False})
     if args.critpath:
         cells += [{"app": "jacobi", "mode": "dsm", "opt": opt,
                    "critpath": True} for opt in ("base", "push")]
-    rows, seq = [], {}
+    seq = {}
     print(f"{'run':<28} {'sim s':>9} {'speedup':>8} {'host s':>8} "
           f"{'peak RSS MB':>12}  note")
     for cell in cells:
-        row = measure(cell, args.limit_gb)
-        rows.append(row)
+        row = measure(cell)
         name = f"{row['app']}/small " + (row["opt"] or "seq")
         if row.get("critpath"):
             name += " traced"
@@ -127,9 +123,6 @@ def main(argv=None) -> int:
         print(f"{name:<28} {row['time_us'] / 1e6:>9.3f} {speedup:>8.2f} "
               f"{row['host_s']:>8.1f} {row['rss_mb']:>12.0f}  {note}",
               flush=True)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(rows, fh, indent=1)
     return 0
 
 

@@ -137,7 +137,7 @@ class DsmRuntime(BaseRuntime):
         #: An untraced run banks compute; a traced one charges each
         #: burst at once, so its span and access events keep their time.
         self.banks = node.tel is None
-        self._bank = node.proc.bank
+        self._bank_charge = node.proc.bank_charge
 
     def _make_shared(self, name: str):
         return self.node.array(name)
@@ -147,7 +147,7 @@ class DsmRuntime(BaseRuntime):
             self.node.stats.t_compute += us
             tel = self.node.tel
             if tel is None:
-                self._bank.append(us)
+                self._bank_charge(us)
             else:
                 t0 = self.node.sys.engine.now
                 self.node.proc.advance(us)

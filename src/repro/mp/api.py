@@ -94,7 +94,7 @@ class MpComm:
         :meth:`repro.sim.engine.Process.flush`)."""
         if us > 0:
             if self.tel is None:
-                self.proc.bank.append(us)
+                self.proc.bank_charge(us)
             else:
                 t0 = self.proc.engine.now
                 self.proc.advance(us)

@@ -26,7 +26,7 @@ It returns ``True`` to resume the thread, or the state it blocked in
 again, having scheduled its wake-up exactly as ``advance`` or ``wait``
 would.  A chain of sends and receives then costs the thread one sleep.
 
-Compute can be *banked* (:attr:`Process.bank`): a charge appended there
+Compute can be *banked* (:meth:`Process.bank_charge`): a banked charge
 is spent by :meth:`Process.flush`, one ``_charge`` per banked charge,
 in order, as one step.  Each charge starts where the thread, resumed
 after the one before, would have started it, so every event keeps its
@@ -90,10 +90,15 @@ class Process:
         #: What a step raised, re-raised on this thread.
         self._step_error: Optional[BaseException] = None
         #: CPU charges (us, each positive) not yet spent, oldest first;
-        #: :meth:`flush` spends them.  Only this process's own code
-        #: appends, and only while it runs.
-        self.bank: List[float] = []
-        #: How many of ``bank`` the flush in progress has spent.
+        #: :meth:`flush` spends them.
+        self._bank: List[float] = []
+        #: ``bank_charge(us)``: bank ``us`` microseconds of CPU time, to
+        #: be spent at the next :meth:`flush` (after whatever is banked
+        #: already).  Only this process's own code banks, and only while
+        #: it runs.  It is the bank's own ``append``: every untraced
+        #: compute charge comes through here.
+        self.bank_charge: Callable[[float], None] = self._bank.append
+        #: How many of ``_bank`` the flush in progress has spent.
         self._spent = 0
         self._main = main
         # What this thread sleeps on while another runs: a raw lock (much
@@ -194,8 +199,8 @@ class Process:
     def advance(self, dt: float) -> None:
         """Consume ``dt`` microseconds of CPU time on this processor
         (after whatever is banked)."""
-        if self.bank:
-            self.bank.append(dt)
+        if self._bank:
+            self._bank.append(dt)
             self._block_on(self._spend)
         elif not self._charge(dt):
             self._block(ProcessState.ADVANCING)
@@ -203,13 +208,13 @@ class Process:
     def flush(self) -> None:
         """Spend the banked charges: the clock then stands where it
         would had each been an :meth:`advance` of its own."""
-        if self.bank:
+        if self._bank:
             self._block_on(self._spend)
 
     def _spend(self):
         """The flush step: ``_charge`` each banked charge in turn,
         resuming after one whose wake-up had to be scheduled."""
-        bank, i = self.bank, self._spent
+        bank, i = self._bank, self._spent
         while i < len(bank):
             i += 1
             if not self._charge(bank[i - 1]):

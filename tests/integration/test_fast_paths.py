@@ -1,6 +1,6 @@
 """An untraced run reproduces the traced run it skips, exactly.
 
-An untraced DSM run banks its compute (``Process.bank``, spent by
+An untraced DSM run banks its compute (``Process.bank_charge``, spent by
 ``Process.flush`` at the next blocking point) and runs a fault-free
 affine nest as one section (``interp/lower.py``).  A traced run --
 what ``repro check`` judges -- does neither.  Every DSM cell of the

@@ -123,8 +123,8 @@ def test_a_two_statement_body_banks_its_charges_per_column(
     flush = Process.flush
 
     def recorded(proc):
-        if proc.bank and proc.pid == 0:
-            banked.append(list(proc.bank))
+        if proc._bank and proc.pid == 0:
+            banked.append(list(proc._bank))
         flush(proc)
 
     monkeypatch.setattr(Process, "flush", recorded)
@@ -147,7 +147,7 @@ def test_a_diff_request_served_while_compute_is_banked(monkeypatch,
     steal = Process.steal_cpu
 
     def recorded(proc, cost):
-        stolen.append((proc.pid, bool(proc.bank)))
+        stolen.append((proc.pid, bool(proc._bank)))
         steal(proc, cost)
 
     monkeypatch.setattr(Process, "steal_cpu", recorded)

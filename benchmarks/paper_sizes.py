@@ -14,8 +14,9 @@ recorded ``MemoryError`` instead of exhausting the machine.
 Prints, per run: simulated seconds, speedup, host seconds and peak RSS
 (the child's ``ru_maxrss``).  ``--critpath`` adds the critical path's
 category split of ``jacobi`` at ``base`` and ``push`` (a traced run, as
-``python -m repro inspect`` builds it).  Host figures depend on the
-machine; the simulated ones do not.
+``python -m repro inspect`` builds it), each followed by its CPU tally:
+simulated seconds per charge name, summed over processors.  Host
+figures depend on the machine; the simulated ones do not.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def child(cell: dict) -> dict:
             from repro.inspect.report import InspectReport
             got["critpath_us"] = InspectReport.build(out).critpath \
                 .as_dict(0)["totals_us"]
+            got["cpu_us"] = {name: sum(t.get(name, 0.0) for t in out.tally)
+                             for name in set().union(*out.tally)}
     except MemoryError:
         got = {"error": "MemoryError"}
     got["host_s"] = perf_counter() - t0
@@ -123,6 +126,9 @@ def main(argv=None) -> int:
         print(f"{name:<28} {row['time_us'] / 1e6:>9.3f} {speedup:>8.2f} "
               f"{row['host_s']:>8.1f} {row['rss_mb']:>12.0f}  {note}",
               flush=True)
+        for cpu, us in sorted(row.get("cpu_us", {}).items(),
+                              key=lambda kv: (-kv[1], kv[0])):
+            print(f"  {cpu:<26} {us / 1e6:>9.3f}", flush=True)
     return 0
 
 

@@ -121,7 +121,7 @@ class AbsenceDetector:
                                quiet_us=quiet)
 
     def _h_beat(self, node, msg) -> None:
-        node.ep.charge(self.hb.beat_handler_cost_us)
+        node.proc.charge("cpu.heartbeat", self.hb.beat_handler_cost_us)
         src = msg.payload
         self._last_heard[node.pid][src] = self.sys.engine.now
         if (src + 1) % self.n == node.pid \
@@ -138,7 +138,7 @@ class AbsenceDetector:
                 node.ep.broadcast("mem.admit", payload=src, size=8)
 
     def _h_verdict(self, node, msg, evicted: bool) -> None:
-        node._charge(node.cfg.request_service)
+        node.charge("cpu.request", node.cfg.request_service)
         target = msg.payload
         if evicted:
             self.evicted[node.pid].add(target)

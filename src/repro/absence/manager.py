@@ -473,7 +473,7 @@ class AbsenceManager:
         # The NIC is dark (the injector drops frames both ways); the
         # processor itself is busy "away" until the window ends.
         if engine.now < dark_until:
-            node.proc.advance(dark_until - engine.now)
+            node.proc.advance(dark_until - engine.now, "away")
         self._reenter(node, pol, ev)
 
     def _goodbye(self, node, ev) -> float:
@@ -534,7 +534,7 @@ class AbsenceManager:
         sleeps (NIC dark, no compute) until its join time."""
         if self._policy(node.pid) is JOIN:
             ev = self._plan[node.pid][1]
-            node.proc.advance(ev.t1)
+            node.proc.advance(ev.t1, "away")
             self._reenter(node, JOIN, ev)
 
     def _reenter(self, node, pol: Policy, ev) -> None:
@@ -619,7 +619,7 @@ class AbsenceManager:
         a handler took later, and a re-delivered goodbye must not undo
         what the steward has done since.
         """
-        node._charge(node.cfg.request_service)
+        node.charge("cpu.request", node.cfg.request_service)
         f: Frame = msg.payload
         cust = self._custody.setdefault(f.victim, Custody())
         cust.records.update((r.index, r) for r in f.records
@@ -653,18 +653,18 @@ class AbsenceManager:
         node.roles.adopt(cust.roles)
 
     def _h_leave(self, node, msg) -> None:
-        node._charge(node.cfg.request_service)
+        node.charge("cpu.request", node.cfg.request_service)
         self._note_leave(node.pid, *msg.payload)
 
     def _h_join(self, node, msg) -> None:
         """A member (re)announced itself: it is reachable again."""
-        node._charge(node.cfg.request_service)
+        node.charge("cpu.request", node.cfg.request_service)
         self._note_return(node.pid, msg.payload)
 
     def _h_ask(self, node, msg) -> None:
         """A returning node asks for what it missed: my retained
         records and clock and, if I am its steward, its custody."""
-        node._charge(node.cfg.request_service)
+        node.charge("cpu.request", node.cfg.request_service)
         asker = msg.payload
         pol = self._plan[asker][0]
         recs = tuple(node.intervals.values())
@@ -728,7 +728,7 @@ class AbsenceManager:
 
     def _h_custody_diff(self, node, msg) -> None:
         """Serve a victim's diffs out of custody (below the watermark)."""
-        node._charge(node.cfg.request_service)
+        node.charge("cpu.request", node.cfg.request_service)
         victim, entries, tag = msg.payload
         cust = self._custody.get(victim)
         diffs = []

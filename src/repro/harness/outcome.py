@@ -50,6 +50,10 @@ class RunOutcome:
     #: The run's :class:`~repro.net.stats.NetStats` (every mode with a
     #: network: all but ``seq``).
     net: Optional[NetStats] = None
+    #: Each processor's CPU tally: simulated microseconds per charge
+    #: name (:attr:`repro.sim.engine.Process.tally`; every mode with an
+    #: engine).  The ``TmStats`` CPU fields are read from it.
+    tally: Optional[List[Dict[str, float]]] = None
     #: The program the DSM ran, after the compiler's transformation.
     program: Optional[Program] = None
     #: The :class:`~repro.telemetry.Telemetry` when the run was traced.

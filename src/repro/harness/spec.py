@@ -215,8 +215,8 @@ def _tm_run(spec: RunSpec, tel, prof) -> RunOutcome:
     system.release()
     return RunOutcome(mode="dsm", time=result.time, arrays=arrays,
                       stats=result.stats, per_proc=result.per_proc,
-                      net=result.net, program=prog, telemetry=tel,
-                      profile=prof)
+                      net=result.net, tally=result.tally, program=prog,
+                      telemetry=tel, profile=prof)
 
 
 def _mp_run(spec: RunSpec, tel, prof) -> RunOutcome:
@@ -249,4 +249,4 @@ def _mp_run(spec: RunSpec, tel, prof) -> RunOutcome:
     result = system.run(main)
     return RunOutcome(mode=spec.mode, time=result.time,
                       arrays=assemble(result.returns), net=result.net,
-                      telemetry=tel, profile=prof)
+                      tally=result.tally, telemetry=tel, profile=prof)

@@ -8,15 +8,17 @@ finish time:
 
 * at instant ``t`` on processor ``p``, find the innermost span covering
   ``t`` on ``p``'s track;
-* a ``compute`` / ``cpu.*`` span contributes a compute / protocol
-  segment and the walk continues at its start;
+* a CPU span contributes a segment of its name's category
+  (:data:`repro.telemetry.spans.CATEGORY`: compute, protocol, comm for
+  message overheads) and the walk continues at its start;
 * a ``wait.*`` span was released by a message — find the last ``net.msg``
   event delivered to ``p`` of the kind that can release that wait,
   attribute ``[send, t]`` to communication, and **jump to the sender**
   at the send time (the wait itself is off the critical path: the
   sender's activity bounds it);
-* time covered by no span is ``other`` (message handlers, send/receive
-  overheads, scheduling gaps).
+* ``other`` is idle gaps only: time covered by no span.  Every CPU
+  microsecond is booked as a span, and the category map is total, so
+  nothing else is.
 
 Segments tile ``[0, end]`` contiguously, so per-category totals sum
 exactly to the end-to-end simulated time.
@@ -34,6 +36,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
+from repro.telemetry.spans import CATEGORY
+
 #: Which message kinds can release which wait span.  ``mp`` appears in
 #: every entry because message-passing mode implements its barriers and
 #: exchanges with plain ``mp`` sends.
@@ -46,9 +50,6 @@ WAIT_MSG_KINDS: Dict[str, Tuple[str, ...]] = {
     "wait.flush": ("home_flush_ack",),
     "wait.push": ("push_data", "rdma.put"),
 }
-
-_CATEGORY = {"compute": "compute", "cpu.protect": "protocol",
-             "cpu.twin": "protocol", "cpu.diff": "protocol"}
 
 
 @dataclass(frozen=True)
@@ -201,12 +202,7 @@ class _Walker:
                         detail=f"{kind} from P{src}"))
                     pid, t = src, send_ts
                     continue
-                segments.append(Segment(pid, span.t0, t, "wait",
-                                        detail=span.name))
-                t = span.t0
-                continue
-            cat = _CATEGORY.get(span.name, "other")
-            segments.append(Segment(pid, span.t0, t, cat,
+            segments.append(Segment(pid, span.t0, t, CATEGORY[span.name],
                                     detail=span.name))
             t = span.t0
         segments.reverse()

@@ -10,6 +10,7 @@ the run's independent ``TmStats`` / ``NetStats`` accounting
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.errors import ReproError
@@ -17,6 +18,7 @@ from repro.harness.report import render_table
 from repro.inspect.contention import ContentionProfile
 from repro.inspect.critpath import CriticalPath
 from repro.inspect.timeline import PageTimelines
+from repro.telemetry.spans import CPU_SPANS
 from repro.tm.stats import WAIT_FIELDS
 
 #: Relative tolerance for a simulated time compared with another
@@ -102,6 +104,8 @@ class InspectReport:
             problems.extend(self._reconcile_onesided(net, tel))
 
         problems.extend(self._reconcile_accesses())
+        if tel is not None:
+            problems.extend(cpu_overlaps(tel.spans.spans))
 
         cp_total = sum(self.critpath.totals().values())
         end = self.critpath.end_ts
@@ -299,6 +303,29 @@ class InspectReport:
         if out.stats is not None:
             d["tm_stats"] = out.stats.as_dict()
         return d
+
+
+def cpu_overlaps(spans) -> List[str]:
+    """One problem per processor on which two CPU spans
+    (:data:`~repro.telemetry.spans.CPU_SPANS`) overlap: a processor is
+    one CPU, so every charge it books has an interval of its own.
+    Spans that abut do not overlap.  Sorted by start, a track has an
+    overlap iff two neighbours do; those are counted."""
+    tracks: dict = {}
+    for s in spans:
+        if s.name in CPU_SPANS:
+            tracks.setdefault(s.pid, []).append(s)
+    problems: List[str] = []
+    for pid in sorted(tracks):
+        track = sorted(tracks[pid], key=attrgetter("t0", "t1"))
+        bad = [(a, b) for a, b in zip(track, track[1:]) if b.t0 < a.t1]
+        if bad:
+            a, b = bad[0]
+            problems.append(
+                f"cpu spans: P{pid} has {len(bad)} overlapping "
+                f"neighbour(s), first {a.name} [{a.t0!r}, {a.t1!r}] and "
+                f"{b.name} [{b.t0!r}, {b.t1!r}]")
+    return problems
 
 
 def _pids(pids) -> str:

@@ -95,8 +95,6 @@ class MpComm:
         if us > 0:
             if self.tel is None:
                 self.proc.bank_charge(us)
+                self.proc.tally["compute"] += us
             else:
-                t0 = self.proc.engine.now
                 self.proc.advance(us)
-                self.tel.span(self.pid, "compute", t0,
-                              self.proc.engine.now)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.machine.config import MachineConfig
 from repro.mp.api import MpComm
@@ -17,6 +17,8 @@ class MpRunResult:
     time: float
     net: NetStats
     returns: list
+    #: Each processor's CPU tally (``Process.tally``).
+    tally: List[Dict[str, float]]
 
 
 class MpSystem:
@@ -59,4 +61,5 @@ class MpSystem:
             time=self.engine.now,
             net=self.net.stats,
             returns=[p.result for p in procs],
+            tally=[p.tally for p in procs],
         )

@@ -76,16 +76,14 @@ class Endpoint:
         """
         self.handlers[kind] = (handler, interrupt)
 
-    def charge(self, cost: float) -> None:
-        """Charge handler CPU time to this endpoint's processor.
+    def charge(self, cost: float, name: str = "cpu.request") -> None:
+        """Charge ``cost`` us of CPU time to this endpoint's processor,
+        booked under ``name`` (by default, servicing a request).
 
         Valid both from handler context (steals CPU) and from process
-        context (advances the clock).
+        context (advances the clock): :meth:`Process.charge`.
         """
-        if self.net.engine.current is self.proc:
-            self.proc.advance(cost)
-        else:
-            self.proc.steal_cpu(cost)
+        self.proc.charge(name, cost)
 
     # ------------------------------------------------------------------
 
@@ -124,7 +122,7 @@ class Endpoint:
         if self.net.engine.current is self.proc:
             self._round(((msg, cost, unreliable, offload),), ())
         else:
-            self.proc.steal_cpu(cost)
+            self.proc.steal_cpu(cost, "net.send")
             self._post(msg, self.net.engine.now if offload
                        else self.proc.busy_until, unreliable)
         return msg
@@ -236,7 +234,7 @@ class Endpoint:
             msg, cost, unreliable, offload = sends[i]
             if not self._charged:
                 self._charged = True
-                if not proc._charge(cost):
+                if not proc._charge(cost, "net.send"):
                     return ProcessState.ADVANCING
             self._i = i = i + 1
             self._charged = False
@@ -264,7 +262,8 @@ class Endpoint:
                 proc.waiting_on = None
                 self._got = self.mailbox.pop(j)
                 self._charged = True
-                if not proc._charge(self.net.config.recv_overhead):
+                if not proc._charge(self.net.config.recv_overhead,
+                                    "net.recv"):
                     return ProcessState.ADVANCING
             self._i = i = i + 1
             self._charged = False
@@ -402,7 +401,8 @@ class Network:
         if entry is not None:
             handler, interrupt = entry
             if interrupt:
-                ep.proc.steal_cpu(self.config.interrupt_cost)
+                ep.proc.steal_cpu(self.config.interrupt_cost,
+                                  "net.interrupt")
             if prof is None:
                 handler(msg)
             else:

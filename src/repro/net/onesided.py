@@ -245,7 +245,7 @@ class OneSidedPlane:
             proc.wait()
         proc.waiting_on = None
         del self._pending[batch_id]
-        proc.advance(self.net.config.rdma_poll_cost)
+        proc.advance(self.net.config.rdma_poll_cost, "rdma.poll")
         if pend.error is not None:
             raise WindowError(pend.error)
         return pend.results
@@ -264,10 +264,10 @@ class OneSidedPlane:
                 f"process context")
         # The doorbell: one cheap CPU charge per batch, however many ops.
         if in_process:
-            proc.advance(cfg.rdma_post_cost)
+            proc.advance(cfg.rdma_post_cost, "rdma.post")
             depart = max(self.engine.now, proc.busy_until)
         else:
-            proc.steal_cpu(cfg.rdma_post_cost)
+            proc.steal_cpu(cfg.rdma_post_cost, "rdma.post")
             depart = proc.busy_until
         wire = cfg.rdma_op_bytes * len(ops)
         wbytes = sum(op[3] for op in ops if op[0] == "write")

@@ -180,7 +180,7 @@ class ReliableTransport:
             depart = engine.now
         else:
             proc = self.net._endpoints[msg.src].proc
-            proc.steal_cpu(self.net.config.send_overhead)
+            proc.steal_cpu(self.net.config.send_overhead, "net.send")
             depart = proc.busy_until
             stats.record(msg.kind, msg.src, msg.size)
             if tel is not None:
@@ -242,7 +242,7 @@ class ReliableTransport:
         src, dst = ch               # data direction; ack flows dst->src
         net = self.net
         proc = net._endpoints[dst].proc
-        proc.steal_cpu(self.cfg.ack_overhead_us)
+        proc.steal_cpu(self.cfg.ack_overhead_us, "net.ack")
         depart = proc.busy_until
         net.stats.record(ACK_KIND, dst, self.cfg.ack_bytes)
         net.stats.acks += 1

@@ -32,6 +32,17 @@ in order, as one step.  Each charge starts where the thread, resumed
 after the one before, would have started it, so every event keeps its
 ``(time, seq)``; only the thread sleeps once for a whole compute phase.
 Every blocking call flushes first, and so does the end of ``main``.
+
+Every simulated CPU microsecond is *booked* where it is spent: the two
+spending points, :meth:`Process._charge` (process context) and
+:meth:`Process.steal_cpu` (handler context), add each charge to the
+processor's :attr:`Process.tally` under its name and, when the run is
+traced, record that name on exactly the interval the charge occupies
+(back-to-back charges of one name share one span).
+:meth:`Process.charge` is the one entry simulated code uses.  A
+processor is one CPU, so its CPU spans never overlap.  A banked charge
+is tallied when banked (a run that banks is untraced) and not again
+when :meth:`Process.flush` spends it.
 """
 
 from __future__ import annotations
@@ -41,9 +52,16 @@ import heapq
 import os
 import threading
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationDeadlock, SimulationError
+
+
+#: What a charge is booked under: a name (a key of
+#: :data:`repro.telemetry.spans.CATEGORY`), or the ``(name, us)`` parts
+#: of one charge, laid end to end over its interval in order (a masked
+#: protocol section's deferred charges, spent as one).
+Booking = Union[str, Sequence[Tuple[str, float]]]
 
 
 class ProcessState(enum.Enum):
@@ -100,6 +118,10 @@ class Process:
         self.bank_charge: Callable[[float], None] = self._bank.append
         #: How many of ``_bank`` the flush in progress has spent.
         self._spent = 0
+        #: Simulated CPU microseconds spent so far, per charge name: the
+        #: one account of where this processor's time went (``compute``
+        #: is always present; an untraced runtime adds to it as it banks).
+        self.tally: Dict[str, float] = {"compute": 0.0}
         self._main = main
         # What this thread sleeps on while another runs: a raw lock (much
         # cheaper than a semaphore), held except while being handed over.
@@ -173,17 +195,43 @@ class Process:
 
     # --- blocking API used by simulated code -------------------------
 
-    def _charge(self, dt: float) -> bool:
-        """Start ``dt`` microseconds of CPU time.  ``True`` if they are
-        already over (nothing to wait for, or the clock moved straight
-        to their end); else their wake-up is scheduled and the caller
-        must block ``ADVANCING`` until it fires."""
+    def _book(self, name: Booking, us: float, t0: float,
+              t1: float) -> None:
+        """Book a charge of ``us`` microseconds that occupies ``[t0,
+        t1]``: into :attr:`tally` under ``name`` and, when the run is
+        traced, as a span of that name on that interval.  Parts of a
+        :data:`Booking` are each booked, their spans end to end from
+        ``t0``, the last ending at ``t1``."""
+        tally, tel = self.tally, self.engine.telemetry
+        if isinstance(name, str):
+            tally[name] = tally.get(name, 0.0) + us
+            if tel is not None and t1 > t0:
+                tel.burst(self.pid, name, t0, t1)
+            return
+        last = len(name) - 1
+        for k, (part, part_us) in enumerate(name):
+            tally[part] = tally.get(part, 0.0) + part_us
+            if tel is not None:
+                end = t1 if k == last else min(t0 + part_us, t1)
+                if end > t0:
+                    tel.burst(self.pid, part, t0, end)
+                t0 = end
+
+    def _charge(self, dt: float, name: Optional[Booking]) -> bool:
+        """Start ``dt`` microseconds of CPU time, booked under ``name``
+        on ``[max(now, busy_until), +dt]`` (``None``: booked already,
+        when banked).  ``True`` if they are already over (nothing to
+        wait for, or the clock moved straight to their end); else their
+        wake-up is scheduled and the caller must block ``ADVANCING``
+        until it fires."""
         if dt < 0:
             raise SimulationError(f"negative advance: {dt}")
         engine = self.engine
         start = max(engine.now, self.busy_until)
         self.wake_time = start + dt
         self.busy_until = self.wake_time
+        if name is not None:
+            self._book(name, dt, start, self.wake_time)
         if self.wake_time <= engine.now:
             return True
         # Fast path: if no queued event precedes our wake-up, the loop
@@ -196,13 +244,24 @@ class Process:
         engine.call_at(self.wake_time, self._advance_wake)
         return False
 
-    def advance(self, dt: float) -> None:
+    def charge(self, name: Booking, us: float) -> None:
+        """Spend ``us`` microseconds of this processor's CPU, booked
+        under ``name``: from the process's own code an :meth:`advance`,
+        from a handler in the dispatch loop :meth:`steal_cpu`."""
+        if self.engine.current is self:
+            self.advance(us, name)
+        else:
+            self.steal_cpu(us, name)
+
+    def advance(self, dt: float, name: Booking = "compute") -> None:
         """Consume ``dt`` microseconds of CPU time on this processor
-        (after whatever is banked)."""
+        (after whatever is banked), booked under ``name``."""
         if self._bank:
+            now = self.engine.now   # banked, so untraced: tally only
+            self._book(name, dt, now, now)
             self._bank.append(dt)
             self._block_on(self._spend)
-        elif not self._charge(dt):
+        elif not self._charge(dt, name):
             self._block(ProcessState.ADVANCING)
 
     def flush(self) -> None:
@@ -217,7 +276,7 @@ class Process:
         bank, i = self._bank, self._spent
         while i < len(bank):
             i += 1
-            if not self._charge(bank[i - 1]):
+            if not self._charge(bank[i - 1], None):
                 self._spent = i
                 return ProcessState.ADVANCING
         bank.clear()
@@ -292,8 +351,10 @@ class Process:
             return
         self._resume()
 
-    def steal_cpu(self, cost: float) -> None:
-        """Charge ``cost`` microseconds of interrupt-service CPU time.
+    def steal_cpu(self, cost: float, name: Booking) -> None:
+        """Charge ``cost`` microseconds of interrupt-service CPU time,
+        booked under ``name`` on the interval ending at the new
+        ``busy_until``.
 
         Called from handlers running in the dispatch loop while this
         process is blocked.  If the process is mid-``advance`` the wake-up
@@ -302,7 +363,9 @@ class Process:
         if cost < 0:
             raise SimulationError(f"negative steal_cpu: {cost}")
         now = self.engine.now
-        self.busy_until = max(self.busy_until, now) + cost
+        start = max(self.busy_until, now)
+        self.busy_until = start + cost
+        self._book(name, cost, start, self.busy_until)
         if self.state is ProcessState.ADVANCING:
             self.wake_time = max(self.wake_time, now) + cost
 
@@ -333,8 +396,9 @@ class Engine:
         self._reaping = False
         self._started = False
         #: Optional :class:`repro.telemetry.Telemetry`; set by
-        #: ``Telemetry.bind_engine``.  Lifecycle events only — per-event
-        #: hooks would be far too hot for the scheduling core.
+        #: ``Telemetry.bind_engine``.  Lifecycle events and the spans of
+        #: booked CPU charges (``Process._book``) only — per-event hooks
+        #: would be far too hot for the scheduling core.
         self.telemetry = None
         #: Optional :class:`repro.observe.WallProfiler` (set by its
         #: ``bind_engine``): the dispatch loop's one hook, which reads

@@ -84,12 +84,10 @@ class Telemetry:
         """Record a completed interval on ``pid``'s track."""
         self.spans.record(pid, name, t0, t1, self._epoch.get(pid, 0))
 
-    def cpu(self, pid: int, name: str, cost: float) -> None:
-        """A CPU burst of ``cost`` us placed at the current time."""
-        if cost > 0:
-            now = self._clock()
-            self.spans.record(pid, name, now, now + cost,
-                              self._epoch.get(pid, 0))
+    def burst(self, pid: int, name: str, t0: float, t1: float) -> None:
+        """Record CPU time of ``name`` on ``[t0, t1]`` on ``pid``'s track
+        (:meth:`SpanLog.burst`)."""
+        self.spans.burst(pid, name, t0, t1, self._epoch.get(pid, 0))
 
     def access(self, pid: int, kind: str, array: str, dims,
                pages) -> None:

@@ -123,23 +123,20 @@ class HlrcBackend(CoherenceBackend):
         node = self.node
         diffs, tag = msg.payload
         with node._atomic():
-            node._charge(node.cfg.request_service)
+            node.charge("cpu.request", node.cfg.request_service)
             for d in diffs:
                 written = apply_diff(d, node.image.page(d.page))
                 meta = node.pages[d.page]
                 if meta.twin is not None:
                     apply_diff(d, meta.twin)
                 node.applied.add((d.writer, d.interval, d.page))
-                cost = node.cfg.diff_apply_cost(written)
-                node.stats.t_diff += cost
-                node._charge(cost)
+                node.charge("cpu.diff", node.cfg.diff_apply_cost(written))
                 node.stats.home_applies += 1
                 node.stats.diff_bytes_applied += written
                 if node.tel is not None:
                     node.tel.event(node.pid, "tm.home_apply", page=d.page,
                                    writer=d.writer, interval=d.interval,
                                    bytes=written)
-                    node.tel.cpu(node.pid, "cpu.diff", cost)
             node.ep.send(msg.src, "home_flush_ack", payload=tag,
                          size=4, tag=tag)
 
@@ -252,22 +249,19 @@ class HlrcBackend(CoherenceBackend):
             meta.twin[:] = arr
         else:
             page_bytes[:] = arr
-        cost = node.cfg.diff_apply_cost(len(arr))
-        node.stats.t_diff += cost
-        node._charge(cost)
+        node.charge("cpu.diff", node.cfg.diff_apply_cost(len(arr)))
         self._subsume(page)
         meta.valid = True
         node.stats.page_fetches += 1
         if node.tel is not None:
             node.tel.event(node.pid, "tm.page_fetch", page=page, home=home,
                            bytes=len(arr), revalidate=revalidate)
-            node.tel.cpu(node.pid, "cpu.diff", cost)
 
     def _h_page_req(self, msg: Message) -> None:
         node = self.node
         pages, tag = msg.payload
         with node._atomic():
-            node._charge(node.cfg.request_service)
+            node.charge("cpu.request", node.cfg.request_service)
             payload = []
             size = 4
             for p in pages:
@@ -275,7 +269,7 @@ class HlrcBackend(CoherenceBackend):
                     raise ProtocolError(
                         f"P{node.pid} asked to serve home page {p} "
                         f"but its copy is invalid")
-                node._charge(node.cfg.twin_cost)    # page copy-out
+                node.charge("cpu.copy", node.cfg.twin_cost)
                 node.stats.pages_served += 1
                 if node.tel is not None:
                     node.tel.event(node.pid, "tm.page_serve", page=p,

@@ -191,14 +191,14 @@ class MwLrcBackend(CoherenceBackend):
         node = self.node
         entries, tag = msg.payload
         with node._atomic():
-            node._charge(node.cfg.request_service)
+            node.charge("cpu.request", node.cfg.request_service)
             diffs = [node._get_or_make_diff(p, i) for (p, i) in entries]
             node.ep.send(msg.src, "diff_resp", payload=tuple(diffs),
                          size=diff_payload_bytes(diffs), tag=tag)
 
     def _h_diff_donate(self, msg: Message) -> None:
         node = self.node
-        node._charge(node.cfg.request_service)
+        node.charge("cpu.request", node.cfg.request_service)
         node._store_diffs(msg.payload)
         node.proc.wake()   # a _complete_wsync may be waiting for these
 
@@ -272,8 +272,8 @@ class MwLrcBackend(CoherenceBackend):
         the requester can predict exactly which diffs will arrive.
         """
         node = self.node
-        node._charge(node.cfg.sync_merge_scan_per_page
-                     * len(sreq.page_marks))
+        node.charge("cpu.merge", node.cfg.sync_merge_scan_per_page
+                    * len(sreq.page_marks))
         donated: List[Diff] = []
         for p, marks in sreq.page_marks.items():
             for key in node.page_notices.get(p, []):

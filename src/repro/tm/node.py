@@ -75,10 +75,11 @@ class _Atomic:
     def __exit__(self, *exc) -> None:
         node = self.node
         node._atomic_depth -= 1
-        if node._atomic_depth == 0 and node._deferred_cost:
+        if node._atomic_depth == 0 and node._deferred:
+            parts, node._deferred = node._deferred, []
             cost, node._deferred_cost = node._deferred_cost, 0.0
-            if not node.offline:
-                node.ep.charge(cost)
+            if cost and not node.offline:
+                node.proc.charge(parts, cost)
 
 
 class TmNode:
@@ -104,6 +105,9 @@ class TmNode:
         #: Post-run reconciliation mode: suppress cost charging and stats.
         self.offline = False
         self._atomic_depth = 0
+        #: Charges deferred by ``_atomic``, as ``(name, us)``, and their
+        #: sum (in the order charged): spent as one at mask exit.
+        self._deferred: List[Tuple[str, float]] = []
         self._deferred_cost = 0.0
         self._mask = _Atomic(self)
         #: Optional :class:`repro.absence.AbsenceManager`; set when the
@@ -180,7 +184,11 @@ class TmNode:
         from repro.tm.sharedarray import SharedArray
         return SharedArray(self, name)
 
-    def _charge(self, cost: float) -> None:
+    def charge(self, name: str, us: float) -> None:
+        """Spend ``us`` microseconds of this processor's CPU, booked
+        under ``name`` (:meth:`repro.sim.engine.Process.charge`): the
+        one way protocol code charges time.  Offline, nothing is spent
+        or booked."""
         if self.offline:
             return
         if self._atomic_depth > 0:
@@ -189,9 +197,10 @@ class TmNode:
             # state (e.g. a bumped vector clock without its interval
             # record).  Real TreadMarks masks signals here; we defer the
             # cost until the section completes.
-            self._deferred_cost += cost
+            self._deferred.append((name, us))
+            self._deferred_cost += us
             return
-        self.ep.charge(cost)
+        self.proc.charge(name, us)
 
     def _atomic(self) -> "_Atomic":
         """Mask 'interrupts': defer all cost charging until exit."""
@@ -201,11 +210,7 @@ class TmNode:
         if self.offline:
             return
         self.stats.protect_ops += 1
-        cost = self.cfg.protect_cost(page)
-        self.stats.t_protect += cost
-        if self.tel is not None:
-            self.tel.cpu(self.pid, "cpu.protect", cost)
-        self._charge(cost)
+        self.charge("cpu.protect", self.cfg.protect_cost(page))
 
     def _charge_protect_run(self, pages) -> None:
         """Charge mprotect calls over contiguous runs of ``pages``.
@@ -223,12 +228,8 @@ class TmNode:
             while j + 1 < len(pages) and pages[j + 1] == pages[j] + 1:
                 j += 1
             self.stats.protect_ops += 1
-            cost = (self.cfg.protect_cost(pages[i])
-                    + self.cfg.prot_per_page * (j - i))
-            self.stats.t_protect += cost
-            if self.tel is not None:
-                self.tel.cpu(self.pid, "cpu.protect", cost)
-            self._charge(cost)
+            self.charge("cpu.protect", self.cfg.protect_cost(pages[i])
+                        + self.cfg.prot_per_page * (j - i))
             i = j + 1
 
     def _vc_tuple(self) -> Tuple[int, ...]:
@@ -438,14 +439,12 @@ class TmNode:
         self.diff_store[(self.pid, interval, page)] = diff
         if self.osl is not None:
             self.osl.publish_diff(interval, page, diff)
-        cost = self.cfg.diff_create_cost(self.layout.page_size)
-        self.stats.t_diff += cost
         self.stats.diffs_created += 1
         if self.tel is not None:
             self.tel.event(self.pid, "tm.diff_create", page=page,
                            interval=interval)
-            self.tel.cpu(self.pid, "cpu.diff", cost)
-        self._charge(cost)
+        self.charge("cpu.diff", self.cfg.diff_create_cost(
+            self.layout.page_size))
 
     def _get_or_make_diff(self, page: int, interval: int) -> Diff:
         """Server side: produce my diff for (page, interval)."""
@@ -460,7 +459,7 @@ class TmNode:
         rec = self.intervals.get((self.pid, interval))
         if rec is not None and page in rec.overwrite_pages:
             # WRITE_ALL interval: no twin was made; ship the whole page.
-            self._charge(self.cfg.twin_cost)
+            self.charge("cpu.copy", self.cfg.twin_cost)
             self.stats.full_pages_served += 1
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.full_page", page=page,
@@ -499,16 +498,13 @@ class TmNode:
                 if meta.twin is not None:
                     apply_diff(diff, meta.twin)
                 prof.leaf("tm.diff", perf_counter() - t0)
-            cost = self.cfg.diff_apply_cost(written)
-            self.stats.t_diff += cost
-            self._charge(cost)
+            self.charge("cpu.diff", self.cfg.diff_apply_cost(written))
             self.stats.diffs_applied += 1
             self.stats.diff_bytes_applied += written
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.diff_apply", page=page,
                                writer=rec.writer, interval=rec.index,
                                bytes=written)
-                self.tel.cpu(self.pid, "cpu.diff", cost)
             self.applied.add(dkey)
         meta.valid = True
         if self.tel is not None:
@@ -539,7 +535,7 @@ class TmNode:
             self.stats.read_faults += 1
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.read_fault", page=p)
-            self._charge(self.cfg.protect_cost(p))
+            self.charge("cpu.fault", self.cfg.protect_cost(p))
             if not self._finish_validate_covering(p):
                 self.coherence.fetch_pages([p])
 
@@ -553,7 +549,7 @@ class TmNode:
             self.stats.write_faults += 1
             if self.tel is not None:
                 self.tel.event(self.pid, "tm.write_fault", page=p)
-            self._charge(self.cfg.protect_cost(p))
+            self.charge("cpu.fault", self.cfg.protect_cost(p))
             if self._finish_validate_covering(p) and meta.write_enabled:
                 continue
             if not meta.valid:
@@ -736,13 +732,10 @@ class TmNode:
             self._flush_undiffed(page)
             if self.coherence.wants_twin(page):
                 meta.twin = self.image.page(page).copy()
-                self.stats.t_twin += self.cfg.twin_cost
-                self._charge(self.cfg.twin_cost)
+                self.charge("cpu.twin", self.cfg.twin_cost)
                 self.stats.twins_created += 1
                 if self.tel is not None:
                     self.tel.event(self.pid, "tm.twin", page=page)
-                    self.tel.cpu(self.pid, "cpu.twin",
-                                 self.cfg.twin_cost)
         if not batched:
             self._charge_protect(page)
         meta.write_enabled = True

@@ -122,7 +122,7 @@ class NodeOneSided:
                 f"one-sided push from P{q} (round {round_tag})")
             node.proc.wait()
         node.proc.waiting_on = None
-        node._charge(node.cfg.rdma_poll_cost)
+        node.charge("rdma.poll", node.cfg.rdma_poll_cost)
         return self._push_box.pop(key)
 
     # ------------------------------------------------------------------
@@ -164,7 +164,7 @@ class NodeOneSided:
     def _h_lock_win(self, msg: Message) -> None:
         """First-contact handshake: create the window, ack."""
         lid = msg.payload
-        self.node._charge(self.node.cfg.lock_service)
+        self.node.charge("cpu.lock", self.node.cfg.lock_service)
         self._lock_window(lid)
         self.node.ep.send(msg.src, "lock_win_ack", payload=lid,
                           size=4, tag=lid)
@@ -195,7 +195,7 @@ class NodeOneSided:
         t0 = node.sys.engine.now
         if manager == node.pid:
             win = self._lock_window(lid)
-            node._charge(node.cfg.local_lock_cost)
+            node.charge("cpu.lock_local", node.cfg.local_lock_cost)
             while win.words["state"] != 0:
                 stats.onesided_lock_retries += 1
                 self._backoff(lid)
@@ -254,7 +254,7 @@ class NodeOneSided:
     def _h_lock_sync(self, msg: Message) -> None:
         node = self.node
         lid, rvc = msg.payload
-        node._charge(node.cfg.lock_service)
+        node.charge("cpu.lock", node.cfg.lock_service)
         recs = node._intervals_after(rvc)
         node.ep.send(msg.src, "lock_sync_grant",
                      payload=(node._vc_tuple(), tuple(recs)),
@@ -278,7 +278,7 @@ class NodeOneSided:
                 raise ProtocolError(
                     f"P{node.pid} releasing lock {lid} but its token "
                     f"word is {win.words['state']!r}")
-            node._charge(node.cfg.local_lock_cost)
+            node.charge("cpu.lock_local", node.cfg.local_lock_cost)
             win.value = meta
             win.nbytes = nbytes
             win.words["state"] = 0

@@ -153,7 +153,7 @@ class NodeRoles:
             # Held before the charge, which yields: a lock_fwd served
             # meanwhile must queue, not take the token away.
             self.held.add(lid)
-            node._charge(node.cfg.local_lock_cost)
+            node.charge("cpu.lock_local", node.cfg.local_lock_cost)
             node.stats.lock_local_acquires += 1
             return
         manager = self._manager_of(lid)
@@ -161,7 +161,7 @@ class NodeRoles:
         size = (8 + VC_ENTRY_BYTES * node.nprocs
                 + (sreq.wire_bytes() if sreq else 0))
         if manager == node.pid:
-            node._charge(node.cfg.lock_service)
+            node.charge("cpu.lock", node.cfg.lock_service)
             self._route(lid, node.pid, rvc, sreq)
         else:
             node.ep.send(manager, "lock_req",
@@ -187,7 +187,7 @@ class NodeRoles:
 
     def _h_lock_req(self, msg: Message) -> None:
         lid, requester, rvc, sreq = msg.payload
-        self.node._charge(self.node.cfg.lock_service)
+        self.node.charge("cpu.lock", self.node.cfg.lock_service)
         self._route(lid, requester, rvc, sreq)
 
     def _route(self, lid: int, requester: int, rvc: Tuple[int, ...],
@@ -219,7 +219,7 @@ class NodeRoles:
     def _h_lock_fwd(self, msg: Message) -> None:
         lid, requester, rvc, sreq, tail = msg.payload
         node = self.node
-        node._charge(node.cfg.lock_service)
+        node.charge("cpu.lock", node.cfg.lock_service)
         if node.absence is not None and tail != node.pid:
             target = node.absence.route(node.pid, tail)
             if target != node.pid:
@@ -316,7 +316,7 @@ class NodeRoles:
     def _h_barrier_arrive(self, msg: Message) -> None:
         node = self.node
         pid, vc, recs, sreq = msg.payload
-        node._charge(node.cfg.barrier_arrival_service)
+        node.charge("cpu.barrier", node.cfg.barrier_arrival_service)
         if node.absence is not None:
             seat = self.current_master()
             if seat != node.pid:

@@ -14,6 +14,19 @@ WAIT_FIELDS = {
     "wait.flush": "t_fetch_wait",
 }
 
+#: The one map from a CPU charge name to the ``TmStats`` time field it
+#: fills: the processor's tally under that name
+#: (:attr:`repro.sim.engine.Process.tally`), copied in when the run ends
+#: (:meth:`TmStats.fill_cpu`).  Every other charge name (the SIGSEGV's
+#: ``cpu.fault``, request and lock service, message overheads...) is in
+#: the tally alone.
+CPU_FIELDS = {
+    "compute": "t_compute",
+    "cpu.protect": "t_protect",
+    "cpu.twin": "t_twin",
+    "cpu.diff": "t_diff",
+}
+
 
 @dataclass
 class TmStats:
@@ -58,9 +71,10 @@ class TmStats:
     onesided_fallbacks: int = 0
 
     # --- simulated-time breakdown (microseconds) ----------------------
+    # The first four are filled from the tally (``CPU_FIELDS``).
     #: Application compute charged through the runtime.
     t_compute: float = 0.0
-    #: CPU in mprotect calls and fault service.
+    #: CPU in mprotect calls (the SIGSEGV itself is ``cpu.fault``).
     t_protect: float = 0.0
     #: CPU twinning pages.
     t_twin: float = 0.0
@@ -85,9 +99,15 @@ class TmStats:
                     + getattr(other, f.name))
         return self
 
+    def fill_cpu(self, tally) -> None:
+        """Set the ``CPU_FIELDS`` from a processor's tally."""
+        for name, field in CPU_FIELDS.items():
+            setattr(self, field, tally.get(name, 0.0))
+
     def breakdown(self, total_us: float) -> dict:
         """Fractions of ``total_us`` per category; 'other' is protocol
-        CPU, message overheads and idle not captured elsewhere."""
+        CPU outside the four CPU fields (the fault itself, request and
+        lock service), message overheads and idle."""
         cats = {
             "compute": self.t_compute,
             "protect": self.t_protect,

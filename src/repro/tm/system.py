@@ -17,7 +17,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.capability import cell_of, perturbations_of, require
 from repro.machine.config import MachineConfig
@@ -40,6 +40,8 @@ class RunResult:
     per_proc: List[TmStats]
     net: NetStats
     returns: list               # per-processor return values
+    #: Each processor's CPU tally (``Process.tally``).
+    tally: List[Dict[str, float]]
 
     @property
     def messages(self) -> int:
@@ -144,6 +146,8 @@ class TmSystem:
         if self.absence is not None:
             self.absence.start()
         self.engine.run()
+        for n in self.nodes:
+            n.stats.fill_cpu(n.proc.tally)
         per_proc = [replace(n.stats) for n in self.nodes]
         return RunResult(
             time=self.engine.now,
@@ -151,6 +155,7 @@ class TmSystem:
             per_proc=per_proc,
             net=self.net.stats,
             returns=[p.result for p in procs],
+            tally=[p.tally for p in procs],
         )
 
     def snapshot(self) -> dict:
@@ -175,12 +180,17 @@ class TmSystem:
 
     def release(self) -> None:
         """Give back every node's page image, twins and diffs, and the
-        layout's access plan; the system is unusable afterwards.
+        layout's access plan, and let go of the telemetry; the system
+        is unusable afterwards.
 
         A finished system is cyclic garbage (system <-> nodes <->
         backends <-> network handlers), so its megabytes would wait for
         the cycle collector and pile up under a caller that runs one
-        system after another."""
+        system after another.  So would a traced run's events and spans:
+        let go of, they go with the run's outcome."""
         for node in self.nodes:
-            node.image = node.pages = node.diff_store = None
+            node.image = node.pages = node.diff_store = node.tel = None
         self.layout.forget_plan()
+        self.telemetry = self.engine.telemetry = self.net.telemetry = None
+        if self.net.injector is not None:
+            self.net.injector.tel = None

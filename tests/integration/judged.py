@@ -43,10 +43,11 @@ def measured(key: str) -> Tuple[dict, baseline.Verdict]:
 
 def fingerprint(out) -> dict:
     """What an untraced run of a cell must reproduce exactly: the
-    finish time, the record, each processor's counters and times, and
-    the arrays' bytes."""
+    finish time, the record, each processor's counters, times and CPU
+    tally, and the arrays' bytes."""
     return {"time": out.time, "record": out.record(),
             "per_proc": [s.as_dict() for s in out.per_proc or ()],
+            "tally": out.tally,
             "arrays": {k: (v.dtype, v.shape, v.tobytes())
                        for k, v in out.arrays.items()}}
 

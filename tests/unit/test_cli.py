@@ -201,12 +201,18 @@ def test_ci_runs_the_whole_suite_unfiltered():
                    for arg in args) for args in runs), runs
 
 
+#: The calls that book a CPU charge, whose span is named by a string
+#: argument (``charge(name, us)``; ``advance``, ``steal_cpu``,
+#: ``_charge`` and ``Endpoint.charge`` take it second).
+BOOKING = ("charge", "advance", "steal_cpu", "_charge")
+
+
 def _emitted_kinds():
-    """Every kind or span name handed to ``tel.event/span/cpu/access``
-    under ``src/repro`` (and to ``Telemetry``'s own ``self.event``), or
-    to ``TmNode._waited`` (which emits its span), as
-    ``(literals, prefixes)``: an f-string such as ``f"fault.{kind}"``
-    counts as its literal head."""
+    """Every kind or span name handed to ``tel.event/span/access``
+    under ``src/repro`` (and to ``Telemetry``'s own ``self.event``), to
+    ``TmNode._waited`` (which emits its span) or to a booking call
+    (:data:`BOOKING`), as ``(literals, prefixes)``: an f-string such as
+    ``f"fault.{kind}"`` counts as its literal head."""
     literals, prefixes = {}, {}
     for path in sorted((ROOT / "src/repro").rglob("*.py")):
         own = path.name == "core.py" and path.parent.name == "telemetry"
@@ -223,7 +229,12 @@ def _emitted_kinds():
             where = f"{path.relative_to(ROOT)}:{node.lineno}"
             if node.func.attr == "_waited":
                 kind = node.args[0]
-            elif node.func.attr in ("event", "span", "cpu", "access"):
+            elif node.func.attr in BOOKING:
+                literals.update((a.value, where) for a in node.args
+                                if isinstance(a, ast.Constant)
+                                and isinstance(a.value, str))
+                continue
+            elif node.func.attr in ("event", "span", "access"):
                 receiver = ast.unparse(node.func.value)
                 if not (receiver.endswith("tel")
                         or own and receiver == "self"):
@@ -261,3 +272,18 @@ def test_the_event_taxonomy_matches_what_the_source_emits():
     never = {k for k in documented if k not in literals
              and not any(k.startswith(p) for p in prefixes)}
     assert not never, f"documented but never emitted: {sorted(never)}"
+
+
+def test_the_span_table_gives_every_name_its_category():
+    """docs/observability.md's span table is ``spans.CATEGORY``."""
+    from repro.telemetry.spans import CATEGORY
+
+    doc = (ROOT / "docs/observability.md").read_text()
+    table = doc.split("| Span | Category | Covers |")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            _, names, category, _ = line.split("|", 3)
+            for name in re.findall(r"`([\w.]+)`", names):
+                documented[name] = category.strip()
+    assert documented == CATEGORY

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.harness import RunSpec, run
+from repro.harness.outcome import RunOutcome
 from repro.inspect import (ContentionProfile, CriticalPath,
                            InspectReport, PageTimelines, baseline,
                            compare_entry)
@@ -177,6 +178,34 @@ def test_critical_path_gap_becomes_other():
     totals = cp.totals()
     assert totals["other"] == pytest.approx(20.0)
     assert sum(totals.values()) == pytest.approx(30.0)
+
+
+def synthetic_report(spans, end):
+    """The report over a hand-filled capture of ``(pid, name, t0, t1)``
+    spans, as if a run had ended at ``end``."""
+    tel = make_tel()
+    for pid, name, t0, t1 in spans:
+        tel.spans.record(pid, name, t0, t1)
+    return InspectReport.build(RunOutcome(mode="dsm", time=end, arrays={},
+                                          telemetry=tel))
+
+
+def test_overlapping_cpu_spans_are_reported():
+    rep = synthetic_report([(0, "compute", 0.0, 10.0),
+                            (0, "cpu.diff", 8.0, 12.0),
+                            (1, "compute", 0.0, 12.0)], 12.0)
+    assert rep.reconcile() == [
+        "cpu spans: P0 has 1 overlapping neighbour(s), first compute "
+        "[0.0, 10.0] and cpu.diff [8.0, 12.0]"]
+
+
+def test_abutting_cpu_spans_and_cpu_inside_a_wait_are_not():
+    rep = synthetic_report([(0, "compute", 0.0, 10.0),
+                            (0, "cpu.diff", 10.0, 12.0),
+                            (0, "wait.barrier", 12.0, 20.0),
+                            (0, "net.interrupt", 14.0, 15.0),
+                            (1, "compute", 0.0, 20.0)], 20.0)
+    assert rep.reconcile() == []
 
 
 # ======================================================================

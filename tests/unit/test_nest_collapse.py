@@ -146,9 +146,9 @@ def test_a_diff_request_served_while_compute_is_banked(monkeypatch,
     stolen = []
     steal = Process.steal_cpu
 
-    def recorded(proc, cost):
+    def recorded(proc, cost, name):
         stolen.append((proc.pid, bool(proc._bank)))
-        steal(proc, cost)
+        steal(proc, cost, name)
 
     monkeypatch.setattr(Process, "steal_cpu", recorded)
     prog = program([

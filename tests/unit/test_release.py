@@ -100,3 +100,20 @@ def test_finished_sanitizer_gives_back_its_shadow(no_gc):
             weakref.ref(san.hints)]
     assert san.finish().findings == []
     assert all(dead(refs))
+
+
+@pytest.mark.parametrize("faults", [None, "crash"])
+def test_a_traced_runs_telemetry_goes_with_its_outcome(no_gc, faults):
+    """The finished system lets go of its telemetry, so a trace's
+    events and spans are freed when its outcome is."""
+    from repro.faults import Absence, FaultPlan
+    from repro.harness import RunSpec, run
+
+    plan = None if faults is None else FaultPlan(
+        absences=(Absence("crash", 1, 3000.0, 200.0),))
+    out = run(RunSpec(app="is", dataset="tiny", nprocs=4, opt="base",
+                      page_size=1024, telemetry=True, faults=plan))
+    ref = weakref.ref(out.telemetry)
+    assert len(out.telemetry.spans) > 0
+    del out
+    assert ref() is None

@@ -132,7 +132,7 @@ def test_steal_cpu_postpones_advance():
 
     def thief(proc):
         proc.advance(10.0)
-        procs["v"].steal_cpu(25.0)
+        procs["v"].steal_cpu(25.0, "cpu.request")
 
     engine.add_process("victim", victim)
     engine.add_process("thief", thief)
@@ -152,7 +152,7 @@ def test_steal_cpu_delays_wake_from_wait():
 
     def thief(proc):
         proc.advance(10.0)
-        procs["v"].steal_cpu(30.0)   # busy until 40
+        procs["v"].steal_cpu(30.0, "cpu.request")   # busy until 40
         procs["v"].wake()            # resumes at 40, not 10
     engine.add_process("victim", victim)
     engine.add_process("thief", thief)
@@ -269,13 +269,13 @@ def test_ring_event_log_is_pinned(monkeypatch):
             if proc.pid or r:
                 proc.wait()
             proc.advance(1.5 + proc.pid)
-            nxt.steal_cpu(0.25)
+            nxt.steal_cpu(0.25, "cpu.request")
             nxt.wake()
             proc.advance(3.0)       # overlaps the next one's turn
 
     for i in range(4):
         procs.append(engine.add_process(f"p{i}", main))
-    engine.call_at(2.0, lambda: procs[1].steal_cpu(0.5))
+    engine.call_at(2.0, lambda: procs[1].steal_cpu(0.5, "cpu.request"))
     heap = LoggingHeap()
     monkeypatch.setattr(engine_module, "heapq", heap)
     engine.run()
@@ -378,7 +378,7 @@ def test_handler_steal_rearms_an_advancing_process():
         log.append(engine.now)
 
     proc = engine.add_process("p0", main)
-    engine.call_at(10.0, lambda: proc.steal_cpu(25.0))
+    engine.call_at(10.0, lambda: proc.steal_cpu(25.0, "cpu.request"))
     engine.call_at(100.0, lambda: log.append((proc.state, proc.wake_time)))
     engine.run()
     assert log == [(ProcessState.ADVANCING, 125.0), 125.0]
@@ -451,17 +451,23 @@ def _sha(text):
 
 #: Traced ``tiny`` runs on 4 processors, ``base``, 1 KB pages, generated
 #: before sends and receives ran as steps: events popped, sha256 of the
-#: popped ``(time, seq)`` list, sha256 of the telemetry stream (events in
-#: emission order, then spans) and ``outcome.time``.
+#: popped ``(time, seq)`` list, sha256 of the telemetry events (in
+#: emission order) and ``outcome.time``.  Then sha256 of the spans,
+#: generated when every CPU charge became a span on the interval the
+#: engine assigns it (the other four did not move).
 PINNED_RUNS = {
     "gauss": (23103, "c832366691938c27853ad8dc3e23cf1a"
                      "95bc614cacb87ce7520c00c9970d7580",
-              "8f824df292c607a28861d6268c75748d"
-              "eae8ee3233857c8c81ae83dcf313d543", 637128.0735428467),
+              "89791dd9d5b9be8edb488ead0206c2b5"
+              "eca9c4fc63af2190b6c689d196336227", 637128.0735428467,
+              "696575a2b32eba369cd2229fff9a72af"
+              "bf6a4f93f6bd711654de4c2f282d5175"),
     "is": (1200, "2dcddd2a7727ddcc48ec609caf59d1fd"
                  "e7383c2965bba3349221d6b398f5ebe2",
-           "19201941aa83ee785a0451e00938fba0"
-           "a8850a1387a0a67af1df50771ec6ce92", 24365.108571428547),
+           "0f758eefee991ab49768b89a6582d70d"
+           "9ee8d11a8a8e68ca5d893079038de634", 24365.108571428547,
+           "94e318869c9628d863b4a83f8b9c0464"
+           "dcc9892bf167565a11f7f0cbeace6467"),
 }
 
 
@@ -472,12 +478,12 @@ def test_event_order_telemetry_and_time_are_pinned(app, monkeypatch):
     out = run(RunSpec(app=app, dataset="tiny", nprocs=4, opt="base",
                       page_size=1024, telemetry=True))
     tel = out.telemetry
-    stream = [json.dumps(ev.as_dict(), sort_keys=True)
+    events = [json.dumps(ev.as_dict(), sort_keys=True)
               for ev in tel.bus.events]
-    stream += [json.dumps(dict(ts=s.t0, dur=s.dur, **s.as_dict()),
-                          sort_keys=True) for s in tel.spans.spans]
-    assert (len(heap.log), _sha(repr(heap.log)), _sha("\n".join(stream)),
-            out.time) == PINNED_RUNS[app]
+    spans = [json.dumps(dict(ts=s.t0, dur=s.dur, **s.as_dict()),
+                        sort_keys=True) for s in tel.spans.spans]
+    assert (len(heap.log), _sha(repr(heap.log)), _sha("\n".join(events)),
+            out.time, _sha("\n".join(spans))) == PINNED_RUNS[app]
 
 
 def test_a_step_runs_in_the_loop_and_resumes_the_thread_once(parks):
@@ -493,7 +499,7 @@ def test_a_step_runs_in_the_loop_and_resumes_the_thread_once(parks):
             if not left[0]:
                 return True
             left[0] -= 1
-            return proc._charge(10.0) or ProcessState.ADVANCING
+            return proc._charge(10.0, "compute") or ProcessState.ADVANCING
 
         proc.block_on(step)
         log.append(engine.now)
@@ -512,7 +518,7 @@ def test_a_step_error_is_raised_on_the_thread():
         def step():
             if engine.current is None:      # in the loop
                 raise KeyError("boom")
-            return proc._charge(10.0) or ProcessState.ADVANCING
+            return proc._charge(10.0, "compute") or ProcessState.ADVANCING
         proc.block_on(step)
 
     engine = Engine()

@@ -134,12 +134,10 @@ class DsmRuntime(BaseRuntime):
         #: Wall-clock profiler (``None`` when unobserved); picked up by
         #: the interpreter for its statements/sec counter.
         self.prof = node.prof
-        #: An untraced run banks compute (and tallies it as it banks); a
-        #: traced one charges each burst at once, so its span and access
-        #: events keep their time.
+        #: An untraced run banks compute; a traced one charges each
+        #: burst at once, so its span and access events keep their time.
         self.banks = node.tel is None
         self._bank_charge = node.proc.bank_charge
-        self._tally = node.proc.tally
 
     def _make_shared(self, name: str):
         return self.node.array(name)
@@ -148,7 +146,6 @@ class DsmRuntime(BaseRuntime):
         if us > 0:
             if self.banks:
                 self._bank_charge(us)
-                self._tally["compute"] += us
             else:
                 self.node.proc.advance(us)
 

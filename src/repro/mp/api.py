@@ -95,6 +95,5 @@ class MpComm:
         if us > 0:
             if self.tel is None:
                 self.proc.bank_charge(us)
-                self.proc.tally["compute"] += us
             else:
                 self.proc.advance(us)

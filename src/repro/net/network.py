@@ -76,14 +76,14 @@ class Endpoint:
         """
         self.handlers[kind] = (handler, interrupt)
 
-    def charge(self, cost: float, name: str = "cpu.request") -> None:
+    def charge(self, cost: float) -> None:
         """Charge ``cost`` us of CPU time to this endpoint's processor,
-        booked under ``name`` (by default, servicing a request).
+        booked as servicing a request (``cpu.request``).
 
         Valid both from handler context (steals CPU) and from process
         context (advances the clock): :meth:`Process.charge`.
         """
-        self.proc.charge(name, cost)
+        self.proc.charge("cpu.request", cost)
 
     # ------------------------------------------------------------------
 

@@ -40,9 +40,9 @@ processor's :attr:`Process.tally` under its name and, when the run is
 traced, record that name on exactly the interval the charge occupies
 (back-to-back charges of one name share one span).
 :meth:`Process.charge` is the one entry simulated code uses.  A
-processor is one CPU, so its CPU spans never overlap.  A banked charge
-is tallied when banked (a run that banks is untraced) and not again
-when :meth:`Process.flush` spends it.
+processor is one CPU, so its CPU spans never overlap.  Banked charges
+are ``compute``: a flush tallies them, in bank order, before it spends
+them (a run that banks is untraced, so there is no span to record).
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ import enum
 import heapq
 import os
 import threading
+from functools import reduce
+from operator import add
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -112,15 +114,15 @@ class Process:
         self._bank: List[float] = []
         #: ``bank_charge(us)``: bank ``us`` microseconds of CPU time, to
         #: be spent at the next :meth:`flush` (after whatever is banked
-        #: already).  Only this process's own code banks, and only while
-        #: it runs.  It is the bank's own ``append``: every untraced
-        #: compute charge comes through here.
+        #: already), booked as ``compute`` then.  Only this process's own
+        #: code banks, and only while it runs.  It is the bank's own
+        #: ``append``: every untraced compute charge comes through here.
         self.bank_charge: Callable[[float], None] = self._bank.append
         #: How many of ``_bank`` the flush in progress has spent.
         self._spent = 0
         #: Simulated CPU microseconds spent so far, per charge name: the
         #: one account of where this processor's time went (``compute``
-        #: is always present; an untraced runtime adds to it as it banks).
+        #: is always present).
         self.tally: Dict[str, float] = {"compute": 0.0}
         self._main = main
         # What this thread sleeps on while another runs: a raw lock (much
@@ -257,6 +259,7 @@ class Process:
         """Consume ``dt`` microseconds of CPU time on this processor
         (after whatever is banked), booked under ``name``."""
         if self._bank:
+            self._tally_bank()
             now = self.engine.now   # banked, so untraced: tally only
             self._book(name, dt, now, now)
             self._bank.append(dt)
@@ -268,7 +271,14 @@ class Process:
         """Spend the banked charges: the clock then stands where it
         would had each been an :meth:`advance` of its own."""
         if self._bank:
+            self._tally_bank()
             self._block_on(self._spend)
+
+    def _tally_bank(self) -> None:
+        """Book the banked charges as ``compute``, one add each in bank
+        order: the float an ``advance`` per charge would have summed."""
+        tally = self.tally
+        tally["compute"] = reduce(add, self._bank, tally["compute"])
 
     def _spend(self):
         """The flush step: ``_charge`` each banked charge in turn,

@@ -155,17 +155,25 @@ def test_a_banked_charge_is_tallied_once():
     def main(p):
         for us in (1.0, 2.0):
             p.bank_charge(us)
-            p.tally["compute"] += us
         p.advance(4.0, "cpu.fault")     # after the bank, in one step
+        p.bank_charge(5.0)              # spent by the end of ``main``
 
     engine = Engine()                   # a run that banks is untraced
     proc = engine.add_process("p0", main)
     engine.run()
-    assert engine.now == 7.0
-    assert proc.tally == {"compute": 3.0, "cpu.fault": 4.0}
+    assert engine.now == 12.0
+    assert proc.tally == {"compute": 8.0, "cpu.fault": 4.0}
 
 
-def test_an_endpoint_charge_books_request_service_by_default():
+@pytest.mark.parametrize("name", ["dsm", "mp"])
+def test_an_untraced_run_tallies_what_a_traced_run_books(outcomes, name):
+    """The untraced runtimes bank their compute; its tally is the traced
+    run's, float for float."""
+    untraced = run(RunSpec(**SIZING, **CELLS[name]))
+    assert untraced.tally == outcomes[name].tally
+
+
+def test_an_endpoint_charge_books_request_service():
     cfg = MachineConfig(nprocs=2)
 
     def responder(p):

@@ -103,8 +103,6 @@ class XhpfRuntime(BaseRuntime):
         #: Wall-clock profiler (``None`` when unobserved); the
         #: interpreter picks it up for its statements/sec counter.
         self.prof = comm.ep.net.profiler
-        #: ``comm.compute`` banks when the run is untraced.
-        self.banks = comm.tel is None
         for d in program.shared_arrays():
             self._accessors[d.name] = LocalAccessor(_alloc(d))
         #: Deterministically mirrored write log: per writer, entries of
@@ -133,6 +131,7 @@ class XhpfRuntime(BaseRuntime):
 
     def phase_marker(self, label: str) -> None:
         if self.comm.tel is not None:
+            self.comm.proc.flush()      # the marker reads the clock
             self.comm.tel.marker(self.pid, label)
 
     def acquire(self, lid: int) -> None:

@@ -23,12 +23,12 @@ operations of a statement-by-statement walk of the tree, so every
 simulated number is what that walk produces.
 
 The exception is a perfect affine nest (:meth:`Lowered._nest`), also
-emitted collapsed: when the runtime banks its charges, every page the
-whole nest touches passes its check and no statement reads or writes
-what another writes, each statement runs as one N-D numpy operation and
-the columns' charges are banked in their original order.  Its accesses
-are then one per reference, not one per column; the simulated numbers
-are still the walk's (docs/simulator.md, "Banked compute").
+emitted collapsed: when every page the whole nest touches passes its
+check and no statement reads or writes what another writes, each
+statement runs as one N-D numpy operation and the columns' charges are
+banked in their original order.  Its accesses are then one per
+reference, not one per column; the simulated numbers are still the
+walk's (docs/simulator.md, "Banked compute").
 """
 
 from __future__ import annotations
@@ -504,17 +504,16 @@ class Lowered(_Source):
 
     def _collapse(self, loops: List[Loop], outer: Tuple[str, str],
                   ind: str) -> str:
-        """Emit the collapsed form of a :meth:`_nest`: taken when the
-        runtime banks and, over the whole nest, every page its
-        references touch passes its check and no section a statement
+        """Emit the collapsed form of a :meth:`_nest`: taken when, over
+        the whole nest, every page its references touch passes its
+        check (the accessors' ``passes``) and no section a statement
         reads (other than its own store's) or writes meets another
         statement's store.  Then each statement runs as one N-D numpy
         operation, and the columns' charges are banked in their
         interleaved order.  Returns the indent of the per-column form,
         which runs otherwise."""
         done = self._name("done")
-        self._emit(ind, f"{done} = False", "if rt.banks:")
-        ind += _TAB
+        self._emit(ind, f"{done} = False")
         bounds = {loops[0].var: outer}
         for l in loops[1:]:
             lo, hi = self._name("lo"), self._name("hi")
@@ -574,8 +573,8 @@ class Lowered(_Source):
                        f"{costs} += ({n} * {self._num(b.cost)},)")
         self._emit(ind, f"rt.charge_columns({costs}, " + " * ".join(
             nvars[l.var][3] for l in loops[:-1]) + ")", f"{done} = True")
-        self._emit(ind[:-3 * len(_TAB)], f"if not {done}:")
-        return ind[:-2 * len(_TAB)]
+        self._emit(ind[:-2 * len(_TAB)], f"if not {done}:")
+        return ind[:-len(_TAB)]
 
     def _nd_dims(self, ref: Ref, nvars) -> str:
         """Dims source of the section ``ref`` touches over a whole

@@ -58,11 +58,6 @@ class BaseRuntime:
     def _make_shared(self, name: str):
         raise InterpError(f"unknown array {name!r}")
 
-    #: Whether ``charge`` banks (the process's clock moves at its next
-    #: blocking point, :meth:`repro.sim.engine.Process.flush`): what
-    #: lets the lowered program run a fault-free nest as one section.
-    banks = False
-
     def charge(self, us: float) -> None:
         raise NotImplementedError
 
@@ -134,9 +129,8 @@ class DsmRuntime(BaseRuntime):
         #: Wall-clock profiler (``None`` when unobserved); picked up by
         #: the interpreter for its statements/sec counter.
         self.prof = node.prof
-        #: An untraced run banks compute; a traced one charges each
-        #: burst at once, so its span and access events keep their time.
-        self.banks = node.tel is None
+        #: Compute is banked: the clock moves at the next blocking
+        #: point or clock read (:meth:`repro.sim.engine.Process.flush`).
         self._bank_charge = node.proc.bank_charge
 
     def _make_shared(self, name: str):
@@ -144,10 +138,7 @@ class DsmRuntime(BaseRuntime):
 
     def charge(self, us: float) -> None:
         if us > 0:
-            if self.banks:
-                self._bank_charge(us)
-            else:
-                self.node.proc.advance(us)
+            self._bank_charge(us)
 
     def barrier(self) -> None:
         self.node.barrier()
@@ -155,6 +146,7 @@ class DsmRuntime(BaseRuntime):
     def phase_marker(self, label: str) -> None:
         tel = self.node.tel
         if tel is not None:
+            self.node.proc.flush()      # the marker reads the clock
             tel.marker(self.node.pid, label)
 
     def acquire(self, lid: int) -> None:

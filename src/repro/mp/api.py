@@ -63,6 +63,7 @@ class MpComm:
 
     def barrier(self, tag: Any = "mpbar") -> None:
         """Flat barrier: gather at 0, release from 0."""
+        self.proc.flush()       # the wait starts where the compute ends
         t0 = self.proc.engine.now
         if self.pid == 0:
             for src in range(1, self.nprocs):
@@ -90,10 +91,7 @@ class MpComm:
 
     def compute(self, us: float) -> None:
         """Charge local computation time: banked until the next send,
-        receive or the end of ``main`` when untraced (see
+        receive, barrier or the end of ``main`` (see
         :meth:`repro.sim.engine.Process.flush`)."""
         if us > 0:
-            if self.tel is None:
-                self.proc.bank_charge(us)
-            else:
-                self.proc.advance(us)
+            self.proc.bank_charge(us)

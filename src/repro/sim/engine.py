@@ -31,7 +31,8 @@ is spent by :meth:`Process.flush`, one ``_charge`` per banked charge,
 in order, as one step.  Each charge starts where the thread, resumed
 after the one before, would have started it, so every event keeps its
 ``(time, seq)``; only the thread sleeps once for a whole compute phase.
-Every blocking call flushes first, and so does the end of ``main``.
+Every blocking call flushes first, and so does the end of ``main``;
+so does process code that reads the clock (an event, a span's start).
 
 Every simulated CPU microsecond is *booked* where it is spent: the two
 spending points, :meth:`Process._charge` (process context) and
@@ -40,9 +41,10 @@ processor's :attr:`Process.tally` under its name and, when the run is
 traced, record that name on exactly the interval the charge occupies
 (back-to-back charges of one name share one span).
 :meth:`Process.charge` is the one entry simulated code uses.  A
-processor is one CPU, so its CPU spans never overlap.  Banked charges
-are ``compute``: a flush tallies them, in bank order, before it spends
-them (a run that banks is untraced, so there is no span to record).
+processor is one CPU, so its CPU spans never overlap.  A banked charge
+is booked as ``compute`` when a flush spends it, on the interval it
+would have had as an ``advance`` of its own: traced or not, a run
+spends its compute the same way.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ import enum
 import heapq
 import os
 import threading
-from functools import reduce
-from operator import add
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -116,7 +116,7 @@ class Process:
         #: be spent at the next :meth:`flush` (after whatever is banked
         #: already), booked as ``compute`` then.  Only this process's own
         #: code banks, and only while it runs.  It is the bank's own
-        #: ``append``: every untraced compute charge comes through here.
+        #: ``append``: every compute charge comes through here.
         self.bank_charge: Callable[[float], None] = self._bank.append
         #: How many of ``_bank`` the flush in progress has spent.
         self._spent = 0
@@ -219,21 +219,19 @@ class Process:
                     tel.burst(self.pid, part, t0, end)
                 t0 = end
 
-    def _charge(self, dt: float, name: Optional[Booking]) -> bool:
+    def _charge(self, dt: float, name: Booking) -> bool:
         """Start ``dt`` microseconds of CPU time, booked under ``name``
-        on ``[max(now, busy_until), +dt]`` (``None``: booked already,
-        when banked).  ``True`` if they are already over (nothing to
-        wait for, or the clock moved straight to their end); else their
-        wake-up is scheduled and the caller must block ``ADVANCING``
-        until it fires."""
+        on ``[max(now, busy_until), +dt]``.  ``True`` if they are
+        already over (nothing to wait for, or the clock moved straight
+        to their end); else their wake-up is scheduled and the caller
+        must block ``ADVANCING`` until it fires."""
         if dt < 0:
             raise SimulationError(f"negative advance: {dt}")
         engine = self.engine
         start = max(engine.now, self.busy_until)
         self.wake_time = start + dt
         self.busy_until = self.wake_time
-        if name is not None:
-            self._book(name, dt, start, self.wake_time)
+        self._book(name, dt, start, self.wake_time)
         if self.wake_time <= engine.now:
             return True
         # Fast path: if no queued event precedes our wake-up, the loop
@@ -258,27 +256,16 @@ class Process:
     def advance(self, dt: float, name: Booking = "compute") -> None:
         """Consume ``dt`` microseconds of CPU time on this processor
         (after whatever is banked), booked under ``name``."""
-        if self._bank:
-            self._tally_bank()
-            now = self.engine.now   # banked, so untraced: tally only
-            self._book(name, dt, now, now)
-            self._bank.append(dt)
-            self._block_on(self._spend)
-        elif not self._charge(dt, name):
+        self.flush()
+        if not self._charge(dt, name):
             self._block(ProcessState.ADVANCING)
 
     def flush(self) -> None:
         """Spend the banked charges: the clock then stands where it
-        would had each been an :meth:`advance` of its own."""
+        would had each been an :meth:`advance` of its own, and each is
+        booked as ``compute`` on the interval that ``advance`` gives."""
         if self._bank:
-            self._tally_bank()
             self._block_on(self._spend)
-
-    def _tally_bank(self) -> None:
-        """Book the banked charges as ``compute``, one add each in bank
-        order: the float an ``advance`` per charge would have summed."""
-        tally = self.tally
-        tally["compute"] = reduce(add, self._bank, tally["compute"])
 
     def _spend(self):
         """The flush step: ``_charge`` each banked charge in turn,
@@ -286,7 +273,7 @@ class Process:
         bank, i = self._bank, self._spent
         while i < len(bank):
             i += 1
-            if not self._charge(bank[i - 1], None):
+            if not self._charge(bank[i - 1], "compute"):
                 self._spent = i
                 return ProcessState.ADVANCING
         bank.clear()

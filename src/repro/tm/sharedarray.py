@@ -96,7 +96,8 @@ class SharedArray(SectionAccess):
 
         The ``rt.read``/``rt.write`` access events (sanitizer feed) are
         emitted *before* the check, so an access appears in program
-        order, ahead of any faults it triggers."""
+        order, ahead of any faults it triggers, and after the banked
+        compute is spent, so it is stamped where that compute ends."""
         access = self._plan.get(dims)
         if access is None:
             access = self.node.layout.resolve_dims(self.info, dims)
@@ -104,6 +105,7 @@ class SharedArray(SectionAccess):
         node = self.node
         tel = node.tel
         if tel is not None and tel.access_events and tel.bus.enabled:
+            node.proc.flush()
             if read:
                 tel.access(node.pid, "rt.read", self.name, access[3], pages)
             if write:
@@ -122,6 +124,11 @@ class SharedArray(SectionAccess):
         return access[1]
 
     def passes(self, dims, read: bool, write: bool) -> bool:
+        """Never while access events are recorded: each access must be
+        recorded where a column-by-column run makes it."""
+        tel = self.node.tel
+        if tel is not None and tel.access_events and tel.bus.enabled:
+            return False
         access = self._plan.get(dims)
         if access is None:
             access = self.node.layout.resolve_dims(self.info, dims)

@@ -9,6 +9,7 @@ cell again.
 """
 
 import functools
+import hashlib
 from dataclasses import replace
 from typing import Optional, Tuple
 
@@ -25,13 +26,13 @@ def cell(app: str, mode: str = "dsm", opt: Optional[str] = None,
 
 
 @functools.lru_cache(maxsize=None)
-def _measured(key: str) -> Tuple[dict, baseline.Verdict, dict]:
+def _measured(key: str) -> Tuple[dict, baseline.Verdict, dict, dict]:
     spec = RunSpec.from_key(key, **SIZING)
     out = baseline.checked_run(spec)
     entry, verdict = baseline.measure(spec, out)
     if verdict.inspection is not None:
         verdict = replace(verdict, inspection=verdict.inspection.render())
-    return entry, verdict, fingerprint(out)
+    return entry, verdict, fingerprint(out), trace_digest(out)
 
 
 def measured(key: str) -> Tuple[dict, baseline.Verdict]:
@@ -52,9 +53,29 @@ def fingerprint(out) -> dict:
                        for k, v in out.arrays.items()}}
 
 
+def trace_digest(out) -> dict:
+    """What a traced run records, but its ``rt.*`` access events: the
+    finish time, the CPU tally, and digests of the span list and of the
+    event list (time, processor, kind, epoch, args)."""
+    tel = out.telemetry
+
+    def digest(items) -> str:
+        return hashlib.sha256(repr(list(items)).encode()).hexdigest()
+
+    return {"time": out.time, "tally": out.tally,
+            "spans": digest(tel.spans.spans),
+            "events": digest(tuple(e) for e in tel.bus.events
+                             if not e.kind.startswith("rt."))}
+
+
 def traced_fingerprint(key: str) -> dict:
     """:func:`fingerprint` of the judged (traced) run of ``key``."""
     return _measured(key)[2]
+
+
+def judged_trace(key: str) -> dict:
+    """:func:`trace_digest` of the judged (traced) run of ``key``."""
+    return _measured(key)[3]
 
 
 def judged(key: str) -> baseline.Verdict:

@@ -1,12 +1,16 @@
-"""An untraced run reproduces the traced run it skips, exactly.
+"""A run that banks and collapses reproduces the run that does neither.
 
-An untraced DSM run banks its compute (``Process.bank_charge``, spent by
-``Process.flush`` at the next blocking point) and runs a fault-free
-affine nest as one section (``interp/lower.py``).  A traced run --
-what ``repro check`` judges -- does neither.  Every DSM cell of the
-run matrix therefore runs untraced here and must equal its judged
-traced run (:mod:`tests.integration.judged`): finish time with ``==``,
-the record, every processor's ``TmStats`` and the arrays' bytes.
+A DSM run banks its compute (``Process.bank_charge``, spent by
+``Process.flush`` at the next blocking point or clock read) and runs a
+fault-free affine nest as one section (``interp/lower.py``), traced or
+not.  The run ``repro check`` judges records every access
+(``Telemetry(access_events=True)``): it flushes at each access and
+collapses nothing.  Every DSM cell of the run matrix therefore runs
+here untraced, and must equal its judged run
+(:mod:`tests.integration.judged`): finish time with ``==``, the record,
+every processor's ``TmStats`` and the arrays' bytes.  Traced without
+access events, it must record the judged run's trace but for the
+accesses: the same spans, and the same events, at the same times.
 
 The replay is exact because of two facts, each tested below:
 
@@ -20,16 +24,21 @@ The replay is exact because of two facts, each tested below:
    says, read by no one else unsynchronized.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import Absence, FaultPlan
 from repro.harness import RunSpec, run
 from repro.harness.modes import SIZING, run_matrix
+from repro.interp.runtime import DsmRuntime
 from repro.sim.engine import ProcessState
+from repro.telemetry import Telemetry
 from repro.tm.meta import PageMeta
 from repro.tm.node import TmNode
 
-from .judged import fingerprint, traced_fingerprint
+from .judged import (fingerprint, judged_trace, trace_digest,
+                     traced_fingerprint)
 
 DSM = [s for s in run_matrix(modes=("dsm",))]
 
@@ -39,6 +48,29 @@ def test_untraced_run_equals_the_judged_run(spec):
     got, want = fingerprint(run(spec)), traced_fingerprint(spec.key)
     assert got["time"] == want["time"]
     assert got == want
+
+
+@pytest.mark.parametrize("spec", DSM, ids=lambda s: s.key)
+def test_a_trace_does_not_depend_on_banking(spec):
+    got = trace_digest(run(replace(spec, telemetry=Telemetry())))
+    assert got == judged_trace(spec.key)
+
+
+@pytest.mark.parametrize("key", ["jacobi/dsm/push", "is/dsm/base",
+                                 "gauss/dsm/merge"])
+def test_an_access_is_recorded_where_the_compute_before_it_ends(
+        monkeypatch, key):
+    """The judged run spends the banked compute before it records an
+    access: its trace, accesses included, is that of a run whose every
+    charge is spent where it is made."""
+    spec = replace(RunSpec.from_key(key, **SIZING),
+                   telemetry=Telemetry(access_events=True))
+    banked = run(spec).telemetry
+    monkeypatch.setattr(DsmRuntime, "charge",
+                        lambda rt, us: rt.node.proc.advance(us))
+    at_once = run(replace(spec, telemetry=Telemetry(access_events=True)))
+    assert banked.spans.spans == at_once.telemetry.spans.spans
+    assert banked.bus.events == at_once.telemetry.bus.events
 
 
 class _Watched(PageMeta):

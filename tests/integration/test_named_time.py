@@ -152,23 +152,27 @@ def test_deferred_parts_are_laid_out_over_one_charge():
 
 
 def test_a_banked_charge_is_tallied_once():
+    """A banked charge is booked as ``compute`` when it is spent, on
+    the interval an ``advance`` of its own would have had."""
     def main(p):
         for us in (1.0, 2.0):
             p.bank_charge(us)
-        p.advance(4.0, "cpu.fault")     # after the bank, in one step
+        p.advance(4.0, "cpu.fault")     # after the bank
         p.bank_charge(5.0)              # spent by the end of ``main``
 
-    engine = Engine()                   # a run that banks is untraced
-    proc = engine.add_process("p0", main)
+    engine, tel, (proc,) = engine_with(main)
     engine.run()
     assert engine.now == 12.0
     assert proc.tally == {"compute": 8.0, "cpu.fault": 4.0}
+    assert spans_of(tel) == [(0, "compute", 0.0, 3.0),
+                             (0, "cpu.fault", 3.0, 7.0),
+                             (0, "compute", 7.0, 12.0)]
 
 
 @pytest.mark.parametrize("name", ["dsm", "mp"])
 def test_an_untraced_run_tallies_what_a_traced_run_books(outcomes, name):
-    """The untraced runtimes bank their compute; its tally is the traced
-    run's, float for float."""
+    """Traced or not, the runtimes bank their compute; the untraced
+    tally is the traced run's, float for float."""
     untraced = run(RunSpec(**SIZING, **CELLS[name]))
     assert untraced.tally == outcomes[name].tally
 

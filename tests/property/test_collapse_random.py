@@ -1,10 +1,12 @@
 """Property tests: a collapsed nest computes what its columns compute.
 
 Random perfect affine nests, two or three loops deep, run twice on
-:class:`SeqRuntime`: as is, column by column, and on a runtime that
-says it banks, which lets the lowered program take the collapsed form
-(each statement one N-D numpy operation, the columns' charges replayed
-in order).  Every array must be bit-identical and the clock equal.
+:class:`SeqRuntime`: as is, which lets the lowered program take the
+collapsed form (each statement one N-D numpy operation, the columns'
+charges replayed in order), and column by column, on accessors that
+decline every collapse.  Every array must be bit-identical and the
+clock equal; the reference must collapse nothing, and the other side
+must collapse on some of the examples.
 
 Stores lay the nest variables over their subscripts in any order, so
 reads get transposed; a read may skip variables, be constant, shifted
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interp import Interpreter, SeqRuntime
+from repro.interp.runtime import LocalAccessor
 from repro.lang import build as B
 from repro.lang.nodes import ArrayDecl, Program
 
@@ -27,18 +30,34 @@ X1, X2, X3 = (B.array_ref(n) for n in ("x1", "x2", "x3"))
 INPUTS = {"x1": (SIZE,), "x2": (SIZE, SIZE), "x3": (SIZE, SIZE, SIZE)}
 
 
-class BankingSeq(SeqRuntime):
-    """The uniprocessor runtime, allowed to take collapsed nests."""
-
-    banks = True
+class CountingSeq(SeqRuntime):
+    """The uniprocessor runtime, counting the nests it ran collapsed
+    (not one whose every statement is another processor's: that runs
+    nothing, collapsed or not, and consults no accessor)."""
 
     def __init__(self, program) -> None:
         super().__init__(program)
         self.collapsed = 0
 
     def charge_columns(self, costs, ncols) -> None:
-        self.collapsed += 1
+        self.collapsed += bool(costs)
         super().charge_columns(costs, ncols)
+
+
+class Declining(LocalAccessor):
+    """A local array that never lets a nest collapse."""
+
+    def passes(self, dims, read: bool, write: bool) -> bool:
+        return False
+
+
+class ColumnSeq(CountingSeq):
+    """The uniprocessor runtime held to its columns: the reference."""
+
+    def __init__(self, program) -> None:
+        super().__init__(program)
+        self._accessors = {name: Declining(acc.whole())
+                           for name, acc in self._accessors.items()}
 
 
 @st.composite
@@ -112,14 +131,23 @@ def outputs(rt, prog):
             if d.name.startswith("o")}
 
 
-@given(nest())
-@settings(max_examples=200, deadline=None)
-def test_collapsed_and_column_nests_agree(prog):
-    cols, fast = run(prog, SeqRuntime), run(prog, BankingSeq)
-    want, got = outputs(cols, prog), outputs(fast, prog)
-    for name in want:
-        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-    assert fast.time == cols.time
+def test_collapsed_and_column_nests_agree():
+    collapsed = []
+
+    @given(nest())
+    @settings(max_examples=200, deadline=None)
+    def agree(prog):
+        cols, fast = run(prog, ColumnSeq), run(prog, CountingSeq)
+        assert cols.collapsed == 0
+        collapsed.append(fast.collapsed)
+        want, got = outputs(cols, prog), outputs(fast, prog)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name],
+                                          err_msg=name)
+        assert fast.time == cols.time
+
+    agree()
+    assert any(collapsed)
 
 
 def test_generated_nests_do_collapse():
@@ -133,10 +161,10 @@ def test_generated_nests_do_collapse():
             B.assign(o(j, 2 * i + 1, k),
                      X3(i, k, j) + X2(j, 3) + X1(k + 1) + X1(9) + i * 0.5)
         ], step=2)])])])
-    fast = run(prog, BankingSeq)
+    fast = run(prog, CountingSeq)
     assert fast.collapsed == 1
     np.testing.assert_array_equal(outputs(fast, prog)["o0"],
-                                  outputs(run(prog, SeqRuntime), prog)["o0"])
+                                  outputs(run(prog, ColumnSeq), prog)["o0"])
 
 
 def test_meeting_sections_fall_back_to_columns():
@@ -151,7 +179,7 @@ def test_meeting_sections_fall_back_to_columns():
                  [B.assign(o0(i, j), 1.0), B.assign(o0(i, j + 1), 2.0)]):
         prog = Program("nest", decls, [
             B.loop(j, 0, 4, [B.loop(i, 0, 4, body)])])
-        fast, cols = run(prog, BankingSeq), run(prog, SeqRuntime)
+        fast, cols = run(prog, CountingSeq), run(prog, ColumnSeq)
         assert fast.collapsed == 0
         for name, want in outputs(cols, prog).items():
             np.testing.assert_array_equal(outputs(fast, prog)[name], want)

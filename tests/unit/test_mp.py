@@ -5,6 +5,7 @@ import pytest
 
 from repro.machine import MachineConfig
 from repro.mp import MpSystem
+from repro.telemetry import Telemetry
 
 
 def run(nprocs, main):
@@ -72,6 +73,24 @@ def test_barrier_synchronizes():
     assert min(res.returns) >= 300.0
     # Departures stagger by the master's serialized sends only.
     assert max(res.returns) - min(res.returns) < 500.0
+
+
+def test_a_barrier_wait_starts_where_the_banked_compute_ends():
+    """Compute is banked, traced or not; the barrier reads the clock
+    for its wait span, so it spends the bank first."""
+    tel = Telemetry()
+
+    def main(comm):
+        comm.compute(10.0 + 40.0 * comm.pid)
+        comm.barrier()
+
+    MpSystem(nprocs=2, telemetry=tel).run(main)
+    for pid in (0, 1):
+        spans = [s for s in tel.spans.spans if s.pid == pid]
+        compute = [s for s in spans if s.name == "compute"]
+        wait = [s for s in spans if s.name == "wait.barrier"]
+        assert len(compute) == len(wait) == 1
+        assert wait[0].t0 == compute[0].t1 == 10.0 + 40.0 * pid
 
 
 def test_allreduce_sum():

@@ -1,8 +1,10 @@
 """A fault-free nest runs as one section, and its charges are banked.
 
-An untraced DSM run banks compute and may run a perfect affine nest
-collapsed (``interp/lower.py``); a traced run does neither, so it is
-the reference every run here is compared with.
+A DSM run banks compute and may run a perfect affine nest collapsed
+(``interp/lower.py``), traced or not.  The run that records every
+access -- the one ``repro check`` judges -- flushes at each access and
+collapses nothing, so it is the reference every run here is compared
+with.
 """
 
 import numpy as np
@@ -33,9 +35,14 @@ def program(body, arrays=(("b", True),)):
                          for name, shared in arrays], body)
 
 
-def outcome(prog, traced=False, nprocs=2):
+def outcome(prog, nprocs=2, telemetry=False):
     return run(RunSpec(app=prog, params={}, nprocs=nprocs, page_size=PAGE,
-                       telemetry=Telemetry() if traced else False))
+                       telemetry=telemetry))
+
+
+def recording(prog, nprocs=2):
+    """``prog`` run recording every access, as the judged run is."""
+    return outcome(prog, nprocs, Telemetry(access_events=True))
 
 
 @pytest.fixture
@@ -55,7 +62,7 @@ def collapsed(monkeypatch):
 def test_a_nest_that_would_fault_runs_per_column(monkeypatch, collapsed):
     """Each processor writes its own columns, then reads the other's:
     both nests fault at entry, so they run column by column and their
-    faults and charges interleave exactly as in the traced run."""
+    faults and charges interleave exactly as in the recorded run."""
     other = (1 - P) * 4
     prog = program([
         nest(P * 4, P * 4 + 3, [B.assign(BB(I, J), I + J, cost=0.5)]),
@@ -86,7 +93,7 @@ def test_a_nest_that_would_fault_runs_per_column(monkeypatch, collapsed):
     monkeypatch.setattr(DsmRuntime, "charge", charge_logged)
     fast = outcome(prog)
     fast_log, log[:] = list(log), []
-    slow = outcome(prog, traced=True)
+    slow = recording(prog)
     assert collapsed == []
     for pid in (0, 1):      # each processor's own order
         assert [e for e in fast_log if e[0] == pid] == \
@@ -135,14 +142,14 @@ def test_a_two_statement_body_banks_its_charges_per_column(
     fast = outcome(prog, nprocs=1)
     assert collapsed == [((8 * 0.5, 8 * 0.25), 3)]
     assert banked == [[4.0, 2.0] * 3]
-    assert fast.time == outcome(prog, nprocs=1, traced=True).time
+    assert fast.time == recording(prog, nprocs=1).time
 
 
 def test_a_diff_request_served_while_compute_is_banked(monkeypatch,
                                                        collapsed):
     """P0 faults on P1's columns while P1 computes a long collapsed
     nest: the diff requests interrupt P1's banked phase, and the run
-    ends when the traced run does."""
+    ends when the recorded run does."""
     stolen = []
     steal = Process.steal_cpu
 
@@ -162,8 +169,24 @@ def test_a_diff_request_served_while_compute_is_banked(monkeypatch,
     fast = outcome(prog)
     assert (1, True) in stolen             # served inside P1's flush
     assert any(cols == 8 for _, cols in collapsed)
-    slow = outcome(prog, traced=True)
+    slow = recording(prog)
     assert fast.net.by_kind["diff_req"] == 4
     assert fast.time == slow.time
     assert fast.per_proc == slow.per_proc
     np.testing.assert_array_equal(fast.arrays["b"], slow.arrays["b"])
+
+
+def test_a_run_that_records_accesses_collapses_nothing(collapsed):
+    """Traced, a fault-free nest collapses as it does untraced (here the
+    second: the first write-faults every page); recording accesses, it
+    runs column by column, and its trace is the other's but for the
+    ``rt.*`` events."""
+    write = nest(0, 7, [B.assign(BB(I, J), I + J, cost=0.5)])
+    prog = program([write, write, B.barrier()])
+    traced = outcome(prog, nprocs=1, telemetry=True).telemetry
+    assert collapsed == [((8 * 0.5,), 8)]
+    accesses = recording(prog, nprocs=1).telemetry
+    assert len(collapsed) == 1
+    assert accesses.spans.spans == traced.spans.spans
+    assert [e for e in accesses.bus.events
+            if not e.kind.startswith("rt.")] == traced.bus.events
